@@ -45,13 +45,25 @@ import time
 from typing import IO, Optional
 
 from repro.core.database import Database
-from repro.errors import ExtraError, LexicalError, ParseError
+from repro.errors import ExcessError, ExtraError, LexicalError, ParseError
+from repro.excess.interpreter import FLAG_VALUES
 from repro.excess.result import Result
 
 __all__ = ["Shell", "main"]
 
 _PROMPT = "excess> "
 _CONTINUATION = "   ...> "
+
+
+def _int_arg(args: list[str]) -> object:
+    """A meta command's argument as an integer when it reads as one;
+    anything else goes to the flag setter as typed, which rejects it
+    with the interpreter's own error."""
+    text = " ".join(args)
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 class Shell:
@@ -312,49 +324,35 @@ class Shell:
             state = "on" if self.db.interpreter.optimize else "off"
             self._write(f"optimizer {state}")
         elif command == "compile":
-            if len(args) != 1 or args[0] not in ("on", "off"):
-                self._write(
-                    "usage: \\compile on|off"
-                    + (f" (got {' '.join(args)!r})" if args else "")
-                )
+            # the shell says on|off; "on" is the interpreter's "closure"
+            mode = "closure" if args == ["on"] else " ".join(args)
+            try:
+                self.db.interpreter.compile_mode = mode
+            except ExcessError as exc:
+                self._write(f"usage: \\compile on|off ({exc})")
                 return
-            mode = "closure" if args[0] == "on" else "off"
-            self.db.interpreter.compile_mode = mode
             self._write(f"expression compilation {mode}")
         elif command == "exec":
-            if len(args) != 1 or args[0] not in ("fused", "batch", "row"):
-                self._write(
-                    "usage: \\exec fused|batch|row"
-                    + (f" (got {' '.join(args)!r})" if args else "")
-                )
+            try:
+                self.db.interpreter.exec_mode = " ".join(args)
+            except ExcessError as exc:
+                usage = "|".join(FLAG_VALUES["exec_mode"])
+                self._write(f"usage: \\exec {usage} ({exc})")
                 return
-            self.db.interpreter.exec_mode = args[0]
             self._write(f"execution mode {args[0]}")
         elif command == "batch":
-            if len(args) != 1:
-                self._write("usage: \\batch N (a positive integer)")
-                return
             try:
-                self.db.interpreter.batch_size = int(args[0])
-            except (ValueError, ExtraError):
-                self._write(
-                    f"error: batch size must be a positive integer, "
-                    f"got {args[0]!r}"
-                )
+                self.db.interpreter.batch_size = _int_arg(args)
+            except ExcessError as exc:
+                self._write(f"usage: \\batch N ({exc})")
                 return
             self._write(f"batch size {self.db.interpreter.batch_size}")
         elif command == "timeout":
-            if len(args) != 1:
-                self._write(
-                    "usage: \\timeout MS (milliseconds, 0 disables)"
-                )
-                return
             try:
-                self.db.interpreter.statement_timeout_ms = int(args[0])
-            except (ValueError, ExtraError):
+                self.db.interpreter.statement_timeout_ms = _int_arg(args)
+            except ExcessError as exc:
                 self._write(
-                    f"error: statement timeout must be a non-negative "
-                    f"integer of milliseconds, got {args[0]!r}"
+                    f"usage: \\timeout MS (milliseconds, 0 disables; {exc})"
                 )
                 return
             ms = self.db.interpreter.statement_timeout_ms
@@ -362,15 +360,11 @@ class Shell:
                 f"statement timeout {ms} ms" if ms else "statement timeout off"
             )
         elif command == "budget":
-            if len(args) != 1:
-                self._write("usage: \\budget BYTES (0 disables spilling)")
-                return
             try:
-                self.db.interpreter.memory_budget = int(args[0])
-            except (ValueError, ExtraError):
+                self.db.interpreter.memory_budget = _int_arg(args)
+            except ExcessError as exc:
                 self._write(
-                    f"error: memory budget must be a non-negative integer "
-                    f"of bytes, got {args[0]!r}"
+                    f"usage: \\budget BYTES (0 disables spilling; {exc})"
                 )
                 return
             budget = self.db.interpreter.memory_budget

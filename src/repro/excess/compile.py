@@ -623,26 +623,36 @@ def _compile(node: BoundExpr) -> CompiledExpr:
 # ---------------------------------------------------------------------------
 
 
-def compile_expr(node: BoundExpr) -> CompiledExpr:
-    """Compile one bound expression into a closure.
+def compile_expr(node: BoundExpr, compiled: bool = True) -> CompiledExpr:
+    """One bound expression as a callable ``fn(env, ctx)`` — the single
+    place the closure-vs-interpreter decision is made.
 
-    Always succeeds: uncompilable nodes become interpreter callbacks
-    inside an otherwise-compiled tree (``full=False``).
+    With ``compiled`` (the execution's ``compile_mode="closure"``) the
+    tree lowers to closures; uncompilable nodes become interpreter
+    callbacks inside an otherwise-compiled tree (``full=False``).
+    Without it the whole expression *is* the interpreter callback, so
+    ``compile_mode="off"`` keeps running the reference tree-walker
+    (:meth:`Evaluator._eval`) behind the same calling convention.
     """
-    return _compile(node)
+    return _compile(node) if compiled else _compile_fallback(node)
 
 
-def compile_all(nodes: list[BoundExpr]) -> tuple[list[CompiledFn], bool]:
-    """Compile a list of expressions; returns the closures plus whether
-    every tree compiled fully (for the ``compiled=`` plan annotation)."""
-    compiled = [_compile(node) for node in nodes]
-    return [entry.fn for entry in compiled], all(
-        entry.full for entry in compiled
+def compile_all(
+    nodes: list[BoundExpr], compiled: bool = True
+) -> tuple[list[CompiledFn], bool]:
+    """:func:`compile_expr` over a list; returns the callables plus
+    whether every tree compiled fully (for the ``compiled=`` plan
+    annotation)."""
+    entries = [compile_expr(node, compiled) for node in nodes]
+    return [entry.fn for entry in entries], all(
+        entry.full for entry in entries
     )
 
 
-def compiled_label(full: bool) -> str:
+def compiled_label(full: bool, compiled: bool = True) -> str:
     """The per-operator EXPLAIN annotation for a compiled expression set."""
+    if not compiled:
+        return "off"
     return "closure" if full else "fallback"
 
 
@@ -968,6 +978,7 @@ def _build_fused(op: Any, compiled: bool) -> Optional[FusedPipeline]:
         exec_chain.append(project)
 
     full = True
+    n_closures = 0
     ns: dict[str, Any] = {
         "NULL": NULL,
         "Ref": Ref,
@@ -983,10 +994,11 @@ def _build_fused(op: Any, compiled: bool) -> Optional[FusedPipeline]:
 
     def closure(node: BoundExpr) -> str:
         """Compile one expression into the namespace; returns its name."""
-        nonlocal full
-        entry = _compile(node) if compiled else _compile_fallback(node)
+        nonlocal full, n_closures
+        entry = compile_expr(node, compiled)
         full = full and entry.full
-        name = f"_fn{len([k for k in ns if k.startswith('_fn')])}"
+        name = f"_fn{n_closures}"
+        n_closures += 1
         ns[name] = entry.fn
         return name
 

@@ -81,6 +81,7 @@ from repro.excess.binder import (
     VarRef,
 )
 from repro.core.governor import ResourceGovernor, row_footprint
+from repro.excess.compile import compile_expr
 from repro.excess.plan import (
     HashJoin,
     PlanContext,
@@ -201,8 +202,9 @@ class Evaluator:
         self.exec_mode = exec_mode
         #: target rows per exchanged batch (batch/fused modes)
         self.batch_size = batch_size
-        #: id(bound node) → compiled closure (aggregate hot paths; nodes
-        #: stay alive on the bound statement for this evaluator's life)
+        #: id(bound node) → callable from the compile seam (statement-
+        #: level expressions and aggregate hot paths; nodes stay alive
+        #: on the bound statement for this evaluator's life)
         self._compiled_memo: dict[int, Any] = {}
         self._compiled_ctx: Optional[PlanContext] = None
         #: parent-side worker-pool dispatcher (interpreter-attached when
@@ -221,20 +223,19 @@ class Evaluator:
             else None
         )
 
-    def _eval_compiled(self, node: BoundExpr, env: Env, tables: dict) -> Any:
-        """Evaluate through the compiled-closure memo (used by the
-        aggregate machinery, which evaluates outside the plan operators'
-        own compiled caches)."""
-        from repro.excess.compile import compile_expr
-
-        fn = self._compiled_memo.get(id(node))
-        if fn is None:
-            fn = compile_expr(node).fn
-            self._compiled_memo[id(node)] = fn
+    def _eval_expr(self, node: BoundExpr, env: Env, tables: dict) -> Any:
+        """Evaluate an expression that lives outside the plan operators
+        (update payloads, aggregate inputs, procedure arguments) through
+        the compile seam: a memoized closure under ``compile_mode=
+        "closure"``, a callback into :meth:`_eval` under ``"off"``."""
         ctx = self._compiled_ctx
         if ctx is None or ctx.tables is not tables:
             ctx = PlanContext(self, tables)
             self._compiled_ctx = ctx
+        fn = self._compiled_memo.get(id(node))
+        if fn is None:
+            fn = compile_expr(node, ctx.compiled).fn
+            self._compiled_memo[id(node)] = fn
         return fn(env, ctx)
 
     def _invalidate_exec_caches(self) -> None:
@@ -326,9 +327,7 @@ class Evaluator:
         """Execute an append statement."""
         tables: dict = {}
         pending: list[tuple[Env, Any]] = []
-        evaluate = (
-            self._eval_compiled if self.compile_mode == "closure" else self._eval
-        )
+        evaluate = self._eval_expr
         for env in self.env_stream(bound.query, base_env, tables):
             if bound.assignments:
                 raw = {
@@ -507,9 +506,7 @@ class Evaluator:
         """Execute a replace statement."""
         tables: dict = {}
         pending: list[tuple[Any, dict[str, Any]]] = []
-        evaluate = (
-            self._eval_compiled if self.compile_mode == "closure" else self._eval
-        )
+        evaluate = self._eval_expr
         for env in self.env_stream(bound.query, base_env, tables):
             target_value = evaluate(bound.target, env, tables)
             if target_value is NULL:
@@ -561,9 +558,7 @@ class Evaluator:
         """Execute a set (slot assignment) statement."""
         tables: dict = {}
         pending: list[tuple[Env, Any]] = []
-        evaluate = (
-            self._eval_compiled if self.compile_mode == "closure" else self._eval
-        )
+        evaluate = self._eval_expr
         for env in self.env_stream(bound.query, base_env, tables):
             pending.append((env, evaluate(bound.expression, env, tables)))
         count = 0
@@ -733,9 +728,7 @@ class Evaluator:
         timeout checks per inner row and may spill the accumulating
         groups to disk partitions (:meth:`_governed_aggregate`).
         """
-        evaluate = (
-            self._eval_compiled if self.compile_mode == "closure" else self._eval
-        )
+        evaluate = self._eval_expr
         governor = self.governor
         for aggregate in query.aggregates:
             if aggregate.mode == "correlated":
@@ -858,9 +851,7 @@ class Evaluator:
         self, node: AggregateRef, env: Env, tables: dict
     ) -> Any:
         mode, aggregate, computed = tables[node.aggregate_id]
-        evaluate = (
-            self._eval_compiled if self.compile_mode == "closure" else self._eval
-        )
+        evaluate = self._eval_expr
         if mode == "global":
             if () in computed:
                 return self._null_if_none(computed[()])

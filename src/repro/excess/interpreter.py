@@ -66,7 +66,51 @@ from repro.excess.plan import pipeline_sources, render_plan, snapshot_stats
 from repro.excess.procedures import Procedure, bind_procedure_body, run_procedure
 from repro.excess.result import Result
 
-__all__ = ["Interpreter", "PlanCache"]
+__all__ = ["Interpreter", "PlanCache", "FLAG_VALUES", "validate_flag"]
+
+#: every validated execution flag and what it accepts: a tuple enumerates
+#: the allowed values, an integer is the smallest allowed integer.  The
+#: one table behind the interpreter's attribute setters, the server's
+#: wire ``set`` op and the shell's meta commands.
+FLAG_VALUES: dict[str, Any] = {
+    "optimize": (True, False),
+    "compile_mode": ("closure", "off"),
+    "exec_mode": ("fused", "batch", "row"),
+    "parallel_mode": ("process", "off"),
+    "batch_size": 1,
+    "workers": 1,
+    "statement_timeout_ms": 0,
+    "memory_budget": 0,
+}
+
+
+def validate_flag(name: str, value: Any) -> Any:
+    """``value`` if it is allowed for flag ``name`` (see
+    :data:`FLAG_VALUES`), else :class:`ExcessError`."""
+    allowed = FLAG_VALUES[name]
+    if isinstance(allowed, tuple):
+        if value not in allowed:
+            raise ExcessError(
+                f"{name} must be one of {list(allowed)}, got {value!r}"
+            )
+    elif not isinstance(value, int) or isinstance(value, bool) or value < allowed:
+        kind = "positive" if allowed else "non-negative"
+        raise ExcessError(f"{name} must be a {kind} integer, got {value!r}")
+    return value
+
+
+def _validated(name: str, doc: str) -> property:
+    """An interpreter attribute whose assignments go through
+    :func:`validate_flag`."""
+    slot = "_" + name
+
+    def read(self: Any) -> Any:
+        return getattr(self, slot)
+
+    def write(self: Any, value: Any) -> None:
+        setattr(self, slot, validate_flag(name, value))
+
+    return property(read, write, doc=doc)
 
 
 @dataclass
@@ -261,72 +305,27 @@ class Interpreter:
 
     # -- validated flags -----------------------------------------------------------
 
-    @property
-    def batch_size(self) -> int:
-        """Target rows per exchanged batch (batch/fused modes)."""
-        return self._batch_size
-
-    @batch_size.setter
-    def batch_size(self, value: Any) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ExcessError(
-                f"batch_size must be a positive integer, got {value!r}"
-            )
-        self._batch_size = value
-
-    @property
-    def parallel_mode(self) -> str:
-        """Parallel execution mode: "process" or "off"."""
-        return self._parallel_mode
-
-    @parallel_mode.setter
-    def parallel_mode(self, value: Any) -> None:
-        if value not in ("process", "off"):
-            raise ExcessError(
-                f"parallel_mode must be 'process' or 'off', got {value!r}"
-            )
-        self._parallel_mode = value
-
-    @property
-    def workers(self) -> int:
-        """Worker-process budget for parallel plans."""
-        return self._workers
-
-    @workers.setter
-    def workers(self, value: Any) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ExcessError(
-                f"workers must be a positive integer, got {value!r}"
-            )
-        self._workers = value
-
-    @property
-    def statement_timeout_ms(self) -> int:
-        """Per-statement deadline in milliseconds (0 = no timeout)."""
-        return self._statement_timeout_ms
-
-    @statement_timeout_ms.setter
-    def statement_timeout_ms(self, value: Any) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ExcessError(
-                f"statement_timeout_ms must be a non-negative integer, "
-                f"got {value!r}"
-            )
-        self._statement_timeout_ms = value
-
-    @property
-    def memory_budget(self) -> int:
-        """Pipeline-breaker memory budget in bytes (0 = unbounded)."""
-        return self._memory_budget
-
-    @memory_budget.setter
-    def memory_budget(self, value: Any) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ExcessError(
-                f"memory_budget must be a non-negative integer, "
-                f"got {value!r}"
-            )
-        self._memory_budget = value
+    optimize = _validated("optimize", "Whether the optimizer runs at all.")
+    compile_mode = _validated(
+        "compile_mode", 'Expression evaluation: "closure" or "off".'
+    )
+    exec_mode = _validated(
+        "exec_mode", 'Pipeline execution: "fused", "batch" or "row".'
+    )
+    parallel_mode = _validated(
+        "parallel_mode", 'Parallel execution mode: "process" or "off".'
+    )
+    batch_size = _validated(
+        "batch_size", "Target rows per exchanged batch (batch/fused modes)."
+    )
+    workers = _validated("workers", "Worker-process budget for parallel plans.")
+    statement_timeout_ms = _validated(
+        "statement_timeout_ms",
+        "Per-statement deadline in milliseconds (0 = no timeout).",
+    )
+    memory_budget = _validated(
+        "memory_budget", "Pipeline-breaker memory budget in bytes (0 = unbounded)."
+    )
 
     # -- parallel execution ---------------------------------------------------------
 
@@ -776,13 +775,8 @@ class Interpreter:
         )
         tables: dict = {}
         bindings: list[dict] = []
-        evaluate = (
-            evaluator._eval_compiled
-            if evaluator.compile_mode == "closure"
-            else evaluator._eval
-        )
         for env in evaluator.env_stream(query, {}, tables):
-            values = [evaluate(a, env, tables) for a in bound_args]
+            values = [evaluator._eval_expr(a, env, tables) for a in bound_args]
             bindings.append(
                 {
                     f"@{param.name}": value

@@ -197,29 +197,13 @@ def _run_hash_projection(project: Any, ctx: PlanContext) -> list:
     out: list = []
     size = ctx.batch_size
     project.stats.opens += 1
-    if ctx.compiled:
-        target_fns, order_fns, _full = project._compiled_targets()
-        for batch in project._pull_batches(project.children[0], ctx, {}, size):
-            for row_env in batch:
-                pos = row_env.pop("#pos")
-                row = tuple(fn(row_env, ctx) for fn in target_fns)
-                if order_fns:
-                    keys = tuple(fn(row_env, ctx) for fn in order_fns)
-                    out.append((pos, (row, keys)))
-                else:
-                    out.append((pos, row))
-        project.stats.rows_out += len(out)
-        return out
+    target_fns, order_fns = project.target_fns(ctx.compiled)
     for batch in project._pull_batches(project.children[0], ctx, {}, size):
         for row_env in batch:
             pos = row_env.pop("#pos")
-            row = tuple(
-                ctx.eval(t.expression, row_env) for t in project.targets
-            )
-            if project.order:
-                keys = tuple(
-                    ctx.eval(expr, row_env) for expr, _desc in project.order
-                )
+            row = tuple(fn(row_env, ctx) for fn in target_fns)
+            if order_fns:
+                keys = tuple(fn(row_env, ctx) for fn in order_fns)
                 out.append((pos, (row, keys)))
             else:
                 out.append((pos, row))
@@ -243,11 +227,7 @@ def run_aggregate_task(
     inner, argument, inner_key, agg_mode = payload
     evaluator = _worker_evaluator(db, flags)
     evaluator.exchange = Shard(part, dop)
-    evaluate = (
-        evaluator._eval_compiled
-        if evaluator.compile_mode == "closure"
-        else evaluator._eval
-    )
+    evaluate = evaluator._eval_expr
     from repro.excess.evaluator import canonical_key
 
     groups: dict[Any, list] = {}

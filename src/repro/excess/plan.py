@@ -100,7 +100,7 @@ from repro.excess.binder import (
     Unary,
     VarRef,
 )
-from repro.excess.compile import compile_all, compile_expr, compiled_label
+from repro.excess.compile import compile_all, compiled_label, fused_pipeline
 
 __all__ = [
     "PlanContext",
@@ -207,9 +207,11 @@ class PlanContext:
         #: (snapshot_ts, txn_id) of the executing session's transaction
         #: (None, None outside one) — part of the hash-build memo stamp
         self.session_stamp = getattr(evaluator, "session_stamp", (None, None))
-        #: True when this execution runs compiled closures on the hot
-        #: paths; plans are shared across modes (function bodies, cached
-        #: statements), so operators branch on this per execution
+        #: True when this execution's expressions lower to closures,
+        #: False when they run the interpreter — never tested by an
+        #: operator, only handed to :meth:`PlanOp.compiled_exprs` /
+        #: ``fused_pipeline`` (plans are shared across modes, so the
+        #: per-node caches are keyed by it)
         self.compiled = (
             getattr(evaluator, "compile_mode", "closure") == "closure"
         )
@@ -232,10 +234,6 @@ class PlanContext:
         #: (deadline + memory budget) — None when neither flag is set,
         #: which keeps the batch hot path a single ``is None`` test
         self.governor = getattr(evaluator, "governor", None)
-
-    def eval(self, expr: BoundExpr, env: Env) -> Any:
-        """Evaluate a bound expression under this execution's tables."""
-        return self.evaluator._eval(expr, env, self.tables)
 
 
 @dataclass
@@ -359,8 +357,6 @@ class PlanOp:
         environment), so consumers may retain or mutate them freely.
         """
         if ctx.exec_mode == "fused":
-            from repro.excess.compile import fused_pipeline
-
             fused = fused_pipeline(self, ctx.compiled)
             if fused is not None:
                 rows = fused.fn(ctx, env)
@@ -370,24 +366,13 @@ class PlanOp:
         yield from self.run_batches(ctx, env, size)
 
     def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        """Native batch execution (overridden per operator).
+        """Native batch execution (implemented per operator).
 
-        The base implementation adapts :meth:`_run`, snapshotting
-        shared-environment rows into private dicts — a safety net for
-        future operators; every current operator overrides it.
         Implementations count their own ``opens`` and pull children
         through :meth:`_pull_batches`; an operator's ``rows_out`` is
         counted by its consumer (or the executor, at the root).
         """
-        self.stats.opens += 1
-        batch: list = []
-        for row in self._run(ctx, env):
-            batch.append(dict(row) if type(row) is dict else row)
-            if len(batch) >= size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+        raise NotImplementedError
 
     def _pull_batches(
         self, child: "PlanOp", ctx: PlanContext, env: Env, size: int
@@ -441,11 +426,35 @@ class PlanOp:
         """Operator-specific counters appended to the actuals display."""
         return ""
 
-    def compiled_note(self) -> Optional[str]:
-        """``closure``/``fallback`` for operators that evaluate
-        expressions (compiling them on demand), None otherwise — the
-        per-operator ``compiled=`` annotation of the rendered plan."""
-        return None
+    # -- expressions -----------------------------------------------------
+
+    def exprs(self) -> list[BoundExpr]:
+        """The bound expressions this operator evaluates (none for
+        operators that only move rows)."""
+        return []
+
+    def compiled_exprs(self, compiled: bool) -> tuple[list, bool]:
+        """``(fns, full)`` for :meth:`exprs`, in order: one callable
+        ``fn(env, ctx)`` per expression from :func:`~repro.excess.
+        compile.compile_all`, which alone decides what ``compiled``
+        means.  Cached on the node per mode — function-body plans are
+        shared by ``closure`` and ``off`` executions — in the
+        ``_compiled`` slot that ``__getstate__`` drops."""
+        cache = self.__dict__.get("_compiled")
+        if cache is None:
+            cache = self.__dict__["_compiled"] = {}
+        entry = cache.get(compiled)
+        if entry is None:
+            entry = cache[compiled] = compile_all(self.exprs(), compiled)
+        return entry
+
+    def compiled_note(self, compiled: bool = True) -> Optional[str]:
+        """``closure``/``fallback``/``off`` for operators that evaluate
+        expressions, None otherwise — the per-operator ``compiled=``
+        annotation of the rendered plan."""
+        if not self.exprs():
+            return None
+        return compiled_label(self.compiled_exprs(compiled)[1], compiled)
 
     def exchange_note(self) -> Optional[str]:
         """``[hash(k), dop=N]``-style annotation for exchange operators,
@@ -582,15 +591,8 @@ class IndexScan(_BindingOp):
             f"{describe_expr(self.key_expr)}) as {self.var}"
         )
 
-    def _compiled_key(self) -> tuple:
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            cached = compile_expr(self.key_expr)
-            self.__dict__["_compiled"] = cached
-        return cached
-
-    def compiled_note(self) -> Optional[str]:
-        return compiled_label(self._compiled_key().full)
+    def exprs(self) -> list[BoundExpr]:
+        return [self.key_expr]
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
         oids = self._probe_oids(ctx, env)
@@ -612,10 +614,8 @@ class IndexScan(_BindingOp):
     def _probe_oids(self, ctx: PlanContext, env: Env) -> Optional[list]:
         """Evaluate the key once against ``env`` and probe the index;
         None when the key is null (3VL: nothing compares to null)."""
-        if ctx.compiled:
-            key = self._compiled_key().fn(env, ctx)
-        else:
-            key = ctx.eval(self.key_expr, env)
+        (key_fn,), _full = self.compiled_exprs(ctx.compiled)
+        key = key_fn(env, ctx)
         if key is NULL:
             return None
         index = self.descriptor.index
@@ -751,21 +751,12 @@ class FunctionScan(_BindingOp):
         args = ", ".join(describe_expr(a) for a in self.args)
         return f"FunctionScan {self.function.name}({args}) as {self.var}"
 
-    def _compiled_args(self) -> tuple:
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            cached = compile_all(self.args)
-            self.__dict__["_compiled"] = cached
-        return cached
-
-    def compiled_note(self) -> Optional[str]:
-        return compiled_label(self._compiled_args()[1])
+    def exprs(self) -> list[BoundExpr]:
+        return self.args
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
-        if ctx.compiled:
-            args = [fn(env, ctx) for fn in self._compiled_args()[0]]
-        else:
-            args = [ctx.eval(a, env) for a in self.args]
+        fns, _full = self.compiled_exprs(ctx.compiled)
+        args = [fn(env, ctx) for fn in fns]
         if any(a is NULL for a in args):
             return
         saved = env.get(self.var, _MISSING)
@@ -781,10 +772,8 @@ class FunctionScan(_BindingOp):
 
     def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
         self.stats.opens += 1
-        if ctx.compiled:
-            args = [fn(env, ctx) for fn in self._compiled_args()[0]]
-        else:
-            args = [ctx.eval(a, env) for a in self.args]
+        fns, _full = self.compiled_exprs(ctx.compiled)
+        args = [fn(env, ctx) for fn in fns]
         if any(a is NULL for a in args):
             return
         var = self.var
@@ -819,67 +808,43 @@ class Filter(PlanOp):
             describe_expr(p) for p in self.predicates
         )
 
-    def _compiled_predicates(self) -> tuple:
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            cached = compile_all(self.predicates)
-            self.__dict__["_compiled"] = cached
-        return cached
-
-    def compiled_note(self) -> Optional[str]:
-        return compiled_label(self._compiled_predicates()[1])
+    def exprs(self) -> list[BoundExpr]:
+        return self.predicates
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
-        if ctx.compiled:
-            fns, _full = self._compiled_predicates()
-            if len(fns) == 1:
-                predicate = fns[0]
-                for row in self._pull(self.children[0], ctx, env):
-                    if predicate(row, ctx) is True:
-                        yield row
-            else:
-                for row in self._pull(self.children[0], ctx, env):
-                    for predicate in fns:
-                        if predicate(row, ctx) is not True:
-                            break
-                    else:
-                        yield row
-            return
-        for row in self._pull(self.children[0], ctx, env):
-            if all(ctx.eval(p, row) is True for p in self.predicates):
-                yield row
+        fns, _full = self.compiled_exprs(ctx.compiled)
+        if len(fns) == 1:
+            predicate = fns[0]
+            for row in self._pull(self.children[0], ctx, env):
+                if predicate(row, ctx) is True:
+                    yield row
+        else:
+            for row in self._pull(self.children[0], ctx, env):
+                for predicate in fns:
+                    if predicate(row, ctx) is not True:
+                        break
+                else:
+                    yield row
 
     def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
         self.stats.opens += 1
         child = self.children[0]
-        if ctx.compiled:
-            fns, _full = self._compiled_predicates()
-            if len(fns) == 1:
-                predicate = fns[0]
-                for batch in self._pull_batches(child, ctx, env, size):
-                    kept = [row for row in batch if predicate(row, ctx) is True]
-                    if kept:
-                        yield kept
-                return
+        fns, _full = self.compiled_exprs(ctx.compiled)
+        if len(fns) == 1:
+            predicate = fns[0]
             for batch in self._pull_batches(child, ctx, env, size):
-                kept = []
-                for row in batch:
-                    for predicate in fns:
-                        if predicate(row, ctx) is not True:
-                            break
-                    else:
-                        kept.append(row)
+                kept = [row for row in batch if predicate(row, ctx) is True]
                 if kept:
                     yield kept
             return
-        predicates = self.predicates
-        evaluate = ctx.eval
         for batch in self._pull_batches(child, ctx, env, size):
-            kept = [
-                row
-                for row in batch
-                if all(evaluate(p, row) is True for p in predicates)
-            ]
+            kept = []
+            for row in batch:
+                for predicate in fns:
+                    if predicate(row, ctx) is not True:
+                        break
+                else:
+                    kept.append(row)
             if kept:
                 yield kept
 
@@ -898,30 +863,25 @@ class SemiJoinProbe(PlanOp):
     def describe(self) -> str:
         return f"SemiJoinProbe {describe_expr(self.membership)}"
 
-    def compiled_note(self) -> Optional[str]:
+    def exprs(self) -> list[BoundExpr]:
         # Membership always lowers to an interpreter callback (the
         # memoized key-set machinery lives on the evaluator)
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            cached = compile_expr(self.membership)
-            self.__dict__["_compiled"] = cached
-        return compiled_label(cached.full)
+        return [self.membership]
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
-        node = self.membership
+        (member_of,), _full = self.compiled_exprs(ctx.compiled)
         for row in self._pull(self.children[0], ctx, env):
             self.stats.probes += 1
-            if ctx.eval(node, row) is True:
+            if member_of(row, ctx) is True:
                 yield row
 
     def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
         self.stats.opens += 1
-        node = self.membership
+        (member_of,), _full = self.compiled_exprs(ctx.compiled)
         stats = self.stats
-        evaluate = ctx.eval
         for batch in self._pull_batches(self.children[0], ctx, env, size):
             stats.probes += len(batch)
-            kept = [row for row in batch if evaluate(node, row) is True]
+            kept = [row for row in batch if member_of(row, ctx) is True]
             if kept:
                 yield kept
 
@@ -1061,17 +1021,8 @@ class HashJoin(PlanOp):
         """Drop the memoized build table (tests / explicit flushes)."""
         self._memo = None
 
-    def _compiled_keys(self) -> tuple:
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            build = compile_expr(self.build_key)
-            probe = compile_expr(self.probe_key)
-            cached = (build.fn, probe.fn, build.full and probe.full)
-            self.__dict__["_compiled"] = cached
-        return cached
-
-    def compiled_note(self) -> Optional[str]:
-        return compiled_label(self._compiled_keys()[2])
+    def exprs(self) -> list[BoundExpr]:
+        return [self.build_key, self.probe_key]
 
     def _table_for(self, ctx: PlanContext) -> Any:
         governor = ctx.governor
@@ -1095,7 +1046,7 @@ class HashJoin(PlanOp):
         build stats exactly as the in-memory build always did."""
         build = self.children[1]
         build_stats = build.stats
-        build_fn = self._compiled_keys()[0] if ctx.compiled else None
+        (build_fn, _probe_fn), _full = self.compiled_exprs(ctx.compiled)
         stats = self.stats
         if ctx.exec_mode != "row":
             # batch-at-a-time build: the pipeline breaker consumes the
@@ -1104,11 +1055,7 @@ class HashJoin(PlanOp):
                 build_stats.rows_out += len(batch)
                 stats.build_rows += len(batch)
                 for row in batch:
-                    if build_fn is not None:
-                        value = build_fn(row, ctx)
-                    else:
-                        value = ctx.eval(self.build_key, row)
-                    key = join_key(value, self.join_op)
+                    key = join_key(build_fn(row, ctx), self.join_op)
                     if key is None:
                         continue
                     yield key, row[self.var]
@@ -1120,11 +1067,7 @@ class HashJoin(PlanOp):
             for _ in build_iter:
                 build_stats.rows_out += 1
                 stats.build_rows += 1
-                if build_fn is not None:
-                    value = build_fn(env, ctx)
-                else:
-                    value = ctx.eval(self.build_key, env)
-                key = join_key(value, self.join_op)
+                key = join_key(build_fn(env, ctx), self.join_op)
                 if key is None:
                     continue
                 yield key, env[self.var]
@@ -1180,9 +1123,7 @@ class HashJoin(PlanOp):
         stats = self.stats
         var = self.var
         join_op = self.join_op
-        probe_fn = self._compiled_keys()[1] if ctx.compiled else None
-        evaluate = ctx.eval
-        probe_key = self.probe_key
+        (_build_fn, probe_fn), _full = self.compiled_exprs(ctx.compiled)
         dop = len(spill.parts)
         probes = [SpillFile() for _ in range(dop)]
         try:
@@ -1190,11 +1131,7 @@ class HashJoin(PlanOp):
             for batch in self._pull_batches(self.children[0], ctx, env, size):
                 for row in batch:
                     stats.probes += 1
-                    if probe_fn is not None:
-                        value = probe_fn(row, ctx)
-                    else:
-                        value = evaluate(probe_key, row)
-                    key = join_key(value, join_op)
+                    key = join_key(probe_fn(row, ctx), join_op)
                     if key is not None:
                         probes[partition_hash(key) % dop].append(
                             (pos, key, row)
@@ -1235,15 +1172,11 @@ class HashJoin(PlanOp):
                 yield from batch
             return
         saved = env.get(self.var, _MISSING)
-        probe_fn = self._compiled_keys()[1] if ctx.compiled else None
+        (_build_fn, probe_fn), _full = self.compiled_exprs(ctx.compiled)
         try:
             for row in self._pull(self.children[0], ctx, env):
                 self.stats.probes += 1
-                if probe_fn is not None:
-                    value = probe_fn(row, ctx)
-                else:
-                    value = ctx.eval(self.probe_key, row)
-                key = join_key(value, self.join_op)
+                key = join_key(probe_fn(row, ctx), self.join_op)
                 if key is None:
                     continue
                 for member in table.get(key, ()):
@@ -1264,18 +1197,12 @@ class HashJoin(PlanOp):
         stats = self.stats
         var = self.var
         join_op = self.join_op
-        probe_fn = self._compiled_keys()[1] if ctx.compiled else None
-        evaluate = ctx.eval
-        probe_key = self.probe_key
+        (_build_fn, probe_fn), _full = self.compiled_exprs(ctx.compiled)
         pending: list = []
         for batch in self._pull_batches(self.children[0], ctx, env, size):
             for row in batch:
                 stats.probes += 1
-                if probe_fn is not None:
-                    value = probe_fn(row, ctx)
-                else:
-                    value = evaluate(probe_key, row)
-                key = join_key(value, join_op)
+                key = join_key(probe_fn(row, ctx), join_op)
                 if key is None:
                     continue
                 members = table.get(key)
@@ -1331,19 +1258,13 @@ class UniversalCheck(PlanOp):
         )
         return roles
 
-    def _compiled_where(self) -> tuple:
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            cached = compile_expr(self.where)
-            self.__dict__["_compiled"] = cached
-        return cached
-
-    def compiled_note(self) -> Optional[str]:
-        return compiled_label(self._compiled_where().full)
+    def exprs(self) -> list[BoundExpr]:
+        return [self.where]
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
+        (where,), _full = self.compiled_exprs(ctx.compiled)
         for row in self._pull(self.children[0], ctx, env):
-            if self._holds(ctx, row, 0):
+            if self._holds(where, ctx, row, 0):
                 yield row
 
     def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
@@ -1351,16 +1272,15 @@ class UniversalCheck(PlanOp):
         # into the candidate row and early-exit per combination); only
         # the input side exchanges batches
         self.stats.opens += 1
+        (where,), _full = self.compiled_exprs(ctx.compiled)
         for batch in self._pull_batches(self.children[0], ctx, env, size):
-            kept = [row for row in batch if self._holds(ctx, row, 0)]
+            kept = [row for row in batch if self._holds(where, ctx, row, 0)]
             if kept:
                 yield kept
 
-    def _holds(self, ctx: PlanContext, env: Env, depth: int) -> bool:
+    def _holds(self, where: Any, ctx: PlanContext, env: Env, depth: int) -> bool:
         if depth == len(self.checks):
-            if ctx.compiled:
-                return self._compiled_where().fn(env, ctx) is True
-            return ctx.eval(self.where, env) is True
+            return where(env, ctx) is True
         binding, subtree = self.checks[depth]
         saved = env.get(binding.name, _MISSING)
         subtree.open(ctx, env)
@@ -1369,7 +1289,7 @@ class UniversalCheck(PlanOp):
         try:
             for _ in subtree_iter:
                 subtree_stats.rows_out += 1
-                if not self._holds(ctx, env, depth + 1):
+                if not self._holds(where, ctx, env, depth + 1):
                     return False
             return True
         finally:
@@ -1401,20 +1321,15 @@ class Aggregate(PlanOp):
         modes = ", ".join(a.mode for a in self.query.aggregates)
         return f"Aggregate [{modes}]"
 
-    def compiled_note(self) -> Optional[str]:
-        # input extraction (argument + partition key) is compiled by the
-        # evaluator's per-statement memo; this only reports completeness
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            exprs: list[BoundExpr] = []
-            for aggregate in self.query.aggregates:
-                exprs.append(aggregate.argument)
-                if aggregate.inner_key is not None:
-                    exprs.append(aggregate.inner_key)
-            _fns, full = compile_all(exprs)
-            cached = (None, full)
-            self.__dict__["_compiled"] = cached
-        return compiled_label(cached[1])
+    def exprs(self) -> list[BoundExpr]:
+        # input extraction (argument + partition key) is evaluated by the
+        # evaluator's per-statement memo; listed here for the annotation
+        exprs: list[BoundExpr] = []
+        for aggregate in self.query.aggregates:
+            exprs.append(aggregate.argument)
+            if aggregate.inner_key is not None:
+                exprs.append(aggregate.inner_key)
+        return exprs
 
     def extra_counters(self) -> str:
         return _spill_note(self.stats)
@@ -1472,54 +1387,32 @@ class Project(PlanOp):
         unique = "unique " if self.unique else ""
         return f"Project {unique}[{cols}]"
 
-    def _compiled_targets(self) -> tuple:
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            target_fns, targets_full = compile_all(
-                [t.expression for t in self.targets]
-            )
-            order_fns, order_full = compile_all(
-                [expr for expr, _desc in self.order]
-            )
-            cached = (target_fns, order_fns, targets_full and order_full)
-            self.__dict__["_compiled"] = cached
-        return cached
+    def exprs(self) -> list[BoundExpr]:
+        return [t.expression for t in self.targets] + [
+            expr for expr, _desc in self.order
+        ]
 
-    def compiled_note(self) -> Optional[str]:
-        return compiled_label(self._compiled_targets()[2])
+    def target_fns(self, compiled: bool) -> tuple[list, list]:
+        """``(target_fns, order_fns)`` — :meth:`compiled_exprs` split
+        back into the target list and the sort keys."""
+        fns, _full = self.compiled_exprs(compiled)
+        n = len(self.targets)
+        return fns[:n], fns[n:]
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Any]:
         from repro.excess.evaluator import canonical_key
 
         seen: set = set()
-        if ctx.compiled:
-            target_fns, order_fns, _full = self._compiled_targets()
-            for row_env in self._pull(self.children[0], ctx, env):
-                row = tuple(fn(row_env, ctx) for fn in target_fns)
-                if self.unique:
-                    key = tuple(canonical_key(v) for v in row)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                if order_fns:
-                    keys = tuple(fn(row_env, ctx) for fn in order_fns)
-                    yield row, keys
-                else:
-                    yield row
-            return
+        target_fns, order_fns = self.target_fns(ctx.compiled)
         for row_env in self._pull(self.children[0], ctx, env):
-            row = tuple(
-                ctx.eval(t.expression, row_env) for t in self.targets
-            )
+            row = tuple(fn(row_env, ctx) for fn in target_fns)
             if self.unique:
                 key = tuple(canonical_key(v) for v in row)
                 if key in seen:
                     continue
                 seen.add(key)
-            if self.order:
-                keys = tuple(
-                    ctx.eval(expr, row_env) for expr, _desc in self.order
-                )
+            if order_fns:
+                keys = tuple(fn(row_env, ctx) for fn in order_fns)
                 yield row, keys
             else:
                 yield row
@@ -1531,47 +1424,18 @@ class Project(PlanOp):
         seen: set = set()
         unique = self.unique
         out: list = []
-        if ctx.compiled:
-            target_fns, order_fns, _full = self._compiled_targets()
-            for batch in self._pull_batches(self.children[0], ctx, env, size):
-                for row_env in batch:
-                    row = tuple(fn(row_env, ctx) for fn in target_fns)
-                    if unique:
-                        key = tuple(canonical_key(v) for v in row)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                    if order_fns:
-                        out.append(
-                            (row, tuple(fn(row_env, ctx) for fn in order_fns))
-                        )
-                    else:
-                        out.append(row)
-                if len(out) >= size:
-                    yield out
-                    out = []
-            if out:
-                yield out
-            return
+        target_fns, order_fns = self.target_fns(ctx.compiled)
         for batch in self._pull_batches(self.children[0], ctx, env, size):
             for row_env in batch:
-                row = tuple(
-                    ctx.eval(t.expression, row_env) for t in self.targets
-                )
+                row = tuple(fn(row_env, ctx) for fn in target_fns)
                 if unique:
                     key = tuple(canonical_key(v) for v in row)
                     if key in seen:
                         continue
                     seen.add(key)
-                if self.order:
+                if order_fns:
                     out.append(
-                        (
-                            row,
-                            tuple(
-                                ctx.eval(expr, row_env)
-                                for expr, _desc in self.order
-                            ),
-                        )
+                        (row, tuple(fn(row_env, ctx) for fn in order_fns))
                     )
                 else:
                     out.append(row)
@@ -1808,18 +1672,8 @@ class ExchangePartition(PlanOp):
             return f"[hash({describe_expr(self.key)}), dop={self.dop}]"
         return f"[range, dop={self.dop}]"
 
-    def _compiled_key(self) -> tuple:
-        cached = self.__dict__.get("_compiled")
-        if cached is None:
-            compiled = compile_expr(self.key)
-            cached = (compiled.fn, compiled.full)
-            self.__dict__["_compiled"] = cached
-        return cached
-
-    def compiled_note(self) -> Optional[str]:
-        if self.mode != "hash":
-            return None
-        return compiled_label(self._compiled_key()[1])
+    def exprs(self) -> list[BoundExpr]:
+        return [self.key] if self.mode == "hash" else []
 
     def _slice(self, n: int, shard: Any) -> tuple[int, int]:
         return (shard.part * n) // shard.dop, ((shard.part + 1) * n) // shard.dop
@@ -1873,9 +1727,7 @@ class ExchangePartition(PlanOp):
         self, ctx: PlanContext, env: Env, size: int, shard: Any
     ) -> Iterator[list]:
         part, dop = shard.part, shard.dop
-        key_fn = self._compiled_key()[0] if ctx.compiled else None
-        evaluate = ctx.eval
-        key_expr = self.key
+        (key_fn,), _full = self.compiled_exprs(ctx.compiled)
         key_op = self.key_op
         tag = self.tag_pos
         pos = -1
@@ -1884,8 +1736,7 @@ class ExchangePartition(PlanOp):
             for row in chunk:
                 pos += 1
                 try:
-                    value = key_fn(row, ctx) if key_fn else evaluate(key_expr, row)
-                    key = join_key(value, key_op)
+                    key = join_key(key_fn(row, ctx), key_op)
                 except EvaluationError:
                     # a partition-key failure is a placement decision,
                     # not an error: keep the row locally so the operator
@@ -2651,8 +2502,6 @@ def _row_mode_ids(root: PlanOp) -> set[int]:
 def pipeline_sources(root: PlanOp, compiled: bool = True) -> str:
     """The generated Python source of every fused region of the plan,
     for inspection (the ``Result.pipeline_source`` debug hook)."""
-    from repro.excess.compile import fused_pipeline
-
     sources: list[str] = []
     for region in fused_regions(root):
         fused = fused_pipeline(region[0], compiled)
@@ -2775,10 +2624,8 @@ def render_plan(
         if exchange is not None:
             counters += f", exchange={exchange}"
         if compile_mode is not None:
-            note = op.compiled_note()
+            note = op.compiled_note(compile_mode == "closure")
             if note is not None:
-                if compile_mode != "closure":
-                    note = "off"
                 counters += f", compiled={note}"
         if exec_mode is not None:
             label = exec_label(op)

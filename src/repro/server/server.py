@@ -47,6 +47,7 @@ from repro.errors import (
     ServerOverloadedError,
     StatementTimeout,
 )
+from repro.excess.interpreter import validate_flag
 from repro.excess.result import Result, render_value
 from repro.server.protocol import (
     PROTOCOL_VERSION,
@@ -58,15 +59,15 @@ from repro.server.protocol import (
 __all__ = ["ExcessServer", "ServerThread", "main"]
 
 #: session flags a client may override (mirrors the CLI's ablation
-#: toggles); values are validators raising :class:`ExcessError`
-_FLAG_VALUES: dict[str, Any] = {
-    "optimize": (True, False),
-    "compile_mode": ("closure", "off"),
-    "exec_mode": ("fused", "batch", "row"),
-    "batch_size": None,  # validated as a positive integer below
-    "statement_timeout_ms": None,  # validated as a non-negative integer
-    "memory_budget": None,  # validated as a non-negative integer (bytes)
-}
+#: toggles); values are validated by the interpreter's flag table
+_SESSION_FLAGS = (
+    "optimize",
+    "compile_mode",
+    "exec_mode",
+    "batch_size",
+    "statement_timeout_ms",
+    "memory_budget",
+)
 
 
 #: every live listening socket, so forked children (parallel query
@@ -93,29 +94,12 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch
 
 
 def _validate_flag(flag: str, value: Any) -> Any:
-    if flag not in _FLAG_VALUES:
+    if flag not in _SESSION_FLAGS:
         raise ExcessError(
             f"unknown session flag {flag!r} "
-            f"(expected one of {sorted(_FLAG_VALUES)})"
+            f"(expected one of {sorted(_SESSION_FLAGS)})"
         )
-    if flag == "batch_size":
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ExcessError(
-                f"batch_size must be a positive integer, got {value!r}"
-            )
-        return value
-    if flag in ("statement_timeout_ms", "memory_budget"):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ExcessError(
-                f"{flag} must be a non-negative integer, got {value!r}"
-            )
-        return value
-    allowed = _FLAG_VALUES[flag]
-    if value not in allowed:
-        raise ExcessError(
-            f"flag {flag!r} must be one of {list(allowed)}, got {value!r}"
-        )
-    return value
+    return validate_flag(flag, value)
 
 
 def _json_cell(value: Any) -> Any:

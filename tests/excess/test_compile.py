@@ -14,7 +14,7 @@ import pytest
 
 from repro import Database
 from repro.core.values import NULL
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ExcessError
 from repro.excess.binder import Binary, Const, Unary, VarRef
 from repro.excess.compile import (
     CompiledExpr,
@@ -466,11 +466,186 @@ class TestEvaluatorConstruction:
         assert _ctx(db, "closure").compiled is True
         assert _ctx(db, "off").compiled is False
 
-    def test_eval_compiled_memoizes(self, small_company):
+    def test_eval_expr_memoizes(self, small_company):
         evaluator = Evaluator(small_company)
         node = Const(value=5)
-        assert evaluator._eval_compiled(node, {}, {}) == 5
+        assert evaluator._eval_expr(node, {}, {}) == 5
         assert id(node) in evaluator._compiled_memo
         first = evaluator._compiled_memo[id(node)]
-        assert evaluator._eval_compiled(node, {}, {}) == 5
+        assert evaluator._eval_expr(node, {}, {}) == 5
         assert evaluator._compiled_memo[id(node)] is first
+
+
+class TestFlagValidation:
+    """The Python API rejects what the CLI and the wire already did."""
+
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [
+            ("compile_mode", "closures"),
+            ("compile_mode", True),
+            ("exec_mode", "fusedd"),
+            ("exec_mode", None),
+        ],
+    )
+    def test_bad_mode_raises_and_keeps_value(self, db, flag, bad):
+        before = getattr(db.interpreter, flag)
+        with pytest.raises(ExcessError, match=f"{flag} must be one of"):
+            setattr(db.interpreter, flag, bad)
+        assert getattr(db.interpreter, flag) == before
+
+    def test_valid_modes_accepted(self, db):
+        for mode in ("off", "closure"):
+            db.interpreter.compile_mode = mode
+            assert db.interpreter.compile_mode == mode
+        for mode in ("row", "batch", "fused"):
+            db.interpreter.exec_mode = mode
+            assert db.interpreter.exec_mode == mode
+
+    def test_shell_reports_the_interpreter_error(self):
+        import io
+
+        from repro.cli import Shell
+
+        out = io.StringIO()
+        shell = Shell(out=out)
+        shell.meta("\\compile maybe")
+        shell.meta("\\batch many")
+        shell.meta("\\batch 0")
+        assert shell.db.interpreter.compile_mode == "closure"
+        assert shell.db.interpreter.batch_size == 1024
+        text = out.getvalue()
+        assert "usage: \\compile on|off" in text
+        assert "compile_mode must be one of ['closure', 'off'], got 'maybe'" in text
+        assert "batch_size must be a positive integer, got 'many'" in text
+        assert "batch_size must be a positive integer, got 0" in text
+        shell.meta("\\batch 64")
+        assert shell.db.interpreter.batch_size == 64
+
+
+FLOORMATES = (
+    "define function Floormates (E in Employee) returns {text} as "
+    "retrieve (C.name) from C in Employees, D in Departments "
+    "where C.dept is D and D.floor = E.dept.floor and C.age > 20 "
+    "sort by C.name"
+)
+#: same shape, but Bob (age 30) divides by zero in the body's filter
+FLOORMATES_FAILING = (
+    "define function Ratio (E in Employee) returns {float8} as "
+    "retrieve (C.salary / (C.age - 30)) from C in Employees, "
+    "D in Departments where C.dept is D and D.floor = E.dept.floor "
+    "sort by C.name"
+)
+
+
+def _cache_modes(root, slot: str) -> set:
+    """Every compile mode with an entry in ``slot`` anywhere on the tree
+    (``_fused`` entries that are None mean "not a fusable region")."""
+    modes: set = set()
+    for op in plan_ops(root):
+        for mode, entry in op.__dict__.get(slot, {}).items():
+            if entry is not None:
+                modes.add(mode)
+    return modes
+
+
+class TestSharedPlanSeam:
+    """EXCESS function bodies are bound and lowered once and then run by
+    executions of *both* compile modes — the one place a plan node's
+    per-mode expression cache is really shared."""
+
+    @pytest.mark.parametrize("exec_mode", ["fused", "batch", "row"])
+    def test_function_body_shared_across_modes(self, small_company, exec_mode):
+        db = small_company
+        interpreter = db.interpreter
+        interpreter.parallel_mode = "off"
+        interpreter.exec_mode = exec_mode
+        db.execute(FLOORMATES)
+        db.execute(FLOORMATES_FAILING)
+        query = "retrieve (E.name, Floormates(E)) from E in Employees sort by E.name"
+        failing = "retrieve (E.name, Ratio(E)) from E in Employees"
+        function = db.catalog.lookup_function(db.type("Employee"), "Floormates")
+
+        seen_rows, seen_errors, seen_modes = [], [], []
+        for mode in ("closure", "off", "closure"):
+            interpreter.compile_mode = mode
+            rows = db.execute(query).rows
+            seen_rows.append([(name, sorted(mates)) for name, mates in rows])
+            with pytest.raises(EvaluationError) as info:
+                db.execute(failing)
+            seen_errors.append(str(info.value))
+            body = function.bound.pipeline
+            seen_modes.append(
+                _cache_modes(body, "_compiled") | _cache_modes(body, "_fused")
+            )
+
+        assert seen_rows[0] == [
+            ("Ann", ["Ann", "Sue"]), ("Bob", ["Bob"]), ("Sue", ["Ann", "Sue"])
+        ]
+        assert seen_rows[1] == seen_rows[0] and seen_rows[2] == seen_rows[0]
+        assert seen_errors == ["division by zero"] * 3
+        # one lowered body, one cache entry per mode that actually ran
+        assert seen_modes == [{True}, {True, False}, {True, False}]
+
+    def test_shared_plan_with_hash_join(self, small_company):
+        """A top-level plan run directly under both modes: the hash-join
+        keys, the filter and the projection each keep one entry per mode
+        and produce the same rows and counters."""
+        db = small_company
+        db.interpreter.parallel_mode = "off"
+        query = (
+            "retrieve (E.name, D.dname) from E in Employees, D in Departments "
+            "where E.dept is D and E.age > 35 sort by E.name"
+        )
+        db.execute(query)
+        plan = db.interpreter.plan_cache.get(db.interpreter._cache_key(query, "dba"))
+        root = plan.plan_root
+        assert any(op.label == "HashJoin" for op in plan_ops(root))
+        outcomes = []
+        for mode in ("closure", "off", "closure"):
+            for op in plan_ops(root):
+                if op.label == "HashJoin":
+                    op.invalidate()  # rebuild, so the build side runs too
+            evaluator = Evaluator(db, compile_mode=mode, exec_mode="batch")
+            result = evaluator.run_retrieve(plan.bound)
+            outcomes.append(
+                (result.rows, [op.stats.rows_out for op in plan_ops(root)])
+            )
+        assert outcomes[0][0] == [("Ann", "Toys"), ("Sue", "Toys")]
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        for op in plan_ops(root):
+            if op.exprs():
+                assert set(op.__dict__["_compiled"]) == {True, False}
+
+    @pytest.mark.parametrize("exec_mode", ["fused", "batch", "row"])
+    def test_off_builds_no_closures(self, small_company, exec_mode, monkeypatch):
+        """``compile_mode="off"`` must not lower a single expression to a
+        closure — not to execute, and not to print ``compiled=off``."""
+        from repro.excess import compile as compile_module
+
+        db = small_company
+        interpreter = db.interpreter
+        interpreter.parallel_mode = "off"
+        interpreter.exec_mode = exec_mode
+        interpreter.compile_mode = "off"
+        db.execute(FLOORMATES)
+
+        def forbidden(node):
+            raise AssertionError(f"closure built for {node!r} under off")
+
+        monkeypatch.setattr(compile_module, "_compile", forbidden)
+        query = (
+            "retrieve (E.name, Floormates(E)) from E in Employees, "
+            "D in Departments where E.dept is D and E.age > 35"
+        )
+        result = db.execute(query)
+        assert len(result.rows) == 2
+        assert "compiled=off" in result.plan_tree
+        assert "compiled=closure" not in result.plan_tree
+        explained = db.execute("explain " + query)
+        assert "compiled=off" in explained.plan_tree
+        plan = interpreter.plan_cache.get(interpreter._cache_key(query, "dba"))
+        function = db.catalog.lookup_function(db.type("Employee"), "Floormates")
+        for root in (plan.plan_root, function.bound.pipeline):
+            assert _cache_modes(root, "_compiled") <= {False}
+            assert _cache_modes(root, "_fused") <= {False}

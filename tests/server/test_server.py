@@ -126,6 +126,22 @@ class TestSessionOps:
             client.set_flag("batch_size", True)
         client.set_flag("batch_size", 64)
 
+    def test_set_flag_shares_the_interpreter_table(self, server, client):
+        """The wire rejects a typo with the very error the Python API
+        raises (one allowed-value table, in the interpreter)."""
+        from repro.errors import ExcessError
+
+        interpreter = server.server.db.interpreter
+        for flag, bad in (("compile_mode", "closures"), ("exec_mode", "fusedd")):
+            with pytest.raises(ExcessError) as local:
+                setattr(interpreter, flag, bad)
+            with pytest.raises(RemoteError) as remote:
+                client.set_flag(flag, bad)
+            assert str(local.value) in str(remote.value)
+        client.set_flag("compile_mode", "off")
+        assert client.query("retrieve (D.dname) from D in Depts").rows
+        client.set_flag("compile_mode", "closure")
+
     def test_status_reports_sessions(self, client):
         status = client.status()
         assert status["isolation_mode"] == "mvcc"
