@@ -7,14 +7,17 @@ Two perf claims from this iteration:
   improves by a large constant factor (target: >= 5x on a selective
   indexed query, where front-end cost dominates execution);
 * the hash-join strategy beats the nested-loop join on equi-joins once
-  the inner set is large enough, and the gap widens with scale.
+  the inner set is large enough, and the gap widens with scale;
+* the cache keys statement *shapes*: a point-read/replace loop whose
+  texts differ in every literal still hits (ratio >= 0.95) and runs
+  >= 5x faster per statement than with the cache disabled.
 """
 
 import time
 
 import pytest
 
-from conftest import fresh_company
+from conftest import fresh_company, write_bench_json
 
 #: selective + indexed: execution is nearly free, front end dominates
 CACHED_QUERY = (
@@ -74,6 +77,66 @@ def test_cache_hit_speedup_at_least_5x(db):
         cold = throughput(200)
     finally:
         db.interpreter.plan_cache.enabled = True
+    assert cold > hot * 5.0, (cold, hot, cold / hot)
+
+
+# -- literal-varying traffic: one plan per shape --------------------------------
+
+
+def test_literal_varying_loop_hits_by_shape():
+    """Acceptance: point reads and replaces that never repeat a text —
+    every statement carries its own key and value — share one plan per
+    shape: hit ratio >= 0.95 and >= 5x faster per statement than
+    planning each text (``plan_cache.enabled = False``)."""
+    employees = 300
+    db = fresh_company(employees=employees)
+    db.execute("create index on Employees (name) using hash")
+    names = [
+        row[0] for row in db.execute("retrieve (E.name) from E in Employees").rows
+    ]
+
+    def loop(offset: int, count: int) -> float:
+        start = time.perf_counter()
+        for step in range(offset, offset + count):
+            name = names[(step * 7) % employees]
+            if step % 4:
+                rows = db.execute(
+                    "retrieve (E.name, E.salary, E.dept.dname) "
+                    f'from E in Employees where E.name = "{name}"'
+                ).rows
+                assert rows[0][0] == name
+            else:
+                db.execute(
+                    f"replace E (salary = {20000.0 + step}) "
+                    f'from E in Employees where E.name = "{name}"'
+                )
+        return (time.perf_counter() - start) / count
+
+    cache = db.interpreter.plan_cache
+    loop(0, 8)  # plan both shapes
+    before = cache.stats()
+    hot = loop(8, 400)
+    after = cache.stats()
+    hits = after["hits"] - before["hits"]
+    misses = after["misses"] - before["misses"]
+    cache.enabled = False
+    try:
+        cold = loop(408, 200)
+    finally:
+        cache.enabled = True
+    ratio = hits / (hits + misses)
+    write_bench_json("p7", {
+        "workload": "literal-varying point read (3/4) + replace (1/4), "
+                    f"{employees} employees, hash(name)",
+        "shape_hit_ratio": ratio,
+        "hot_us_per_statement": hot * 1e6,
+        "cold_us_per_statement": cold * 1e6,
+        "speedup": cold / hot,
+        "plan_cache": after,
+    })
+    assert ratio >= 0.95, (hits, misses)
+    # 400 distinct texts, no new shape, nothing keyed by value
+    assert after["shapes"] == before["shapes"] and after["pinned_slots"] == 0, after
     assert cold > hot * 5.0, (cold, hot, cold / hot)
 
 

@@ -22,6 +22,7 @@ start with a backslash:
 ``\\wal``        show write-ahead-log status (durable databases)
 ``\\storage``    buffer-pool / disk / object-cache counters (paged stores)
 ``\\vacuum``     compact the paged store (squeeze holes, free dead pages)
+``\\plancache``  plan-cache counters: entries, hits/misses, shapes, pinned slots
 ``\\connect HOST PORT [USER]``  attach to a network server (own session)
 ``\\disconnect`` detach from the server, back to the local database
 ``\\user NAME``  switch the session user (authorization applies)
@@ -137,7 +138,11 @@ class Shell:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         self.show_result(result)
         if self.timing:
-            cache = (result.metrics or {}).get("cache") or "n/a"
+            metrics = result.metrics or {}
+            cache = metrics.get("cache") or "n/a"
+            if metrics.get("shape_hit"):
+                # the plan was prepared for other literal values
+                cache += "(shape)"
             self._write(f"time: {elapsed_ms:.3f} ms  plan-cache: {cache}")
 
     def is_complete(self, text: str) -> bool:
@@ -220,6 +225,12 @@ class Shell:
                     f"checkpointed {info['bytes']} bytes through "
                     f"LSN {info['wal_lsn']}"
                 )
+        elif command == "plancache":
+            stats = self.db.interpreter.plan_cache.stats()
+            self._write(
+                "plan cache: "
+                + " ".join(f"{name}={value}" for name, value in stats.items())
+            )
         elif command == "storage":
             info = self.db.storage_stats()
             if not info:

@@ -73,7 +73,7 @@ class Transaction:
     """One open transaction: a snapshot timestamp plus a workspace."""
 
     __slots__ = ("txn_id", "snapshot_ts", "mode", "undo", "payload",
-                 "explicit", "doomed")
+                 "explicit", "doomed", "begin_epoch")
 
     def __init__(
         self,
@@ -83,8 +83,13 @@ class Transaction:
         undo: Optional["UndoLog"] = None,
         payload: Optional[bytes] = None,
         explicit: bool = True,
+        begin_epoch: int = 0,
     ):
         self.txn_id = txn_id
+        #: catalog epoch at begin; once it moves (this transaction's own
+        #: DDL/index/range/grant, or anyone else's) the transaction may
+        #: see a catalog no other session sees, so its plans go private
+        self.begin_epoch = begin_epoch
         #: commit-clock value at begin; this transaction sees exactly
         #: the versions with ``commit_ts <= snapshot_ts`` plus its own
         self.snapshot_ts = snapshot_ts
@@ -180,20 +185,28 @@ class SessionContext:
     def plan_token(self) -> tuple:
         """The part of the plan-cache key contributed by session state.
 
-        Sessions with no private range declarations, no open
+        Sessions with no private range declarations, no catalog-private
         transaction, and no flag overrides share the same (empty) token
-        and therefore cache entries. An open transaction always splits
-        the key: plans bound against a transaction's uncommitted
-        catalog must never be served to other sessions (nor survive
-        it). The default session's ranges are engine-shared and
-        invalidate via the global catalog epoch, so they contribute
-        nothing — keeping its keys identical to the seed's.
+        and therefore cache entries. A transaction splits the key only
+        once the catalog epoch has moved since it began — its own first
+        DDL/index/range/grant, or another session's: from then on it may
+        bind against a catalog no one else sees, and plans bound there
+        must never be served to other sessions (nor survive it). Until
+        then its statements share plans like anyone's. The default
+        session's ranges are engine-shared and invalidate via the global
+        catalog epoch, so they contribute nothing — keeping its keys
+        identical to the seed's.
         """
         ranges = (
             None if (self.is_default or not self.ranges)
             else (self.id, self.ranges_epoch)
         )
-        txn_id = self.txn.txn_id if self.txn is not None else None
+        txn = self.txn
+        txn_id = (
+            txn.txn_id
+            if txn is not None and self.db.catalog.epoch != txn.begin_epoch
+            else None
+        )
         overrides = tuple(sorted(self.overrides.items())) if self.overrides else None
         if ranges is None and txn_id is None and overrides is None:
             return ()
@@ -404,6 +417,7 @@ class TransactionManager:
                 "pickle",
                 payload=pickle.dumps(self.db, protocol=pickle.HIGHEST_PROTOCOL),
                 explicit=explicit,
+                begin_epoch=self.db.catalog.epoch,
             )
             self._next_txn += 1
             return
@@ -413,7 +427,8 @@ class TransactionManager:
             self.activate(session)  # park any other applied workspace
         undo = UndoLog(self.db)
         txn = Transaction(
-            self._next_txn, self.clock, "undo", undo=undo, explicit=explicit
+            self._next_txn, self.clock, "undo", undo=undo, explicit=explicit,
+            begin_epoch=self.db.catalog.epoch,
         )
         self._next_txn += 1
         if self.mvcc:

@@ -99,6 +99,10 @@ class Literal(Expression):
     """An integer, float, string, or boolean literal."""
 
     value: Any = None
+    #: position among the script's ``INT``/``FLOAT``/``STRING`` tokens
+    #: (the lexer's :meth:`~repro.excess.lexer.Lexer.shape` numbering);
+    #: ``None`` for ``true``/``false``
+    slot: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass

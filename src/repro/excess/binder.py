@@ -59,6 +59,8 @@ from repro.excess import ast_nodes as ast
 __all__ = [
     "BoundExpr",
     "Const",
+    "Param",
+    "ParamSlots",
     "VarRef",
     "NamedValue",
     "StepExpr",
@@ -108,6 +110,60 @@ class Const(BoundExpr):
     """A literal constant (value is the Python value, or NULL)."""
 
     value: Any = None
+
+
+class ParamSlots:
+    """What the front end learned about one statement's literal slots
+    (the lexer's numbering) while binding and planning it; shared by the
+    statement's :class:`Param` nodes and read by the plan cache."""
+
+    __slots__ = ("seen", "pinned", "sensitive")
+
+    def __init__(self) -> None:
+        #: slots the binder turned into a :class:`Param`
+        self.seen: set[int] = set()
+        #: slots whose value some front-end stage looked at
+        self.pinned: set[int] = set()
+        #: ``(slot, set name, attribute, op)`` for every slot whose value
+        #: the cost model turned into a selectivity estimate
+        self.sensitive: set[tuple[int, str, str, str]] = set()
+
+    def free(self, slot: int) -> bool:
+        """True when a plan prepared with one value of ``slot`` is the
+        plan for every value of the same literal kind."""
+        return slot in self.seen and slot not in self.pinned
+
+
+class Param(Const):
+    """A literal lifted into a parameter slot: evaluates to
+    ``ctx.params[slot]``, so one prepared plan serves every statement of
+    the same shape.
+
+    Still a :class:`Const` for every ``isinstance`` site.  Reading
+    :attr:`value` answers with the value the plan was prepared with and
+    *pins* the slot: whatever the reader derived from it holds for that
+    value only, so the plan cache keys the slot by value from then on.
+    Execution reads ``ctx.params``; display reads :attr:`first`.
+    """
+
+    def __init__(self, slot: int, first: Any, type: Type, slots: ParamSlots):
+        self.type = type
+        self.is_object = False
+        self.slot = slot
+        self.first = first
+        self.slots = slots
+        slots.seen.add(slot)
+
+    @property
+    def value(self) -> Any:  # type: ignore[override]
+        self.slots.pinned.add(self.slot)
+        return self.first
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        return f"Param(slot={self.slot}, first={self.first!r})"
 
 
 @dataclass
@@ -472,8 +528,13 @@ class Binder:
         self,
         catalog: Catalog,
         session_ranges: Optional[dict[str, ast.RangeDecl]] = None,
+        slots: Optional[ParamSlots] = None,
     ):
         self.catalog = catalog
+        #: when given, numbered literals of the statement being bound
+        #: become :class:`Param` nodes reporting to it (the plan-cache
+        #: path); without it every literal is a plain :class:`Const`
+        self.slots = slots
         #: session-level `range of V is ...` declarations (QUEL keeps them
         #: until redefined)
         self.session_ranges = session_ranges if session_ranges is not None else {}
@@ -776,9 +837,15 @@ class Binder:
     ) -> RangeBinding:
         """Materialize a session-level range declaration into this query."""
         declared = self.session_ranges[variable]
-        return self._declare_range(
-            variable, declared.source, declared.universal, scope, query
-        )
+        # the declaration was parsed as another statement: its literal
+        # slots are that statement's numbering, never this one's
+        slots, self.slots = self.slots, None
+        try:
+            return self._declare_range(
+                variable, declared.source, declared.universal, scope, query
+            )
+        finally:
+            self.slots = slots
 
     def _resolve_range_variable(
         self, variable: str, scope: Scope, query: BoundQuery
@@ -852,7 +919,10 @@ class Binder:
     ) -> BoundExpr:
         """Bind one expression node."""
         if isinstance(node, ast.Literal):
-            return Const(value=node.value, type=self._literal_type(node.value))
+            literal_type = self._literal_type(node.value)
+            if self.slots is not None and node.slot is not None:
+                return Param(node.slot, node.value, literal_type, self.slots)
+            return Const(value=node.value, type=literal_type)
         if isinstance(node, ast.NullLiteral):
             from repro.core.values import NULL
 
@@ -1195,11 +1265,10 @@ class Binder:
     def _bind_object_equality(
         self, op: str, left: BoundExpr, right: BoundExpr
     ) -> BoundExpr:
-        from repro.core.values import NULL
-
-        null_test = (
-            isinstance(right, Const) and right.value is NULL
-        ) or (isinstance(left, Const) and left.value is NULL)
+        # the null literal is the one untyped constant
+        null_test = (isinstance(right, Const) and right.type is None) or (
+            isinstance(left, Const) and left.type is None
+        )
         if not null_test and not (left.is_object and right.is_object):
             raise BindError(
                 f"{op!r} compares object references (or tests for null); "

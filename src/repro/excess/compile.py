@@ -25,10 +25,12 @@ compiled directly and ``fallback`` when any callback remains.
 Closures are deliberately stateless: they capture only the expression's
 constants and sub-closures, and take the per-execution state (the shared
 environment dict and the :class:`~repro.excess.plan.PlanContext`) as
-arguments. That keeps compiled plans shareable across executions exactly
-like the operator trees that carry them, and keeps them out of pickled
-transaction snapshots (plan nodes drop their compiled caches on
-``__getstate__`` and recompile lazily).
+arguments — a literal the plan cache lifted into a parameter slot
+(:class:`~repro.excess.binder.Param`) is read from ``ctx.params`` on
+every evaluation, never baked. That keeps compiled plans shareable
+across executions exactly like the operator trees that carry them, and
+keeps them out of pickled transaction snapshots (plan nodes drop their
+compiled caches on ``__getstate__`` and recompile lazily).
 
 Semantics are pinned against the interpreter by a Hypothesis property
 (``tests/property/test_query_equivalence.py``) and a per-figure parity
@@ -60,6 +62,7 @@ from repro.excess.binder import (
     ExcessCall,
     IndexStepB,
     NamedValue,
+    Param,
     Unary,
     VarRef,
 )
@@ -145,6 +148,15 @@ def _compile_const(node: Const) -> CompiledExpr:
 
     def run(env: dict, ctx: Any) -> Any:
         return value
+
+    return CompiledExpr(run, True)
+
+
+def _compile_param(node: Param) -> CompiledExpr:
+    slot = node.slot
+
+    def run(env: dict, ctx: Any) -> Any:
+        return ctx.params[slot]
 
     return CompiledExpr(run, True)
 
@@ -601,6 +613,7 @@ def _compile_excess_call(node: ExcessCall) -> CompiledExpr:
 #: AggregateRef, Membership, and anything unknown go through the fallback)
 _HANDLERS: dict[type, Callable[[Any], CompiledExpr]] = {
     Const: _compile_const,
+    Param: _compile_param,
     VarRef: _compile_var,
     NamedValue: _compile_named,
     AttrStep: _compile_attr,
@@ -703,6 +716,8 @@ class _ExprLowering:
         return buf, reg
 
     def _lower(self, node: BoundExpr, buf: list, i: str) -> str:
+        if isinstance(node, Param):
+            return f"_params[{node.slot}]"
         if isinstance(node, Const):
             self.consts += 1
             name = f"_c{self.consts}"
@@ -905,7 +920,8 @@ class FusedPipeline(NamedTuple):
 
     #: ``fn(ctx, env) -> list`` — materializes the region's whole output
     fn: Callable[[Any, dict], list]
-    #: the generated Python source (``Result.pipeline_source`` debug hook)
+    #: the generated Python source (``plan.pipeline_sources`` prepends
+    #: the region's operator descriptions for ``Result.pipeline_source``)
     source: str
     #: "rows" when the region root is a Project (emits result tuples, or
     #: ``(row, sort_keys)`` pairs under a Sort); "envs" when the region
@@ -1007,8 +1023,6 @@ def _build_fused(op: Any, compiled: bool) -> Optional[FusedPipeline]:
 
     lines: list[str] = []
     emit = lines.append
-    for region_op in chain:
-        emit(f"# {region_op.describe()}")
     emit("def _fused(ctx, env):")
     emit("    _out = []")
     emit("    _append = _out.append")
@@ -1019,6 +1033,7 @@ def _build_fused(op: Any, compiled: bool) -> Optional[FusedPipeline]:
         emit(f"    _n{index} = 0")
     emit("    try:")
     emit("        _db = ctx.db")
+    emit("        _params = ctx.params")
     emit("        _objects = ctx.objects")
     emit("        _deref = _objects.deref")
     emit("        _alive = _objects.is_live")

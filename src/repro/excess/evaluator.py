@@ -75,6 +75,7 @@ from repro.excess.binder import (
     Membership,
     NamedSetSource,
     NamedValue,
+    Param,
     PathSource,
     RangeBinding,
     Unary,
@@ -116,6 +117,9 @@ class ExecMetrics:
     semi_builds: int = 0
     #: plan-cache outcome ("hit" | "miss" | "" when caching not involved)
     cache: str = ""
+    #: True when the hit re-used a plan prepared for other literal
+    #: values (same statement shape, different constants)
+    shape_hit: bool = False
     #: end-to-end statement wall time (filled in by the interpreter)
     wall_ms: float = 0.0
 
@@ -126,6 +130,7 @@ class ExecMetrics:
             "hash_probes": self.hash_probes,
             "semi_builds": self.semi_builds,
             "cache": self.cache,
+            "shape_hit": self.shape_hit,
             "wall_ms": round(self.wall_ms, 3),
         }
 
@@ -175,10 +180,14 @@ class Evaluator:
         session: Any = None,
         statement_timeout_ms: int = 0,
         memory_budget: int = 0,
+        params: tuple = (),
     ):
         self.db = database
         self.user = user
         self.session = session
+        #: this execution's literal values by slot (what the statement's
+        #: :class:`~repro.excess.binder.Param` nodes evaluate to)
+        self.params = params
         #: snapshot component of the hash-build memo stamp: executions
         #: inside a transaction key their memoized build tables by
         #: (snapshot timestamp, transaction id) so a table built against
@@ -913,6 +922,8 @@ class Evaluator:
 
     def _eval(self, node: BoundExpr, env: Env, tables: dict) -> Any:
         """Evaluate a bound expression; unknowns surface as NULL."""
+        if isinstance(node, Param):
+            return self.params[node.slot]
         if isinstance(node, Const):
             return node.value
         if isinstance(node, VarRef):

@@ -52,6 +52,7 @@ from repro.excess.binder import (
     BoundQuery,
     NamedSetSource,
     NamedValue,
+    ParamSlots,
     Scope,
 )
 from repro.excess.evaluator import Evaluator
@@ -60,8 +61,9 @@ from repro.excess.functions import (
     FunctionParam,
     bind_function_body,
 )
-from repro.excess.optimizer import Optimizer
-from repro.excess.parser import OperatorTable, parse_script
+from repro.excess.lexer import Lexer
+from repro.excess.optimizer import CostModel, Optimizer
+from repro.excess.parser import OperatorTable, Parser
 from repro.excess.plan import pipeline_sources, render_plan, snapshot_stats
 from repro.excess.procedures import Procedure, bind_procedure_body, run_procedure
 from repro.excess.result import Result
@@ -118,7 +120,7 @@ class _PreparedPlan:
     """A parsed, bound, and optimized statement ready to execute.
 
     Skipping straight to evaluation is what the plan cache buys: the
-    lexer, parser, binder, and optimizer only run on a cache miss.
+    parser, binder, and optimizer only run on a cache miss.
     """
 
     #: "retrieve" | "append" | "delete" | "replace" | "set" | "explain"
@@ -130,11 +132,43 @@ class _PreparedPlan:
     explain_rows: list = field(default_factory=list)
     #: root of the lowered physical operator tree (cached with the plan)
     plan_root: Any = None
+    #: the literal values the plan was prepared with, by slot (the
+    #: sniffed first plan: it was costed with these)
+    params: tuple = ()
+    #: what binding and planning learned about those slots
+    slots: ParamSlots = field(default_factory=ParamSlots)
+    #: ``len(slots.pinned)`` when the cache last keyed this plan
+    pins_keyed: int = 0
+
+
+class _Shape:
+    """How the cache keys the plans of one statement shape."""
+
+    __slots__ = ("pinned", "sensitive", "plans")
+
+    def __init__(self, pinned: tuple, sensitive: tuple):
+        #: slots keyed by value: some front-end stage looked at them, or
+        #: never handed them to the binder
+        self.pinned = pinned
+        #: ``(slot, set, attribute, op)`` of the free slots the cost
+        #: model estimated; keyed by the estimate's order of magnitude
+        self.sensitive = sensitive
+        #: live cache entries of this shape
+        self.plans = 0
 
 
 class PlanCache:
-    """A small LRU of prepared plans keyed by
-    ``(statement text, user, catalog epoch, optimizer flags)``.
+    """A small LRU of prepared plans, one per statement *shape*.
+
+    A key is ``(shape key, literal values)``: the shape key is the
+    lexer's literal-blanked text (:meth:`~repro.excess.lexer.Lexer.
+    shape`) plus user, catalog epoch, optimizer flags and the session's
+    plan token; the values are the statement's literals by slot.  Two
+    statements that differ only in *free* slots share an entry.  Slots
+    the front end looked at (*pinned*) join the key by value, and slots
+    the cost model estimated (*value-sensitive*) join it by the order
+    of magnitude of their estimate, so an index-vs-scan decision is
+    never shared across estimates a power of ten apart.
 
     Epoch-based invalidation: every DDL statement, index create/drop,
     grant change, and session range re-declaration bumps the catalog
@@ -143,20 +177,47 @@ class PlanCache:
     needed (dead entries age out of the LRU).
     """
 
-    def __init__(self, capacity: int = 128):
+    def __init__(self, capacity: int = 128, magnitude: Any = None):
         self.capacity = capacity
         self.enabled = True
         self.hits = 0
         self.misses = 0
+        #: ``magnitude(set name, attribute, op, value) -> int``: the
+        #: order of magnitude of the cost model's estimate (see
+        #: :meth:`~repro.excess.optimizer.CostModel.literal_magnitude`)
+        self._magnitude = magnitude
+        self._shapes: dict[tuple, _Shape] = {}
         self._entries: "OrderedDict[tuple, _PreparedPlan]" = OrderedDict()
+
+    def _subkey(self, shape: _Shape, params: tuple) -> tuple:
+        """What of ``params`` distinguishes plans of one shape."""
+        key = tuple(params[slot] for slot in shape.pinned)
+        if shape.sensitive:
+            magnitude = self._magnitude
+            key += tuple(
+                magnitude(set_name, attribute, op, params[slot])
+                for slot, set_name, attribute, op in shape.sensitive
+            )
+        return key
 
     def get(self, key: tuple) -> Optional[_PreparedPlan]:
         if not self.enabled:
             return None
-        plan = self._entries.get(key)
+        shape_key, params = key
+        shape = self._shapes.get(shape_key)
+        if shape is None:
+            return None
+        entry = (shape_key, self._subkey(shape, params))
+        plan = self._entries.get(entry)
         if plan is None:
             return None
-        self._entries.move_to_end(key)
+        if len(plan.slots.pinned) != plan.pins_keyed:
+            # something read a slot's value after the plan was keyed:
+            # what it derived holds for the prepared value only, so
+            # re-key the shape and plan this statement afresh
+            self._rekey(shape_key, plan.slots)
+            return None
+        self._entries.move_to_end(entry)
         self.hits += 1
         return plan
 
@@ -164,13 +225,51 @@ class PlanCache:
         if not self.enabled:
             return
         self.misses += 1
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
+        shape_key, params = key
+        shape = self._rekey(shape_key, plan.slots, len(params))
+        plan.pins_keyed = len(plan.slots.pinned)
+        entry = (shape_key, self._subkey(shape, params))
+        if entry not in self._entries:
+            shape.plans += 1
+        self._entries[entry] = plan
+        self._entries.move_to_end(entry)
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            (old_shape, _subkey), _plan = self._entries.popitem(last=False)
+            self._release(old_shape)
+
+    def _rekey(
+        self, shape_key: tuple, slots: ParamSlots, n_slots: int = 0
+    ) -> _Shape:
+        """The shape's keying scheme after folding in what ``slots``
+        learned; entries keyed under a narrower scheme are dropped."""
+        known = self._shapes.get(shape_key)
+        pinned = {slot for slot in range(n_slots) if not slots.free(slot)}
+        pinned |= slots.pinned
+        sensitive = set(slots.sensitive)
+        if known is not None:
+            pinned.update(known.pinned)
+            sensitive.update(known.sensitive)
+        shape = _Shape(
+            tuple(sorted(pinned)),
+            tuple(sorted(e for e in sensitive if e[0] not in pinned)),
+        )
+        if known is not None:
+            if (known.pinned, known.sensitive) == (shape.pinned, shape.sensitive):
+                return known
+            for entry in [e for e in self._entries if e[0] == shape_key]:
+                del self._entries[entry]
+        self._shapes[shape_key] = shape
+        return shape
+
+    def _release(self, shape_key: tuple) -> None:
+        shape = self._shapes[shape_key]
+        shape.plans -= 1
+        if shape.plans <= 0:
+            del self._shapes[shape_key]
 
     def clear(self) -> None:
         self._entries.clear()
+        self._shapes.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -180,7 +279,10 @@ class PlanCache:
             "entries": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,
+            "shapes": len(self._shapes),
+            "pinned_slots": sum(len(s.pinned) for s in self._shapes.values()),
         }
+
 
 _BASE_TYPES: dict[str, Type] = {
     "int1": INT1,
@@ -275,7 +377,10 @@ class Interpreter:
         #: lazily created worker-pool dispatcher, shared by statements
         self._parallel_runner: Any = None
         #: LRU of prepared plans; entries self-invalidate via the epoch key
-        self.plan_cache = PlanCache()
+        self.plan_cache = PlanCache(magnitude=self._literal_magnitude)
+        #: (registry symbols, parse table, its punctuation symbols) — see
+        #: :meth:`_operator_table`
+        self._operators: tuple = (None, None, ())
         #: the session whose statement is currently executing (set by
         #: :meth:`execute`; statements run one at a time, so a plain
         #: attribute suffices); ``None`` resolves to the default session
@@ -352,27 +457,53 @@ class Interpreter:
     # -- operator table ------------------------------------------------------------
 
     def _operator_table(self) -> OperatorTable:
-        table = OperatorTable()
+        """The parse table of the ADT registry's operators, rebuilt only
+        when the registry's symbol set changed (a symbol's precedence,
+        associativity and fixity are fixed by its first registration)."""
         adts = self.db.catalog.adts
-        for symbol in adts.operator_symbols():
-            info = adts.operator_parse_info(symbol)
-            if info is not None:
-                table.add_operator(
-                    symbol, info.precedence, info.associativity, info.fixity
-                )
-        return table
+        symbols = adts.operator_symbols()
+        if symbols != self._operators[0]:
+            table = OperatorTable()
+            for symbol in symbols:
+                info = adts.operator_parse_info(symbol)
+                if info is not None:
+                    table.add_operator(
+                        symbol, info.precedence, info.associativity, info.fixity
+                    )
+            self._operators = (symbols, table, tuple(table.punctuation_symbols()))
+        return self._operators[1]
+
+    def _lexer_symbols(self) -> tuple:
+        """The current operator table's punctuation symbols."""
+        self._operator_table()
+        return self._operators[2]
 
     # -- entry point -----------------------------------------------------------------
 
+    def _parse(self, text: str) -> tuple[list[ast.Statement], tuple]:
+        """``(statements, literal values by parser slot)``."""
+        tokens = Lexer(text, self._lexer_symbols()).tokens()
+        parser = Parser(tokens, self._operators[1])
+        return parser.parse_script().statements, parser.literals
+
+    def _literal_magnitude(
+        self, set_name: str, attribute: str, op: str, value: Any
+    ) -> int:
+        return CostModel(self.db.catalog).literal_magnitude(
+            set_name, attribute, op, value
+        )
+
     def _cache_key(self, text: str, user: str, session: Any = None) -> tuple:
+        """``(shape key, literal values)`` — see :class:`PlanCache`."""
         if session is None:
             flag = lambda name: getattr(self, name)  # noqa: E731
             token: tuple = ()
         else:
             flag = session.flag
             token = session.plan_token()
+        shape, params = Lexer(text, self._lexer_symbols()).shape()
         return (
-            text,
+            shape,
             user,
             self.db.catalog.epoch,
             flag("optimize"),
@@ -382,7 +513,7 @@ class Interpreter:
             flag("exec_mode"),
             flag("parallel_mode"),
             flag("workers"),
-        ) + token
+        ) + token, params
 
     #: statement types that never mutate durable state (no implicit
     #: transaction needed even when other sessions' snapshots are open)
@@ -407,9 +538,10 @@ class Interpreter:
         overrides, and (under MVCC) its transaction snapshot. Without
         one, the shared default session is used — the seed's
         single-session semantics. Single-statement query scripts go
-        through the plan cache: on a hit the lexer/parser/binder/
-        optimizer are skipped entirely and the prepared plan is
-        re-executed (authorization is still checked per execution).
+        through the plan cache, keyed by statement *shape*: on a hit the
+        parser/binder/optimizer are skipped entirely and the prepared
+        plan is re-executed under this text's literal values
+        (authorization is still checked per execution).
         """
         if session is None:
             session = self.db.default_session
@@ -426,8 +558,7 @@ class Interpreter:
         if txn is not None and txn.doomed is not None:
             # a doomed transaction may only abort: its parked workspace
             # is stale against newer commits and must never resume
-            script = parse_script(text, self._operator_table())
-            statements = script.statements
+            statements, _literals = self._parse(text)
             if not statements or not all(
                 isinstance(s, ast.AbortTransaction) for s in statements
             ):
@@ -441,26 +572,31 @@ class Interpreter:
                     result = self.execute_statement(statement, user)
             return result
         key = self._cache_key(text, user, session)
+        params = key[1]
         plan = self.plan_cache.get(key)
         if plan is not None:
             kind = "read" if plan.kind in ("retrieve", "explain") else "write"
             with transactions.statement(session, kind=kind):
-                result = self._execute_prepared(plan, user, cache="hit")
+                result = self._execute_prepared(plan, user, "hit", params)
                 if plan.kind in self._DURABLE_KINDS:
                     self._log_durable(text, user)
             return result
-        table = self._operator_table()
-        script = parse_script(text, table)
-        if not script.statements:
+        statements, literals = self._parse(text)
+        if not statements:
             return Result(kind="empty", message="no statements")
-        statements = script.statements
-        if len(statements) == 1 and isinstance(statements[0], self._CACHEABLE):
+        # the parser numbered the slots, the shape scan lifted the values:
+        # a statement they disagree on runs uncached, as scripts do
+        if (
+            len(statements) == 1
+            and isinstance(statements[0], self._CACHEABLE)
+            and literals == params
+        ):
             statement = statements[0]
             with transactions.statement(session, kind=self._statement_kind(statement)):
-                plan = self._prepare(statement)
+                plan = self._prepare(statement, params)
                 self.plan_cache.put(key, plan)
                 cache = "miss" if self.plan_cache.enabled else "off"
-                result = self._execute_prepared(plan, user, cache=cache)
+                result = self._execute_prepared(plan, user, cache, params)
                 if plan.kind in self._DURABLE_KINDS:
                     self._log_durable(text, user)
             return result
@@ -790,11 +926,28 @@ class Interpreter:
     def _binder(self) -> Binder:
         return Binder(self.db.catalog, self.session_ranges)
 
-    def _prepare(self, statement: ast.Statement) -> _PreparedPlan:
-        """Bind and optimize one query statement (the cacheable half)."""
+    def _prepare(
+        self, statement: ast.Statement, params: Optional[tuple] = None
+    ) -> _PreparedPlan:
+        """Bind and optimize one query statement (the cacheable half).
+
+        With ``params`` (the statement's literal values by slot, from
+        the plan-cache path) numbered literals bind as parameter slots,
+        so the plan can be re-executed under other values; it is still
+        costed with these.  ``explain`` is never parameterised — its
+        cached rows print literals and estimates — which leaves all its
+        slots pinned.
+        """
         if isinstance(statement, ast.Explain):
-            return self._prepare_explain(statement)
-        binder = self._binder()
+            plan = self._prepare_explain(statement)
+            plan.params = params or ()
+            return plan
+        slots = ParamSlots()
+        binder = Binder(
+            self.db.catalog,
+            self.session_ranges,
+            slots=slots if params is not None else None,
+        )
         optimizer = Optimizer(
             self.db.catalog,
             enabled=self._flag("optimize"),
@@ -823,14 +976,28 @@ class Interpreter:
         # lower to the physical operator tree now, so cache hits re-execute
         # the prepared tree without re-lowering
         root = optimizer.lower(bound, report)
-        return _PreparedPlan(kind=kind, bound=bound, report=report, plan_root=root)
+        return _PreparedPlan(
+            kind=kind,
+            bound=bound,
+            report=report,
+            plan_root=root,
+            params=params or (),
+            slots=slots,
+        )
 
     def _execute_prepared(
-        self, plan: _PreparedPlan, user: str, cache: str = ""
+        self,
+        plan: _PreparedPlan,
+        user: str,
+        cache: str = "",
+        params: Optional[tuple] = None,
     ) -> Result:
-        """Run a prepared plan: authorization checks (every execution,
-        never cached) then evaluation, collecting execution metrics."""
+        """Run a prepared plan under ``params`` (default: the values it
+        was prepared with): authorization checks (every execution, never
+        cached) then evaluation, collecting execution metrics."""
         start = time.perf_counter()
+        if params is None:
+            params = plan.params
         evaluator = Evaluator(
             self.db,
             user=user,
@@ -840,8 +1007,10 @@ class Interpreter:
             session=self._session(),
             statement_timeout_ms=self._flag("statement_timeout_ms"),
             memory_budget=self._flag("memory_budget"),
+            params=params,
         )
         evaluator.metrics.cache = cache
+        evaluator.metrics.shape_hit = cache == "hit" and params != plan.params
         if (
             plan.kind == "retrieve"
             and self._flag("parallel_mode") == "process"
@@ -912,13 +1081,14 @@ class Interpreter:
                     compile_mode=mode,
                     exec_mode=emode,
                     batch_size=bsize,
+                    params=params,
                 )
             if emode == "fused":
                 # debug hook: the generated source of every fused region
                 # (rendered lazily, like the tree)
                 fused_compiled = mode == "closure"
                 result._pipeline_source_thunk = lambda: pipeline_sources(
-                    root, fused_compiled
+                    root, fused_compiled, params
                 )
         evaluator.metrics.wall_ms = (time.perf_counter() - start) * 1000.0
         result.metrics = evaluator.metrics.as_dict()

@@ -12,9 +12,12 @@ case-sensitive.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
+import re
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Optional
 
 from repro.errors import LexicalError
 
@@ -98,6 +101,50 @@ class Token:
         return f"Token({self.type.value}, {self.text!r})"
 
 
+#: one trivia item: blanks, a ``--`` line comment, or a block comment
+_TRIVIA = r"[ \t\r\n]+|--[^\n]*|/\*[\s\S]*?\*/"
+#: the literal grammar, shared by both patterns below
+_LITERALS = (
+    r"(?P<FLOAT>(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<INT>\d+)"
+    r"""|(?P<STRING>"(?:[^"\\\n]|\\[\s\S])*"|'(?:[^'\\\n]|\\[\s\S])*')"""
+)
+_IDENT = r"[^\W\d]\w*"
+_STRUCT = r"[()\[\]{},:;.]"
+
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+
+@functools.lru_cache(maxsize=32)
+def _patterns(extra_symbols: tuple[str, ...]) -> tuple[Any, Any]:
+    """``(token pattern, shape pattern)`` for the built-in operator
+    symbols plus the punctuation ones of ``extra_symbols``.
+
+    The token pattern is optional trivia, then exactly one token
+    alternative, ordered as the scanner's tests were: registered
+    operator symbols longest first, any other punctuation run munched
+    whole so the parser can report the unknown operator by name.  The
+    shape pattern skips a maximal run of the non-literal alternatives
+    (the lookaheads stop it where the token pattern would start a
+    ``.5`` float or report an open comment), then takes one literal.
+    """
+    symbols = set(_BUILTIN_SYMBOLS)
+    symbols.update(s for s in extra_symbols if s and s[0] in _PUNCT_CHARS)
+    ops = "|".join(re.escape(s) for s in sorted(symbols, key=len, reverse=True))
+    punct = "".join(re.escape(ch) for ch in sorted(_PUNCT_CHARS))
+    op = rf"{ops}|[{punct}]+"
+    token = re.compile(
+        rf"(?:{_TRIVIA})*(?:{_LITERALS}|(?P<IDENT>{_IDENT})"
+        rf"|(?P<STRUCT>{_STRUCT})|(?P<COMMENT>/\*)|(?P<OP>{op})"
+        r"|(?P<EOF>\Z)|(?P<BAD>[\s\S]))"
+    )
+    shape = re.compile(
+        rf"((?:{_IDENT}|{_TRIVIA}|(?!\.\d){_STRUCT}|(?!/\*)(?:{op}))*)"
+        rf"(?:{_LITERALS}|(?P<EOF>\Z)|(?P<BAD>[\s\S]))"
+    )
+    return token, shape
+
+
 class Lexer:
     """Tokenizes EXCESS source text.
 
@@ -107,158 +154,95 @@ class Lexer:
 
     def __init__(self, text: str, extra_symbols: Iterable[str] = ()):
         self._text = text
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-        symbols = set(_BUILTIN_SYMBOLS)
-        for symbol in extra_symbols:
-            if symbol and symbol[0] in _PUNCT_CHARS:
-                symbols.add(symbol)
-        self._symbols = sorted(symbols, key=len, reverse=True)
+        self._token, self._shape = _patterns(tuple(extra_symbols))
+        self._line_starts: Optional[list[int]] = None
 
     # -- public API ------------------------------------------------------------
 
     def tokens(self) -> list[Token]:
         """Tokenize the whole input; always ends with an EOF token."""
         out: list[Token] = []
-        while True:
-            token = self._next_token()
-            out.append(token)
-            if token.type is TokenType.EOF:
+        for match in self._token.finditer(self._text):
+            kind = match.lastgroup
+            text = match.group(kind)
+            line, column = self._position(match.start(kind))
+            value: Any = text
+            if kind == "IDENT":
+                lowered = text.lower()
+                if lowered in KEYWORDS:
+                    kind, text = "KEYWORD", lowered
+                    value = {"true": True, "false": False}.get(lowered, lowered)
+            elif kind == "STRUCT":
+                kind = _STRUCTURAL[text]
+            elif kind == "INT":
+                value = int(text)
+            elif kind == "FLOAT":
+                value = float(text)
+            elif kind == "STRING":
+                text = value = _unquote(text)
+            elif kind == "COMMENT":
+                raise LexicalError("unterminated block comment", line, column)
+            elif kind == "BAD":
+                if text in "\"'":
+                    raise LexicalError("unterminated string literal", line, column)
+                raise LexicalError(f"unexpected character {text!r}", line, column)
+            elif kind == "EOF":
+                out.append(Token(TokenType.EOF, "", None, line, column))
                 return out
+            out.append(Token(TokenType[kind], text, value, line, column))
+        raise AssertionError("the token pattern always reaches EOF")
 
-    # -- scanning ----------------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._text[index] if index < len(self._text) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        out = self._text[self._pos:self._pos + count]
-        for ch in out:
-            if ch == "\n":
-                self._line += 1
-                self._column = 1
+    def shape(self) -> tuple[tuple, tuple]:
+        """The statement with every ``INT``/``FLOAT``/``STRING`` literal
+        lifted out: ``(shape, values)``.  ``shape`` is the literal kinds
+        (one of ``i f s`` per literal) followed by the source text
+        between the literals; ``values`` holds the literals in token
+        order, so literal ``i`` is the parser's slot ``i``.  Statements
+        that differ only in their constants share a shape; the text
+        between is kept as written, so spacing, comments and keyword
+        case tell shapes apart (which costs sharing, never
+        correctness).  Raises what :meth:`tokens` raises."""
+        chunks: list[str] = []
+        kinds: list[str] = []
+        values: list[Any] = []
+        for match in self._shape.finditer(self._text):
+            chunks.append(match.group(1))
+            kind = match.lastgroup
+            if kind == "STRING":
+                kinds.append("s")
+                values.append(_unquote(match.group(kind)))
+            elif kind == "INT":
+                kinds.append("i")
+                values.append(int(match.group(kind)))
+            elif kind == "FLOAT":
+                kinds.append("f")
+                values.append(float(match.group(kind)))
+            elif kind == "EOF":
+                return ("".join(kinds), *chunks), tuple(values)
             else:
-                self._column += 1
-        self._pos += count
-        return out
+                break
+        self.tokens()  # raises the lexical error the shape scan ran into
+        raise AssertionError("shape scan stopped where the tokenizer did not")
 
-    def _skip_trivia(self) -> None:
-        while True:
-            ch = self._peek()
-            if not ch:
-                return
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                # line comment: -- to end of line
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._column
-                self._advance(2)
-                while self._peek() and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if not self._peek():
-                    raise LexicalError(
-                        "unterminated block comment", start_line, start_col
-                    )
-                self._advance(2)
-            else:
-                return
+    # -- positions ---------------------------------------------------------------
 
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self._line, self._column
-        ch = self._peek()
-        if not ch:
-            return Token(TokenType.EOF, "", None, line, column)
-        if ch.isdigit():
-            return self._number(line, column)
-        if ch.isalpha() or ch == "_":
-            return self._identifier(line, column)
-        if ch in "\"'":
-            return self._string(line, column)
-        if ch == "." and self._peek(1).isdigit():
-            return self._number(line, column)
-        if ch in _STRUCTURAL:
-            self._advance()
-            return Token(TokenType[_STRUCTURAL[ch]], ch, ch, line, column)
-        if ch in _PUNCT_CHARS:
-            return self._operator(line, column)
-        raise LexicalError(f"unexpected character {ch!r}", line, column)
+    def _position(self, offset: int) -> tuple[int, int]:
+        """1-based ``(line, column)`` of a text offset."""
+        starts = self._line_starts
+        if starts is None:
+            starts = self._line_starts = [0] + [
+                m.end() for m in re.finditer("\n", self._text)
+            ]
+        line = bisect.bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
 
-    def _number(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self._text[start:self._pos]
-        if is_float:
-            return Token(TokenType.FLOAT, text, float(text), line, column)
-        return Token(TokenType.INT, text, int(text), line, column)
 
-    def _identifier(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._text[start:self._pos]
-        lowered = text.lower()
-        if lowered in KEYWORDS:
-            if lowered == "true":
-                return Token(TokenType.KEYWORD, lowered, True, line, column)
-            if lowered == "false":
-                return Token(TokenType.KEYWORD, lowered, False, line, column)
-            return Token(TokenType.KEYWORD, lowered, lowered, line, column)
-        return Token(TokenType.IDENT, text, text, line, column)
-
-    def _string(self, line: int, column: int) -> Token:
-        quote = self._advance()
-        out: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexicalError("unterminated string literal", line, column)
-            if ch == "\\":
-                self._advance()
-                escape = self._advance()
-                mapping = {"n": "\n", "t": "\t", "\\": "\\", quote: quote}
-                out.append(mapping.get(escape, escape))
-                continue
-            if ch == quote:
-                self._advance()
-                text = "".join(out)
-                return Token(TokenType.STRING, text, text, line, column)
-            out.append(self._advance())
-
-    def _operator(self, line: int, column: int) -> Token:
-        rest = self._text[self._pos:]
-        for symbol in self._symbols:
-            if rest.startswith(symbol):
-                self._advance(len(symbol))
-                return Token(TokenType.OP, symbol, symbol, line, column)
-        # an unregistered punctuation run: munch maximally so the parser
-        # can report the unknown operator by name
-        start = self._pos
-        while self._peek() in _PUNCT_CHARS:
-            self._advance()
-        text = self._text[start:self._pos]
-        return Token(TokenType.OP, text, text, line, column)
+def _unquote(text: str) -> str:
+    """The value of a quoted string token: ``\n`` and ``\t`` escapes are
+    the control characters, any other escaped character is itself."""
+    body = text[1:-1]
+    if "\\" not in body:
+        return body
+    return re.sub(
+        r"\\([\s\S])", lambda m: _ESCAPES.get(m.group(1), m.group(1)), body
+    )

@@ -35,6 +35,7 @@ measure its effect (experiments P1, P8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -57,6 +58,7 @@ from repro.excess.binder import (
     IndexStepB,
     Membership,
     NamedSetSource,
+    Param,
     PathSource,
     RangeBinding,
     Unary,
@@ -71,6 +73,10 @@ DP_CUTOFF = 4
 
 #: row counts never estimate below this (zero would flatten all costs)
 _MIN_ROWS = 1e-3
+
+#: an index probe estimated to keep more than this share of its set
+#: barely filters: scanning (and hash-joining) is cheaper
+_WEAK_INDEX_SELECTIVITY = 0.5
 
 
 @dataclass
@@ -178,13 +184,11 @@ class CostModel:
         """Selectivity of the index probe predicate (1.0 for scans)."""
         if binding.access != "index" or binding.index_descriptor is None:
             return 1.0
-        value = (
-            binding.index_key.value
-            if isinstance(binding.index_key, Const)
-            else None
-        )
         return self._predicate_selectivity(
-            binding, binding.index_descriptor.attribute, binding.index_op, value
+            binding,
+            binding.index_descriptor.attribute,
+            binding.index_op,
+            binding.index_key,
         )
 
     def conjunct_selectivity(
@@ -194,8 +198,7 @@ class CostModel:
         if isinstance(conjunct, Binary) and conjunct.kind == "compare":
             probe = self._attr_probe(conjunct, binding.name)
             if probe is not None:
-                attribute, op, value = probe
-                return self._predicate_selectivity(binding, attribute, op, value)
+                return self._predicate_selectivity(binding, *probe)
             return self._default_selectivity(conjunct.op)
         return 0.5
 
@@ -248,21 +251,52 @@ class CostModel:
         return self.base_rows(binding)
 
     def _predicate_selectivity(
-        self, binding: RangeBinding, attribute: str, op: str, value: Any
+        self, binding: RangeBinding, attribute: str, op: str, key: Any
     ) -> float:
+        """Selectivity of ``binding.attribute <op> key`` — the one place
+        the cost model consults a literal's value.  A :class:`Param`
+        key is read without pinning its slot and recorded as
+        value-sensitive instead: the plan cache re-estimates the slot's
+        new value on every shape hit (:meth:`literal_magnitude`)."""
         if (
             self.statistics is not None
-            and value is not None
+            and isinstance(key, Const)
             and isinstance(binding.source, NamedSetSource)
         ):
             set_name = binding.source.set_name
-            if op == "=":
-                return self.statistics.eq_selectivity(set_name, attribute, value)
-            if op in ("<", "<=", ">", ">="):
-                return self.statistics.range_selectivity(
-                    set_name, attribute, op, value
-                )
+            if isinstance(key, Param):
+                key.slots.sensitive.add((key.slot, set_name, attribute, op))
+                value = key.first
+            else:
+                value = key.value
+            return self._literal_selectivity(set_name, attribute, op, value)
         return self._default_selectivity(op)
+
+    def _literal_selectivity(
+        self, set_name: str, attribute: str, op: str, value: Any
+    ) -> float:
+        if op == "=":
+            return self.statistics.eq_selectivity(set_name, attribute, value)
+        if op in ("<", "<=", ">", ">="):
+            return self.statistics.range_selectivity(
+                set_name, attribute, op, value
+            )
+        return self._default_selectivity(op)
+
+    def literal_magnitude(
+        self, set_name: str, attribute: str, op: str, value: Any
+    ) -> int:
+        """Order of magnitude of the estimate a value-sensitive slot
+        gets for ``value``: plans are shared only between values whose
+        estimates agree to the power of ten and fall on the same side
+        of the weak-index threshold (bucket 1, which no logarithm of a
+        selectivity reaches)."""
+        if self.statistics is None:
+            return 0
+        selectivity = self._literal_selectivity(set_name, attribute, op, value)
+        if selectivity > _WEAK_INDEX_SELECTIVITY:
+            return 1
+        return math.floor(math.log10(selectivity)) if selectivity > 0 else -99
 
     @staticmethod
     def _default_selectivity(op: str) -> float:
@@ -277,8 +311,8 @@ class CostModel:
     @staticmethod
     def _attr_probe(
         conjunct: Binary, variable: str
-    ) -> Optional[tuple[str, str, Any]]:
-        """Match ``V.attr op <literal>`` and extract the literal value."""
+    ) -> Optional[tuple[str, str, Const]]:
+        """Match ``V.attr op <literal>``; returns the literal's node."""
         left, right = conjunct.left, conjunct.right
         if (
             isinstance(left, AttrStep)
@@ -286,7 +320,7 @@ class CostModel:
             and left.base.name == variable
             and isinstance(right, Const)
         ):
-            return left.attribute, conjunct.op, right.value
+            return left.attribute, conjunct.op, right
         return None
 
 
@@ -682,10 +716,11 @@ class Optimizer:
         report: OptimizerReport,
     ) -> None:
         """SeqScan vs IndexScan, by cost: an index probe that barely
-        filters (estimated selectivity > 0.5) blocks the hash-join
-        rewrite (build sides must be plain scans), so when the binding
-        has an equi-join edge, scanning and hashing is cheaper — revert
-        the index choice and push the conjunct back to the residuals."""
+        filters (estimate above the weak-index threshold) blocks the
+        hash-join rewrite (build sides must be plain scans), so when the
+        binding has an equi-join edge, scanning and hashing is cheaper —
+        revert the index choice and push the conjunct back to the
+        residuals."""
         for binding in query.bindings:
             if binding.access != "index" or binding.name not in consumed:
                 continue
@@ -699,7 +734,7 @@ class Optimizer:
             )
             if not has_equi:
                 continue
-            if cost.access_selectivity(binding) <= 0.5:
+            if cost.access_selectivity(binding) <= _WEAK_INDEX_SELECTIVITY:
                 continue
             binding.residual.append(consumed.pop(binding.name))
             binding.access = "scan"

@@ -132,11 +132,14 @@ def _fold_stats(root: PlanOp, replies: list) -> None:
 def _worker_evaluator(db: Any, flags: tuple) -> Any:
     from repro.excess.evaluator import Evaluator
 
-    # tolerate the pre-governor 4-tuple (tests drive the task functions
-    # directly); the runner always ships the full 6-tuple
+    # tolerate the shorter tuples of earlier protocols (tests drive the
+    # task functions directly); the runner always ships all seven
     user, compile_mode, exec_mode, batch_size = flags[:4]
     remaining_ms = flags[4] if len(flags) > 4 else None
     budget = flags[5] if len(flags) > 5 else 0
+    # the statement's literal values travel with every task: the cached
+    # fragment is one plan shape, executed under many parameter vectors
+    params = flags[6] if len(flags) > 6 else ()
     if exec_mode == "row":
         # workers always run fragments batch-at-a-time; results are
         # mode-independent (pinned by the exec_mode equivalence suite)
@@ -153,6 +156,7 @@ def _worker_evaluator(db: Any, flags: tuple) -> Any:
         batch_size=batch_size,
         statement_timeout_ms=remaining_ms or 0,
         memory_budget=budget or 0,
+        params=params,
     )
 
 
@@ -520,6 +524,7 @@ class ParallelRunner:
             ctx.batch_size,
             governor.remaining_ms() if governor is not None else None,
             governor.memory_budget if governor is not None else 0,
+            ctx.params,
         )
 
     # -- exchange fragments ----------------------------------------------
@@ -608,6 +613,7 @@ class ParallelRunner:
                 getattr(evaluator, "batch_size", 1024),
                 governor.remaining_ms() if governor is not None else None,
                 governor.memory_budget if governor is not None else 0,
+                getattr(evaluator, "params", ()),
             )
             payload = (
                 inner,

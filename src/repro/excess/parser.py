@@ -25,6 +25,8 @@ _BASE_TYPE_NAMES = {
     "char",
 }
 
+_LITERAL_TYPES = (TokenType.INT, TokenType.FLOAT, TokenType.STRING)
+
 #: statement-starting keywords (used to delimit statements in scripts)
 _STATEMENT_STARTERS = {
     "define", "create", "destroy", "drop", "range", "retrieve", "append",
@@ -109,6 +111,12 @@ class Parser:
         self._tokens = tokens
         self._pos = 0
         self._ops = operators if operators is not None else OperatorTable()
+        #: token index -> literal slot: the n-th INT/FLOAT/STRING token
+        #: of the script is slot n, wherever the grammar consumes it
+        literals = [i for i, t in enumerate(tokens) if t.type in _LITERAL_TYPES]
+        self._slots = {index: slot for slot, index in enumerate(literals)}
+        #: the literal values by slot (what ``Lexer.shape`` must agree with)
+        self.literals = tuple(tokens[i].value for i in literals)
 
     # -- token plumbing ----------------------------------------------------------
 
@@ -888,9 +896,10 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expression:
         token = self._peek()
-        if token.type in (TokenType.INT, TokenType.FLOAT, TokenType.STRING):
+        if token.type in _LITERAL_TYPES:
+            literal = ast.Literal(value=token.value, slot=self._slots[self._pos])
             self._next()
-            return self._at(ast.Literal(value=token.value), token)
+            return self._at(literal, token)
         if token.is_keyword("true", "false"):
             self._next()
             return self._at(ast.Literal(value=token.value), token)

@@ -95,6 +95,7 @@ from repro.excess.binder import (
     Membership,
     NamedSetSource,
     NamedValue,
+    Param,
     PathSource,
     RangeBinding,
     Unary,
@@ -196,6 +197,7 @@ class PlanContext:
         "exchange",
         "parallel",
         "governor",
+        "params",
     )
 
     def __init__(self, evaluator: Any, tables: Optional[dict] = None):
@@ -234,6 +236,10 @@ class PlanContext:
         #: (deadline + memory budget) — None when neither flag is set,
         #: which keeps the batch hot path a single ``is None`` test
         self.governor = getattr(evaluator, "governor", None)
+        #: this execution's literal values by slot — what every
+        #: :class:`~repro.excess.binder.Param` of the plan evaluates to
+        #: (empty when the statement was prepared outside the plan cache)
+        self.params: tuple = getattr(evaluator, "params", ())
 
 
 @dataclass
@@ -414,8 +420,10 @@ class PlanOp:
 
     # -- description -----------------------------------------------------
 
-    def describe(self) -> str:
-        """One-line operator description for the rendered plan tree."""
+    def describe(self, params: tuple = ()) -> str:
+        """One-line operator description for the rendered plan tree;
+        parameter slots print the value ``params`` gives them (the
+        value the plan was prepared with when ``params`` is empty)."""
         return self.label
 
     def child_roles(self) -> list[tuple[str, "PlanOp"]]:
@@ -523,7 +531,7 @@ class SeqScan(_BindingOp):
         super().__init__(var)
         self.set_name = set_name
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         return f"SeqScan {self.set_name} as {self.var}"
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
@@ -585,10 +593,10 @@ class IndexScan(_BindingOp):
         self.op = binding.index_op
         self.key_expr = binding.index_key
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         return (
             f"IndexScan {self.descriptor.name} ({self.op} "
-            f"{describe_expr(self.key_expr)}) as {self.var}"
+            f"{describe_expr(self.key_expr, params)}) as {self.var}"
         )
 
     def exprs(self) -> list[BoundExpr]:
@@ -660,7 +668,7 @@ class PathExpand(_BindingOp):
         self.parent = source.parent
         self.steps = list(source.steps)
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         path = ".".join([self.parent, *self.steps])
         return f"PathExpand {path} as {self.var}"
 
@@ -747,8 +755,8 @@ class FunctionScan(_BindingOp):
         self.function = source.function
         self.args = list(source.args)
 
-    def describe(self) -> str:
-        args = ", ".join(describe_expr(a) for a in self.args)
+    def describe(self, params: tuple = ()) -> str:
+        args = ", ".join(describe_expr(a, params) for a in self.args)
         return f"FunctionScan {self.function.name}({args}) as {self.var}"
 
     def exprs(self) -> list[BoundExpr]:
@@ -803,9 +811,9 @@ class Filter(PlanOp):
         super().__init__([child])
         self.predicates = list(predicates)
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         return "Filter " + " and ".join(
-            describe_expr(p) for p in self.predicates
+            describe_expr(p, params) for p in self.predicates
         )
 
     def exprs(self) -> list[BoundExpr]:
@@ -860,8 +868,8 @@ class SemiJoinProbe(PlanOp):
         super().__init__([child])
         self.membership = membership
 
-    def describe(self) -> str:
-        return f"SemiJoinProbe {describe_expr(self.membership)}"
+    def describe(self, params: tuple = ()) -> str:
+        return f"SemiJoinProbe {describe_expr(self.membership, params)}"
 
     def exprs(self) -> list[BoundExpr]:
         # Membership always lowers to an interpreter callback (the
@@ -1001,11 +1009,11 @@ class HashJoin(PlanOp):
         #: consistent pair (never a table paired with another's stamp)
         self._memo: Optional[tuple] = None
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         op = self.join_op
         return (
-            f"HashJoin {describe_expr(self.probe_key)} {op} "
-            f"{describe_expr(self.build_key)} as {self.var}"
+            f"HashJoin {describe_expr(self.probe_key, params)} {op} "
+            f"{describe_expr(self.build_key, params)} as {self.var}"
         )
 
     def child_roles(self) -> list[tuple[str, PlanOp]]:
@@ -1027,7 +1035,7 @@ class HashJoin(PlanOp):
     def _table_for(self, ctx: PlanContext) -> Any:
         governor = ctx.governor
         budgeted = governor is not None and governor.memory_budget > 0
-        stamp = (ctx.db.data_version, ctx.session_stamp)
+        stamp = (ctx.db.data_version, ctx.session_stamp, self._build_params(ctx))
         memo = self._memo  # single read: thread-consistent pair
         if not budgeted and memo is not None and memo[0] == stamp:
             return memo[1]
@@ -1040,6 +1048,21 @@ class HashJoin(PlanOp):
             return table
         self._memo = (stamp, table)
         return table
+
+    def _build_params(self, ctx: PlanContext) -> tuple:
+        """The parameter values the build side reads — part of the memo
+        stamp, so a table built under one literal is never probed under
+        another.  All of ``ctx.params`` when some build expression's
+        inputs cannot be told from its tree."""
+        slots = self.__dict__.get("_build_slots", _MISSING)
+        if slots is _MISSING:
+            nodes = [self.build_key]
+            for op in walk_plan(self.children[1]):
+                nodes.extend(op.exprs())
+            slots = self.__dict__["_build_slots"] = _param_slots(nodes)
+        if slots is None:
+            return ctx.params
+        return tuple(ctx.params[slot] for slot in slots)
 
     def _build_entries(self, ctx: PlanContext) -> Iterator[tuple]:
         """Stream the build side as ``(key, member)`` pairs, counting
@@ -1247,9 +1270,9 @@ class UniversalCheck(PlanOp):
         self.checks = checks
         self.where = where
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         names = ", ".join(b.name for b, _s in self.checks)
-        return f"UniversalCheck forall {names}: {describe_expr(self.where)}"
+        return f"UniversalCheck forall {names}: {describe_expr(self.where, params)}"
 
     def child_roles(self) -> list[tuple[str, PlanOp]]:
         roles = [("", self.children[0])]
@@ -1317,7 +1340,7 @@ class Aggregate(PlanOp):
         super().__init__([child])
         self.query = query
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         modes = ", ".join(a.mode for a in self.query.aggregates)
         return f"Aggregate [{modes}]"
 
@@ -1382,7 +1405,7 @@ class Project(PlanOp):
         self.unique = unique
         self.order = order or []
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         cols = ", ".join(t.label for t in self.targets)
         unique = "unique " if self.unique else ""
         return f"Project {unique}[{cols}]"
@@ -1456,9 +1479,9 @@ class Sort(PlanOp):
         super().__init__([child])
         self.order = order
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         keys = ", ".join(
-            describe_expr(expr) + (" desc" if desc else "")
+            describe_expr(expr, params) + (" desc" if desc else "")
             for expr, desc in self.order
         )
         return f"Sort [{keys}]"
@@ -1576,7 +1599,7 @@ class StoreInto(PlanOp):
         #: human-readable outcome of the last store (result message)
         self.message = ""
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         return f"StoreInto {self.bound.into}"
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[tuple]:
@@ -1662,7 +1685,7 @@ class ExchangePartition(PlanOp):
         self.tag_pos = tag_pos
         self.est_rows = child.est_rows
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         if self.mode == "hash":
             return f"ExchangePartition hash({describe_expr(self.key)})"
         return "ExchangePartition range"
@@ -1789,7 +1812,7 @@ class ExchangeMerge(PlanOp):
         self.ordered = ordered
         self.est_rows = child.est_rows
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         return "ExchangeMerge"
 
     def exchange_note(self) -> Optional[str]:
@@ -1837,7 +1860,7 @@ class ExchangeBroadcast(PlanOp):
         self.dop = dop
         self.est_rows = child.est_rows
 
-    def describe(self) -> str:
+    def describe(self, params: tuple = ()) -> str:
         return "ExchangeBroadcast"
 
     def exchange_note(self) -> Optional[str]:
@@ -2499,60 +2522,101 @@ def _row_mode_ids(root: PlanOp) -> set[int]:
     return ids
 
 
-def pipeline_sources(root: PlanOp, compiled: bool = True) -> str:
+def pipeline_sources(
+    root: PlanOp, compiled: bool = True, params: tuple = ()
+) -> str:
     """The generated Python source of every fused region of the plan,
-    for inspection (the ``Result.pipeline_source`` debug hook)."""
+    for inspection (the ``Result.pipeline_source`` debug hook): each
+    region's operators as header comments (rendered under ``params``),
+    then its function."""
     sources: list[str] = []
     for region in fused_regions(root):
         fused = fused_pipeline(region[0], compiled)
         if fused is not None:
-            sources.append(fused.source)
+            header = [f"# {op.describe(params)}" for op in region]
+            sources.append("\n".join(header + [fused.source]))
     return "\n\n".join(sources)
 
 
-def describe_expr(node: Optional[BoundExpr]) -> str:
+def describe_expr(node: Optional[BoundExpr], params: tuple = ()) -> str:
     """A compact, human-readable rendering of a bound expression for
-    operator descriptions (best effort — not a full unparser)."""
+    operator descriptions (best effort — not a full unparser).  A
+    parameter slot prints as the literal ``params`` holds for it, or the
+    one its plan was prepared with when ``params`` is empty."""
+
+    def show(child: Optional[BoundExpr]) -> str:
+        return describe_expr(child, params)
+
     if node is None:
         return "?"
     if isinstance(node, Const):
-        if node.value is NULL:
+        if isinstance(node, Param):
+            value = params[node.slot] if params else node.first
+        else:
+            value = node.value
+        if value is NULL:
             return "null"
-        if isinstance(node.value, str):
-            return f'"{node.value}"'
-        return str(node.value)
+        if isinstance(value, str):
+            return f'"{value}"'
+        return str(value)
     if isinstance(node, VarRef):
         return node.name.lstrip("@")
     if isinstance(node, NamedValue):
         return node.name
     if isinstance(node, AttrStep):
-        return f"{describe_expr(node.base)}.{node.attribute}"
+        return f"{show(node.base)}.{node.attribute}"
     if isinstance(node, IndexStepB):
-        return f"{describe_expr(node.base)}[{describe_expr(node.index)}]"
+        return f"{show(node.base)}[{show(node.index)}]"
     if isinstance(node, Binary):
-        op = {"and": "and", "or": "or"}.get(node.op, node.op)
-        return f"{describe_expr(node.left)} {op} {describe_expr(node.right)}"
+        return f"{show(node.left)} {node.op} {show(node.right)}"
     if isinstance(node, Unary):
-        return f"{node.op} {describe_expr(node.operand)}"
+        return f"{node.op} {show(node.operand)}"
     if isinstance(node, Membership):
         collection = node.collection
         name = (
             collection.name
             if collection.kind == "named"
-            else describe_expr(collection.base)
+            else show(collection.base)
             + ("." + ".".join(collection.steps) if collection.steps else "")
         )
         op = "not in" if node.negated else "in"
-        return f"{describe_expr(node.element)} {op} {name}"
+        return f"{show(node.element)} {op} {name}"
     if isinstance(node, AggregateRef):
         return f"$agg{node.aggregate_id}"
     if isinstance(node, AdtCall):
-        args = ", ".join(describe_expr(a) for a in node.args)
+        args = ", ".join(show(a) for a in node.args)
         return f"{node.function.name}({args})"
     if isinstance(node, ExcessCall):
-        args = ", ".join(describe_expr(a) for a in node.args)
+        args = ", ".join(show(a) for a in node.args)
         return f"{node.name}({args})"
     return type(node).__name__
+
+
+def _param_slots(nodes: list) -> Optional[tuple[int, ...]]:
+    """The parameter slots the bound expressions ``nodes`` read, or None
+    when one of them takes input from outside its own tree (aggregate
+    tables, memoized member sets) and so may depend on any slot."""
+    slots: set[int] = set()
+    stack = [node for node in nodes if node is not None]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Param):
+            slots.add(node.slot)
+        elif isinstance(node, (Const, VarRef, NamedValue)):
+            pass
+        elif isinstance(node, AttrStep):
+            stack.append(node.base)
+        elif isinstance(node, IndexStepB):
+            stack.extend([node.base, node.index])
+        elif isinstance(node, Binary):
+            stack.extend([node.left, node.right])
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, (AdtCall, ExcessCall)):
+            stack.extend(node.args)
+        else:
+            return None
+    return tuple(sorted(slots))
 
 
 def snapshot_stats(root: PlanOp) -> dict[int, tuple[int, str]]:
@@ -2576,10 +2640,13 @@ def render_plan(
     compile_mode: Optional[str] = None,
     exec_mode: Optional[str] = None,
     batch_size: Optional[int] = None,
+    params: tuple = (),
 ) -> str:
     """Pretty-print the operator tree, one operator per line, with the
     estimated and (when ``actuals``) last-execution row counts — from
     ``snapshot`` (see :func:`snapshot_stats`) when given, else live.
+    Parameter slots print the literals of ``params`` (the execution
+    being rendered; a cached plan has run under many).
 
     With ``compile_mode`` given, expression-bearing operators carry a
     ``compiled=`` annotation: ``closure`` (every expression lowered to a
@@ -2633,7 +2700,7 @@ def render_plan(
             if label != "row" and batch_size is not None:
                 counters += f", batch_size={batch_size}"
         counters += ")"
-        lines.append(f"{prefix}{tag}{op.describe()} {counters}")
+        lines.append(f"{prefix}{tag}{op.describe(params)} {counters}")
         for child_role, child in op.child_roles():
             emit(child, depth + 1, child_role)
 

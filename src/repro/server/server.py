@@ -387,6 +387,7 @@ class ExcessServer:
             storage = self.db.storage_stats()
             if storage:
                 payload["storage"] = storage
+            payload["plan_cache"] = self.db.interpreter.plan_cache.stats()
             return payload, False
         if op == "bye":
             return {"ok": True, "message": "goodbye"}, True

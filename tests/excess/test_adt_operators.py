@@ -122,6 +122,22 @@ class TestNewAdtRegistration:
         )
         assert result.rows == [(350,)]
 
+    def test_operator_table_is_rebuilt_only_when_the_registry_grows(self, db):
+        interpreter = db.interpreter
+        db.execute("retrieve (x = 1 + 2)")
+        table = interpreter._operator_table()
+        db.execute("retrieve (x = 3 + 4)")
+        assert interpreter._operator_table() is table  # memoized
+        assert table.infix("~+~") is None
+        self.register_money(db)  # mid-session: the next statement sees it
+        result = db.execute("retrieve (c = Cents(Money(1) ~+~ Money(2)))")
+        assert result.rows == [(3,)]
+        rebuilt = interpreter._operator_table()
+        assert rebuilt is not table and rebuilt.infix("~+~").precedence == 55
+        # same shape, other literals: the ADT arguments are slots too
+        again = db.execute("retrieve (c = Cents(Money(10) ~+~ Money(20)))")
+        assert again.rows == [(30,)] and again.metrics["cache"] == "hit"
+
     def test_new_operator_precedence(self, db):
         # ~+~ at 55 binds tighter than + (50): parses as a + (b ~+~ c)
         # which then fails to bind (+ over Money) — proving precedence.

@@ -606,7 +606,9 @@ class TestSharedPlanSeam:
             for op in plan_ops(root):
                 if op.label == "HashJoin":
                     op.invalidate()  # rebuild, so the build side runs too
-            evaluator = Evaluator(db, compile_mode=mode, exec_mode="batch")
+            evaluator = Evaluator(
+                db, compile_mode=mode, exec_mode="batch", params=plan.params
+            )
             result = evaluator.run_retrieve(plan.bound)
             outcomes.append(
                 (result.rows, [op.stats.rows_out for op in plan_ops(root)])

@@ -72,16 +72,28 @@ def outcome(db, query):
         return None, str(exc)
 
 
+def cached_plan(db, query, mode="process"):
+    """The prepared plan the interpreter cached for ``query`` under
+    ``parallel_mode=mode`` (each mode's entry is a separate key)."""
+    interpreter = db.interpreter
+    saved = interpreter.parallel_mode
+    interpreter.parallel_mode = mode
+    try:
+        prepared = interpreter.plan_cache.get(interpreter._cache_key(query, "dba"))
+    finally:
+        interpreter.parallel_mode = saved
+    if prepared is None:
+        raise AssertionError(f"no cached plan for {query!r}")
+    return prepared
+
+
 def cached_root(db, query):
-    """The prepared plan root the interpreter cached for ``query`` under
-    ``parallel_mode=process`` (the off-mode entry is a separate key)."""
-    for key, prepared in db.interpreter.plan_cache._entries.items():
-        if key[0] == query and "process" in key and prepared.plan_root is not None:
-            return prepared.plan_root
-    raise AssertionError(f"no cached plan for {query!r}")
+    return cached_plan(db, query).plan_root
 
 
 FLAGS = ("dba", "closure", "fused", 1024)
+#: RANGE_QUERY's one literal travels with each task (slot 0 = 100)
+RANGE_FLAGS = FLAGS + (None, 0, (100,))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +158,7 @@ class TestFragments:
         gathered = []
         for part in range(root.dop):
             rows, stats = run_fragment_task(
-                db, frag, part, root.dop, "range", FLAGS
+                db, frag, part, root.dop, "range", RANGE_FLAGS
             )
             assert stats  # per-operator counters came back
             gathered.extend(rows)
@@ -157,7 +169,9 @@ class TestFragments:
         serial, _parallel = both_modes(db, RANGE_QUERY)
         root = cached_root(db, RANGE_QUERY)
         parts = [
-            run_fragment_task(db, root.children[0], part, root.dop, "range", FLAGS)[0]
+            run_fragment_task(
+                db, root.children[0], part, root.dop, "range", RANGE_FLAGS
+            )[0]
             for part in range(root.dop)
         ]
         # contiguous, non-overlapping slices of the serial stream
@@ -200,7 +214,7 @@ class TestFragments:
         db = parallel_company
         serial, _parallel = both_modes(db, RANGE_QUERY)
         root = cached_root(db, RANGE_QUERY)
-        evaluator = Evaluator(db)
+        evaluator = Evaluator(db, params=(100,))
         ctx = PlanContext(evaluator)
         assert ctx.parallel is None and ctx.exchange is None
         rows = [
@@ -281,7 +295,7 @@ class TestFlags:
     def test_cache_key_includes_parallel_flags(self, parallel_company):
         interpreter = parallel_company.interpreter
         key_on = interpreter._cache_key(RANGE_QUERY, "dba")
-        assert "process" in key_on and 2 in key_on
+        assert "process" in key_on[0] and 2 in key_on[0]
         interpreter.parallel_mode = "off"
         try:
             key_off = interpreter._cache_key(RANGE_QUERY, "dba")
@@ -517,7 +531,8 @@ class TestTaskVariants:
         gathered = []
         for part in range(root.dop):
             rows, _stats = run_fragment_task(
-                db, frag, part, root.dop, "range", ("dba", "closure", "row", 512)
+                db, frag, part, root.dop, "range",
+                ("dba", "closure", "row", 512) + RANGE_FLAGS[4:],
             )
             gathered.extend(rows)
         assert gathered == serial.rows
@@ -581,12 +596,7 @@ class TestTaskVariants:
             )
         serial, parallel = both_modes(db, query)
         assert parallel.rows == serial.rows
-        bound = None
-        for key, prepared in db.interpreter.plan_cache._entries.items():
-            if key[0] == query and "process" in key:
-                bound = prepared.bound
-        assert bound is not None
-        aggregate = bound.query.aggregates[0]
+        aggregate = cached_plan(db, query).bound.query.aggregates[0]
         # the process-mode execution above parallelized the inner
         # pipeline in place; replay its shards in-process
         evaluator = Evaluator(db)
@@ -752,10 +762,7 @@ class TestRunnerEdgePaths:
             "from E in Employees sort by E.dept.dname"
         )
         both_modes(db, query)
-        for key, prepared in db.interpreter.plan_cache._entries.items():
-            if key[0] == query and mode in key:
-                return prepared.bound.query.aggregates[0]
-        raise AssertionError("no cached partition aggregate")
+        return cached_plan(db, query, mode).bound.query.aggregates[0]
 
     def test_run_aggregate_gates_mode_and_snapshot(self, parallel_company):
         db = parallel_company

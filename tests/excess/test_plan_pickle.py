@@ -48,7 +48,7 @@ QUERIES = [
 
 @pytest.fixture(scope="module")
 def warmed():
-    """(db, [(query, plan_root, rows)]) with every cache warmed by a
+    """(db, [(query, plan_root, rows, params)]) with every cache warmed by a
     real execution (compiled closures, fused functions, hash memos)."""
     db = build_company_database(
         CompanyWorkload(departments=4, employees=60, seed=21)
@@ -57,12 +57,10 @@ def warmed():
     executed = []
     for query in QUERIES:
         rows = db.execute(query).rows
-        root = None
-        for key, prepared in db.interpreter.plan_cache._entries.items():
-            if key[0] == query:
-                root = prepared.plan_root
-        assert root is not None, query
-        executed.append((query, root, rows))
+        interpreter = db.interpreter
+        prepared = interpreter.plan_cache.get(interpreter._cache_key(query, "dba"))
+        assert prepared is not None, query
+        executed.append((query, prepared.plan_root, rows, prepared.params))
     return db, executed
 
 
@@ -70,7 +68,7 @@ class TestGetstateAudit:
     def test_no_runtime_cache_survives_getstate(self, warmed):
         _db, executed = warmed
         audited = 0
-        for query, root, _rows in executed:
+        for query, root, _rows, _params in executed:
             for op in walk_plan(root):
                 state = op.__getstate__()
                 for banned in BANNED_STATE:
@@ -91,7 +89,7 @@ class TestGetstateAudit:
         caches that __getstate__ must drop."""
         _db, executed = warmed
         seen = set()
-        for _query, root, _rows in executed:
+        for _query, root, _rows, _params in executed:
             for op in walk_plan(root):
                 seen.update(k for k in op.__dict__ if k.startswith("_"))
         assert "_compiled" in seen
@@ -100,7 +98,7 @@ class TestGetstateAudit:
 
     def test_every_plan_root_roundtrips_pickle(self, warmed):
         _db, executed = warmed
-        for query, root, _rows in executed:
+        for query, root, _rows, _params in executed:
             revived = pickle.loads(pickle.dumps(root))
             original = [type(op).__name__ for op in walk_plan(root)]
             copied = [type(op).__name__ for op in walk_plan(revived)]
@@ -108,9 +106,9 @@ class TestGetstateAudit:
 
     def test_revived_plans_reexecute_identically(self, warmed):
         db, executed = warmed
-        for query, root, rows in executed:
+        for query, root, rows, params in executed:
             revived = pickle.loads(pickle.dumps(root))
-            evaluator = Evaluator(db)
+            evaluator = Evaluator(db, params=params)
             ctx = PlanContext(evaluator)
             replayed = [
                 row
@@ -124,14 +122,14 @@ class TestGetstateAudit:
         still satisfy the __getstate__ contract (caches rebuilt lazily
         on the revived copy are dropped again)."""
         db, executed = warmed
-        query, root, rows = executed[0]
+        query, root, rows, params = executed[0]
         revived = pickle.loads(pickle.dumps(root))
-        evaluator = Evaluator(db)
+        evaluator = Evaluator(db, params=params)
         ctx = PlanContext(evaluator)
         for _batch in revived.batches(ctx, {}, 16):
             pass
         second = pickle.loads(pickle.dumps(revived))
-        evaluator = Evaluator(db)
+        evaluator = Evaluator(db, params=params)
         replayed = [
             row
             for batch in second.batches(PlanContext(evaluator), {}, 16)

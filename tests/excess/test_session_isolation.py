@@ -74,17 +74,54 @@ class TestPlanCacheIdentity:
         a.execute(text)
         assert b.execute(text).metrics["cache"] == "miss"
 
-    def test_transaction_plans_not_shared(self, small_company):
-        """Plans bound inside a transaction key on the transaction id —
-        they may be bound against uncommitted catalog state."""
+    def test_transaction_shares_plans_until_it_changes_the_catalog(
+        self, small_company
+    ):
+        """An open transaction that has only read and written data binds
+        against the catalog everyone sees: its statements hit the shared
+        entries (both halves of a transfer used to miss)."""
         db = small_company
         text = "retrieve (E.name) from E in Employees"
         session = db.connect(user="alice")
         db.execute(text, user="alice")  # warm the shared entry
         session.begin()
-        in_txn = session.execute(text)
-        assert in_txn.metrics["cache"] == "miss"
+        assert session.execute(text).metrics["cache"] == "hit"
+        session.execute('replace E (age = 41) from E in Employees where E.name = "Sue"')
+        assert session.execute(text).metrics["cache"] == "hit"
         session.commit()
+
+    @pytest.mark.parametrize(
+        "ddl",
+        ["create index on Employees (age) using btree", "define type Widget as (w: int4)"],
+    )
+    def test_uncommitted_catalog_plans_stay_private(self, small_company, ddl):
+        """Once a transaction changed the catalog its plans key on the
+        transaction id: never served to another session, never surviving
+        the abort."""
+        db = small_company
+        text = "retrieve (E.name) from E in Employees where E.age = 40"
+        writer = db.connect(user="shared")
+        other = db.connect(user="shared")
+        other.execute(text)
+        writer.begin()
+        writer.execute(ddl)
+        in_txn = writer.execute(text)
+        assert in_txn.metrics["cache"] == "miss"  # bound under the new catalog
+        assert writer.execute(text).metrics["cache"] == "hit"  # its own entry
+        uses_index = bool(in_txn.plan.index_scans)
+        assert uses_index == ddl.startswith("create index")
+        # the other session never sees the uncommitted catalog's plan
+        seen = other.execute(text)
+        assert seen.metrics["cache"] == "miss"
+        assert seen.plan.index_scans == []
+        assert other.execute(text).metrics["cache"] == "hit"
+        writer.abort()
+        # the abort forced the epoch forward: the statement re-binds
+        # (once — both sessions see the same catalog again)
+        after = writer.execute(text)
+        assert after.metrics["cache"] == "miss"
+        assert after.plan.index_scans == []
+        assert other.execute(text).metrics["cache"] == "hit"
 
     def test_flag_override_splits_cache_key(self, small_company):
         db = small_company

@@ -148,6 +148,16 @@ class TestSessionOps:
         assert status["connections"] >= 1
         assert status["user"] == "tester"
 
+    def test_status_reports_plan_cache_shapes(self, client):
+        before = client.status()["plan_cache"]
+        for floor in (1, 2, 3):
+            client.query(f"retrieve (D.dname) from D in Depts where D.floor > {floor}")
+        after = client.status()["plan_cache"]
+        assert set(after) == {"entries", "hits", "misses", "shapes", "pinned_slots"}
+        assert after["shapes"] == before["shapes"] + 1
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 2
+
     def test_disconnect_aborts_open_transaction(self, server):
         host, port = server.server.address
         c = Client(host, port, user="dropper")

@@ -100,6 +100,37 @@ class TestDurableOpen:
         assert canonical_state(db2) == expected
         db2.close()
 
+    def test_parameterised_writes_replay_after_a_kill(self, tmp_path):
+        """Shape hits log the statement's *own* text: a copy of the
+        directory taken while the engine is still open (the kill) must
+        recover every acknowledged write with its own literals — replay
+        itself running through the shape-keyed plan cache."""
+        import shutil
+
+        d = str(tmp_path / "d")
+        db = open_database(d, fsync=False)
+        _seed(db)
+        for index in range(40):
+            result = db.execute(f'append to Emps (name = "e{index}", sal = {index})')
+            assert result.metrics["cache"] == "hit"  # _seed's appends planned it
+        for index in range(0, 40, 2):
+            db.execute(f'replace E (sal = {1000 + index}) from E in Emps where E.name = "e{index}"')
+        for index in range(1, 40, 4):
+            db.execute(f'delete E from E in Emps where E.name = "e{index}"')
+        expected = canonical_state(db)
+        rows = sorted(db.execute("retrieve (E.name, E.sal) from E in Emps").rows)
+        killed = str(tmp_path / "killed")
+        shutil.copytree(d, killed)  # no close(), no checkpoint
+        db.close()
+        recovered = open_database(killed, fsync=False)
+        assert sorted(
+            recovered.execute("retrieve (E.name, E.sal) from E in Emps").rows
+        ) == rows
+        assert canonical_state(recovered) == expected
+        stats = recovered.interpreter.plan_cache.stats()
+        assert stats["hits"] > 60  # replay re-used one plan per shape
+        recovered.close()
+
     def test_replay_failure_reports_lsn(self, tmp_path):
         from repro.storage.wal import WriteAheadLog
 

@@ -57,6 +57,32 @@ class TestRepl:
         assert "created" not in output
 
 
+class TestPlanCacheDisplay:
+    def test_timing_tells_shape_hits_from_text_hits(self):
+        output = run_shell([
+            "\\timing on",
+            "define type Person as (name: char(30), age: int4)",
+            "create {own ref Person} People",
+            'append to People (name = "Sue", age = 40)',
+            'append to People (name = "Bob", age = 30)',
+            "retrieve (P.name) from P in People where P.age > 35",
+            "retrieve (P.name) from P in People where P.age > 25",
+            "retrieve (P.name) from P in People where P.age > 35",
+            "\\plancache",
+        ])
+        statuses = [
+            line.split("plan-cache: ")[1]
+            for line in output.splitlines() if "plan-cache: " in line
+        ]
+        assert statuses == [
+            "n/a", "n/a", "miss", "hit(shape)", "miss", "hit(shape)", "hit",
+        ]
+        assert (
+            "plan cache: entries=2 hits=3 misses=2 shapes=2 pinned_slots=0"
+            in output
+        )
+
+
 class TestMetaCommands:
     def test_help(self):
         assert "meta command" in run_shell(["\\help"]).lower()
