@@ -10,9 +10,9 @@ declarations, flag overrides, and snapshot-isolated transactions.
 Wire protocol (see :mod:`repro.server.protocol`): length-prefixed UTF-8
 JSON messages, documented in ``docs/LANGUAGE.md``.
 
-* :class:`ExcessServer` — the asyncio server (one coroutine per
-  connection; statements serialize through the engine under a lock,
-  exactly matching the MVCC workspace-parking model).
+* :class:`ExcessServer` — the asyncio server (one frame-parsing
+  protocol per connection; statements run one at a time on the event
+  loop thread, exactly matching the MVCC workspace-parking model).
 * :class:`ServerThread` — runs a server on a background thread's event
   loop (tests, benchmarks, the CLI).
 * :class:`Client` — a blocking socket client; ``query()`` returns a

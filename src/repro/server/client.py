@@ -103,9 +103,13 @@ class Client:
         )
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.closed = False
-        hello = self.call(
-            {"op": "hello", "user": self._user, "name": self._name}
-        )
+        try:
+            hello = self.call(
+                {"op": "hello", "user": self._user, "name": self._name}
+            )
+        except RemoteError:  # refused, e.g. by max_connections
+            self._drop()
+            raise
         self.session = hello["session"]
         self.user = hello["user"]
         self.protocol = hello["protocol"]
@@ -123,23 +127,26 @@ class Client:
 
     def call(self, request: dict) -> dict:
         """One round trip; raises :class:`RemoteError` on an error
-        response or a read timeout, and :class:`ProtocolError` on a
-        dropped connection."""
-        self._sock.sendall(encode_message(request))
+        response or a read timeout, and :class:`ProtocolError` (or the
+        ``OSError`` that broke the stream) on a dropped connection."""
+        frame = encode_message(request)
         try:
+            self._sock.sendall(frame)
             response = read_message(self._sock)
         except socket.timeout:
             # a late reply would desynchronize the stream; drop the
             # connection so the next attempt starts clean
-            self.closed = True
-            self._sock.close()
+            self._drop()
             raise RemoteError(
                 f"no response within read_timeout={self.read_timeout}s",
                 remote_type="ReadTimeout",
                 retryable=True,
             ) from None
+        except (OSError, ProtocolError):  # a broken or torn stream
+            self._drop()
+            raise
         if response is None:
-            self.closed = True
+            self._drop()
             raise ProtocolError("server closed the connection")
         if not response.get("ok"):
             error = response.get("error") or {}
@@ -184,7 +191,7 @@ class Client:
                     raise
                 last = exc
             except (ProtocolError, ConnectionError) as exc:
-                self.closed = True
+                self._drop()
                 last = exc
             time.sleep(policy.delay(attempt))
         assert last is not None
@@ -244,8 +251,13 @@ class Client:
         except (OSError, ProtocolError):  # pragma: no cover - best effort
             pass
         finally:
-            self.closed = True
-            self._sock.close()
+            self._drop()
+
+    def _drop(self) -> None:
+        """Mark the connection gone and release its socket — on every
+        path that abandons it, so no socket is left to the GC."""
+        self.closed = True
+        self._sock.close()
 
     def __enter__(self) -> "Client":
         return self

@@ -21,18 +21,18 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Optional
+from typing import Optional
 
 __all__ = [
     "MAX_MESSAGE",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "encode_message",
+    "next_frame",
     "read_message",
-    "read_message_async",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct(">I")
 
@@ -73,6 +73,22 @@ def _check_length(length: int) -> None:
         )
 
 
+def next_frame(buffer: bytearray, offset: int) -> Optional[tuple[dict, int]]:
+    """Decode the frame starting at ``buffer[offset]``: ``(message, end)``
+    where ``end`` is the offset just past it, or ``None`` while the frame
+    is still incomplete. A declared length over :data:`MAX_MESSAGE` is
+    refused as soon as the header is in, before its payload arrives."""
+    start = offset + _HEADER.size
+    if len(buffer) < start:
+        return None
+    (length,) = _HEADER.unpack_from(buffer, offset)
+    _check_length(length)
+    end = start + length
+    if len(buffer) < end:
+        return None
+    return _decode_payload(buffer[start:end]), end
+
+
 def read_message(sock: socket.socket) -> Optional[dict]:
     """Blocking read of one message; ``None`` on clean EOF."""
     header = _recv_exactly(sock, _HEADER.size)
@@ -99,22 +115,3 @@ def _recv_exactly(sock: socket.socket, count: int) -> Optional[bytes]:
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
-
-
-async def read_message_async(reader: Any) -> Optional[dict]:
-    """Asyncio read of one message; ``None`` on clean EOF."""
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed mid-message") from exc
-    (length,) = _HEADER.unpack(header)
-    _check_length(length)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-message") from exc
-    return _decode_payload(payload)

@@ -1,18 +1,22 @@
 """The asyncio TCP server fronting one database with many sessions.
 
-Each accepted connection gets its own coroutine and its own
-:class:`~repro.core.session.SessionContext`. Statements from all
-connections serialize through the engine under one lock — the MVCC
-manager parks and resumes per-session workspaces around each statement,
-so interleaved transactions stay snapshot-isolated even though only one
-statement executes at a time (the engine mutates shared state in
-place and is not internally thread-safe).
+Each accepted connection gets its own frame-parsing
+:class:`asyncio.Protocol` and its own
+:class:`~repro.core.session.SessionContext`. Every request is dispatched
+synchronously on the event-loop thread and dispatch never awaits, so
+the loop thread itself serializes statements from all connections — the
+MVCC manager parks and resumes per-session workspaces around each
+statement, so interleaved transactions stay snapshot-isolated even
+though only one statement executes at a time (the engine mutates shared
+state in place and is not internally thread-safe). Requests on one
+connection are answered in order, so a client may pipeline them.
 
 Request ops (full wire reference in ``docs/LANGUAGE.md``):
 
 =============  =========================================================
 ``hello``      ``{user, name?}`` → session created; must be first
-``query``      ``{text}`` → columns/rows/count/message/metrics/plan
+``query``      ``{text}`` → columns/rows/count/message/metrics
+               (+ ``plan`` for ``explain``)
 ``begin``      open a transaction in this session
 ``commit``     commit it (first-committer-wins; conflicts report
                ``error.serialization = true`` so clients can retry)
@@ -25,10 +29,11 @@ Request ops (full wire reference in ``docs/LANGUAGE.md``):
 Error payloads carry ``error.retryable = true`` for transient failures
 (commit conflicts, statement timeouts, admission refusals) so clients
 can retry verbatim. Admission control bounds concurrent connections
-(``max_connections``) and the statement queue (``max_pending``);
-refusals are :class:`~repro.errors.ServerOverloadedError`. SIGTERM and
-SIGINT trigger a graceful drain: in-flight statements finish, open
-transactions abort, durable state checkpoints, and the listener closes.
+(``max_connections``); refusals are
+:class:`~repro.errors.ServerOverloadedError`. SIGTERM and SIGINT
+trigger a graceful drain: open transactions abort, durable state
+checkpoints, and the listener and every connection close (answers
+already written flush first).
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from typing import Any, Optional
 from repro.core.database import Database
 from repro.errors import (
     ExcessError,
-    ExtraError,
     SerializationError,
     ServerOverloadedError,
     StatementTimeout,
@@ -53,7 +57,7 @@ from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     encode_message,
-    read_message_async,
+    next_frame,
 )
 
 __all__ = ["ExcessServer", "ServerThread", "main"]
@@ -112,16 +116,21 @@ def _json_cell(value: Any) -> Any:
 
 
 def result_payload(result: Result) -> dict:
-    """A :class:`Result` as a response payload."""
-    return {
+    """A :class:`Result` as a success payload. Only ``explain`` carries
+    its rendered ``plan``; an executed statement's tree (with actual row
+    counts) is rendered on demand in-process, never for the wire."""
+    payload = {
+        "ok": True,
         "kind": result.kind,
         "columns": list(result.columns),
         "rows": [[_json_cell(cell) for cell in row] for row in result.rows],
         "count": result.count,
         "message": result.message,
         "metrics": result.metrics,
-        "plan": result.plan_tree,
     }
+    if result.kind == "explain":
+        payload["plan"] = result.plan_tree
+    return payload
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -141,6 +150,90 @@ def _error_payload(exc: Exception) -> dict:
     }
 
 
+class _Connection(asyncio.Protocol):
+    """One client connection: splits length-prefixed frames out of the
+    byte stream and answers each on the loop thread, in arrival order."""
+
+    def __init__(self, server: "ExcessServer"):
+        self.server = server
+        self.transport: Any = None
+        self.session: Any = None
+        #: received bytes not yet consumed as complete frames
+        self.buffer = bytearray()
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            # each message is one small frame; never batch them
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        server = self.server
+        if server.draining or len(server.connections) >= server.max_connections:
+            server.overloaded_refusals += 1
+            reason = (
+                "server is draining"
+                if server.draining
+                else f"connection limit reached ({server.max_connections})"
+            )
+            self.hang_up(ServerOverloadedError(reason))
+            return
+        server.connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self.serve()
+
+    def serve(self) -> None:
+        """Answer every complete buffered frame, in order, until the buffer
+        runs dry, the peer stops reading, or the connection closes."""
+        buffer = self.buffer
+        offset = 0
+        try:
+            # not reading = closing, or paused by pause_writing
+            while self.transport.is_reading():
+                frame = next_frame(buffer, offset)
+                if frame is None:
+                    break
+                request, offset = frame
+                response, done = self.server._respond(self, request)
+                self.transport.write(encode_message(response))
+                if done:
+                    self.transport.close()
+        except ProtocolError as exc:  # a malformed or oversized frame
+            self.hang_up(exc)
+        del buffer[:offset]
+
+    def hang_up(self, exc: Exception) -> None:
+        """Answer with ``exc``'s error payload, then close (after a flush)."""
+        self.transport.write(encode_message(_error_payload(exc)))
+        self.transport.close()
+
+    def eof_received(self) -> None:
+        if self.buffer:
+            self.hang_up(ProtocolError("connection closed mid-message"))
+        # returning None lets the transport close itself
+
+    def pause_writing(self) -> None:
+        # the peer is not reading its answers: stop reading its requests
+        # (frames already buffered wait for resume_writing)
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+        self.serve()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server.connections.discard(self)
+        self.end_session()
+
+    def end_session(self) -> None:
+        """Close the session, aborting its open transaction (never left
+        to the GC, even when the client vanished mid-transaction)."""
+        session, self.session = self.session, None
+        if session is not None:
+            session.close()
+
+
 class ExcessServer:
     """One database served to many TCP sessions."""
 
@@ -150,32 +243,25 @@ class ExcessServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_connections: int = 64,
-        max_pending: int = 32,
     ):
         self.db = database if database is not None else Database()
         self.host = host
         self.port = port
         self.address: Optional[tuple[str, int]] = None
-        self.connections = 0
         self.max_connections = max_connections
-        #: statements allowed to queue on the engine lock at once; beyond
-        #: this the server answers overload instead of growing the queue
-        self.max_pending = max_pending
-        self.pending = 0
+        #: admitted, still-open connections
+        self.connections: set[_Connection] = set()
         self.overloaded_refusals = 0
         self.draining = False
-        self._sessions: set = set()
-        self._writers: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._lock: Optional[asyncio.Lock] = None
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound ``(host, port)``."""
-        self._lock = asyncio.Lock()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         for sock in self._server.sockets:
             _LISTENERS.add(sock)
@@ -184,34 +270,24 @@ class ExcessServer:
         return self.address
 
     async def drain(self) -> None:
-        """Graceful shutdown: refuse new connections, finish what is in
-        flight, abort any transactions left open, checkpoint durable
-        state, and close every connection."""
+        """Graceful shutdown: refuse new connections, abort open
+        transactions, close every connection, checkpoint durable state.
+        Dispatch never awaits, so no statement is in flight here; answers
+        already written sit in transport buffers that ``close()`` flushes
+        before cutting the connection."""
         if self.draining:
             return
         self.draining = True
-        if self._server is not None:
-            for sock in self._server.sockets:
+        server, self._server = self._server, None
+        if server is not None:
+            for sock in server.sockets:
                 _LISTENERS.discard(sock)
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # waiting on the lock lets every in-flight statement finish (the
-        # engine serializes through it); the short sleep lets handlers
-        # flush the acks of those statements before their connections
-        # are cut (a cut ack is retried by clients, so this only
-        # narrows the duplicate-retry window, it need not close it)
-        if self._lock is not None:
-            async with self._lock:
-                pass
-            await asyncio.sleep(0.05)
-            async with self._lock:
-                for session in list(self._sessions):
-                    session.close()
-                self._sessions.clear()
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
+            server.close()
+        for connection in list(self.connections):
+            connection.end_session()
+            connection.transport.close()
+        if server is not None:
+            await server.wait_closed()
         if self.db.durability is not None:
             try:
                 self.db.checkpoint()
@@ -225,114 +301,33 @@ class ExcessServer:
         assert self._server is not None, "call start() first"
         await self._server.serve_forever()
 
-    # -- one connection ----------------------------------------------------
+    # -- one request -------------------------------------------------------
 
-    async def _handle(self, reader: Any, writer: Any) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            # each message is one small frame; never batch them
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if self.draining or self.connections >= self.max_connections:
-            self.overloaded_refusals += 1
-            reason = (
-                "server is draining"
-                if self.draining
-                else f"connection limit reached ({self.max_connections})"
-            )
-            try:
-                writer.write(
-                    encode_message(_error_payload(ServerOverloadedError(reason)))
-                )
-                await writer.drain()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-            return
-        self.connections += 1
-        self._writers.add(writer)
-        session = None
-        try:
-            while True:
-                try:
-                    request = await read_message_async(reader)
-                except ProtocolError as exc:
-                    writer.write(encode_message(_error_payload(exc)))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                response, done = await self._respond(session, request)
-                if session is None and response.get("ok") and \
-                        request.get("op") == "hello":
-                    session = response.pop("_session")
-                    self._sessions.add(session)
-                writer.write(encode_message(response))
-                await writer.drain()
-                if done:
-                    break
-        finally:
-            self.connections -= 1
-            self._writers.discard(writer)
-            if session is not None and session in self._sessions:
-                # close under the lock even when the client vanished
-                # mid-transaction — never leave the abort to the GC
-                self._sessions.discard(session)
-                async with self._lock:
-                    session.close()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _respond(
-        self, session: Any, request: dict
-    ) -> tuple[dict, bool]:
+    def _respond(self, connection: _Connection, request: dict) -> tuple[dict, bool]:
         """Dispatch one request; returns ``(response, close_after)``."""
         op = request.get("op")
-        if session is None and op != "hello":
+        if connection.session is None and op != "hello":
             return (
                 _error_payload(
                     ProtocolError("the first request must be 'hello'")
                 ),
                 True,
             )
-        if self.draining:
-            return (
-                _error_payload(ServerOverloadedError("server is draining")),
-                True,
-            )
-        if self.pending >= self.max_pending:
-            self.overloaded_refusals += 1
-            return (
-                _error_payload(
-                    ServerOverloadedError(
-                        f"statement queue full ({self.max_pending} pending)"
-                    )
-                ),
-                False,
-            )
-        self.pending += 1
         try:
-            async with self._lock:
-                return self._dispatch(session, op, request)
-        except (ExtraError, ProtocolError) as exc:
+            return self._dispatch(connection, op, request)
+        except Exception as exc:  # engine errors and bugs: report, keep serving
             return _error_payload(exc), False
-        except Exception as exc:  # engine bug: report, keep serving
-            return _error_payload(exc), False
-        finally:
-            self.pending -= 1
 
-    def _dispatch(self, session: Any, op: Any, request: dict) -> tuple[dict, bool]:
+    def _dispatch(
+        self, connection: _Connection, op: Any, request: dict
+    ) -> tuple[dict, bool]:
+        session = connection.session
         if op == "hello":
             if session is not None:
                 raise ProtocolError("session already established")
             user = request.get("user") or None
             context = self.db.connect(user=user, name=request.get("name"))
+            connection.session = context
             return (
                 {
                     "ok": True,
@@ -340,7 +335,6 @@ class ExcessServer:
                     "protocol": PROTOCOL_VERSION,
                     "session": context.name,
                     "user": context.user,
-                    "_session": context,
                 },
                 False,
             )
@@ -348,10 +342,7 @@ class ExcessServer:
             text = request.get("text")
             if not isinstance(text, str):
                 raise ProtocolError("'query' requires a string 'text'")
-            result = session.execute(text)
-            payload = result_payload(result)
-            payload["ok"] = True
-            return payload, False
+            return result_payload(session.execute(text)), False
         if op == "begin":
             session.begin()
             return {"ok": True, "message": "transaction started"}, False
@@ -372,9 +363,8 @@ class ExcessServer:
                 "session": session.name,
                 "user": session.user,
                 "in_transaction": session.in_transaction,
-                "connections": self.connections,
+                "connections": len(self.connections),
                 "max_connections": self.max_connections,
-                "pending": self.pending,
                 "draining": self.draining,
                 "overloaded_refusals": self.overloaded_refusals,
                 "isolation_mode": self.db.isolation_mode,
@@ -451,8 +441,8 @@ class ServerThread:
     def stop(self) -> None:
         if self._loop is not None and self._loop.is_running():
             # drain on the loop *before* stopping it: loop.stop() alone
-            # abandons handler coroutines mid-await, leaving sessions
-            # whose clients vanished mid-transaction to the GC
+            # leaves the sessions of still-connected clients open
+            # mid-transaction until the GC finds them
             try:
                 asyncio.run_coroutine_threadsafe(
                     self.server.drain(), self._loop

@@ -7,6 +7,7 @@ run a real server on a loopback socket.
 
 import socket
 import struct
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.server.protocol import (
     encode_message,
     read_message,
 )
+from tests.server.test_chaos import wait_quiesced
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +39,17 @@ def client(server):
     host, port = server.server.address
     with Client(host, port, user="tester") as c:
         yield c
+
+
+def raw_socket(server, rcvbuf=None):
+    """A bare socket to the server, for frames no :class:`Client` sends."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    if rcvbuf is not None:  # before connect: a fixed window, no autotuning
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(10)
+    sock.connect(server.server.address)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 class TestProtocol:
@@ -60,19 +73,129 @@ class TestProtocol:
             assert read_message(sock) is None
 
     def test_malformed_payload_reports_error(self, server):
-        host, port = server.server.address
-        with socket.create_connection((host, port), timeout=10) as sock:
-            sock.sendall(struct.pack(">I", 7) + b"not{json")
-            # the frame declared 7 bytes; send 8 so the payload parses
-            # as garbage rather than blocking (take exactly 7)
+        with raw_socket(server) as sock:
+            sock.sendall(struct.pack(">I", 7) + b"not{jso")
             response = read_message(sock)
             assert response["ok"] is False
             assert response["error"]["type"] == "ProtocolError"
+            assert read_message(sock) is None  # and hangs up
+
+    def test_oversized_declared_length_reports_error(self, server):
+        with raw_socket(server) as sock:
+            # refused from the header alone, before any payload arrives
+            sock.sendall(struct.pack(">I", MAX_MESSAGE + 1))
+            response = read_message(sock)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "ProtocolError"
+            assert "exceeds" in response["error"]["message"]
+            assert read_message(sock) is None
 
     def test_unknown_op_keeps_connection(self, client):
         with pytest.raises(RemoteError, match="unknown op"):
             client.call({"op": "mystery"})
         assert client.status()["ok"]
+
+
+class TestFrameParser:
+    """The server splits frames out of whatever chunks the stream
+    delivers and answers them in order."""
+
+    def test_request_sent_one_byte_at_a_time(self, server):
+        with raw_socket(server) as sock:
+            for request in (
+                {"op": "hello", "user": "trickle"},
+                {"op": "query", "text": "retrieve (D.dname) from D in Depts"},
+            ):
+                for byte in encode_message(request):
+                    sock.sendall(bytes([byte]))
+                    time.sleep(0.001)
+                response = read_message(sock)
+                assert response["ok"], response
+            assert ["Toys"] in response["rows"]
+
+    def test_pipelined_requests_answered_in_order(self, server):
+        requests = [
+            {"op": "hello", "user": "piped"},
+            {"op": "query", "text": 'retrieve (D.dname) from D in Depts '
+                                    'where D.dname = "Toys"'},
+            {"op": "status"},
+            {"op": "bye"},
+        ]
+        with raw_socket(server) as sock:
+            sock.sendall(b"".join(encode_message(r) for r in requests))
+            hello, query, status, bye = [read_message(sock) for _ in requests]
+            assert hello["user"] == "piped"
+            assert query["rows"] == [["Toys"]]
+            assert status["user"] == "piped"
+            assert bye["message"] == "goodbye"
+            assert read_message(sock) is None
+
+    def test_eof_mid_frame_aborts_open_transaction(self, server):
+        with raw_socket(server) as sock:
+            for request in (
+                {"op": "hello", "user": "torn"},
+                {"op": "begin"},
+                {"op": "query",
+                 "text": 'append to Depts (dname = "Torn", floor = 9)'},
+            ):
+                sock.sendall(encode_message(request))
+                assert read_message(sock)["ok"]
+            assert server.db.transactions.introspect()["open_transactions"] == 1
+            sock.sendall(encode_message({"op": "commit"})[:6])
+            sock.shutdown(socket.SHUT_WR)
+            response = read_message(sock)
+            assert response["error"]["type"] == "ProtocolError"
+            assert "mid-message" in response["error"]["message"]
+            assert read_message(sock) is None
+        wait_quiesced(server.db)
+        names = {row[0] for row in server.db.execute(
+            "retrieve (D.dname) from D in Depts").rows}
+        assert "Torn" not in names
+
+    def test_client_that_stops_reading_is_bounded_then_served(self):
+        """Flow control: once the unread answers back up, the server
+        stops reading requests instead of buffering answers without
+        limit, and serves the rest once the client reads."""
+        db = Database()
+        db.execute("define type Row as (label: char(40), n: int4)")
+        db.execute("create {own ref Row} Rows")
+        for n in range(1000):
+            db.execute(f'append to Rows (label = "row-{n:036d}", n = {n})')
+        thread = ServerThread(db)
+        thread.start()
+        requests = 400  # ~50 KB answers: ~20 MB unread, far past the kernel buffers
+        try:
+            with raw_socket(thread, rcvbuf=64 * 1024) as sock:
+                sock.sendall(encode_message({"op": "hello", "user": "hog"}))
+                assert read_message(sock)["ok"]
+                (connection,) = thread.server.connections
+                request = encode_message(
+                    {"op": "query", "text": "retrieve (R.label, R.n) from R in Rows"}
+                )
+                sock.sendall(request * requests)
+                deadline = time.monotonic() + 10
+                while connection.transport.is_reading():
+                    assert time.monotonic() < deadline, "reading never paused"
+                    time.sleep(0.01)
+                assert not connection.transport.is_closing()
+                # the 64 KiB default high-water mark, one answer past it,
+                # and every request still unparsed
+                bound = 64 * 1024 + 64 * 1024 + len(request) * requests
+                for _ in range(2):  # paused, and it stays put
+                    buffered = (connection.transport.get_write_buffer_size()
+                                + len(connection.buffer))
+                    assert buffered < bound
+                    time.sleep(0.1)
+                answered = 0
+                for _ in range(requests):
+                    response = read_message(sock)
+                    assert len(response["rows"]) == 1000
+                    answered += len(encode_message(response))
+                assert answered > 20 * bound
+                sock.sendall(encode_message({"op": "status"}))
+                assert read_message(sock)["user"] == "hog"
+        finally:
+            thread.stop()
 
 
 class TestSessionOps:
@@ -157,6 +280,13 @@ class TestSessionOps:
         assert after["shapes"] == before["shapes"] + 1
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] == before["hits"] + 2
+
+    def test_only_explain_carries_a_plan(self, client):
+        text = "retrieve (D.dname) from D in Depts"
+        assert "plan" not in client.call({"op": "query", "text": text})
+        assert client.query(text).plan_tree is None
+        explained = client.query("explain " + text)
+        assert "SeqScan Depts as D" in explained.plan_tree
 
     def test_disconnect_aborts_open_transaction(self, server):
         host, port = server.server.address
