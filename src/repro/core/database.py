@@ -335,15 +335,9 @@ class Database:
         if value is not None and attributes:
             raise TypeSystemError("pass either a value or attributes, not both")
         raw = value if value is not None else dict(attributes)
-        size_before = len(collection)
-        added = self.integrity.insert_member(named, collection, raw)
-        if not added:
+        member = self.integrity.insert_member(named, collection, raw)
+        if member is None:
             return None
-        member = collection._members[-1]
-        if len(collection) == size_before:
-            # insert() appends; a re-inserted duplicate returns False above,
-            # so reaching here without growth cannot happen — guard anyway.
-            return member
         self._index_insert(set_name, collection, member)
         self.catalog.note_cardinality(set_name, +1)
         self.catalog.statistics.observe_insert(set_name, self._stats_row(member))

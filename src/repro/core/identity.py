@@ -4,9 +4,9 @@ EXTRA distinguishes *values* (``own`` components, which lack identity in
 the sense of [Khos86]) from *first-class objects* (instances that are
 ``ref``-erable). First-class objects carry an **OID** allocated by the
 :class:`ObjectTable`, which also records ownership for ``own ref``
-components (ORION composite-object semantics) and keeps tombstones for
-deleted OIDs so dangling references read as null (GEM-style referential
-integrity) rather than erroring.
+components (ORION composite-object semantics) and never reuses an OID,
+so a deleted one stays a tombstone and dangling references read as null
+(GEM-style referential integrity) rather than erroring.
 
 The table delegates raw storage to an object-store implementing the small
 :class:`ObjectStore` protocol; :class:`MemoryObjectStore` is the default,
@@ -16,7 +16,6 @@ EXODUS-storage-manager-like paged implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Protocol
 
 from repro.errors import OwnershipError, StorageError, UnknownObjectError
@@ -30,20 +29,53 @@ __all__ = ["Oid", "ObjectStore", "MemoryObjectStore", "StoredObject", "ObjectTab
 Oid = int
 
 
-@dataclass
 class StoredObject:
-    """The object table's record for one live first-class object."""
+    """The object table's record for one live first-class object.
 
-    oid: Oid
-    value: "TupleInstance"
-    #: OID of the owner when this object is an ``own ref`` component of
-    #: another object or of a named owned collection; ``None`` when the
-    #: object is independent.
-    owner: Optional[Oid] = None
-    #: Name of the named collection that owns this object directly, when
-    #: ownership is at the database-name level (e.g. an element of the
-    #: ``Employees`` set created as ``{own ref Employee}``).
-    owner_name: Optional[str] = None
+    ``owner`` is the OID of the owner when this object is an ``own ref``
+    component of another object; ``owner_name`` names the collection that
+    owns it directly when ownership is at the database-name level (an
+    element of ``Employees`` created as ``{own ref Employee}``). Both are
+    ``None`` for an independent object.
+
+    Slotted, with ``__weakref__`` because the paged store keeps records
+    in a weak-value map. It pickles as the attribute dict older pages and
+    snapshots hold, and :meth:`__setstate__` reads that dict.
+    """
+
+    __slots__ = ("oid", "value", "owner", "owner_name", "__weakref__")
+
+    def __init__(
+        self,
+        oid: Oid,
+        value: "TupleInstance",
+        owner: Optional[Oid] = None,
+        owner_name: Optional[str] = None,
+    ):
+        self.oid = oid
+        self.value = value
+        self.owner = owner
+        self.owner_name = owner_name
+
+    def __getstate__(self) -> dict:
+        return {
+            "oid": self.oid,
+            "value": self.value,
+            "owner": self.owner,
+            "owner_name": self.owner_name,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.oid = state["oid"]
+        self.value = state["value"]
+        self.owner = state["owner"]
+        self.owner_name = state["owner_name"]
+
+    def __repr__(self) -> str:
+        return (
+            f"StoredObject(oid={self.oid}, value={self.value!r}, "
+            f"owner={self.owner!r}, owner_name={self.owner_name!r})"
+        )
 
 
 class ObjectStore(Protocol):
@@ -122,7 +154,8 @@ class ObjectTable:
       owner);
     * tombstones: after deletion, :meth:`is_live` is False but
       :meth:`was_allocated` remains True, letting references dangle to
-      null without ambiguity.
+      null without ambiguity. Because OIDs are never reused, a tombstone
+      is simply an allocated OID that is not live; no set records them.
     """
 
     #: the open transaction's undo log (attached by ``Database.begin``);
@@ -132,12 +165,16 @@ class ObjectTable:
     def __init__(self, store: Optional[ObjectStore] = None):
         self._store: ObjectStore = store if store is not None else MemoryObjectStore()
         self._next_oid: Oid = 1
-        self._tombstones: set[Oid] = set()
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("undo", None)  # undo logs never survive pickling
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # older snapshots carry an explicit tombstone set; drop it
+        state.pop("_tombstones", None)
+        self.__dict__.update(state)
 
     # -- allocation ---------------------------------------------------------
 
@@ -244,11 +281,12 @@ class ObjectTable:
         if self.undo is not None:
             self.undo.note_object_deleted(self, self._store.fetch(oid))
         self._store.delete(oid)
-        self._tombstones.add(oid)
 
     def is_tombstoned(self, oid: Oid) -> bool:
-        """True when ``oid`` was deleted (dangling refs to it are null)."""
-        return oid in self._tombstones
+        """True when ``oid`` was handed out and is no longer live: the
+        object was deleted, or created by a transaction that rolled back
+        (dangling refs to it are null)."""
+        return self.was_allocated(oid) and not self.is_live(oid)
 
     # -- ownership ----------------------------------------------------------
 

@@ -268,14 +268,14 @@ class IntegrityManager:
         named: NamedObject,
         collection: SetInstance,
         value: Any,
-    ) -> bool:
+    ) -> Any:
         """Insert ``value`` into a named set with full semantics.
 
         For ``own ref`` element sets, an existing object is claimed (the
         exclusivity check fires here) and a dict creates a fresh owned
         object. For ``ref`` sets the target is validated. For ``own``
         sets the value is embedded. Key constraints are checked first.
-        Returns False when the member was already present.
+        Returns the stored member, or None when it was already present.
         """
         element = collection.element
         if element.semantics is Semantics.OWN:
@@ -305,10 +305,10 @@ class IntegrityManager:
                 self._objects.claim(member.oid, owner_name=named.name)
         if self._undo is not None:
             self._undo.save_set(collection)
-        added = collection.insert(member)
-        if not added and isinstance(value, Ref) and element.semantics is Semantics.OWN_REF:
+        stored = collection.insert(member)
+        if stored is None and isinstance(value, Ref) and element.semantics is Semantics.OWN_REF:
             self._objects.release(member.oid)
-        return added
+        return stored
 
     def remove_member(
         self, named: NamedObject, collection: SetInstance, member: Any,

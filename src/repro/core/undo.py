@@ -7,7 +7,7 @@ catalog, statistics, indexes, authorization); each mutation site records
 either
 
 * a **before-image** — a copy-on-first-touch snapshot of the container
-  it is about to change (a tuple's slot dict, a set's member list, an
+  it is about to change (a tuple's slot dict, a set's members, an
   array's slot list, one set's :class:`SetStats`, a named object's
   value binding, one cardinality counter), deduplicated per container
   so a transaction touching one object a thousand times saves it once;
@@ -195,16 +195,15 @@ class UndoLog:
         self._add(swap, key)
 
     def save_set(self, collection: "SetInstance") -> None:
-        """Snapshot a set instance's member list before mutation."""
+        """Snapshot a set instance's member container before mutation."""
         key = ("members", id(collection))
         if not self._first_touch(key, collection):
             return
-        stored = [list(collection._members)]
+        stored = [collection._members.copy()]
 
         def swap() -> None:
-            current = list(collection._members)
-            collection._members[:] = stored[0]
-            collection.invalidate_index()
+            current = collection._members
+            collection._members = stored[0]
             stored[0] = current
 
         self._add(swap, key)
@@ -330,7 +329,6 @@ class UndoLog:
                 table._store.delete(oid)
             elif stashed[0] is not None:
                 table._store.insert(oid, stashed[0])
-            table._tombstones.discard(oid)
 
         self._add(swap, key)
 
@@ -350,11 +348,9 @@ class UndoLog:
             if stashed[0] is not None and record.oid not in table._store:
                 table._store.insert(record.oid, stashed[0])
                 stashed[0] = None
-                table._tombstones.discard(record.oid)
             elif record.oid in table._store:
                 stashed[0] = table._store.fetch(record.oid)
                 table._store.delete(record.oid)
-                table._tombstones.add(record.oid)
 
         self._add(swap, ("oid", record.oid))
 

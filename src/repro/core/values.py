@@ -29,7 +29,6 @@ referential integrity are enforced one layer up, in
 from __future__ import annotations
 
 import copy as _copy
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from repro.core.types import (
@@ -92,20 +91,47 @@ def is_null(value: Any) -> bool:
     return value is NULL
 
 
-@dataclass(frozen=True)
 class Ref:
     """A reference to a first-class object, identified by OID.
 
     ``Ref`` values are opaque to EXCESS users: the only comparisons are
     ``is`` / ``isnot`` (object equality), and path traversal dereferences
-    them implicitly.
+    them implicitly. Immutable and hashable by OID.
+
+    A ``Ref`` pickles as the state dict ``{"oid": n}``, the form older
+    snapshots and pages hold, and :meth:`__setstate__` reads that dict.
+    A generated slots ``__setstate__`` would instead zip the dict's
+    *keys* onto the fields and load ``oid == "oid"`` without an error.
     """
 
-    oid: int
+    __slots__ = ("oid",)
 
-    def __post_init__(self) -> None:
-        if self.oid < 1:
-            raise TypeSystemError(f"invalid oid {self.oid} in reference")
+    def __init__(self, oid: int):
+        if oid < 1:
+            raise TypeSystemError(f"invalid oid {oid} in reference")
+        object.__setattr__(self, "oid", oid)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Ref")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a Ref")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Ref:
+            return self.oid == other.oid  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # a 1-tuple hash, as the dataclass form had: hash-ordered
+        # containers of Refs keep the iteration order they always had
+        return hash((self.oid,))
+
+    def __getstate__(self) -> dict:
+        return {"oid": self.oid}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "oid", state["oid"])
 
     def __repr__(self) -> str:
         return f"Ref({self.oid})"
@@ -204,97 +230,99 @@ class SetInstance:
     attribute names, paper §2.2) may be attached to the instance at
     creation; uniqueness of key values is enforced by the integrity layer,
     which can see through references.
+
+    The member container depends on the element semantics:
+
+    * ``ref`` / ``own ref`` elements live in one insertion-ordered
+      ``{oid: Ref}`` dict, so insert, remove and membership are O(1);
+    * ``own`` elements live in a list searched with value equality.
+
+    Either way iteration follows insertion order minus removals. A set
+    pickles its members as a list (the container older snapshots and
+    pages hold), and :meth:`__setstate__` rebuilds the dict.
     """
 
-    __slots__ = ("type", "key", "_members", "_oids")
+    __slots__ = ("type", "key", "_members")
 
     def __init__(self, set_type: SetType, key: Optional[tuple[str, ...]] = None):
         self.type = set_type
         self.key = tuple(key) if key else None
-        self._members: list[Any] = []
-        # lazily built OID membership index for reference-element sets;
-        # None means "not built" (value sets never build one)
-        self._oids: Optional[set[int]] = None
+        self._members: Any = {} if set_type.element.semantics.is_object else []
 
     @property
     def element(self) -> ComponentSpec:
         """The element component spec of this set's type."""
         return self.type.element
 
-    def _oid_index(self) -> Optional[set[int]]:
-        """The OID index, building it on first use (None for value
-        sets). Code that mutates ``_members`` directly instead of going
-        through insert/remove/clear must call :meth:`invalidate_index`.
-        """
-        if not self.element.semantics.is_object:
-            return None
-        oids = getattr(self, "_oids", None)
-        if oids is None:
-            oids = {m.oid for m in self._members if isinstance(m, Ref)}
-            self._oids = oids
-        return oids
-
-    def invalidate_index(self) -> None:
-        """Drop the OID index after direct ``_members`` surgery."""
-        self._oids = None
-
-    def insert(self, value: Any) -> bool:
+    def insert(self, value: Any) -> Any:
         """Add ``value`` to the set.
 
-        Returns True when the member was added, False when an equal member
-        was already present (set semantics). Null members are rejected.
+        Returns the stored member (the canonical :class:`Ref`, or the
+        private copy of an ``own`` value), or ``None`` when an equal
+        member was already present (set semantics). Null members are
+        rejected.
         """
         if value is NULL:
             raise TypeSystemError("sets cannot contain null members")
         canonical = check_slot(self.element, value)
-        oids = self._oid_index()
-        if oids is not None and isinstance(canonical, Ref):
-            if canonical.oid in oids:
-                return False
-            self._members.append(canonical)
-            oids.add(canonical.oid)
-            return True
+        members = self._members
+        if members.__class__ is dict:
+            # check_slot admits only a Ref into a reference slot
+            if canonical.oid in members:
+                return None
+            members[canonical.oid] = canonical
+            return canonical
         if self.contains(canonical):
-            return False
-        if self.element.semantics is Semantics.OWN:
-            canonical = copy_value(canonical)
-        self._members.append(canonical)
-        self._oids = None
-        return True
+            return None
+        canonical = copy_value(canonical)
+        members.append(canonical)
+        return canonical
 
     def remove(self, value: Any) -> bool:
         """Remove the member equal to ``value``; returns True if found."""
-        oids = self._oid_index()
-        if oids is not None and isinstance(value, Ref) and value.oid not in oids:
-            return False
-        for index, member in enumerate(self._members):
-            if _members_equal(self.element, member, value):
-                del self._members[index]
-                if oids is not None and isinstance(member, Ref):
-                    oids.discard(member.oid)
+        members = self._members
+        if members.__class__ is dict:
+            return isinstance(value, Ref) and members.pop(value.oid, None) is not None
+        for index, member in enumerate(members):
+            if _members_equal(member, value):
+                del members[index]
                 return True
         return False
 
     def contains(self, value: Any) -> bool:
         """Membership test with set-element equality (OID or deep value)."""
-        oids = self._oid_index()
-        if oids is not None:
-            # reference elements compare by OID only; anything that is
-            # not a Ref can never equal a stored member
-            return isinstance(value, Ref) and value.oid in oids
-        return any(_members_equal(self.element, m, value) for m in self._members)
+        members = self._members
+        if members.__class__ is dict:
+            # anything that is not a Ref can never equal a stored member
+            return isinstance(value, Ref) and value.oid in members
+        return any(_members_equal(m, value) for m in members)
 
     def members(self) -> list[Any]:
         """A list copy of the stored members (Refs or embedded values)."""
-        return list(self._members)
+        members = self._members
+        return list(members.values() if members.__class__ is dict else members)
 
     def clear(self) -> None:
         """Remove all members."""
         self._members.clear()
-        self._oids = None
+
+    def __getstate__(self) -> tuple:
+        return (None, {"type": self.type, "key": self.key, "_members": self.members()})
+
+    def __setstate__(self, state: tuple) -> None:
+        # (None, slots) — older pickles also carry an ``_oids`` index
+        # slot, which the dict container makes redundant
+        slots = state[1]
+        self.type = slots["type"]
+        self.key = slots["key"]
+        members = slots["_members"]
+        if self.type.element.semantics.is_object:
+            self._members = {member.oid: member for member in members}
+        else:
+            self._members = members
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(list(self._members))
+        return iter(self.members())
 
     def __len__(self) -> int:
         return len(self._members)
@@ -410,8 +438,11 @@ def copy_value(value: Any) -> Any:
         return clone
     if isinstance(value, SetInstance):
         clone = SetInstance(value.type, key=value.key)
-        for member in value:
-            clone._members.append(copy_value(member))
+        members = value._members
+        if members.__class__ is dict:
+            clone._members = members.copy()  # Refs are immutable
+        else:
+            clone._members = [copy_value(member) for member in members]
         return clone
     if isinstance(value, ArrayInstance):
         clone = ArrayInstance(value.type)
@@ -459,11 +490,7 @@ def value_equal(left: Any, right: Any) -> bool:
     return bool(left == right)
 
 
-def _members_equal(element: ComponentSpec, left: Any, right: Any) -> bool:
-    """Set-member equality: OID equality for reference elements, recursive
-    value equality for own elements."""
-    if element.semantics.is_object:
-        return (
-            isinstance(left, Ref) and isinstance(right, Ref) and left.oid == right.oid
-        )
+def _members_equal(left: Any, right: Any) -> bool:
+    """Set-member equality of a value (``own``) element set: recursive
+    value equality. Reference sets never call it; they key by OID."""
     return value_equal(left, right)

@@ -385,7 +385,7 @@ class Evaluator:
         element = collection.element
         if element.semantics is Semantics.OWN:
             member = self.db.integrity._build_own_value(element.type, payload)
-            added = collection.insert(member)
+            stored = collection.insert(member)
         elif isinstance(payload, dict):
             if element.semantics is Semantics.REF:
                 raise IntegrityError(
@@ -396,7 +396,7 @@ class Evaluator:
             member = self.db.integrity.create_object(
                 element.type, payload, owner=owner_oid
             )
-            added = collection.insert(member)
+            stored = collection.insert(member)
         else:
             if not isinstance(payload, Ref):
                 raise EvaluationError(
@@ -407,9 +407,9 @@ class Evaluator:
                 owner_oid = owner.oid if isinstance(owner, TupleInstance) else None
                 if owner_oid is not None:
                     self.db.objects.claim(payload.oid, owner=owner_oid)
-            added = collection.insert(payload)
+            stored = collection.insert(payload)
         self._mark_owner_dirty(owner)
-        return added
+        return stored is not None
 
     def _array_payload(self, collection: ArrayInstance, payload: Any) -> Any:
         if isinstance(payload, dict):

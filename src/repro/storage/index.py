@@ -22,37 +22,57 @@ __all__ = ["HashIndex", "BTreeIndex"]
 
 
 class HashIndex:
-    """An equality-only index: key → set of OIDs."""
+    """An equality-only index: key → sorted list of OIDs.
+
+    A bucket is a sorted OID list, like a B+-tree leaf entry: a unique
+    key costs a one-element list, and :meth:`search` copies the bucket
+    instead of sorting it on every probe.
+    """
 
     kind = "hash"
     supports_range = False
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._buckets: dict[Any, set[int]] = {}
+        self._buckets: dict[Any, list[int]] = {}
         self._entries = 0
+
+    def __setstate__(self, state: dict) -> None:
+        # older snapshots hold set buckets
+        state["_buckets"] = {
+            key: sorted(oids) for key, oids in state["_buckets"].items()
+        }
+        self.__dict__.update(state)
 
     def insert(self, key: Any, oid: int) -> None:
         """Add ``(key, oid)``; duplicate pairs are idempotent."""
-        bucket = self._buckets.setdefault(key, set())
-        if oid not in bucket:
-            bucket.add(oid)
-            self._entries += 1
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [oid]
+        else:
+            index = bisect.bisect_left(bucket, oid)
+            if index < len(bucket) and bucket[index] == oid:
+                return
+            bucket.insert(index, oid)
+        self._entries += 1
 
     def delete(self, key: Any, oid: int) -> bool:
         """Remove ``(key, oid)``; returns True when the pair existed."""
         bucket = self._buckets.get(key)
-        if bucket is None or oid not in bucket:
+        if bucket is None:
             return False
-        bucket.discard(oid)
+        index = bisect.bisect_left(bucket, oid)
+        if index == len(bucket) or bucket[index] != oid:
+            return False
+        del bucket[index]
         self._entries -= 1
         if not bucket:
             del self._buckets[key]
         return True
 
     def search(self, key: Any) -> list[int]:
-        """OIDs whose indexed key equals ``key``."""
-        return sorted(self._buckets.get(key, ()))
+        """OIDs whose indexed key equals ``key``, ascending."""
+        return list(self._buckets.get(key, ()))
 
     def keys(self) -> list[Any]:
         """All distinct indexed keys (unordered structure; sorted here for

@@ -78,6 +78,22 @@ class TestDeletion:
         oid = table.register(make_instance())
         assert table.was_allocated(oid)
         assert not table.was_allocated(oid + 5)
+        assert not table.is_tombstoned(oid)
+        assert not table.is_tombstoned(oid + 5)
+
+    def test_older_snapshot_tombstone_set_is_dropped(self):
+        import pickle
+
+        table = ObjectTable()
+        oid = table.register(make_instance())
+        table.delete(oid)
+        state = table.__getstate__()
+        state["_tombstones"] = {oid}  # what older snapshots carry
+        loaded = ObjectTable.__new__(ObjectTable)
+        loaded.__setstate__(state)
+        assert "_tombstones" not in vars(loaded)
+        assert loaded.is_tombstoned(oid)
+        assert pickle.loads(pickle.dumps(table)).is_tombstoned(oid)
 
 
 class TestOwnership:
@@ -163,6 +179,24 @@ class TestMemoryObjectStore:
         store.insert(1, StoredObject(oid=1, value=make_instance()))
         with pytest.raises(StorageError):
             store.insert(1, StoredObject(oid=1, value=make_instance()))
+
+    def test_stored_object_is_slotted_weakrefable_and_reads_dict_state(self):
+        import pickle
+        import weakref
+
+        from repro.core.identity import StoredObject
+
+        record = StoredObject(oid=3, value=make_instance(4), owner_name="S")
+        assert not hasattr(record, "__dict__")
+        assert weakref.ref(record)() is record
+        copy = pickle.loads(pickle.dumps(record))
+        assert (copy.oid, copy.owner, copy.owner_name) == (3, None, "S")
+        assert copy.value.get("x") == 4
+        older = StoredObject.__new__(StoredObject)
+        older.__setstate__(  # the dataclass-era pickle state
+            {"oid": 3, "value": record.value, "owner": 1, "owner_name": None}
+        )
+        assert (older.oid, older.owner, older.owner_name) == (3, 1, None)
 
     def test_update_unknown_rejected(self):
         from repro.core.identity import StoredObject

@@ -59,6 +59,24 @@ class TestRef:
         assert Ref(3) == Ref(3)
         assert Ref(3) != Ref(4)
         assert hash(Ref(3)) == hash(Ref(3))
+        assert Ref(3) != 3
+
+    def test_immutable(self):
+        r = Ref(3)
+        with pytest.raises(AttributeError):
+            r.oid = 4
+        with pytest.raises(AttributeError):
+            del r.oid
+        assert not hasattr(r, "__dict__")
+
+    def test_pickles_as_the_older_dict_state(self):
+        import pickle
+
+        assert Ref(5).__getstate__() == {"oid": 5}
+        assert pickle.loads(pickle.dumps(Ref(5))) == Ref(5)
+        loaded = Ref.__new__(Ref)
+        loaded.__setstate__({"oid": 5})  # the dataclass-era pickle state
+        assert loaded.oid == 5 and loaded == Ref(5)
 
 
 class TestCheckSlot:
@@ -145,6 +163,29 @@ class TestSetInstance:
         assert not s.insert(Ref(1))
         assert s.insert(Ref(2))
         assert len(s) == 2
+
+    def test_insert_returns_the_stored_member(self):
+        refs = SetInstance(SetType(ref(person_type())))
+        member = Ref(4)
+        assert refs.insert(member) is member
+        assert refs.insert(Ref(4)) is None
+        zeros = SetInstance(SetType(own(INT4)))
+        assert zeros.insert(0) == 0  # falsy, yet stored
+        assert zeros.insert(0) is None
+        inner_type = TupleType([("x", own(INT4))])
+        tuples = SetInstance(SetType(own(inner_type)))
+        source = TupleInstance(inner_type, {"x": 1})
+        stored = tuples.insert(source)
+        assert stored is not source and stored is tuples.members()[0]
+
+    def test_reference_sets_keep_insertion_order(self):
+        s = SetInstance(SetType(ref(person_type())))
+        for oid in (5, 2, 9, 1):
+            s.insert(Ref(oid))
+        s.remove(Ref(2))
+        s.insert(Ref(2))
+        assert s.members() == [Ref(5), Ref(9), Ref(1), Ref(2)]
+        assert not s.remove(2)  # a bare int is never a reference member
 
     def test_remove(self):
         s = SetInstance(SetType(own(INT4)))

@@ -42,6 +42,59 @@ class TestHashIndex:
     def test_no_range_support(self):
         assert not HashIndex.supports_range
 
+    def test_duplicate_keys_keep_a_sorted_bucket(self):
+        index = HashIndex()
+        for oid in (7, 3, 9, 1, 5):
+            index.insert("k", oid)
+        assert index.search("k") == [1, 3, 5, 7, 9]
+        assert index._buckets["k"] == [1, 3, 5, 7, 9]
+        index.insert("u", 4)
+        assert index._buckets["u"] == [4]  # a unique key is a one-element list
+        assert len(index) == 6
+
+    def test_idempotent_insert_into_a_list_bucket(self):
+        index = HashIndex()
+        for oid in (2, 1, 3, 2, 1, 3):
+            index.insert("k", oid)
+        assert index.search("k") == [1, 2, 3]
+        assert len(index) == 3
+
+    def test_delete_of_missing_pairs(self):
+        index = HashIndex()
+        index.insert("k", 2)
+        index.insert("k", 4)
+        assert not index.delete("k", 1)  # below every bucket member
+        assert not index.delete("k", 3)  # between members
+        assert not index.delete("k", 5)  # above every bucket member
+        assert not index.delete("absent", 2)
+        assert len(index) == 2
+        assert index.delete("k", 2)
+        assert index.search("k") == [4]
+        assert index.delete("k", 4)
+        assert "k" not in index
+        assert len(index) == 0
+
+    def test_search_returns_a_copy(self):
+        index = HashIndex()
+        index.insert("k", 1)
+        found = index.search("k")
+        found.append(99)
+        assert index.search("k") == [1]
+
+    def test_set_buckets_of_older_pickles_load_as_lists(self):
+        import pickle
+
+        index = HashIndex("old")
+        index.insert("k", 1)
+        state = {"name": "old", "_buckets": {"k": {9, 1, 5}}, "_entries": 3}
+        loaded = HashIndex.__new__(HashIndex)
+        loaded.__setstate__(state)
+        assert loaded._buckets == {"k": [1, 5, 9]}
+        assert loaded.search("k") == [1, 5, 9]
+        loaded.insert("k", 3)
+        assert loaded.search("k") == [1, 3, 5, 9]
+        assert pickle.loads(pickle.dumps(index)).search("k") == [1]
+
 
 class TestBTreeBasics:
     def test_insert_search(self):
