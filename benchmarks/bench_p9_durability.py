@@ -4,10 +4,9 @@ overhead, and recovery time.
 Perf claims from this iteration:
 
 * a begin/touch/abort cycle under the incremental undo log costs
-  O(objects touched), not O(database): the whole-database pickle
-  snapshot the seed used for rollback grows linearly with database
-  size while the undo log stays flat, so undo wins decisively at 10k
-  objects (target: >= 10x);
+  O(objects touched), not O(database): wrapping a statement in
+  begin/abort stays a small multiple of the statement's own cost from
+  100 to 10k objects;
 * logical WAL commit overhead is a modest per-statement constant when
   ``fsync`` is off (group commit + CRC framing) and fsync-dominated
   when on;
@@ -44,50 +43,19 @@ def sized_company(employees: int):
     return _company_cache[employees]
 
 
-# -- begin/commit/abort: undo log vs whole-database pickle --------------------
+# -- begin/touch/abort with the undo log ---------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["undo", "pickle"])
 @pytest.mark.parametrize("employees", [100, 1000])
 @pytest.mark.benchmark(group="p9-txn-cycle")
-def test_txn_cycle(benchmark, employees, mode):
-    db = sized_company(employees)
-    db.transaction_mode = mode
-    try:
-        benchmark(txn_cycle, db)
-    finally:
-        db.transaction_mode = "undo"
-
-
-def _best_cycle(db, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        txn_cycle(db)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_undo_beats_pickle_at_10k():
-    """Acceptance: at 10k objects the undo log wins by >= 10x, because
-    pickle-mode ``begin`` serializes the entire database up front."""
-    db = sized_company(10000)
-    db.transaction_mode = "undo"
-    undo = _best_cycle(db)
-    db.transaction_mode = "pickle"
-    try:
-        pickle_time = _best_cycle(db, repeats=3)
-    finally:
-        db.transaction_mode = "undo"
-    assert pickle_time > undo * 10.0, (pickle_time, undo)
+def test_txn_cycle(benchmark, employees):
+    benchmark(txn_cycle, sized_company(employees))
 
 
 def test_undo_cost_tracks_touched_not_database_size_at_10k():
     """Acceptance: wrapping a statement in begin/abort adds overhead
     proportional to what the statement touched — a small multiple of
-    the statement's own cost at every scale — while the pickle path
-    adds a whole-database serialization (two orders of magnitude at
-    10k objects)."""
+    the statement's own cost at every scale."""
 
     def best(fn, repeats: int = 8) -> float:
         best_time = float("inf")
@@ -104,23 +72,12 @@ def test_undo_cost_tracks_touched_not_database_size_at_10k():
 
     for employees in (100, 10000):
         db = sized_company(employees)
-        db.transaction_mode = "undo"
         plain = best(lambda: db.execute(APPEND))
         undo = best(lambda: wrapped(db))
         # the undo log's before-images cover only the touched objects,
         # so the envelope is a constant factor of the statement cost
         # (plus a sliver of absolute slack for timer noise)
         assert undo < plain * 8.0 + 0.002, (employees, plain, undo)
-
-    big = sized_company(10000)
-    big.transaction_mode = "pickle"
-    try:
-        pickle_time = best(lambda: wrapped(big), repeats=3)
-    finally:
-        big.transaction_mode = "undo"
-    big.transaction_mode = "undo"
-    plain = best(lambda: big.execute(APPEND))
-    assert pickle_time > plain * 20.0, (plain, pickle_time)
 
 
 # -- per-commit WAL overhead --------------------------------------------------

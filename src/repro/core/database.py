@@ -60,19 +60,6 @@ class Database:
     #: keyed by it (hash-join build tables) are never served stale
     data_version: int = 0
 
-    #: how :meth:`begin` captures rollback state: ``"undo"`` (default)
-    #: records per-mutation inverses, O(state touched); ``"pickle"`` is
-    #: the seed's whole-database snapshot, kept as an ablation and
-    #: equivalence baseline (class attribute so old snapshots load)
-    transaction_mode: str = "undo"
-
-    #: multi-session concurrency control: ``"mvcc"`` (default) gives
-    #: each session snapshot isolation via workspace parking and the
-    #: version log (see :mod:`repro.core.session`); ``"none"`` is the
-    #: ablation baseline — sessions share live state with no parking,
-    #: versioning, or conflict detection (the seed's behavior)
-    isolation_mode: str = "mvcc"
-
     #: the :class:`~repro.storage.recovery.DurabilityManager` when the
     #: database was opened durably via :meth:`open`; None otherwise
     durability: Any = None
@@ -203,14 +190,12 @@ class Database:
         """Open a transaction in the default session.
 
         The EXODUS storage manager provided transactions; this engine
-        reproduces the *interface*. The default ``"undo"`` mode attaches
-        an incremental :class:`~repro.core.undo.UndoLog` to every
-        manager: each mutation records a bidirectional swap, so abort
-        costs O(state touched), not O(database), and multi-session MVCC
+        reproduces the *interface*. Every transaction attaches an
+        incremental :class:`~repro.core.undo.UndoLog` to every manager:
+        each mutation records a bidirectional swap, so abort costs
+        O(state touched), not O(database), and multi-session MVCC
         (:mod:`repro.core.session`) can park and version workspaces.
-        Setting ``Database.transaction_mode = "pickle"`` restores the
-        seed's whole-state snapshot as an ablation baseline. Nested
-        transactions are not supported.
+        Nested transactions are not supported.
         """
         self.transactions.begin(self.default_session)
 
@@ -610,11 +595,15 @@ class Database:
         return self.durability.checkpoint()
 
     def close(self) -> None:
-        """Release durable-mode resources (the WAL file handle); a
-        no-op for purely in-memory databases."""
+        """Release durable-mode resources (the WAL file handle and, on
+        the paged file store, the page file's, which reopens on next
+        use); a no-op for purely in-memory databases."""
         if self.durability is not None:
             self.durability.close()
             self.durability = None
+            close_pages = getattr(getattr(self.store, "disk", None), "close", None)
+            if close_pages is not None:
+                close_pages()
 
     # -- misc -------------------------------------------------------------------------------------------
 

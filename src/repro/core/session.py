@@ -38,13 +38,11 @@ Conflict detection (first-committer-wins)
     set intersects the committing one is marked **doomed** — it can
     only abort, never resume (its parked before-images are stale).
 
-Ablation
-    ``Database.isolation_mode = "none"`` disables parking, versioning
-    and conflict detection: sessions share one global transaction slot
-    exactly like the seed (last-writer-wins chaos, kept measurable).
-    ``transaction_mode = "pickle"`` keeps the seed's snapshot
-    transactions; those cannot be parked, so only one session may hold
-    one open.
+This is the only transaction path: there is no whole-database snapshot
+mode and no shared-workspace mode beside it. Instead of a second
+implementation, the Hypothesis state machine in
+``tests/property/test_session_model.py`` checks it against a
+pure-Python dict model.
 """
 
 from __future__ import annotations
@@ -72,19 +70,10 @@ faultinject.register("txn.commit.publish")
 class Transaction:
     """One open transaction: a snapshot timestamp plus a workspace."""
 
-    __slots__ = ("txn_id", "snapshot_ts", "mode", "undo", "payload",
-                 "explicit", "doomed", "begin_epoch")
+    __slots__ = ("txn_id", "snapshot_ts", "undo", "doomed", "begin_epoch")
 
-    def __init__(
-        self,
-        txn_id: int,
-        snapshot_ts: int,
-        mode: str,
-        undo: Optional["UndoLog"] = None,
-        payload: Optional[bytes] = None,
-        explicit: bool = True,
-        begin_epoch: int = 0,
-    ):
+    def __init__(self, txn_id: int, snapshot_ts: int, undo: "UndoLog",
+                 begin_epoch: int = 0):
         self.txn_id = txn_id
         #: catalog epoch at begin; once it moves (this transaction's own
         #: DDL/index/range/grant, or anyone else's) the transaction may
@@ -93,10 +82,7 @@ class Transaction:
         #: commit-clock value at begin; this transaction sees exactly
         #: the versions with ``commit_ts <= snapshot_ts`` plus its own
         self.snapshot_ts = snapshot_ts
-        self.mode = mode  # "undo" | "pickle"
         self.undo = undo
-        self.payload = payload  # pickle-mode whole-state snapshot
-        self.explicit = explicit
         #: non-None once this transaction lost a conflict; it may only
         #: abort (its parked workspace is stale against newer commits)
         self.doomed: Optional[str] = None
@@ -286,19 +272,11 @@ class TransactionManager:
             if s is not session and s.txn is not None
         ]
 
-    @property
-    def mvcc(self) -> bool:
-        """True when snapshot isolation is active (the ablation flag
-        ``Database.isolation_mode`` can turn it off)."""
-        return self.db.isolation_mode == "mvcc"
-
     # -- parking -----------------------------------------------------------
 
     def activate(self, session: SessionContext) -> None:
         """Make ``session``'s workspace (if any) the applied one,
         parking whichever other transaction currently holds live state."""
-        if not self.mvcc:
-            return
         txn = session.txn
         if self.applied is txn and (txn is None or not txn.undo.parked):
             return
@@ -307,7 +285,7 @@ class TransactionManager:
             self.applied = None
             self.db._detach_undo()
             parked.undo.park()
-        if txn is not None and txn.mode == "undo" and txn.doomed is None:
+        if txn is not None and txn.doomed is None:
             txn.undo.resume()
             self.db._attach_undo(txn.undo)
             self.applied = txn
@@ -330,17 +308,11 @@ class TransactionManager:
         ``"control"`` (begin/commit/abort — manage transactions
         themselves, so no implicit transaction and no rewinding),
         ``"read"`` (needs the snapshot but never an implicit
-        transaction), or ``"write"`` (the full treatment).
+        transaction), or ``"write"`` (the full treatment). Nested
+        statements (procedure bodies, recovery replay) run inside the
+        outer statement's window, like control statements.
         """
-        if not self.mvcc or self._depth > 0:
-            self._depth += 1
-            try:
-                yield
-            finally:
-                self._depth -= 1
-            return
-        if kind == "control":
-            # begin/commit/abort do their own workspace management
+        if self._depth > 0 or kind == "control":
             self._depth += 1
             try:
                 yield
@@ -354,10 +326,10 @@ class TransactionManager:
             self.activate(session)
             txn = session.txn
             if txn is None and kind == "write" and self._needs_versioning(session):
-                self.begin(session, explicit=False)
+                self.begin(session)
                 implicit = True
                 txn = session.txn
-            if txn is not None and txn.mode == "undo" and self.versions:
+            if txn is not None and self.versions:
                 snapshot = txn.snapshot_ts
                 for entry in reversed(self.versions):
                     if entry.commit_ts > snapshot:
@@ -383,59 +355,32 @@ class TransactionManager:
                     pass
 
     def _needs_versioning(self, session: SessionContext) -> bool:
-        """True when another session holds an open undo-mode
-        transaction, so this session's writes must be versioned for it."""
+        """True when another session holds a live open transaction, so
+        this session's writes must be versioned for it."""
         return any(
-            t.mode == "undo" and t.doomed is None
-            for t in self._others_with_open_txn(session)
+            t.doomed is None for t in self._others_with_open_txn(session)
         )
 
     # -- begin / commit / abort --------------------------------------------
 
-    def begin(self, session: SessionContext, explicit: bool = True) -> None:
+    def begin(self, session: SessionContext) -> None:
         """Open a transaction in ``session``."""
         if session.txn is not None:
             raise IntegrityError("a transaction is already open")
-        if self.db.transaction_mode == "pickle":
-            if self._others_with_open_txn(session):
-                raise IntegrityError(
-                    "pickle transaction_mode supports one open transaction; "
-                    "use the default undo mode for multi-session work"
-                )
-            if getattr(self.db.store, "store_mode", None) == "file":
-                # pickle-mode abort restores an old extent table whose
-                # shadow blocks may since have been rewritten in place
-                raise IntegrityError(
-                    "pickle transaction_mode is incompatible with the "
-                    "file-backed page store; use the default undo mode"
-                )
-            import pickle
-
-            session.txn = Transaction(
-                self._next_txn,
-                self.clock,
-                "pickle",
-                payload=pickle.dumps(self.db, protocol=pickle.HIGHEST_PROTOCOL),
-                explicit=explicit,
-                begin_epoch=self.db.catalog.epoch,
-            )
-            self._next_txn += 1
-            return
         from repro.core.undo import UndoLog
 
-        if self.mvcc:
-            self.activate(session)  # park any other applied workspace
+        self.activate(session)  # park any other applied workspace
         undo = UndoLog(self.db)
         txn = Transaction(
-            self._next_txn, self.clock, "undo", undo=undo, explicit=explicit,
-            begin_epoch=self.db.catalog.epoch,
+            self._next_txn, self.clock, undo, begin_epoch=self.db.catalog.epoch
         )
         self._next_txn += 1
-        if self.mvcc:
-            undo.on_first_touch = self._first_touch_check(txn)
+        undo.on_first_touch = self._first_touch_check(txn)
         session.txn = txn
         self.db._attach_undo(undo)
         self.applied = txn
+        if self.db.durability is not None:
+            self.db.durability.on_begin(session)
 
     def _first_touch_check(self, txn: Transaction):
         """The eager first-updater-wins hook installed on a
@@ -467,31 +412,23 @@ class TransactionManager:
         txn = session.txn
         if txn is None:
             raise IntegrityError("no transaction is open")
-        if txn.mode == "pickle":
-            session.txn = None
-            txn.payload = None
-            if self.db.durability is not None:
-                self.db.durability.on_commit(session, txn_id=txn.txn_id)
-            return
         if txn.doomed is not None:
             reason = txn.doomed
             self.abort(session)
             raise SerializationError(f"transaction {txn.txn_id} aborted: {reason}")
-        if self.mvcc:
-            self.activate(session)  # ensure the workspace is applied
+        self.activate(session)  # ensure the workspace is applied
         undo = txn.undo
         faultinject.crash_point("txn.commit.before_validate")
         write_set = undo.write_set()
-        if self.mvcc:
-            for entry in self.versions:
-                if entry.commit_ts > txn.snapshot_ts and entry.keys & write_set:
-                    overlap = sorted(map(repr, entry.keys & write_set))[0]
-                    self.abort(session)
-                    raise SerializationError(
-                        f"transaction {txn.txn_id} aborted: write-write "
-                        f"conflict on {overlap} with transaction "
-                        f"{entry.txn_id} (first committer wins)"
-                    )
+        for entry in self.versions:
+            if entry.commit_ts > txn.snapshot_ts and entry.keys & write_set:
+                overlap = sorted(map(repr, entry.keys & write_set))[0]
+                self.abort(session)
+                raise SerializationError(
+                    f"transaction {txn.txn_id} aborted: write-write "
+                    f"conflict on {overlap} with transaction "
+                    f"{entry.txn_id} (first committer wins)"
+                )
         faultinject.crash_point("txn.commit.after_validate")
         undo.on_first_touch = None
         self.db._detach_undo()
@@ -500,37 +437,25 @@ class TransactionManager:
         session.txn = None
         self.clock += 1
         commit_ts = self.clock
-        if self.mvcc and write_set:
-            # first-committer-wins: every other open transaction that
-            # wrote an intersecting container can no longer commit (and
-            # its parked before-images are stale, so it may not resume)
-            for other in self._others_with_open_txn(session):
-                if (
-                    other.mode == "undo"
-                    and other.doomed is None
-                    and other.undo.write_set() & write_set
-                ):
-                    other.doomed = (
-                        f"write-write conflict: transaction {txn.txn_id} "
-                        "committed an overlapping write set first"
-                    )
-        readers = [
-            t for t in self._others_with_open_txn(session)
-            if t.mode == "undo" and t.doomed is None
-        ]
-        retained = False
-        if readers and undo.records:
-            if undo.resumable:
-                self.versions.append(
-                    _VersionEntry(commit_ts, txn.txn_id, frozenset(write_set), undo)
+        readers = []
+        for other in self._others_with_open_txn(session):
+            if other.doomed is not None:
+                continue
+            if write_set and other.undo.write_set() & write_set:
+                # first-committer-wins: an open transaction that wrote an
+                # intersecting container can no longer commit (and its
+                # parked before-images are stale, so it may not resume)
+                other.doomed = (
+                    f"write-write conflict: transaction {txn.txn_id} "
+                    "committed an overlapping write set first"
                 )
-                retained = True
-            else:  # pragma: no cover - every mutation site records a redo
-                for other in readers:
-                    other.doomed = (
-                        "a non-resumable commit could not be versioned"
-                    )
-        if not retained:
+            else:
+                readers.append(other)
+        if readers and undo.records:
+            self.versions.append(
+                _VersionEntry(commit_ts, txn.txn_id, frozenset(write_set), undo)
+            )
+        else:
             # the log dies here; an evicting object cache may release
             # the residency pins its closures held
             undo.release_pins()
@@ -555,29 +480,14 @@ class TransactionManager:
         seen_epoch = self.db.catalog.epoch
         seen_version = self.db.data_version
         session.txn = None
-        if txn.mode == "pickle":
-            import pickle
-
-            restored = pickle.loads(txn.payload)
-            interpreter = self.db._interpreter  # keep session state
-            manager = self.db.__dict__.get("_transactions")
-            self.db.__dict__.update(restored.__dict__)
-            self.db._interpreter = interpreter
-            if manager is not None:
-                self.db.__dict__["_transactions"] = manager
-        elif self.applied is txn:
+        if self.applied is txn:
             self.applied = None
             self.db._detach_undo()
             txn.undo.rollback()
-        elif txn.undo.parked or txn.doomed is not None:
-            # the workspace is swapped out of live state (or stale):
+        else:
+            # the workspace is parked — swapped out of live state — so
             # discarding the log *is* the abort
             txn.undo.release_pins()
-        else:
-            # isolation_mode "none": the log may be attached without
-            # parking bookkeeping
-            self.db._detach_undo()
-            txn.undo.rollback()
         # Force the catalog epoch and data version past every value
         # observed during the transaction: plans and memoized builds
         # cached against rolled-back state must never be served again.
@@ -605,8 +515,7 @@ class TransactionManager:
                 1 for t in open_txns if t.doomed is not None
             ),
             "parked_workspaces": sum(
-                1 for t in open_txns
-                if t.mode == "undo" and t.undo is not None and t.undo.parked
+                1 for t in open_txns if t.undo.parked
             ),
             "version_entries": len(self.versions),
             "applied": self.applied is not None,
@@ -621,7 +530,7 @@ class TransactionManager:
         snapshots = [
             s.txn.snapshot_ts
             for s in self.sessions.values()
-            if s.txn is not None and s.txn.mode == "undo" and s.txn.doomed is None
+            if s.txn is not None and s.txn.doomed is None
         ]
         if not snapshots:
             for entry in self.versions:

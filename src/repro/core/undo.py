@@ -35,11 +35,12 @@ identity. That single property is what multi-session MVCC
 
 Each data-bearing record also carries a **write-set key** (container
 identity), giving commit-time first-committer-wins conflict detection
-its write sets for free. Statistics and cardinality records are
-bookkeeping, not data, and are excluded from the write set.
-
-The pickle path survives behind ``Database.transaction_mode = "pickle"``
-as an ablation/equivalence baseline.
+its write sets for free. A stored object has exactly one key,
+``("oid", oid)``, shared by its slot before-image, its registration and
+deletion toggles and its ownership record — so a ``replace`` of an
+object and a concurrent ``delete`` of it conflict. Statistics and
+cardinality records are bookkeeping, not data, and are excluded from
+the write set.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class UndoLog:
         self._pinned: set[int] = set()
         #: total records, for diagnostics
         self.records = 0
-        #: False once a record without a redo closure is added; such a
-        #: log can still roll back but can never be parked or resumed
-        self.resumable = True
         #: True once a catalog registry (types, named objects, functions,
         #: procedures, indexes, owners) was touched — commit then bumps
         #: the catalog epoch so other sessions' cached plans re-bind
@@ -110,40 +108,33 @@ class UndoLog:
     # -- recording ---------------------------------------------------------
 
     def _add(self, swap: Callable[[], None], key: Optional[tuple]) -> None:
+        """Append one record; every caller records *before* it mutates,
+        so a raising ``on_first_touch`` leaves live state untouched."""
+        if key is not None and self.on_first_touch is not None:
+            self.on_first_touch(key)
         self._records.append(_SwapRecord(swap, key))
         self.records += 1
 
     def op(
         self,
         inverse: Callable[[], None],
-        redo: Optional[Callable[[], None]] = None,
+        redo: Callable[[], None],
         key: Optional[tuple] = None,
     ) -> None:
         """Record one structural change as an inverse/redo toggle.
 
-        ``inverse`` must undo the change the caller is about to make (or
-        just made); ``redo`` must re-apply it. Without a redo the log
-        stays rollback-only (``resumable`` turns False), which is enough
-        for single-session transactions but blocks MVCC parking.
+        ``inverse`` must undo the change the caller is about to make;
+        ``redo`` must re-apply it.
         """
-        if key is not None and self.on_first_touch is not None:
-            self.on_first_touch(key)
-        if redo is None:
-            self.resumable = False
+        applied = [True]
 
-            def swap() -> None:
+        def swap() -> None:
+            if applied[0]:
                 inverse()
-
-        else:
-            applied = [True]
-
-            def swap() -> None:
-                if applied[0]:
-                    inverse()
-                    applied[0] = False
-                else:
-                    redo()  # type: ignore[misc]
-                    applied[0] = True
+                applied[0] = False
+            else:
+                redo()
+                applied[0] = True
 
         self._add(swap, key)
 
@@ -165,11 +156,9 @@ class UndoLog:
             objects.unpin(oid)
         self._pinned.clear()
 
-    def _first_touch(self, key: tuple, container: Any, data: bool = True) -> bool:
+    def _first_touch(self, key: tuple, container: Any) -> bool:
         if key in self._seen:
             return False
-        if data and self.on_first_touch is not None:
-            self.on_first_touch(key)  # may raise before anything mutates
         self._seen.add(key)
         self._keepalive.append(container)
         return True
@@ -177,14 +166,19 @@ class UndoLog:
     # before-images --------------------------------------------------------
 
     def save_tuple(self, instance: "TupleInstance") -> None:
-        """Snapshot a tuple instance's slots before the first mutation."""
-        key = ("slots", id(instance))
+        """Snapshot a tuple instance's slots before the first mutation.
+
+        A stored object is keyed by its OID — the same key its deletion
+        toggle carries — so updating and deleting one object conflict;
+        an embedded tuple (no OID) is keyed by its identity."""
+        oid = instance.oid
+        key = ("oid", oid) if oid is not None else ("slots", id(instance))
         if not self._first_touch(key, instance):
             return
         stored = [dict(instance._slots)]
-        if instance.oid is not None:
-            self._dirty_oids.add(instance.oid)
-            self._pin(instance.oid)
+        if oid is not None:
+            self._dirty_oids.add(oid)
+            self._pin(oid)
 
         def swap() -> None:
             current = dict(instance._slots)
@@ -278,7 +272,7 @@ class UndoLog:
         """Snapshot one set's optimizer statistics (deep — the upkeep
         hooks mutate :class:`AttributeStats` fields in place).
         Bookkeeping, not data: excluded from the write set."""
-        if not self._first_touch(("stats", set_name), manager, data=False):
+        if not self._first_touch(("stats", set_name), manager):
             return
         stored = [copy.deepcopy(manager._stats.get(set_name))]
 
@@ -294,7 +288,7 @@ class UndoLog:
 
     def save_cardinality(self, catalog: Any, set_name: str) -> None:
         """Snapshot one tracked set cardinality counter (bookkeeping)."""
-        if not self._first_touch(("card", set_name), catalog, data=False):
+        if not self._first_touch(("card", set_name), catalog):
             return
         stored = [catalog._cardinalities.get(set_name, _ABSENT)]
 
@@ -317,9 +311,6 @@ class UndoLog:
         so a later mutation + before-image interplay stays consistent
         (before-images restore slots; this toggles existence).
         """
-        key = ("oid", oid)
-        if self.on_first_touch is not None:
-            self.on_first_touch(key)
         self._pin(oid)
         stashed: list = [None]
 
@@ -330,7 +321,7 @@ class UndoLog:
             elif stashed[0] is not None:
                 table._store.insert(oid, stashed[0])
 
-        self._add(swap, key)
+        self._add(swap, ("oid", oid))
 
     def note_object_deleted(self, table: Any, record: Any) -> None:
         """An object died: toggle its stored record back in on rollback.
@@ -370,7 +361,7 @@ class UndoLog:
                 table._store.update(oid, record)
                 stored[0] = current
 
-        self._add(swap, ("own", oid))
+        self._add(swap, ("oid", oid))
 
     def note_map_set(self, mapping: dict, key: Any) -> None:
         """A dict entry is about to be set/replaced/popped: swap it.
@@ -380,8 +371,6 @@ class UndoLog:
         """
         self.catalog_touched = True
         record_key = ("map", id(mapping), key)
-        if self.on_first_touch is not None:
-            self.on_first_touch(record_key)
         self._keepalive.append(mapping)
         stored = [mapping.get(key, _ABSENT)]
 
@@ -425,11 +414,6 @@ class UndoLog:
         live state shows begin-time state). Idempotent via ``parked``."""
         if self.parked:
             return
-        if not self.resumable:
-            raise RuntimeError(
-                "transaction recorded a rollback-only operation and "
-                "cannot be parked for multi-session interleaving"
-            )
         for record in reversed(self._records):
             record.swap()
         self.parked = True

@@ -58,6 +58,9 @@ class ExcessFunction:
     replace: bool = False
     #: cached bound body (rebuilt lazily, excluded from snapshots)
     bound: Optional[BoundRetrieve] = field(default=None, repr=False, compare=False)
+    #: catalog epoch ``bound`` was made under; a moved epoch rebinds
+    #: (class-level default, so old snapshots load)
+    bound_epoch: int = field(default=-1, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -100,9 +103,11 @@ def bind_function_body(function: ExcessFunction, binder: Binder) -> BoundRetriev
 
     The body binds in a scope that exposes only the parameters plus the
     catalog — session range variables are not visible inside function
-    bodies, keeping them self-contained.
+    bodies, keeping them self-contained. A body bound under an older
+    catalog epoch is rebound.
     """
-    if function.bound is None:
+    epoch = binder.catalog.epoch
+    if function.bound is None or function.bound_epoch != epoch:
         scope = parameter_scope(function)
         bound = binder.bind_retrieve(function.body, outer_scope=scope)
         if len(bound.targets) != 1:
@@ -111,6 +116,7 @@ def bind_function_body(function: ExcessFunction, binder: Binder) -> BoundRetriev
                 "target expression"
             )
         function.bound = bound
+        function.bound_epoch = epoch
     return function.bound
 
 

@@ -45,6 +45,9 @@ class Procedure:
     definer: str = "dba"
     #: cached bound body (rebuilt lazily, excluded from snapshots)
     bound: Any = field(default=None, repr=False, compare=False)
+    #: catalog epoch ``bound`` was made under; a moved epoch rebinds
+    #: (class-level default, so old snapshots load)
+    bound_epoch: int = field(default=-1, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -67,8 +70,11 @@ def _parameter_scope(procedure: Procedure) -> Scope:
 
 
 def bind_procedure_body(procedure: Procedure, binder: Binder) -> Any:
-    """Bind (and cache) the procedure's body statement."""
-    if procedure.bound is not None:
+    """Bind (and cache) the procedure's body statement; a body bound
+    under an older catalog epoch is rebound, so schema changes since
+    raise the same bind errors as the text typed ad hoc."""
+    epoch = binder.catalog.epoch
+    if procedure.bound is not None and procedure.bound_epoch == epoch:
         return procedure.bound
     scope = _parameter_scope(procedure)
     body = procedure.body
@@ -88,6 +94,7 @@ def bind_procedure_body(procedure: Procedure, binder: Binder) -> Any:
             f"{type(body).__name__}"
         )
     procedure.bound = bound
+    procedure.bound_epoch = epoch
     return bound
 
 

@@ -367,7 +367,6 @@ class ExcessServer:
                 "max_connections": self.max_connections,
                 "draining": self.draining,
                 "overloaded_refusals": self.overloaded_refusals,
-                "isolation_mode": self.db.isolation_mode,
                 "open_transactions": sum(
                     1
                     for s in self.db.transactions.sessions.values()

@@ -173,15 +173,21 @@ class PagedObjectStore:
             self._dirty.add(oid)
         if self.cache_capacity is not None:
             self._live.move_to_end(oid)
-            self._evict_excess()
+            self._evict_excess(keep=oid)
         if len(self._live) > self.cache_stats.peak_live:
             self.cache_stats.peak_live = len(self._live)
 
-    def _evict_excess(self) -> None:
+    def _evict_excess(self, keep: Optional[Oid] = None) -> None:
+        """Evict least-recently-used unpinned objects down to capacity.
+
+        ``keep`` — the object being admitted — is never the victim: its
+        caller is about to use the instance, and evicting a clean record
+        nobody else references would let a later fetch fault in a second
+        instance, orphaning the caller's writes to the first."""
         while len(self._live) > self.cache_capacity:
             victim = None
             for oid in self._live:
-                if not self._pins.get(oid):
+                if oid != keep and not self._pins.get(oid):
                     victim = oid
                     break
             if victim is None:

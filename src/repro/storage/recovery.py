@@ -18,6 +18,12 @@ contract for the whole engine with a *logical* redo log:
 * ``checkpoint()`` writes a new snapshot carrying the last logged LSN in
   its footer, then rotates the log. A crash between the two is safe:
   replay skips records at or below the snapshot's LSN.
+* Replay follows commit order, but under snapshot isolation a
+  transaction's statements ran against its *snapshot*, not against the
+  commits that overtook it. Such a record carries the last LSN its
+  snapshot held; replay begins the transaction right after that record,
+  runs its statements there, and commits it at its own LSN — the same
+  interleaving the live engine saw.
 
 The crash matrix (see ``tests/integration/test_faultinjection.py``)
 drives a :class:`~repro.util.faultinject.SimulatedCrash` through every
@@ -69,6 +75,8 @@ class DurabilityManager:
         #: session id → statements of that session's open transaction,
         #: flushed as one record on commit and dropped on abort
         self._pending: dict[int, list[tuple[str, str]]] = {}
+        #: session id → last LSN durable when its transaction began
+        self._snapshots: dict[int, int] = {}
 
     # -- commit-time logging -----------------------------------------------
 
@@ -93,24 +101,35 @@ class DurabilityManager:
         self.wal.commit([(user, text)], session=session.name)
         faultinject.crash_point("commit.after_log")
 
+    def on_begin(self, session: Any) -> None:
+        """Remember which logged commits ``session``'s new snapshot holds."""
+        self._snapshots[session.id] = self.wal.next_lsn - 1
+
     def on_commit(self, session: Any = None, txn_id: Any = None) -> None:
         """Flush one session's transaction statements as one atomic
-        record (stamped with the transaction id and session name)."""
+        record (stamped with the transaction id and session name, and
+        with its snapshot LSN when other commits were logged since)."""
         if session is None:
             session = self.db.default_session
         entries = self._pending.pop(session.id, None)
+        snapshot = self._snapshots.pop(session.id, None)
         if self.replaying or not entries:
             return
+        if snapshot == self.wal.next_lsn - 1:
+            snapshot = None  # nothing overtook it: replay in place
         faultinject.crash_point("commit.before_log")
-        self.wal.commit(entries, txn=txn_id, session=session.name)
+        self.wal.commit(entries, txn=txn_id, session=session.name,
+                        snapshot=snapshot)
         faultinject.crash_point("commit.after_log")
 
     def on_abort(self, session: Any = None) -> None:
         """Drop the aborted transaction's buffered statements."""
         if session is None:
             self._pending.clear()
+            self._snapshots.clear()
         else:
             self._pending.pop(session.id, None)
+            self._snapshots.pop(session.id, None)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -236,20 +255,28 @@ def open_database(
         # any interleaving of commits across sessions) bind exactly as
         # they did before the crash.
         replay_sessions: dict[str, Any] = {}
-        for record in records:
-            if record.lsn <= base_lsn:
-                continue  # already inside the checkpoint snapshot
+        created: list = []
+        #: snapshot LSN -> overtaken records to begin right after it
+        overtaken: dict[int, list] = {}
+        #: commit LSN -> session holding that record's open transaction
+        open_at: dict[int, Any] = {}
+
+        def context_for(record: Any) -> Any:
             name = record.session
             if name is None or name == "default":
-                context = None  # the default session
-            else:
-                context = replay_sessions.get(name)
-                if context is None:
-                    context = db.connect(
-                        user=record.entries[0][0] if record.entries else None,
-                        name=name,
-                    )
-                    replay_sessions[name] = context
+                return db.default_session
+            context = replay_sessions.get(name)
+            if context is None or context.txn is not None:
+                # a second session of that name may overlap the first
+                context = db.connect(
+                    user=record.entries[0][0] if record.entries else None,
+                    name=name,
+                )
+                replay_sessions.setdefault(name, context)
+                created.append(context)
+            return context
+
+        def run(record: Any, context: Any) -> None:
             for user, text in record.entries:
                 try:
                     db.interpreter.execute(text, user=user, session=context)
@@ -258,8 +285,31 @@ def open_database(
                         f"WAL replay failed at LSN {record.lsn} for "
                         f"statement {text!r}: {exc}"
                     ) from exc
+
+        def begin_overtaken(lsn: int) -> None:
+            for record in overtaken.pop(lsn, ()):
+                context = context_for(record)
+                context.begin()
+                run(record, context)
+                open_at[record.lsn] = context
+
+        for record in records:
+            if record.lsn > base_lsn and record.snapshot is not None:
+                overtaken.setdefault(
+                    max(record.snapshot, base_lsn), []
+                ).append(record)
+        begin_overtaken(base_lsn)
+        for record in records:
+            if record.lsn <= base_lsn:
+                continue  # already inside the checkpoint snapshot
+            context = open_at.pop(record.lsn, None)
+            if context is not None:
+                context.commit()
+            else:
+                run(record, context_for(record))
             next_lsn = record.lsn + 1
-        for context in replay_sessions.values():
+            begin_overtaken(record.lsn)
+        for context in created:
             context.close()
 
     wal = WriteAheadLog(

@@ -66,12 +66,17 @@ class WalRecord:
     recovery can replay each session's statements in a matching
     per-session context. Records written before these fields existed
     decode with both ``None`` — replay then uses the default session.
+
+    ``snapshot`` is set when other commits overtook the transaction: it
+    is the last LSN its snapshot contained, and replay runs the
+    transaction's statements against the state as of that LSN.
     """
 
     lsn: int
     entries: list  # [(user, statement_text), ...]
     txn: Optional[int] = None
     session: Optional[str] = None
+    snapshot: Optional[int] = None
 
     def encode(self) -> bytes:
         doc: dict = {"lsn": self.lsn, "entries": [list(e) for e in self.entries]}
@@ -79,6 +84,8 @@ class WalRecord:
             doc["txn"] = self.txn
         if self.session is not None:
             doc["session"] = self.session
+        if self.snapshot is not None:
+            doc["snapshot"] = self.snapshot
         payload = json.dumps(doc, ensure_ascii=False).encode("utf-8")
         return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
@@ -86,11 +93,13 @@ class WalRecord:
 def _decode_payload(payload: bytes) -> WalRecord:
     doc = json.loads(payload.decode("utf-8"))
     txn = doc.get("txn")
+    snapshot = doc.get("snapshot")
     return WalRecord(
         lsn=int(doc["lsn"]),
         entries=[(user, text) for user, text in doc["entries"]],
         txn=int(txn) if txn is not None else None,
         session=doc.get("session"),
+        snapshot=int(snapshot) if snapshot is not None else None,
     )
 
 
@@ -118,7 +127,8 @@ class WriteAheadLog:
     # -- appending -----------------------------------------------------------
 
     def commit(self, entries: list, txn: Optional[int] = None,
-               session: Optional[str] = None) -> int:
+               session: Optional[str] = None,
+               snapshot: Optional[int] = None) -> int:
         """Append one commit record; returns its LSN.
 
         The record is flushed to the OS unconditionally and fsynced
@@ -126,7 +136,8 @@ class WriteAheadLog:
         transaction always travel in one record (atomic on replay).
         """
         lsn = self.next_lsn
-        record = WalRecord(lsn=lsn, entries=entries, txn=txn, session=session)
+        record = WalRecord(lsn=lsn, entries=entries, txn=txn, session=session,
+                           snapshot=snapshot)
         blob = record.encode()
         faultinject.crash_point("wal.append.before_write")
         cut = faultinject.torn_cut("wal.append.torn_write", len(blob))

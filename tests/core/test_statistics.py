@@ -333,21 +333,12 @@ class TestTransactionInterplay:
     """Abort must restore statistics together with the data they
     describe, and must push the catalog epoch and data version forward
     so no cached plan prepared against in-transaction state survives.
-
-    Exercised under both rollback implementations.
     """
 
-    @pytest.fixture(params=["undo", "pickle"])
-    def txn_company(self, request, company, monkeypatch):
-        from repro.core.database import Database
-
-        monkeypatch.setattr(Database, "transaction_mode", request.param)
-        return company
-
-    def test_abort_restores_statistics_deeply(self, txn_company):
+    def test_abort_restores_statistics_deeply(self, company):
         from repro.util.statedump import _render_stats
 
-        db = txn_company
+        db = company
         db.analyze("Employees")
         before = _render_stats(db.catalog.statistics.get("Employees"))
         db.begin()
@@ -358,8 +349,8 @@ class TestTransactionInterplay:
         db.abort()
         assert _render_stats(db.catalog.statistics.get("Employees")) == before
 
-    def test_aborted_analyze_leaves_no_stats(self, txn_company):
-        db = txn_company
+    def test_aborted_analyze_leaves_no_stats(self, company):
+        db = company
         assert db.catalog.statistics.get("Employees") is None
         db.begin()
         db.analyze("Employees")
@@ -368,8 +359,8 @@ class TestTransactionInterplay:
         assert db.catalog.statistics.get("Employees") is None
         assert db.catalog.statistics.analyzed_sets() == []
 
-    def test_abort_forces_epoch_and_data_version_forward(self, txn_company):
-        db = txn_company
+    def test_abort_forces_epoch_and_data_version_forward(self, company):
+        db = company
         db.begin()
         db.analyze("Employees")  # bumps the epoch inside the transaction
         db.execute('append to Employees (name = "T", age = 2, salary = 2.0)')
@@ -381,8 +372,8 @@ class TestTransactionInterplay:
         assert db.catalog.epoch > seen_epoch
         assert db.data_version > seen_version
 
-    def test_cached_plan_reprepared_after_abort(self, txn_company):
-        db = txn_company
+    def test_cached_plan_reprepared_after_abort(self, company):
+        db = company
         query = "retrieve (E.name) from E in Employees where E.age > 30"
         db.execute(query)
         assert db.execute(query).metrics["cache"] == "hit"
@@ -395,8 +386,8 @@ class TestTransactionInterplay:
         assert result.metrics["cache"] == "miss"
         assert db.execute(query).metrics["cache"] == "hit"
 
-    def test_churn_tracking_survives_abort(self, txn_company):
-        db = txn_company
+    def test_churn_tracking_survives_abort(self, company):
+        db = company
         db.analyze("Employees")
         db.execute('append to Employees (name = "C1", age = 3, salary = 3.0)')
         churn_before = db.catalog.statistics.get("Employees").churn

@@ -92,6 +92,21 @@ class TestBasicFunctions:
             )
 
 
+    def test_body_rebinds_after_schema_change(self, small_company):
+        """A body bound before ``alter type`` is rebound, so it fails the
+        way the same text typed ad hoc does, not with a stale plan."""
+        db = small_company
+        db.execute("alter type Employee add (bonus: float8)")
+        db.execute("define function Bonus (E in Employee) returns float8 as "
+                   "retrieve (E.bonus)")
+        db.execute("retrieve (Bonus(E)) from E in Employees")
+        db.execute("alter type Employee drop (bonus)")
+        with pytest.raises(BindError):
+            db.execute("retrieve (E.bonus) from E in Employees")
+        with pytest.raises(BindError):
+            db.execute("retrieve (Bonus(E)) from E in Employees")
+
+
 class TestInheritanceAndDispatch:
     def make_lattice(self, db):
         db.execute(

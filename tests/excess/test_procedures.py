@@ -80,6 +80,22 @@ class TestExecution:
             "retrieve (E.name, E.salary) from E in Employees").rows)
         assert rows["Bob"] == 44000.0
 
+    def test_body_rebinds_after_schema_change(self, small_company):
+        """A body bound before ``alter type`` is rebound, so it fails the
+        way the same text typed ad hoc does, not with a stale plan."""
+        db = small_company
+        db.execute("alter type Employee add (bonus: float8)")
+        db.execute("define procedure Bonus (E in Employee) as "
+                   "replace E (bonus = 1.0)")
+        db.execute('execute Bonus (E) from E in Employees where E.name = "Bob"')
+        db.execute("alter type Employee drop (bonus)")
+        with pytest.raises(BindError):
+            db.execute('replace E (bonus = 1.0) from E in Employees '
+                       'where E.name = "Bob"')
+        with pytest.raises(BindError):
+            db.execute('execute Bonus (E) from E in Employees '
+                       'where E.name = "Bob"')
+
     def test_arity_checked(self, db_with_raise):
         with pytest.raises(ProcedureError):
             db_with_raise.execute("execute Raise (E) from E in Employees")

@@ -11,16 +11,20 @@ The contract under test (``repro.core.session``):
   :class:`SerializationError`, and a doomed transaction can only abort;
 * the durability contract survives multi-session interleavings: a
   crash at any commit-path point recovers to acknowledged-commits-only
-  (checked with canonical state dumps);
-* the ``isolation_mode = "none"`` ablation restores the seed's shared
-  single-workspace behavior, keeping the isolation measurable.
+  (checked with canonical state dumps).
+
+``tests/property/test_session_model.py`` checks the same contract
+against a pure-Python model over random interleavings.
 """
+
+import os
 
 import pytest
 
 from repro.core.database import Database
-from repro.errors import IntegrityError, SerializationError
-from repro.storage.recovery import open_database
+from repro.errors import SerializationError
+from repro.storage.recovery import WAL_NAME, open_database
+from repro.storage.wal import read_wal
 from repro.util import faultinject
 from repro.util.statedump import canonical_state
 
@@ -195,6 +199,76 @@ class TestConflicts:
         assert _floor(db.default_session, "Toys") == 5
         assert db.catalog.has_type("Later")
 
+    # A delete and a replace of the same stored object write the same
+    # key, ("oid", oid): whichever commits second must fail, never
+    # silently drop the other's acknowledged write.
+
+    def test_replace_loses_to_committed_delete(self, db):
+        _setup(db)
+        s1 = db.connect(user="alice")
+        s2 = db.connect(user="bob")
+        s1.begin()
+        s2.begin()
+        s1.execute('delete D from D in Depts where D.dname = "Toys"')
+        s2.execute('replace D (floor = 9) from D in Depts '
+                   'where D.dname = "Toys"')
+        s1.commit()
+        with pytest.raises(SerializationError):
+            s2.commit()
+        assert _names(db.default_session) == set()
+
+    def test_delete_loses_to_committed_replace(self, db):
+        _setup(db)
+        s1 = db.connect(user="alice")
+        s2 = db.connect(user="bob")
+        s1.begin()
+        s2.begin()
+        s1.execute('delete D from D in Depts where D.dname = "Toys"')
+        s2.execute('replace D (floor = 9) from D in Depts '
+                   'where D.dname = "Toys"')
+        s2.commit()
+        with pytest.raises(SerializationError):
+            s1.commit()
+        assert _floor(db.default_session, "Toys") == 9
+
+    def test_replace_after_committed_delete_conflicts(self, db):
+        _setup(db)
+        s1 = db.connect(user="alice")
+        s2 = db.connect(user="bob")
+        s1.begin()
+        s2.begin()
+        s1.execute('delete D from D in Depts where D.dname = "Toys"')
+        s1.commit()
+        # s2's snapshot still shows Toys; updating it is a conflict
+        assert _names(s2) == {"Toys"}
+        with pytest.raises(SerializationError):
+            s2.execute('replace D (floor = 9) from D in Depts '
+                       'where D.dname = "Toys"')
+        s2.abort()
+        assert _names(db.default_session) == set()
+
+    def test_delete_after_committed_replace_conflicts_eagerly(self, db):
+        _setup(db)
+        s1 = db.connect(user="alice")
+        s2 = db.connect(user="bob")
+        s2.begin()
+        s1.execute('replace D (floor = 5) from D in Depts '
+                   'where D.dname = "Toys"')
+        # the deletion toggle checks its key before it removes anything
+        with pytest.raises(SerializationError):
+            s2.execute('delete D from D in Depts where D.dname = "Toys"')
+        s2.abort()
+        assert _floor(db.default_session, "Toys") == 5
+
+    def test_replace_records_one_key_per_object(self, db):
+        _setup(db)
+        oid = db.execute("retrieve (D) from D in Depts").scalar().oid
+        db.begin()
+        db.execute('replace D (floor = 5) from D in Depts')
+        write_set = db.default_session.txn.undo.write_set()
+        db.abort()
+        assert write_set == {("oid", oid)}
+
     def test_autocommit_write_is_versioned_for_open_readers(self, db):
         """A bare statement from one session while another holds a
         snapshot runs as an implicit transaction and is rewound for the
@@ -218,32 +292,6 @@ class TestConflicts:
         assert db.transactions.versions  # retained for the snapshot
         reader.commit()
         assert not db.transactions.versions
-
-
-class TestAblations:
-    def test_isolation_none_restores_shared_state(self, db, monkeypatch):
-        monkeypatch.setattr(Database, "isolation_mode", "none")
-        _setup(db)
-        writer = db.connect(user="alice")
-        reader = db.connect(user="bob")
-        writer.begin()
-        writer.execute('append to Depts (dname = "Shoes", floor = 1)')
-        # no parking, no versions: the reader sees uncommitted work
-        assert _names(reader) == {"Toys", "Shoes"}
-        writer.abort()
-        assert _names(reader) == {"Toys"}
-
-    def test_pickle_mode_allows_single_transaction_only(self, db, monkeypatch):
-        monkeypatch.setattr(Database, "transaction_mode", "pickle")
-        _setup(db)
-        s1 = db.connect(user="alice")
-        s2 = db.connect(user="bob")
-        s1.begin()
-        with pytest.raises(IntegrityError):
-            s2.begin()
-        s1.abort()
-        s2.begin()
-        s2.abort()
 
 
 class TestMultiSessionDurability:
@@ -334,6 +382,79 @@ class TestMultiSessionDurability:
             if crashed and in_flight:
                 candidates.append(self._expected(acked + in_flight))
             assert actual in candidates
+
+    def test_overtaken_transaction_replays_against_its_snapshot(self, tmp_path):
+        """Replay follows commit order, but a transaction's statements
+        ran against its snapshot: a commit that overtook it must stay
+        invisible to them on replay too."""
+        directory = str(tmp_path / "db")
+        db = open_database(directory, fsync=False)
+        _setup(db)
+        s1 = db.connect(user="alice", name="alice")
+        s2 = db.connect(user="bob", name="bob")
+        s1.begin()
+        s2.begin()
+        s2.execute('append to Depts (dname = "Shoes", floor = 1)')
+        s2.commit()
+        # s1's snapshot holds only Toys: it moves Toys, never Shoes
+        assert s1.execute("replace D (floor = 7) from D in Depts").count == 1
+        s1.commit()
+        live = canonical_state(db)
+        assert _floor(db.default_session, "Shoes") == 1
+        db.close()
+        records, _ = read_wal(os.path.join(directory, WAL_NAME))
+        assert [r.snapshot for r in records[-2:]] == [None, records[-3].lsn]
+        recovered = open_database(directory, fsync=False)
+        assert canonical_state(recovered) == live
+        assert not recovered.in_transaction
+        recovered.close()
+
+    def _overtake(self, first, second):
+        """``first`` begins, ``second`` appends Shoes and commits, then
+        ``first`` moves every department it sees and commits."""
+        first.begin()
+        second.execute('append to Depts (dname = "Shoes", floor = 1)')
+        first.execute("replace D (floor = 7) from D in Depts")
+        first.commit()
+
+    def test_overtaken_transaction_after_a_checkpoint(self, tmp_path):
+        directory = str(tmp_path / "db")
+        db = open_database(directory, fsync=False)
+        _setup(db)
+        db.checkpoint()
+        self._overtake(db.connect(name="a"), db.connect(name="b"))
+        live = canonical_state(db)
+        db.close()
+        recovered = open_database(directory, fsync=False)
+        assert canonical_state(recovered) == live
+        assert _floor(recovered.default_session, "Shoes") == 1
+        recovered.close()
+
+    def test_overtaken_default_session_transaction(self, tmp_path):
+        directory = str(tmp_path / "db")
+        db = open_database(directory, fsync=False)
+        _setup(db)
+        self._overtake(db.default_session, db.connect(name="b"))
+        live = canonical_state(db)
+        db.close()
+        recovered = open_database(directory, fsync=False)
+        assert canonical_state(recovered) == live
+        recovered.close()
+
+    def test_overtaken_transaction_shares_its_session_name(self, tmp_path):
+        """Two sessions of one name overlap: replay gives the overtaken
+        transaction a context of its own."""
+        directory = str(tmp_path / "db")
+        db = open_database(directory, fsync=False)
+        _setup(db)
+        self._overtake(db.connect(name="twin"),
+                       db.connect(name="twin"))
+        live = canonical_state(db)
+        db.close()
+        recovered = open_database(directory, fsync=False)
+        assert canonical_state(recovered) == live
+        assert len(recovered.transactions.sessions) == 1  # replay's are closed
+        recovered.close()
 
     def test_interleaved_commits_replay_in_commit_order(self, tmp_path):
         directory = str(tmp_path / "db")

@@ -5,7 +5,6 @@ checkpoint/recover cycles, incremental checkpoints, and vacuum."""
 import pytest
 
 from repro.core.database import Database
-from repro.errors import IntegrityError
 from repro.storage.recovery import open_database
 from repro.util.workload import CompanyWorkload, build_company_database
 
@@ -78,16 +77,24 @@ class TestEngineOverFileStore:
         s1.close()
         s2.close()
 
-    def test_pickle_transaction_mode_rejected(self, file_company):
-        db = file_company
-        db.transaction_mode = "pickle"
-        session = db.connect(user="dba", name="p")
-        try:
-            with pytest.raises(IntegrityError):
-                session.begin()
-        finally:
-            session.close()
-            db.transaction_mode = "undo"
+    def test_append_while_cache_is_pinned_full(self):
+        """A parked transaction's pins fill the whole cache; another
+        session's append must still land its values, not a blank row."""
+        db = Database(storage="paged", store_mode="file", cache_capacity=3)
+        db.execute("define type Acct as (id: int4, bal: float8)")
+        db.execute("create {own ref Acct} Accts")
+        for key in range(1, 7):
+            db.execute(f"append to Accts (id = {key}, bal = {float(key)})")
+        s1 = db.connect(name="deleter")
+        s2 = db.connect(name="appender")
+        s1.begin()
+        for key in (1, 2, 3):  # pins three objects: the cache's capacity
+            s1.execute(f"delete A from A in Accts where A.id = {key}")
+        s2.execute("append to Accts (id = 7, bal = 7.0)")
+        rows = s2.execute("retrieve (A.id, A.bal) from A in Accts").rows
+        assert sorted(rows) == [(k, float(k)) for k in range(1, 8)]
+        s1.close()
+        s2.close()
 
     def test_vacuum_frees_pages(self, file_company):
         db = file_company

@@ -1,20 +1,10 @@
-"""Tests for transactions: begin / commit / abort.
-
-Every test runs twice — once under the default incremental undo log and
-once under the seed's whole-database pickle snapshot — pinning the two
-rollback implementations to identical observable behavior.
-"""
+"""Tests for transactions: begin / commit / abort."""
 
 import pytest
 
 from repro import Database
+from repro.core.values import NULL
 from repro.errors import IntegrityError
-
-
-@pytest.fixture(params=["undo", "pickle"], autouse=True)
-def txn_mode(request, monkeypatch):
-    monkeypatch.setattr(Database, "transaction_mode", request.param)
-    return request.param
 
 
 class TestTransactionApi:
@@ -111,9 +101,37 @@ class TestTransactionStatements:
         db.insert("Employees", name="Temp", age=1, salary=1.0)
         db.abort()
         fresh = db.insert("Employees", name="After", age=2, salary=2.0)
-        # restoring rolled the allocator back with the rest of the state;
-        # the fresh object may reuse the oid but must be fully consistent
+        # the undo log never rewinds the allocator; whatever oid the
+        # fresh object gets, it must be fully consistent
         assert db.objects.fetch(fresh.oid).get("name") == "After"
+
+    def test_abort_restores_nested_owned_set(self, small_company):
+        db = small_company
+        db.begin()
+        db.execute('append to E.kids (name = "New", age = 1) '
+                   'from E in Employees where E.name = "Bob"')
+        db.abort()
+        assert db.execute(
+            'retrieve (count(E.kids)) from E in Employees where E.name = "Bob"'
+        ).scalar() == 0
+
+    def test_abort_restores_array_slot(self, small_company):
+        db = small_company
+        db.begin()
+        db.execute('set TopTen[3] = E from E in Employees where E.name = "Bob"')
+        db.abort()
+        assert db.named("TopTen").value.get(3) is NULL
+
+    def test_abort_restores_ownership(self, small_company):
+        db = small_company
+        bob = db.execute(
+            'retrieve (E) from E in Employees where E.name = "Bob"').scalar()
+        before = db.objects.owner_of(bob.oid)
+        db.begin()
+        db.objects.release(bob.oid)
+        assert db.objects.owner_of(bob.oid) == (None, None)
+        db.abort()
+        assert db.objects.owner_of(bob.oid) == before
 
     def test_snapshot_excludes_open_transaction(self, small_company, tmp_path):
         db = small_company

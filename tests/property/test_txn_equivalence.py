@@ -1,12 +1,13 @@
-"""Property test: the incremental undo log and the whole-database
-pickle snapshot are interchangeable rollback implementations.
+"""Property test: a transaction's outcome matches oracles that use no
+rollback mechanism at all.
 
-Two identically-seeded databases run the same random statement sequence
-inside a transaction — one under ``transaction_mode = "undo"``, one
-under ``"pickle"``. After ``abort`` both must canonically equal each
-other AND the pre-transaction state; after ``commit`` both must equal
-each other. Canonical comparison renumbers OIDs, because the undo log
-deliberately does not rewind the allocator while the pickle mode does.
+* ``abort`` must restore the canonical state taken before ``begin``;
+* ``commit`` must land exactly the state a twin database reaches by
+  running the same statements in autocommit (each statement on its own,
+  no transaction open).
+
+Canonical comparison renumbers OIDs, because the undo log deliberately
+does not rewind the OID allocator on abort.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,10 @@ from repro.util.statedump import canonical_state
 from repro.util.workload import CompanyWorkload, build_company_database
 
 
-def fresh(mode: str):
-    db = build_company_database(
+def fresh():
+    return build_company_database(
         CompanyWorkload(departments=3, employees=12, seed=41)
     )
-    db.transaction_mode = mode
-    return db
 
 
 @st.composite
@@ -77,32 +76,34 @@ def run_transaction(db, statements, outcome: str):
     db.execute(outcome)
 
 
-class TestTransactionModeEquivalence:
+def run_autocommit(db, statements):
+    for statement in statements:
+        db.execute(statement)
+
+
+class TestTransactionOracles:
     @given(statements=txn_statements())
     @settings(max_examples=25, deadline=None)
-    def test_abort_restores_identical_state_in_both_modes(self, statements):
-        undo_db, pickle_db = fresh("undo"), fresh("pickle")
-        before = canonical_state(undo_db)
-        assert canonical_state(pickle_db) == before
-        run_transaction(undo_db, statements, "abort")
-        run_transaction(pickle_db, statements, "abort")
-        assert canonical_state(undo_db) == before
-        assert canonical_state(pickle_db) == before
+    def test_abort_restores_the_state_before_begin(self, statements):
+        db = fresh()
+        before = canonical_state(db)
+        run_transaction(db, statements, "abort")
+        assert canonical_state(db) == before
 
     @given(statements=txn_statements())
     @settings(max_examples=15, deadline=None)
-    def test_commit_lands_identical_state_in_both_modes(self, statements):
-        undo_db, pickle_db = fresh("undo"), fresh("pickle")
-        run_transaction(undo_db, statements, "commit")
-        run_transaction(pickle_db, statements, "commit")
-        assert canonical_state(undo_db) == canonical_state(pickle_db)
+    def test_commit_lands_the_autocommit_state(self, statements):
+        txn_db, twin = fresh(), fresh()
+        run_transaction(txn_db, statements, "commit")
+        run_autocommit(twin, statements)
+        assert canonical_state(txn_db) == canonical_state(twin)
 
     @given(statements=txn_statements())
     @settings(max_examples=10, deadline=None)
     def test_abort_then_rerun_matches_plain_run(self, statements):
         """An aborted attempt leaves no residue that affects a rerun."""
-        scarred, plain = fresh("undo"), fresh("undo")
+        scarred, plain = fresh(), fresh()
         run_transaction(scarred, statements, "abort")
         run_transaction(scarred, statements, "commit")
-        run_transaction(plain, statements, "commit")
+        run_autocommit(plain, statements)
         assert canonical_state(scarred) == canonical_state(plain)

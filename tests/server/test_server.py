@@ -267,7 +267,7 @@ class TestSessionOps:
 
     def test_status_reports_sessions(self, client):
         status = client.status()
-        assert status["isolation_mode"] == "mvcc"
+        assert "isolation_mode" not in status
         assert status["connections"] >= 1
         assert status["user"] == "tester"
 

@@ -130,6 +130,23 @@ class TestPins:
             store.insert(oid, make_record(oid))
         assert store.live_count == 4  # over capacity, but correct
 
+    def test_admitted_object_is_never_its_own_victim(self):
+        """With every other cached object pinned, the object being
+        admitted stays resident (overflow) — evicting it would drop the
+        only record of an instance its caller is about to mutate."""
+        store = make_store(2)
+        for oid in (1, 2):
+            store.insert(oid, make_record(oid))
+            store.pin(oid)
+        record = make_record(3, "fresh")
+        store.insert(3, record)
+        del record
+        gc.collect()
+        assert 3 in store._live
+        store.fetch(3).value._slots["s"] = "mutated"
+        gc.collect()
+        assert store.fetch(3).value.get("s") == "mutated"
+
     def test_unpin_drains_overflow(self):
         store = make_store(2)
         for oid in range(1, 5):

@@ -114,6 +114,14 @@ class TestTornTail:
         with pytest.raises(StorageError, match="write-ahead log"):
             read_wal(wal_path)
 
+    def test_snapshot_field_round_trips(self, wal_path):
+        log = WriteAheadLog(wal_path, fsync=False)
+        log.commit([("dba", "a")], txn=1, session="s1")
+        log.commit([("dba", "b")], txn=2, session="s2", snapshot=0)
+        log.close()
+        records, _ = read_wal(wal_path)
+        assert [r.snapshot for r in records] == [None, 0]
+
     def test_crc_actually_guards_payload(self):
         record = WalRecord(lsn=7, entries=[("dba", "analyze")])
         blob = record.encode()
