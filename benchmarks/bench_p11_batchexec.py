@@ -1,12 +1,10 @@
-"""P11 — vectorized batch execution and fused whole-pipeline codegen.
+"""P11 — fused whole-pipeline codegen against row-at-a-time execution.
 
-The exec_mode ablation compares three executors over identical plans:
+The exec_mode ablation compares the two executors over identical plans:
 
 * ``fused`` — Scan→Filter…→Project regions run as one generated Python
   function (inline expression lowering, one shared row dict, per-region
   stats folding), with batch-at-a-time handoff at pipeline breakers;
-* ``batch`` — batch-at-a-time iteration (default batches of 1024 rows)
-  through the unfused operator tree;
 * ``row`` — the original Volcano tuple-at-a-time open/next/close loop.
 
 The workload is the canonical fusion shape: a scan→filter→project
@@ -18,9 +16,7 @@ Perf claims from this iteration:
 
 * at 100k employees the fused pipeline runs >= 2x faster than row
   mode on scan→filter→project (asserted below);
-* all three modes return identical row multisets (asserted below);
-* batch mode is measured as an ablation (slicing overhead without
-  codegen — it roughly tracks row mode on this CPU-bound shape).
+* both modes return identical row multisets (asserted below).
 
 Acceptance measurements are persisted machine-readably to
 ``benchmarks/results/BENCH_p11.json`` via the shared conftest helper.
@@ -48,15 +44,19 @@ ARITH_QUERY = (
 )
 
 SCALES = [1000, 10000, 100000]
-MODES = ("fused", "batch", "row")
+MODES = ("fused", "row")
 
 _DB_CACHE: dict = {}
 
 
 def company_db(employees: int):
-    """One shared database per scale (read-only workloads)."""
+    """One shared database per scale (read-only workloads), serial: with
+    the worker pool on, a parallel plan's fragments run fused whatever
+    the parent's ``exec_mode``, which would hide the executor compared."""
     if employees not in _DB_CACHE:
-        _DB_CACHE[employees] = fresh_company(employees=employees)
+        db = fresh_company(employees=employees)
+        db.interpreter.parallel_mode = "off"
+        _DB_CACHE[employees] = db
     return _DB_CACHE[employees]
 
 
@@ -92,9 +92,8 @@ def test_pipeline_mode(benchmark, employees, mode):
 def test_fused_beats_row_2x_at_100000():
     """Acceptance: at 100k employees the fused executor runs the
     scan→filter→project pipeline >= 2x faster than row mode (median of
-    3 runs) on identical row multisets; batch mode rides along as the
-    no-codegen ablation. Records per-scale medians for both workload
-    shapes to BENCH_p11.json."""
+    3 runs) on identical row multisets. Records per-scale medians for
+    both workload shapes to BENCH_p11.json."""
     payload: dict = {"scan_filter_project": {}, "arith_pipeline": {}}
     for tag, query in (
         ("scan_filter_project", FUSION_QUERY),
@@ -112,11 +111,10 @@ def test_fused_beats_row_2x_at_100000():
                     timings[mode] = median_time(db, query, repeats)
             finally:
                 db.interpreter.exec_mode = "fused"
-            assert rowsets["fused"] == rowsets["batch"] == rowsets["row"]
+            assert rowsets["fused"] == rowsets["row"]
             assert rowsets["fused"]
             payload[tag][str(employees)] = {
                 "fused_ms": round(timings["fused"] * 1000, 3),
-                "batch_ms": round(timings["batch"] * 1000, 3),
                 "row_ms": round(timings["row"] * 1000, 3),
                 "speedup_fused_vs_row": round(
                     timings["row"] / timings["fused"], 2

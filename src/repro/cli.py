@@ -29,8 +29,8 @@ start with a backslash:
 ``\\authz on|off``      toggle authorization enforcement
 ``\\optimizer on|off``  toggle the query optimizer (for comparisons)
 ``\\compile on|off``    toggle compiled expression closures (ablation)
-``\\exec MODE``  execution mode: ``fused`` | ``batch`` | ``row`` (ablation)
-``\\batch N``    rows per batch in batch execution mode
+``\\exec MODE``  execution mode: ``fused`` | ``row`` (the row-at-a-time oracle)
+``\\batch N``    rows per batch between operators outside fused regions
 ``\\timeout MS`` statement timeout in milliseconds (0 disables)
 ``\\budget BYTES``      operator memory budget; spill to disk beyond it
 ``\\timing on|off``     print per-statement wall time + plan-cache hit/miss

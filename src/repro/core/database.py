@@ -64,6 +64,12 @@ class Database:
     #: database was opened durably via :meth:`open`; None otherwise
     durability: Any = None
 
+    #: True while recovery re-executes the write-ahead log: a log written
+    #: before ``set`` rejected two rows assigning one target may hold such
+    #: a statement, and replay applies it as it was acknowledged (the
+    #: last row wins)
+    replaying: bool = False
+
     def __init__(
         self,
         storage: str = "memory",

@@ -250,6 +250,9 @@ class AggregateRef(BoundExpr):
     aggregate_id: int = 0
     #: over-path evaluated in the *outer* environment (partitioned mode)
     outer_key: Optional[BoundExpr] = None
+    #: the referenced aggregate's mode ("global" | "partition" |
+    #: "correlated") — what the expression compiler dispatches on
+    mode: str = ""
 
 
 @dataclass
@@ -1471,7 +1474,10 @@ class Binder:
         query.aggregates.append(bound)
         result_type = function.result_type(argument.type) if argument.type else None
         return AggregateRef(
-            aggregate_id=aggregate_id, outer_key=outer_key, type=result_type
+            aggregate_id=aggregate_id,
+            outer_key=outer_key,
+            mode=mode,
+            type=result_type,
         )
 
     def _bind_correlated_aggregate(
@@ -1510,7 +1516,9 @@ class Binder:
         )
         query.aggregates.append(bound)
         result_type = function.result_type(argument.type) if argument.type else None
-        return AggregateRef(aggregate_id=aggregate_id, outer_key=None, type=result_type)
+        return AggregateRef(
+            aggregate_id=aggregate_id, mode="correlated", type=result_type
+        )
 
     def _devolve_collection_argument(
         self, argument: BoundExpr, inner_scope: Scope

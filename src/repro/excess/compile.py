@@ -14,8 +14,8 @@ Compilation is total: every expression compiles. Node types whose
 evaluation is entangled with per-statement evaluator state —
 :class:`~repro.excess.binder.AdtCall` (registered ADT functions),
 :class:`~repro.excess.binder.ExcessCall` (recursion-depth accounting,
-dynamic dispatch), :class:`~repro.excess.binder.AggregateRef`
-(precomputed partition tables), :class:`~repro.excess.binder.Membership`
+dynamic dispatch), a correlated :class:`~repro.excess.binder.
+AggregateRef` (per-row memo), :class:`~repro.excess.binder.Membership`
 (memoized semi-join key sets) — compile to a thin callback into the
 existing interpreter, so mixed expressions still run their compilable
 subtrees as closures. A compiled expression therefore never needs a
@@ -55,6 +55,7 @@ from repro.core.values import (
 )
 from repro.errors import EvaluationError
 from repro.excess.binder import (
+    AggregateRef,
     AttrStep,
     Binary,
     BoundExpr,
@@ -74,6 +75,7 @@ __all__ = [
     "compiled_label",
     "FusedPipeline",
     "fused_pipeline",
+    "aggregate_sink",
 ]
 
 #: a compiled expression: ``fn(env, ctx) -> value`` where ``env`` is the
@@ -609,8 +611,45 @@ def _compile_excess_call(node: ExcessCall) -> CompiledExpr:
     return CompiledExpr(run, False)
 
 
+def _compile_aggregate_ref(node: AggregateRef) -> CompiledExpr:
+    """Global and partition aggregate references read the table the
+    statement's precompute filled (mirroring ``Evaluator.
+    _eval_aggregate_ref``: an empty group yields the function's empty
+    value, a ``None`` result reads as null); correlated references keep
+    the interpreter callback, which owns their per-row memo."""
+    from repro.excess.evaluator import canonical_key
+
+    aggregate_id = node.aggregate_id
+
+    def lookup(computed: dict, key: Any, aggregate: Any) -> Any:
+        if key in computed:
+            value = computed[key]
+            return NULL if value is None else value
+        empty = aggregate.function.empty_value
+        return NULL if empty is None else empty
+
+    if node.mode == "global":
+
+        def run(env: dict, ctx: Any) -> Any:
+            _mode, aggregate, computed = ctx.tables[aggregate_id]
+            return lookup(computed, (), aggregate)
+
+        return CompiledExpr(run, True)
+
+    if node.mode == "partition" and node.outer_key is not None:
+        key_fn, key_full = _compile(node.outer_key)
+
+        def run(env: dict, ctx: Any) -> Any:
+            _mode, aggregate, computed = ctx.tables[aggregate_id]
+            return lookup(computed, canonical_key(key_fn(env, ctx)), aggregate)
+
+        return CompiledExpr(run, key_full)
+
+    return _compile_fallback(node)
+
+
 #: compile-time dispatch: exact node class → handler (AdtCall,
-#: AggregateRef, Membership, and anything unknown go through the fallback)
+#: Membership, and anything unknown go through the fallback)
 _HANDLERS: dict[type, Callable[[Any], CompiledExpr]] = {
     Const: _compile_const,
     Param: _compile_param,
@@ -621,6 +660,7 @@ _HANDLERS: dict[type, Callable[[Any], CompiledExpr]] = {
     Binary: _compile_binary,
     Unary: _compile_unary,
     ExcessCall: _compile_excess_call,
+    AggregateRef: _compile_aggregate_ref,
 }
 
 
@@ -670,9 +710,12 @@ def compiled_label(full: bool, compiled: bool = True) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline fusion: a whole Scan→Filter…→Project region as one generated
-# Python function (exec'd once per plan, cached on the region root)
+# Pipeline fusion: a whole region (scan or path loops, filters, and a
+# projection, an aggregate precompute, or an aggregate sink) as one
+# generated Python function (exec'd once per plan, cached on its root)
 # ---------------------------------------------------------------------------
+
+
 
 
 class _ExprLowering:
@@ -684,21 +727,39 @@ class _ExprLowering:
     3VL truth, and byte-identical error messages — so inline and closure
     evaluation are observably equivalent. ``lower`` returns
     ``(None, None)`` for any unsupported shape; the caller falls back to
-    a closure call for that expression. Attribute reads off the scan
-    variable share one dereference per row (``_obj``), which is safe
-    because nothing can mutate the object store between two expression
-    evaluations over the same row.
+    a closure call for that expression.
+
+    Every loop of the region binds one variable at a *level*: the member
+    lives in ``_m<level>`` and attribute reads off it share one
+    dereference per row, ``_o<level>`` — safe because nothing can mutate
+    the object store between two expression evaluations over the same
+    row. Global and partition aggregate references read the tables the
+    region's precompute filled, looked up once per call (``prologue``).
     """
 
-    def __init__(self, ns: dict, scan_var: str, enabled: bool):
+    def __init__(self, ns: dict, enabled: bool, aggregates: dict):
         self.ns = ns
-        self.scan_var = scan_var
         self.enabled = enabled
+        #: loop variable name → its level; grows as the generator opens
+        #: nested loops, so an expression only sees enclosing variables
+        self.loop_vars: dict[str, int] = {}
+        #: levels whose ``_o`` dereference a lowered expression read
+        self.uses_object: set[int] = set()
+        #: aggregate_id → BoundAggregate of the global/partition
+        #: aggregates whose tables this region's precompute fills
+        self.aggregates = aggregates
+        #: per-call statements (unindented), run after the precompute
+        self.prologue: list[str] = []
+        #: aggregate ids whose table lookup ``prologue`` already holds
+        self.tables: set[int] = set()
+        #: (level, attribute, ...) → register holding that attribute path
+        #: of a loop variable, computed unconditionally earlier in the row
+        self.paths: dict[tuple, str] = {}
+        #: > 0 while lowering code that runs only on some rows (the right
+        #: operand of and/or), whose registers later code must not reuse
+        self.cond_depth = 0
         self.tmp = 0
         self.consts = 0
-        #: True once any lowered expression read an attribute of the
-        #: scan variable — the loop then hoists one deref per row
-        self.uses_scan_object = False
 
     def new_tmp(self) -> str:
         self.tmp += 1
@@ -708,10 +769,22 @@ class _ExprLowering:
         """``(statements, result_name)`` or ``(None, None)``."""
         if not self.enabled:
             return None, None
+        # an abandoned lowering discards its statements, so it must also
+        # forget the registers and per-call lookups they would have set
+        paths = dict(self.paths)
+        uses_object = set(self.uses_object)
+        prologue = len(self.prologue)
+        tables = set(self.tables)
+        cond_depth = self.cond_depth
         buf: list[str] = []
         try:
             reg = self._lower(node, buf, indent)
         except _Unsupported:
+            self.paths = paths
+            self.uses_object = uses_object
+            del self.prologue[prologue:]
+            self.tables = tables
+            self.cond_depth = cond_depth
             return None, None
         return buf, reg
 
@@ -736,6 +809,8 @@ class _ExprLowering:
             return self._lower_binary(node, buf, i)
         if isinstance(node, Unary):
             return self._lower_unary(node, buf, i)
+        if isinstance(node, AggregateRef):
+            return self._lower_aggregate(node, buf, i)
         raise _Unsupported
 
     def _live_check(self, out: str, buf: list, i: str) -> None:
@@ -743,24 +818,51 @@ class _ExprLowering:
         buf.append(f"{i}    {out} = NULL")
 
     def _lower_var(self, node: VarRef, buf: list, i: str) -> str:
-        if node.name == self.scan_var:
-            # the scan yields only live members, and nothing dies while
-            # this row's expressions run — skip the liveness re-check
-            return "_member"
+        level = self.loop_vars.get(node.name)
+        if level is not None:
+            # scans and path loops yield only live members, and nothing
+            # dies while this row's expressions run — no liveness re-check
+            return f"_m{level}"
         out = self.new_tmp()
         buf.append(f"{i}{out} = env.get({node.name!r}, NULL)")
         self._live_check(out, buf, i)
         return out
 
+    def _path_key(self, node: BoundExpr) -> Optional[tuple]:
+        """``(level, attribute, ...)`` for an attribute path rooted at a
+        loop variable, else None."""
+        if isinstance(node, VarRef):
+            level = self.loop_vars.get(node.name)
+            return None if level is None else (level,)
+        if isinstance(node, AttrStep):
+            base = self._path_key(node.base)
+            return None if base is None else base + (node.attribute,)
+        return None
+
     def _lower_attr(self, node: AttrStep, buf: list, i: str) -> str:
+        # an attribute path read twice in one row (a filter and a
+        # target, say) is read once: attribute reads cannot fail and
+        # nothing mutates the store mid-row
+        key = self._path_key(node)
+        if key is not None and key in self.paths:
+            return self.paths[key]
+        out = self._lower_attr_read(node, buf, i)
+        if key is not None and self.cond_depth == 0:
+            self.paths[key] = out
+        return out
+
+    def _lower_attr_read(self, node: AttrStep, buf: list, i: str) -> str:
         out = self.new_tmp()
         base = node.base
-        if isinstance(base, VarRef) and base.name == self.scan_var:
-            self.uses_scan_object = True
-            buf.append(f"{i}if _obj is NULL:")
+        level = (
+            self.loop_vars.get(base.name) if isinstance(base, VarRef) else None
+        )
+        if level is not None:
+            self.uses_object.add(level)
+            buf.append(f"{i}if _o{level} is NULL:")
             buf.append(f"{i}    {out} = NULL")
             buf.append(f"{i}else:")
-            buf.append(f"{i}    {out} = _obj.get({node.attribute!r})")
+            buf.append(f"{i}    {out} = _o{level}.get({node.attribute!r})")
             buf.append(
                 f"{i}    if isinstance({out}, Ref) and not _alive({out}.oid):"
             )
@@ -779,6 +881,43 @@ class _ExprLowering:
         buf.append(f"{i}else:")
         buf.append(f"{i}    {out} = NULL")
         self._live_check(out, buf, i)
+        return out
+
+    def _lower_aggregate(self, node: AggregateRef, buf: list, i: str) -> str:
+        """Mirror of ``Evaluator._eval_aggregate_ref`` for the global and
+        partition modes (correlated references stay callbacks)."""
+        aggregate = self.aggregates.get(node.aggregate_id)
+        if aggregate is None or (
+            aggregate.mode == "partition" and node.outer_key is None
+        ):
+            raise _Unsupported
+        aid = node.aggregate_id
+        table, empty, value = f"_agc{aid}", f"_age{aid}", f"_agv{aid}"
+        if aid not in self.tables:
+            self.tables.add(aid)
+            empty_value = aggregate.function.empty_value
+            self.ns[empty] = NULL if empty_value is None else empty_value
+            self.prologue.append(f"{table} = _tables[{aid}][2]")
+            if aggregate.mode == "global":
+                # one value per execution: resolved once, before the loop
+                self.prologue.extend(
+                    [
+                        f"{value} = {table}.get((), _MISS)",
+                        f"if {value} is _MISS:",
+                        f"    {value} = {empty}",
+                        f"elif {value} is None:",
+                        f"    {value} = NULL",
+                    ]
+                )
+        if aggregate.mode == "global":
+            return value
+        key = self._lower(node.outer_key, buf, i)
+        out = self.new_tmp()
+        buf.append(f"{i}{out} = {table}.get(canonical_key({key}), _MISS)")
+        buf.append(f"{i}if {out} is _MISS:")
+        buf.append(f"{i}    {out} = {empty}")
+        buf.append(f"{i}elif {out} is None:")
+        buf.append(f"{i}    {out} = NULL")
         return out
 
     def _lower_binary(self, node: Binary, buf: list, i: str) -> str:
@@ -860,9 +999,9 @@ class _ExprLowering:
         buf.append(f"{i}if {lt} is {decided}:")
         buf.append(f"{i}    {out} = {decided}")
         buf.append(f"{i}else:")
-        inner: list[str] = []
-        right = self._lower(node.right, inner, i + "    ")
-        buf.extend(inner)
+        self.cond_depth += 1
+        right = self._lower(node.right, buf, i + "    ")
+        self.cond_depth -= 1
         rt = self.new_tmp()
         buf.append(f"{i}    {rt} = _truth({right})")
         buf.append(f"{i}    if {rt} is {decided}:")
@@ -918,20 +1057,34 @@ class _Unsupported(Exception):
 class FusedPipeline(NamedTuple):
     """One fused pipeline region, ready to run."""
 
-    #: ``fn(ctx, env) -> list`` — materializes the region's whole output
-    fn: Callable[[Any, dict], list]
+    #: ``fn(ctx, env)`` — materializes the region's whole output: a list
+    #: of rows or envs, or an aggregate sink's ``{key: [values]}`` groups
+    fn: Callable[[Any, dict], Any]
     #: the generated Python source (``plan.pipeline_sources`` prepends
     #: the region's operator descriptions for ``Result.pipeline_source``)
     source: str
     #: "rows" when the region root is a Project (emits result tuples, or
     #: ``(row, sort_keys)`` pairs under a Sort); "envs" when the region
-    #: emits environment dicts for a consumer operator
+    #: emits environment dicts for a consumer operator; "sink" when it
+    #: feeds an aggregate's groups
     kind: str
     #: number of plan operators folded into the function
     ops: int
     #: True when every expression in the region compiled to a direct
     #: closure (no interpreter callbacks)
     full: bool
+
+
+def _cached_region(op: Any, key: Any, build: Callable[[], Any]) -> Any:
+    """Memoize a generated region on plan node ``op`` in the ``_fused``
+    slot — popped by ``PlanOp.__getstate__`` so generated functions are
+    never pickled, and regenerated lazily on the next fused execution."""
+    cache = op.__dict__.get("_fused")
+    if cache is None:
+        cache = op.__dict__["_fused"] = {}
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def fused_pipeline(op: Any, compiled: bool) -> Optional[FusedPipeline]:
@@ -942,275 +1095,489 @@ def fused_pipeline(op: Any, compiled: bool) -> Optional[FusedPipeline]:
     (``compile_mode`` ablations each get a matching function: closure
     expressions in ``closure`` mode, interpreter callbacks in ``off``
     mode — the fusion ablation stays orthogonal to the expression one).
-    The cache behaves exactly like the ``_compiled`` expression caches:
-    popped by ``PlanOp.__getstate__`` so generated functions are never
-    pickled, regenerated lazily on the next fused execution.
     """
-    cache = op.__dict__.get("_fused")
-    if cache is None:
-        cache = {}
-        op.__dict__["_fused"] = cache
     key = bool(compiled)
-    if key not in cache:
-        cache[key] = _build_fused(op, key)
-    return cache[key]
+    return _cached_region(op, key, lambda: _build_fused(op, key))
 
 
-def _build_fused(op: Any, compiled: bool) -> Optional[FusedPipeline]:
-    """Generate, ``exec``, and wrap the fused function for the region
-    rooted at ``op`` (None when ``op`` roots no fusable region).
+def aggregate_sink(
+    op: Any, aggregate: Any, compiled: bool
+) -> Optional[FusedPipeline]:
+    """The aggregate sink over ``op`` — the lowered inner pipeline of the
+    global or partition ``aggregate`` — or None when that pipeline is
+    not a plain fusable body (no Project, no Aggregate).
 
-    The generated function runs the scan loop, every filter conjunct,
-    and the projection (targets, unique, sort keys) as straight-line
-    Python over **one** shared environment dict mutated in place — no
-    per-operator generator handoff, no per-row env copying on the
-    Project-rooted path. Per-operator counters are accumulated in local
-    integers and folded into the region's ``OpStats`` in a ``finally``
-    (the region root's ``rows_out`` is counted by its consumer, like
-    every batch producer). Semantics — evaluation order, 3VL, error
-    messages — mirror the row-mode operators byte for byte.
+    The generated loop evaluates the argument (and the partition key)
+    inline per row, skips null values, and returns the ``{key:
+    [values]}`` groups the aggregate function is applied to — what
+    ``Evaluator._precompute_aggregates`` otherwise builds by draining
+    the pipeline's row snapshots.
     """
-    from repro.excess import plan
-    from repro.excess.evaluator import canonical_key
-
-    chain = plan.fusable_ops(op)
-    if chain is None:
-        return None
-    project = chain[0] if isinstance(chain[0], plan.Project) else None
-    filters = [o for o in chain if isinstance(o, plan.Filter)]
-    partition = next(
-        (o for o in chain if isinstance(o, plan.ExchangePartition)), None
+    key = ("sink", bool(compiled))
+    return _cached_region(
+        op, key, lambda: _build_fused(op, bool(compiled), aggregate)
     )
-    leaf = chain[-1]
-    # execution order: scan, then the range partition (a member-list
-    # slice, active only under a worker shard), then filters bottom-up,
-    # then the projection
-    filters_exec = list(reversed(filters))
-    exec_chain: list = [leaf]
-    if partition is not None:
-        exec_chain.append(partition)
-    exec_chain.extend(filters_exec)
-    if project is not None:
-        exec_chain.append(project)
 
-    full = True
-    n_closures = 0
-    ns: dict[str, Any] = {
-        "NULL": NULL,
-        "Ref": Ref,
-        "ArrayInstance": ArrayInstance,
-        "SetInstance": SetInstance,
-        "TupleInstance": TupleInstance,
-        "EvaluationError": EvaluationError,
-        "canonical_key": canonical_key,
-        "_veq": value_equal,
-        "_truth": _truth,
-        "_ooid": _object_oid,
-    }
 
-    def closure(node: BoundExpr) -> str:
+def _build_fused(
+    op: Any, compiled: bool, sink: Any = None
+) -> Optional[FusedPipeline]:
+    """Generate, ``exec``, and wrap the fused function for the region
+    rooted at ``op`` (None when ``op`` roots no fusable region, or, for
+    an aggregate ``sink``, no plain body)."""
+    from repro.excess import plan
+
+    ops = plan.fusable_ops(op)
+    if ops is None:
+        return None
+    if sink is not None and any(
+        isinstance(o, (plan.Project, plan.Aggregate)) for o in ops
+    ):
+        return None
+    return _RegionGen(ops, compiled, sink).build()
+
+
+class _RegionGen:
+    """Source generator for one fused region (:func:`_build_fused`).
+
+    The generated function runs the region's loops — the scan, then one
+    nested ``for`` per path expansion — every filter conjunct, and the
+    finish (projection with unique/sort keys, env snapshots, or an
+    aggregate sink) as straight-line Python. Per-operator counters are
+    accumulated in local integers and folded into each operator's
+    ``OpStats`` in a ``finally``: ``opens`` once per call, or once per
+    outer row for the inner side of a nested loop; ``rows_in`` from the
+    child's counter; ``rows_out`` for every operator but the root,
+    whose consumer counts it (a sink counts its root itself). Semantics —
+    evaluation order, 3VL, error messages — mirror the row-mode
+    operators byte for byte.
+    """
+
+    def __init__(self, ops: list, compiled: bool, sink: Any) -> None:
+        from repro.excess import plan
+        from repro.excess.evaluator import canonical_key
+
+        self.plan = plan
+        self.ops = ops
+        self.compiled = compiled
+        self.sink = sink
+        root = ops[0]
+        self.project = root if isinstance(root, plan.Project) else None
+        self.aggregate = next(
+            (o for o in ops if isinstance(o, plan.Aggregate)), None
+        )
+        self.ns: dict[str, Any] = {
+            "NULL": NULL,
+            "Ref": Ref,
+            "ArrayInstance": ArrayInstance,
+            "SetInstance": SetInstance,
+            "TupleInstance": TupleInstance,
+            "EvaluationError": EvaluationError,
+            "canonical_key": canonical_key,
+            "_veq": value_equal,
+            "_truth": _truth,
+            "_ooid": _object_oid,
+            "_MISS": _MISS,
+            "_ONE": (None,),
+        }
+        aggregates = {}
+        if self.aggregate is not None:
+            aggregates = {
+                a.aggregate_id: a
+                for a in self.aggregate.query.aggregates
+                if a.mode != "correlated"
+            }
+        self.lowering = _ExprLowering(self.ns, compiled, aggregates)
+        self.full = True
+        self.n_closures = 0
+        self.n_counters = 0
+        #: env-emitting regions snapshot ``_row``; others need it only
+        #: for a closure call
+        self.uses_row = self.project is None and sink is None
+        #: loop level → its variable name
+        self.level_vars: list[str] = []
+        #: id(op) → the local counting its output rows (aliases share)
+        self.counters: dict[int, str] = {}
+        #: id(op) → the counter of rows that re-open it (the inner side
+        #: of a nested loop opens once per outer row)
+        self.opened_by: dict[int, str] = {}
+        #: body lines: source text, or ("bind"|"deref", level, indent)
+        #: markers resolved once the whole body is known
+        self.lines: list = []
+
+    # -- helpers ---------------------------------------------------------
+
+    def emit(self, indent: str, text: str) -> None:
+        self.lines.append(indent + text)
+
+    def closure(self, node: BoundExpr) -> str:
         """Compile one expression into the namespace; returns its name."""
-        nonlocal full, n_closures
-        entry = compile_expr(node, compiled)
-        full = full and entry.full
-        name = f"_fn{n_closures}"
-        n_closures += 1
-        ns[name] = entry.fn
+        entry = compile_expr(node, self.compiled)
+        self.full = self.full and entry.full
+        name = f"_fn{self.n_closures}"
+        self.n_closures += 1
+        self.ns[name] = entry.fn
         return name
 
-    for position, region_op in enumerate(exec_chain):
-        ns[f"_st{position}"] = region_op.stats
+    def value(self, node: BoundExpr, indent: str) -> str:
+        """Emit ``node``'s evaluation; returns the name holding its value
+        (a register, or a closure-call result)."""
+        stmts, reg = self.lowering.lower(node, indent)
+        if stmts is not None:
+            self.lines.extend(stmts)
+            return reg
+        self.uses_row = True
+        out = self.lowering.new_tmp()
+        self.emit(indent, f"{out} = {self.closure(node)}(_row, ctx)")
+        return out
 
-    lines: list[str] = []
-    emit = lines.append
-    emit("def _fused(ctx, env):")
-    emit("    _out = []")
-    emit("    _append = _out.append")
-    # output counters for every non-root stage (the root's rows_out is
-    # counted by the consumer pulling the batches)
-    n_counters = len(exec_chain) - 1
-    for index in range(n_counters):
-        emit(f"    _n{index} = 0")
-    emit("    try:")
-    emit("        _db = ctx.db")
-    emit("        _params = ctx.params")
-    emit("        _objects = ctx.objects")
-    emit("        _deref = _objects.deref")
-    emit("        _alive = _objects.is_live")
+    def count(self, op: Any, indent: str) -> None:
+        name = f"_n{self.n_counters}"
+        self.n_counters += 1
+        self.counters[id(op)] = name
+        self.emit(indent, f"{name} += 1")
 
-    # --- row source -------------------------------------------------------
-    if isinstance(leaf, plan.SeqScan):
-        ns["_set_name"] = leaf.set_name
-        emit("        _collection = _db.named(_set_name).value")
-        emit("        if isinstance(_collection, ArrayInstance):")
-        emit("            _members = [")
-        emit("                _s for _s in _collection")
-        emit("                if _s is not NULL")
-        emit("                and not (isinstance(_s, Ref) and not _alive(_s.oid))")
-        emit("            ]")
-        emit("        elif isinstance(_collection, SetInstance):")
-        emit("            _members = _db.integrity.live_members(_collection)")
-        emit("        else:")
-        emit('            raise EvaluationError(f"{_set_name!r} is not a collection")')
+    def open_loop(self, var: str, members: str, indent: str) -> str:
+        """``for`` over ``members`` binding ``var`` at a new level;
+        returns the body indent."""
+        level = len(self.level_vars)
+        self.level_vars.append(var)
+        self.lowering.loop_vars[var] = level
+        self.emit(indent, f"for _m{level} in {members}:")
+        body = indent + "    "
+        self.lines.append(("bind", level, body))
+        self.lines.append(("deref", level, body))
+        return body
+
+    # -- region structure -------------------------------------------------
+
+    def body(self, op: Any, indent: str, cont: Callable[[str], None]) -> None:
+        """``Filter* source``: the source's loops, then the filters
+        bottom-up, then ``cont`` at the surviving rows' indent."""
+        plan = self.plan
+        filters = []
+        while isinstance(op, plan.Filter):
+            filters.append(op)
+            op = op.children[0]
+
+        def after_source(inner: str) -> None:
+            self.body_filters(filters, inner, cont)
+
+        if isinstance(op, plan.NestedLoopJoin):
+            self.nested_loop(op, indent, after_source)
+        elif isinstance(op, plan.PathExpand):
+            self.path_loop(op, indent, after_source)
+        elif isinstance(op, plan.Singleton):
+            # the aggregate-only region: one pass over the incoming env
+            self.emit(indent, "for _m in _ONE:")
+            self.count(op, indent + "    ")
+            after_source(indent + "    ")
+        else:
+            self.scan(op, indent, after_source)
+
+    def scan(self, op: Any, indent: str, cont: Callable[[str], None]) -> None:
+        plan = self.plan
+        partition = op if isinstance(op, plan.ExchangePartition) else None
+        leaf = op.children[0] if partition is not None else op
+        emit = self.emit
+        if isinstance(leaf, plan.SeqScan):
+            self.ns["_set_name"] = leaf.set_name
+            emit(indent, "_collection = _db.named(_set_name).value")
+            emit(indent, "if isinstance(_collection, ArrayInstance):")
+            emit(indent, "    _members = [")
+            emit(indent, "        _s for _s in _collection")
+            emit(indent, "        if _s is not NULL")
+            emit(indent, "        and not (isinstance(_s, Ref) and not _alive(_s.oid))")
+            emit(indent, "    ]")
+            emit(indent, "elif isinstance(_collection, SetInstance):")
+            emit(indent, "    _members = _live_members(_collection)")
+            emit(indent, "else:")
+            emit(indent, '    raise EvaluationError(f"{_set_name!r} is not a collection")')
+            if partition is not None:
+                # range partitioning: slice the member list before any
+                # row work — the whole saving of a parallel scan (a
+                # passthrough when no worker shard is active)
+                emit(indent, "_ex = ctx.exchange")
+                emit(indent, "if _ex is not None:")
+                emit(indent, "    _members = list(_members)")
+                emit(indent, "    _mn = len(_members)")
+                emit(
+                    indent,
+                    "    _members = _members[(_ex.part * _mn) // _ex.dop"
+                    " : ((_ex.part + 1) * _mn) // _ex.dop]",
+                )
+        else:  # IndexScan
+            self.ns["_descriptor"] = leaf.descriptor
+            emit(indent, f"_key = {self.closure(leaf.key_expr)}(env, ctx)")
+            emit(indent, "if _key is NULL:")
+            emit(indent, "    _members = []")
+            emit(indent, "else:")
+            emit(indent, "    _index = _descriptor.index")
+            if leaf.op == "=":
+                emit(indent, "    _oids = _index.search(_key)")
+            else:
+                emit(indent, '    if not getattr(_index, "supports_range", False):')
+                emit(indent, "        raise EvaluationError(")
+                emit(indent, '            "index does not support range scans"')
+                emit(indent, "        )")
+                if leaf.op in ("<", "<="):
+                    include = "True" if leaf.op == "<=" else "False"
+                    emit(
+                        indent,
+                        "    _pairs = _index.range_scan("
+                        f"None, _key, include_high={include})",
+                    )
+                else:
+                    include = "True" if leaf.op == ">=" else "False"
+                    emit(
+                        indent,
+                        "    _pairs = _index.range_scan("
+                        f"_key, None, include_low={include})",
+                    )
+                emit(indent, "    _oids = [_oid for _k, _oid in _pairs]")
+            emit(indent, "    _members = [Ref(_o) for _o in _oids if _alive(_o)]")
+        inner = self.open_loop(leaf.var, "_members", indent)
+        self.count(leaf, inner)
         if partition is not None:
-            # range partitioning: slice the member list before any row
-            # work — the whole saving of a parallel scan (a passthrough
-            # when no worker shard is active)
-            emit("        _ex = ctx.exchange")
-            emit("        if _ex is not None:")
-            emit("            _members = list(_members)")
-            emit("            _mn = len(_members)")
-            emit(
-                "            _members = _members[(_ex.part * _mn) // _ex.dop"
-                " : ((_ex.part + 1) * _mn) // _ex.dop]"
-            )
-    else:  # IndexScan
-        ns["_descriptor"] = leaf.descriptor
-        key_name = closure(leaf.key_expr)
-        emit(f"        _key = {key_name}(env, ctx)")
-        emit("        if _key is NULL:")
-        emit("            _members = []")
-        emit("        else:")
-        emit("            _index = _descriptor.index")
-        if leaf.op == "=":
-            emit("            _oids = _index.search(_key)")
-        else:
-            emit('            if not getattr(_index, "supports_range", False):')
-            emit("                raise EvaluationError(")
-            emit('                    "index does not support range scans"')
-            emit("                )")
-            if leaf.op in ("<", "<="):
-                include = "True" if leaf.op == "<=" else "False"
-                emit(
-                    "            _pairs = _index.range_scan("
-                    f"None, _key, include_high={include})"
-                )
-            else:
-                include = "True" if leaf.op == ">=" else "False"
-                emit(
-                    "            _pairs = _index.range_scan("
-                    f"_key, None, include_low={include})"
-                )
-            emit("            _oids = [_oid for _k, _oid in _pairs]")
-        emit("            _members = [Ref(_o) for _o in _oids if _alive(_o)]")
-
-    # --- fused loop -------------------------------------------------------
-    var = leaf.var
-    if len(exec_chain) == 1:
-        # bare scan region: rows are retained by the consumer, so each
-        # needs its own snapshot (no shared-row optimization possible)
-        emit("        for _member in _members:")
-        emit("            _row = dict(env)")
-        emit(f"            _row[{var!r}] = _member")
-        emit("            _append(_row)")
-    else:
-        # assemble the loop body first: expressions lower to inline
-        # statements where possible (tracking whether any of them needs
-        # the per-row _obj deref or the _row dict for a closure call)
-        lowering = _ExprLowering(ns, var, compiled)
-        pad = "            "
-        body: list[str] = []
-        uses_row = project is None  # env-emitting regions snapshot _row
-
-        def value_stmts(node: BoundExpr) -> str:
-            """Lower ``node`` into ``body``; returns the name holding
-            its value (a register, or a closure-call result)."""
-            nonlocal uses_row
-            stmts, reg = lowering.lower(node, pad)
-            if stmts is not None:
-                body.extend(stmts)
-                return reg
-            uses_row = True
-            name = closure(node)
-            out = lowering.new_tmp()
-            body.append(f"{pad}{out} = {name}(_row, ctx)")
-            return out
-
-        counter_base = 1 if partition is None else 2
-        for findex, flt in enumerate(filters_exec):
-            for predicate in flt.predicates:
-                stmts, reg = lowering.lower(predicate, pad)
-                if stmts is not None:
-                    body.extend(stmts)
-                    body.append(f"{pad}if {reg} is not True:")
-                else:
-                    uses_row = True
-                    pred_name = closure(predicate)
-                    body.append(f"{pad}if {pred_name}(_row, ctx) is not True:")
-                body.append(f"{pad}    continue")
-            if findex + counter_base < n_counters:
-                body.append(f"{pad}_n{findex + counter_base} += 1")
-        if project is None:
-            # Filter-rooted region: emit surviving envs as snapshots
-            body.append(f"{pad}_append(dict(_row))")
-        else:
-            # targets evaluate strictly left to right (each into its own
-            # register) so mid-row errors fire in row-mode order
-            target_regs = [
-                value_stmts(t.expression) for t in project.targets
-            ]
-            if len(target_regs) == 1:
-                body.append(f"{pad}_r = ({target_regs[0]},)")
-            else:
-                body.append(f"{pad}_r = ({', '.join(target_regs)})")
-            if project.unique:
-                body.append(f"{pad}_k = tuple(map(canonical_key, _r))")
-                body.append(f"{pad}if _k in _seen:")
-                body.append(f"{pad}    continue")
-                body.append(f"{pad}_seen.add(_k)")
-            if project.order:
-                order_regs = [
-                    value_stmts(expr) for expr, _desc in project.order
-                ]
-                if len(order_regs) == 1:
-                    body.append(f"{pad}_append((_r, ({order_regs[0]},)))")
-                else:
-                    body.append(f"{pad}_append((_r, ({', '.join(order_regs)})))")
-            else:
-                body.append(f"{pad}_append(_r)")
-
-        if project is not None and project.unique:
-            emit("        _seen = set()")
-        if uses_row:
-            emit("        _row = dict(env)")
-        emit("        for _member in _members:")
-        if uses_row:
-            emit(f"            _row[{var!r}] = _member")
-        emit("            _n0 += 1")
-        if partition is not None and n_counters > 1:
             # the partition's output equals the (already sliced) scan
-            emit("            _n1 += 1")
-        if lowering.uses_scan_object:
-            # one dereference of the scan member shared by every inline
-            # attribute read of this row
-            emit("            _obj = _member")
-            emit("            if isinstance(_obj, Ref):")
-            emit("                _obj = _deref(_obj.oid)")
-            emit("                if _obj is None:")
-            emit("                    _obj = NULL")
-            emit("            elif not isinstance(_obj, TupleInstance):")
-            emit("                _obj = NULL")
-        lines.extend(body)
+            self.counters[id(partition)] = self.counters[id(leaf)]
+        cont(inner)
 
-    # --- loop epilogue: cooperative cancellation point --------------------
-    # a fused region materializes its whole output in one call, so the
-    # statement deadline is checked once here, after the loop — the
-    # region's cancellation granularity (documented in DESIGN §14)
-    emit("        _gv = ctx.governor")
-    emit("        if _gv is not None:")
-    emit('            _gv.check_timeout("fused")')
+    def nested_loop(
+        self, join: Any, indent: str, cont: Callable[[str], None]
+    ) -> None:
+        """``NestedLoopJoin(body, Filter* PathExpand)``: the outer body's
+        loops with the path loop nested at their surviving rows."""
+        plan = self.plan
+        outer, inner_top = join.children
+        inner_filters = []
+        expand = inner_top
+        while isinstance(expand, plan.Filter):
+            inner_filters.append(expand)
+            expand = expand.children[0]
 
-    # --- fold the per-operator counters ----------------------------------
-    emit("    finally:")
-    for position, region_op in enumerate(exec_chain):
-        emit(f"        _st{position}.opens += 1")
-        if position > 0:
-            emit(f"        _st{position}.rows_in += _n{position - 1}")
-        if position < n_counters:
-            emit(f"        _st{position}.rows_out += _n{position}")
-    emit("    return _out")
+        def inner_side(at: str) -> None:
+            # every inner operator re-opens once per outer row
+            feed = self.counters[id(outer)]
+            for inner_op in inner_filters + [expand]:
+                self.opened_by[id(inner_op)] = feed
 
-    source = "\n".join(lines)
-    exec(compile(source, "<fused pipeline>", "exec"), ns)
-    kind = "rows" if project is not None else "envs"
-    return FusedPipeline(ns["_fused"], source, kind, len(chain), full)
+            def joined(row_indent: str) -> None:
+                self.counters[id(join)] = self.counters[id(inner_top)]
+                cont(row_indent)
+
+            self.path_loop(
+                expand,
+                at,
+                lambda body: self.body_filters(inner_filters, body, joined),
+            )
+
+        self.body(outer, indent, inner_side)
+
+    def path_loop(
+        self, expand: Any, indent: str, cont: Callable[[str], None]
+    ) -> None:
+        """The ``for`` over a resolved path collection."""
+        self.resolve_path(expand, indent)
+        level = len(self.level_vars)
+        body = self.open_loop(expand.var, f"_ms{level}", indent)
+        self.count(expand, body)
+        cont(body)
+
+    def body_filters(
+        self, filters: list, indent: str, cont: Callable[[str], None]
+    ) -> None:
+        """Apply ``filters`` (top-down list) bottom-up, then ``cont``."""
+        for flt in reversed(filters):
+            for predicate in flt.predicates:
+                stmts, reg = self.lowering.lower(predicate, indent)
+                if stmts is not None:
+                    self.lines.extend(stmts)
+                    self.emit(indent, f"if {reg} is not True:")
+                else:
+                    self.uses_row = True
+                    name = self.closure(predicate)
+                    self.emit(indent, f"if {name}(_row, ctx) is not True:")
+                self.emit(indent, "    continue")
+            self.count(flt, indent)
+        cont(indent)
+
+    def resolve_path(self, expand: Any, indent: str) -> None:
+        """Mirror of ``PathExpand._resolve_collection`` into
+        ``_ms<level>``: an array walks its live non-null slots, a set its
+        live members, and a null, dangling or non-object step yields no
+        rows."""
+        level = len(self.level_vars)
+        emit = self.emit
+        parent_level = self.lowering.loop_vars.get(expand.parent)
+        if parent_level is not None:
+            self.lowering.uses_object.add(parent_level)
+            emit(indent, f"_p = _o{parent_level}")
+        else:
+            emit(indent, f"_p = env.get({expand.parent!r})")
+            emit(indent, "if isinstance(_p, Ref):")
+            emit(indent, "    _p = _deref(_p.oid)")
+        for step in expand.steps:
+            emit(indent, "if isinstance(_p, TupleInstance):")
+            emit(indent, f"    _p = _p.get({step!r})")
+            emit(indent, "    if isinstance(_p, Ref):")
+            emit(indent, "        _p = _deref(_p.oid)")
+            emit(indent, "else:")
+            emit(indent, "    _p = None")
+        emit(indent, "if isinstance(_p, SetInstance):")
+        emit(indent, f"    _ms{level} = _live_members(_p)")
+        emit(indent, "elif isinstance(_p, ArrayInstance):")
+        emit(indent, f"    _ms{level} = [")
+        emit(indent, "        _s for _s in _p")
+        emit(indent, "        if _s is not NULL")
+        emit(indent, "        and not (isinstance(_s, Ref) and not _alive(_s.oid))")
+        emit(indent, "    ]")
+        emit(indent, "else:")
+        emit(indent, f"    _ms{level} = ()")
+
+    # -- finishes ---------------------------------------------------------
+
+    def finish(self, indent: str) -> None:
+        emit = self.emit
+        if self.sink is not None:
+            aggregate = self.sink
+            value = self.value(aggregate.argument, indent)
+            emit(indent, f"if {value} is not NULL:")
+            inner = indent + "    "
+            if aggregate.mode == "partition":
+                # the key is evaluated only for non-null values
+                self.lowering.cond_depth += 1
+                key = self.value(aggregate.inner_key, inner)
+                self.lowering.cond_depth -= 1
+                emit(inner, f"_k = canonical_key({key})")
+                emit(inner, "_g = _groups.get(_k)")
+                emit(inner, "if _g is None:")
+                emit(inner, f"    _groups[_k] = [{value}]")
+                emit(inner, "else:")
+                emit(inner, f"    _g.append({value})")
+            else:
+                emit(inner, f"_append({value})")
+            return
+        project = self.project
+        if project is None:
+            emit(indent, "_append(dict(_row))")
+            return
+        # targets evaluate strictly left to right (each into its own
+        # register) so mid-row errors fire in row-mode order
+        regs = [self.value(t.expression, indent) for t in project.targets]
+        emit(indent, f"_r = ({', '.join(regs)},)")
+        if project.unique:
+            emit(indent, "_k = tuple(map(canonical_key, _r))")
+            emit(indent, "if _k in _seen:")
+            emit(indent, "    continue")
+            emit(indent, "_seen.add(_k)")
+        if project.order:
+            keys = [self.value(expr, indent) for expr, _desc in project.order]
+            emit(indent, f"_append((_r, ({', '.join(keys)},)))")
+        else:
+            emit(indent, "_append(_r)")
+
+    # -- assembly ---------------------------------------------------------
+
+    def build(self) -> FusedPipeline:
+        plan = self.plan
+        ops = self.ops
+        root = ops[0]
+        top = root
+        if self.project is not None:
+            top = top.children[0]
+        if self.aggregate is not None:
+            top = top.children[0]
+        self.body(top, "        ", self.finish)
+        if self.aggregate is not None:
+            self.counters[id(self.aggregate)] = self.counters[id(top)]
+
+        for position, region_op in enumerate(ops):
+            self.ns[f"_st{position}"] = region_op.stats
+        lines: list[str] = ["def _fused(ctx, env):"]
+        emit = lines.append
+        if self.sink is not None and self.sink.mode == "partition":
+            emit("    _groups = {}")
+        emit("    _out = []")
+        emit("    _append = _out.append")
+        for index in range(self.n_counters):
+            emit(f"    _n{index} = 0")
+        emit("    try:")
+        emit("        _db = ctx.db")
+        emit("        _params = ctx.params")
+        emit("        _objects = ctx.objects")
+        emit("        _deref = _objects.deref")
+        emit("        _alive = _objects.is_live")
+        if any(isinstance(o, (plan.SeqScan, plan.PathExpand)) for o in ops):
+            emit("        _live_members = _db.integrity.live_members")
+        if self.aggregate is not None:
+            # the tables must exist before any row is evaluated, exactly
+            # as the row-mode Aggregate.open() precomputes them
+            self.ns["_agg_query"] = self.aggregate.query
+            position = ops.index(self.aggregate)
+            emit(
+                "        ctx.evaluator._precompute_aggregates("
+                f"_agg_query, env, ctx.tables, stats=_st{position})"
+            )
+        if self.lowering.prologue:
+            emit("        _tables = ctx.tables")
+            lines.extend("        " + line for line in self.lowering.prologue)
+        if self.project is not None and self.project.unique:
+            emit("        _seen = set()")
+        if self.uses_row:
+            emit("        _row = dict(env)")
+        for line in self.lines:
+            if isinstance(line, str):
+                lines.append(line)
+                continue
+            kind, level, indent = line
+            if kind == "bind" and self.uses_row:
+                lines.append(f"{indent}_row[{self.level_vars[level]!r}] = _m{level}")
+            elif kind == "deref" and level in self.lowering.uses_object:
+                # one dereference of the member shared by every inline
+                # attribute read (and path step) of this row
+                lines.append(f"{indent}_o{level} = _m{level}")
+                lines.append(f"{indent}if isinstance(_o{level}, Ref):")
+                lines.append(f"{indent}    _o{level} = _deref(_o{level}.oid)")
+                lines.append(f"{indent}    if _o{level} is None:")
+                lines.append(f"{indent}        _o{level} = NULL")
+                lines.append(
+                    f"{indent}elif not isinstance(_o{level}, TupleInstance):"
+                )
+                lines.append(f"{indent}    _o{level} = NULL")
+
+        # --- loop epilogue: cooperative cancellation point ----------------
+        # a fused region materializes its whole output in one call, so the
+        # statement deadline is checked once here, after every loop — the
+        # region's cancellation granularity (documented in DESIGN §14)
+        emit("        _gv = ctx.governor")
+        emit("        if _gv is not None:")
+        emit('            _gv.check_timeout("fused")')
+
+        # --- fold the per-operator counters --------------------------------
+        emit("    finally:")
+        for position, region_op in enumerate(ops):
+            st = f"_st{position}"
+            emit(f"        {st}.opens += {self.opened_by.get(id(region_op), 1)}")
+            if region_op.children:
+                child = self.counters[id(region_op.children[0])]
+                emit(f"        {st}.rows_in += {child}")
+            if region_op is not root or self.sink is not None:
+                emit(f"        {st}.rows_out += {self.counters[id(region_op)]}")
+        if self.sink is None:
+            emit("    return _out")
+            kind = "rows" if self.project is not None else "envs"
+        elif self.sink.mode == "partition":
+            emit("    return _groups")
+            kind = "sink"
+        else:
+            emit("    return {(): _out} if _out else {}")
+            kind = "sink"
+
+        source = "\n".join(lines)
+        exec(compile(source, "<fused pipeline>", "exec"), self.ns)
+        return FusedPipeline(self.ns["_fused"], source, kind, len(ops), self.full)
+
+
+#: "no entry" marker for aggregate-table lookups in generated code
+_MISS = object()

@@ -82,7 +82,7 @@ from repro.excess.binder import (
     VarRef,
 )
 from repro.core.governor import ResourceGovernor, row_footprint
-from repro.excess.compile import compile_expr
+from repro.excess.compile import aggregate_sink, compile_expr
 from repro.excess.plan import (
     HashJoin,
     PlanContext,
@@ -141,8 +141,14 @@ class ExecMetrics:
         )
 
 
+#: scalar types that are their own canonical key
+_SELF_KEYED = frozenset((str, int, float, bool))
+
+
 def canonical_key(value: Any) -> Any:
     """A hashable canonical form for grouping and duplicate elimination."""
+    if type(value) in _SELF_KEYED:
+        return value
     if value is NULL:
         return ("null",)
     if isinstance(value, Ref):
@@ -206,10 +212,10 @@ class Evaluator:
         #: paths; "off" forces the recursive interpreter (ablation)
         self.compile_mode = compile_mode
         #: "fused" runs generated whole-pipeline functions where regions
-        #: allow, "batch" exchanges row batches operator to operator,
-        #: "row" keeps the tuple-at-a-time Volcano path (ablation)
+        #: allow (exchanging row batches elsewhere); "row" keeps the
+        #: tuple-at-a-time Volcano path (the differential oracle)
         self.exec_mode = exec_mode
-        #: target rows per exchanged batch (batch/fused modes)
+        #: target rows per exchanged batch (fused mode)
         self.batch_size = batch_size
         #: id(bound node) → callable from the compile seam (statement-
         #: level expressions and aggregate hot paths; nodes stay alive
@@ -564,16 +570,57 @@ class Evaluator:
     def run_set(
         self, bound: BoundSetStatement, base_env: Optional[Env] = None
     ) -> Result:
-        """Execute a set (slot assignment) statement."""
+        """Execute a set (slot assignment) statement.
+
+        Every qualifying binding's value *and* target are resolved
+        before anything changes. Two bindings that assign one target —
+        the same named singleton, object slot, or array element — would
+        leave whichever row came last, so the statement's effect would
+        depend on row order (and a cold WAL replay could choose another
+        order than the acknowledged run): it raises instead, having
+        changed nothing. WAL replay is the exception: a log written
+        before this rule may hold such a statement, acknowledged with
+        the last row winning, and replay applies it that way (no
+        statement logged under the rule assigns any target twice).
+        """
         tables: dict = {}
-        pending: list[tuple[Env, Any]] = []
         evaluate = self._eval_expr
+        kind = bound.location[0]
+        #: (value, target): the slot owner's (base, instance) or the
+        #: array's (base, index); None for a named singleton
+        pending: list[tuple[Any, Any]] = []
+        assigned: set = set()
         for env in self.env_stream(bound.query, base_env, tables):
-            pending.append((env, evaluate(bound.expression, env, tables)))
+            value = evaluate(bound.expression, env, tables)
+            if kind == "named":
+                target: Any = None
+                key: Any = ()
+            elif kind == "slot":
+                base = self._eval(bound.location[1], env, tables)
+                instance = self._resolve_instance(base)
+                if instance is None:
+                    continue
+                target = (base, instance)
+                key = instance.oid if instance.oid is not None else id(instance)
+            else:  # index
+                base = self._eval(bound.location[1], env, tables)
+                index = self._eval(bound.location[2], env, tables)
+                if base is NULL or index is NULL:
+                    continue
+                if not isinstance(base, ArrayInstance):
+                    raise EvaluationError("set target is not an array")
+                target = (base, index)
+                key = (id(base), canonical_key(index))
+            if key in assigned and not self.db.replaying:
+                raise EvaluationError(
+                    "set assigns one target from more than one qualifying "
+                    "row; the result would depend on row order"
+                )
+            assigned.add(key)
+            pending.append((value, target))
         count = 0
         self._invalidate_exec_caches()
-        for env, value in pending:
-            kind = bound.location[0]
+        for value, target in pending:
             if kind == "named":
                 named = self.db.named(bound.location[1])
                 canonical = check_slot(named.spec, value)
@@ -585,12 +632,8 @@ class Evaluator:
                 if undo is not None:
                     undo.save_named_binding(named)
                 named.value = canonical
-                count += 1
             elif kind == "slot":
-                base = self._eval(bound.location[1], env, tables)
-                instance = self._resolve_instance(base)
-                if instance is None:
-                    continue
+                base, instance = target
                 attribute = bound.location[2]
                 old_row = {attribute: instance.get(attribute)}
                 self.db.apply_changes(instance, {attribute: value})
@@ -598,21 +641,15 @@ class Evaluator:
                     self.db.note_member_update(
                         base, old_row, {attribute: instance.get(attribute)}
                     )
-                count += 1
-            else:  # index
-                base = self._eval(bound.location[1], env, tables)
-                index = self._eval(bound.location[2], env, tables)
-                if base is NULL or index is NULL:
-                    continue
-                if not isinstance(base, ArrayInstance):
-                    raise EvaluationError("set target is not an array")
+            else:
+                base, index = target
                 if isinstance(value, Ref):
                     self.db.integrity.check_ref_target(base.element, value)
                 undo = self.db.objects.undo
                 if undo is not None:
                     undo.save_array(base)
                 base.set(index, value)
-                count += 1
+            count += 1
         return Result(kind="set", count=count, message=f"set {count}")
 
     # ------------------------------------------------------------------
@@ -636,7 +673,7 @@ class Evaluator:
         root.running += 1
         governor = ctx.governor
         if ctx.exec_mode != "row":
-            # batch/fused execution: drain batches (the root's rows_out
+            # fused execution: drain batches (the root's rows_out
             # is counted here, per the batch stats contract)
             root_stats = root.stats
             try:
@@ -701,7 +738,7 @@ class Evaluator:
         if tables is None:
             tables = {}
         if self.exec_mode != "row":
-            # batch/fused rows are already private per-row snapshots —
+            # fused-mode rows are already private per-row snapshots —
             # consumers may retain them without copying
             yield from self._query_rows(query, base_env or {}, tables)
             return
@@ -758,25 +795,70 @@ class Evaluator:
                     governor, stats,
                 )
             else:
-                groups: dict[Any, list] = {}
-                for env in self._query_rows(inner, base_env, tables):
-                    value = evaluate(aggregate.argument, env, tables)
-                    if value is NULL:
-                        continue
-                    if aggregate.mode == "partition":
-                        assert aggregate.inner_key is not None
-                        key = canonical_key(
-                            evaluate(aggregate.inner_key, env, tables)
-                        )
-                    else:
-                        key = ()
-                    groups.setdefault(key, []).append(value)
+                groups = self._sink_groups(aggregate, inner, base_env, tables)
+                if groups is None:
+                    groups = self._drained_groups(
+                        aggregate, inner, base_env, tables
+                    )
                 computed = {
                     key: aggregate.function.impl(values)
                     for key, values in groups.items()
                 }
             tables[aggregate.aggregate_id] = (aggregate.mode, aggregate, computed)
         return tables
+
+    def _sink_groups(
+        self,
+        aggregate: BoundAggregate,
+        inner: BoundQuery,
+        base_env: Env,
+        tables: dict,
+    ) -> Optional[dict]:
+        """``{key: [values]}`` from one generated loop over the inner
+        pipeline (:func:`~repro.excess.compile.aggregate_sink`), or None
+        when execution is row-at-a-time or the pipeline is not a fusable
+        body. Counters are reset and absorbed exactly as
+        :meth:`_run_plan` does for the drained path."""
+        if self.exec_mode == "row":
+            return None
+        plan = ensure_query_plan(inner, self.db.catalog)
+        ctx = PlanContext(self, tables)
+        sink = aggregate_sink(plan, aggregate, ctx.compiled)
+        if sink is None:
+            return None
+        nested = plan.running > 0
+        if not nested:
+            reset_stats(plan)
+        plan.running += 1
+        try:
+            return sink.fn(ctx, base_env)
+        finally:
+            plan.running -= 1
+            if not nested:
+                self._absorb_stats(plan)
+
+    def _drained_groups(
+        self,
+        aggregate: BoundAggregate,
+        inner: BoundQuery,
+        base_env: Env,
+        tables: dict,
+    ) -> dict:
+        """``{key: [values]}`` by draining the inner pipeline's rows and
+        evaluating the argument (and partition key) per row."""
+        evaluate = self._eval_expr
+        groups: dict[Any, list] = {}
+        for env in self._query_rows(inner, base_env, tables):
+            value = evaluate(aggregate.argument, env, tables)
+            if value is NULL:
+                continue
+            if aggregate.mode == "partition":
+                assert aggregate.inner_key is not None
+                key = canonical_key(evaluate(aggregate.inner_key, env, tables))
+            else:
+                key = ()
+            groups.setdefault(key, []).append(value)
+        return groups
 
     def _governed_aggregate(
         self,

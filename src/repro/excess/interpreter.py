@@ -77,7 +77,7 @@ __all__ = ["Interpreter", "PlanCache", "FLAG_VALUES", "validate_flag"]
 FLAG_VALUES: dict[str, Any] = {
     "optimize": (True, False),
     "compile_mode": ("closure", "off"),
-    "exec_mode": ("fused", "batch", "row"),
+    "exec_mode": ("fused", "row"),
     "parallel_mode": ("process", "off"),
     "batch_size": 1,
     "workers": 1,
@@ -354,11 +354,10 @@ class Interpreter:
         #: paths; "off" forces the recursive interpreter (ablation)
         self.compile_mode = "closure"
         #: "fused" runs generated whole-pipeline functions where plan
-        #: regions allow (falling back to batches elsewhere), "batch"
-        #: exchanges fixed-size row batches operator to operator, "row"
-        #: keeps the tuple-at-a-time Volcano path (ablation)
+        #: regions allow (exchanging row batches elsewhere); "row" keeps
+        #: the tuple-at-a-time Volcano path (the differential oracle)
         self.exec_mode = "fused"
-        #: target rows per exchanged batch (batch/fused modes)
+        #: target rows per exchanged batch (fused mode)
         self.batch_size = 1024
         #: "process" lowers eligible retrieve pipelines with exchange
         #: operators and runs them on a multi-core worker pool; "off"
@@ -415,13 +414,13 @@ class Interpreter:
         "compile_mode", 'Expression evaluation: "closure" or "off".'
     )
     exec_mode = _validated(
-        "exec_mode", 'Pipeline execution: "fused", "batch" or "row".'
+        "exec_mode", 'Pipeline execution: "fused" or "row".'
     )
     parallel_mode = _validated(
         "parallel_mode", 'Parallel execution mode: "process" or "off".'
     )
     batch_size = _validated(
-        "batch_size", "Target rows per exchanged batch (batch/fused modes)."
+        "batch_size", "Target rows per exchanged batch (fused mode)."
     )
     workers = _validated("workers", "Worker-process budget for parallel plans.")
     statement_timeout_ms = _validated(

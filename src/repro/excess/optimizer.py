@@ -105,7 +105,7 @@ class OptimizerReport:
     #: expression-execution mode the plan will run under ("closure" |
     #: "off"; "" when prepared outside the interpreter)
     compile_mode: str = ""
-    #: plan-execution mode ("fused" | "batch" | "row"; "" when prepared
+    #: plan-execution mode ("fused" | "row"; "" when prepared
     #: outside the interpreter)
     exec_mode: str = ""
     #: fusable Scan→Filter…→Project regions the lowered plan contains

@@ -141,9 +141,9 @@ def _worker_evaluator(db: Any, flags: tuple) -> Any:
     # fragment is one plan shape, executed under many parameter vectors
     params = flags[6] if len(flags) > 6 else ()
     if exec_mode == "row":
-        # workers always run fragments batch-at-a-time; results are
-        # mode-independent (pinned by the exec_mode equivalence suite)
-        exec_mode = "batch"
+        # workers always run fragments fused; results are mode-
+        # independent (pinned by the exec_mode equivalence suite)
+        exec_mode = "fused"
     # the parent ships its *remaining* statement time (floored at 1ms
     # when already expired, so the worker's own first cooperative check
     # raises the timeout) and the memory budget; each worker governs

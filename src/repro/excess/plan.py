@@ -101,7 +101,12 @@ from repro.excess.binder import (
     Unary,
     VarRef,
 )
-from repro.excess.compile import compile_all, compiled_label, fused_pipeline
+from repro.excess.compile import (
+    aggregate_sink,
+    compile_all,
+    compiled_label,
+    fused_pipeline,
+)
 
 __all__ = [
     "PlanContext",
@@ -218,10 +223,10 @@ class PlanContext:
             getattr(evaluator, "compile_mode", "closure") == "closure"
         )
         #: "fused" runs generated whole-pipeline functions where regions
-        #: allow, "batch" exchanges row batches operator to operator,
-        #: "row" preserves the tuple-at-a-time Volcano path (ablation)
+        #: allow and exchanges row batches between the other operators;
+        #: "row" preserves the tuple-at-a-time Volcano path (the oracle)
         self.exec_mode = getattr(evaluator, "exec_mode", "fused")
-        #: target rows per exchanged batch (batch/fused modes)
+        #: target rows per exchanged batch (fused mode)
         self.batch_size = getattr(evaluator, "batch_size", 1024)
         #: worker-side shard descriptor (``.part``/``.dop``) — set only
         #: inside a parallel worker; :class:`ExchangePartition` (and the
@@ -352,27 +357,27 @@ class PlanOp:
     # -- batch protocol ---------------------------------------------------
 
     def batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        """Stream output as non-empty row batches (batch/fused modes).
+        """Stream output as non-empty row batches (fused mode).
 
-        In fused mode, when this operator roots a fusable
-        Scan→Filter…→Project region, the whole region executes as one
-        generated Python function (cached on the node like ``_compiled``,
-        dropped by ``__getstate__``); everything else runs the operator's
-        native :meth:`run_batches`.  Rows inside a batch are *private*:
+        When this operator roots a fusable region (:func:`fusable_ops`),
+        the whole region executes as one generated Python function
+        (cached on the node like ``_compiled``, dropped by
+        ``__getstate__``); everything else runs the operator's native
+        :meth:`run_batches`.  Rows inside a batch are *private*:
         binding-level rows are per-row snapshot dicts (never the shared
         environment), so consumers may retain or mutate them freely.
         """
-        if ctx.exec_mode == "fused":
-            fused = fused_pipeline(self, ctx.compiled)
-            if fused is not None:
-                rows = fused.fn(ctx, env)
-                for start in range(0, len(rows), size):
-                    yield rows[start : start + size]
-                return
+        fused = fused_pipeline(self, ctx.compiled)
+        if fused is not None:
+            rows = fused.fn(ctx, env)
+            for start in range(0, len(rows), size):
+                yield rows[start : start + size]
+            return
         yield from self.run_batches(ctx, env, size)
 
     def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        """Native batch execution (implemented per operator).
+        """Native batch execution (implemented by every operator that
+        can be reached outside a fused region — scans always fuse).
 
         Implementations count their own ``opens`` and pull children
         through :meth:`_pull_batches`; an operator's ``rows_out`` is
@@ -478,8 +483,8 @@ class PlanOp:
 
 def _scan_members(db: Any, set_name: str) -> Iterator[Any]:
     """Live members of a named set (or a named array's live, non-null
-    slots, in order) — the shared row source behind ``SeqScan`` and the
-    range-partitioning exchange specialization."""
+    slots, in order) — the row source of the range-partitioning exchange
+    specialization (``SeqScan`` itself always runs fused or row-mode)."""
     collection = db.named(set_name).value
     if isinstance(collection, ArrayInstance):
         is_live = db.objects.is_live
@@ -561,21 +566,6 @@ class SeqScan(_BindingOp):
             else:
                 env[self.var] = saved
 
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        members = _scan_members(ctx.db, self.set_name)
-        var = self.var
-        batch: list = []
-        for member in members:
-            row = dict(env)
-            row[var] = member
-            batch.append(row)
-            if len(batch) >= size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
 
 class IndexScan(_BindingOp):
     """Probe a physical index with an equality or range key.
@@ -637,25 +627,6 @@ class IndexScan(_BindingOp):
             pairs = index.range_scan(key, None, include_low=(self.op == ">="))
         return [oid for _key, oid in pairs]
 
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        oids = self._probe_oids(ctx, env)
-        if oids is None:
-            return
-        is_live = ctx.db.objects.is_live
-        var = self.var
-        batch: list = []
-        for oid in oids:
-            if is_live(oid):
-                row = dict(env)
-                row[var] = Ref(oid)
-                batch.append(row)
-                if len(batch) >= size:
-                    yield batch
-                    batch = []
-        if batch:
-            yield batch
-
 
 class PathExpand(_BindingOp):
     """Expand a set- or array-valued path under an already-bound parent
@@ -715,33 +686,6 @@ class PathExpand(_BindingOp):
                 env.pop(self.var, None)
             else:
                 env[self.var] = saved
-
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        current = self._resolve_collection(ctx, env)
-        if isinstance(current, SetInstance):
-            members: Any = ctx.db.integrity.live_members(current)
-        elif isinstance(current, ArrayInstance):
-            is_live = ctx.db.objects.is_live
-            members = (
-                slot
-                for slot in current
-                if slot is not NULL
-                and not (isinstance(slot, Ref) and not is_live(slot.oid))
-            )
-        else:
-            return
-        var = self.var
-        batch: list = []
-        for member in members:
-            row = dict(env)
-            row[var] = member
-            batch.append(row)
-            if len(batch) >= size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
 
 
 class FunctionScan(_BindingOp):
@@ -2439,37 +2383,69 @@ def reset_stats(root: PlanOp) -> None:
 
 
 def fusable_ops(op: PlanOp) -> Optional[list[PlanOp]]:
-    """The operator chain of the fusable region rooted at ``op`` (root
-    first), or None when ``op`` does not root one.
+    """The operators of the fusable region rooted at ``op`` (pre-order,
+    root first), or None when ``op`` does not root one.
 
-    A fusable region is ``Project?(Filter*(Exchange?(SeqScan)|SeqScan|
-    IndexScan))`` — the dominant pipeline shape — whose whole body the
-    compiler can emit as one Python function: scan loop, predicate
-    tests, and target/sort-key evaluation fused, with no per-operator
-    handoff in between.  A range-mode :class:`ExchangePartition` over a
-    SeqScan joins the region (the generated loop slices the member list
-    when a worker shard is active); hash-mode partitions never fuse —
-    they need the generic per-row routing path.
+    The region grammar — every shape the compiler can emit as one
+    Python function, with no per-operator handoff inside::
+
+        region := Project? Aggregate? body
+                | Project? Aggregate Singleton
+        body   := Filter* source
+        source := Exchange[range](SeqScan) | SeqScan | IndexScan
+                | PathExpand | NestedLoopJoin(body, Filter* PathExpand)
+
+    A range-mode :class:`ExchangePartition` over a SeqScan joins the
+    region (the generated loop slices the member list when a worker
+    shard is active); hash-mode partitions never fuse — they need the
+    generic per-row routing path.  An :class:`Aggregate` fuses as a
+    call to the aggregate precompute before the loop; a nested loop
+    whose inner side expands a path fuses as a nested ``for`` loop (a
+    path expansion over the incoming environment, as in a correlated
+    aggregate's inner query, is a one-loop region of its own).
     """
     chain: list[PlanOp] = []
     current = op
     if isinstance(current, Project):
         chain.append(current)
         current = current.children[0]
-    while isinstance(current, Filter):
+    if isinstance(current, Aggregate):
         chain.append(current)
         current = current.children[0]
+        if isinstance(current, Singleton):
+            chain.append(current)
+            return chain
+    body = _fusable_body(current)
+    return None if body is None else chain + body
+
+
+def _fusable_body(op: PlanOp) -> Optional[list[PlanOp]]:
+    """The operators of ``body`` in :func:`fusable_ops`' grammar rooted
+    at ``op`` (pre-order), or None."""
+    chain: list[PlanOp] = []
+    while isinstance(op, Filter):
+        chain.append(op)
+        op = op.children[0]
     if (
-        isinstance(current, ExchangePartition)
-        and current.mode == "range"
-        and isinstance(current.children[0], SeqScan)
+        isinstance(op, ExchangePartition)
+        and op.mode == "range"
+        and isinstance(op.children[0], SeqScan)
     ):
-        chain.append(current)
-        chain.append(current.children[0])
-        return chain
-    if isinstance(current, (SeqScan, IndexScan)):
-        chain.append(current)
-        return chain
+        return chain + [op, op.children[0]]
+    if isinstance(op, (SeqScan, IndexScan, PathExpand)):
+        return chain + [op]
+    if isinstance(op, NestedLoopJoin):
+        outer = _fusable_body(op.children[0])
+        if outer is None:
+            return None
+        inner: list[PlanOp] = []
+        current = op.children[1]
+        while isinstance(current, Filter):
+            inner.append(current)
+            current = current.children[0]
+        if not isinstance(current, PathExpand):
+            return None
+        return chain + [op] + outer + inner + [current]
     return None
 
 
@@ -2500,8 +2476,8 @@ def fused_regions(root: PlanOp) -> list[list[PlanOp]]:
 
 
 def _row_mode_ids(root: PlanOp) -> set[int]:
-    """ids of operators that run row-at-a-time even in batch/fused modes
-    (the ∀ check subtrees of UniversalCheck operators)."""
+    """ids of operators that run row-at-a-time even in fused mode (the
+    ∀ check subtrees of UniversalCheck operators)."""
     ids: set[int] = set()
 
     def mark(op: PlanOp) -> None:
@@ -2528,13 +2504,29 @@ def pipeline_sources(
     """The generated Python source of every fused region of the plan,
     for inspection (the ``Result.pipeline_source`` debug hook): each
     region's operators as header comments (rendered under ``params``),
-    then its function."""
+    then its function — followed by the aggregate sinks of the plan's
+    global and partition aggregates that have run."""
     sources: list[str] = []
     for region in fused_regions(root):
         fused = fused_pipeline(region[0], compiled)
         if fused is not None:
             header = [f"# {op.describe(params)}" for op in region]
             sources.append("\n".join(header + [fused.source]))
+    for op in plan_ops(root):
+        if not isinstance(op, Aggregate):
+            continue
+        for aggregate in op.query.aggregates:
+            inner = aggregate.inner_query
+            if aggregate.mode == "correlated" or inner is None or inner.plan is None:
+                continue
+            sink = aggregate_sink(inner.plan, aggregate, compiled)
+            if sink is not None:
+                header = [
+                    f"# aggregate sink $agg{aggregate.aggregate_id} = "
+                    f"{aggregate.function.name}"
+                    f"({describe_expr(aggregate.argument, params)})"
+                ] + [f"# {o.describe(params)}" for o in fusable_ops(inner.plan)]
+                sources.append("\n".join(header + [sink.source]))
     return "\n\n".join(sources)
 
 
@@ -2655,10 +2647,10 @@ def render_plan(
 
     With ``exec_mode`` given, every operator carries an ``exec=``
     annotation: ``fused`` (the operator's work is folded into a
-    generated whole-pipeline function), ``batch`` (operators exchange
-    row batches of ``batch_size``), or ``row`` (tuple-at-a-time — the
-    whole tree in the ``row`` ablation, and always the ∀ check subtrees
-    of UniversalCheck).
+    generated whole-pipeline function), ``batch`` (an operator outside
+    every fused region, exchanging row batches of ``batch_size``), or
+    ``row`` (tuple-at-a-time — the whole tree in ``row`` mode, and
+    always the ∀ check subtrees of UniversalCheck).
     """
     lines: list[str] = []
     fused_ids: set[int] = set()
@@ -2666,7 +2658,6 @@ def render_plan(
     if exec_mode == "fused":
         for region in fused_regions(root):
             fused_ids.update(id(op) for op in region)
-    if exec_mode in ("fused", "batch"):
         row_ids = _row_mode_ids(root)
 
     def exec_label(op: PlanOp) -> str:

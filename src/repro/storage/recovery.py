@@ -298,17 +298,21 @@ def open_database(
                 overtaken.setdefault(
                     max(record.snapshot, base_lsn), []
                 ).append(record)
-        begin_overtaken(base_lsn)
-        for record in records:
-            if record.lsn <= base_lsn:
-                continue  # already inside the checkpoint snapshot
-            context = open_at.pop(record.lsn, None)
-            if context is not None:
-                context.commit()
-            else:
-                run(record, context_for(record))
-            next_lsn = record.lsn + 1
-            begin_overtaken(record.lsn)
+        db.replaying = True
+        try:
+            begin_overtaken(base_lsn)
+            for record in records:
+                if record.lsn <= base_lsn:
+                    continue  # already inside the checkpoint snapshot
+                context = open_at.pop(record.lsn, None)
+                if context is not None:
+                    context.commit()
+                else:
+                    run(record, context_for(record))
+                next_lsn = record.lsn + 1
+                begin_overtaken(record.lsn)
+        finally:
+            db.replaying = False
         for context in created:
             context.close()
 

@@ -1,12 +1,14 @@
-"""Batch and fused execution: boundary cases, ablation plumbing, and the
+"""Fused execution: batch boundaries, ablation plumbing, and the
 generated-pipeline machinery.
 
-The equivalence of the three ``exec_mode`` settings over the paper corpus
+The equivalence of the two ``exec_mode`` settings over the paper corpus
 is pinned by tests/integration/test_compile_parity.py; this module covers
-what parity sweeps can't: batch-boundary edge cases (empty inputs, batch
-size 1, result sets not divisible by the batch size), mid-batch errors,
-the plan-cache key, EXPLAIN annotations, pipeline-region identification,
-and the never-pickle-generated-code contract.
+what parity sweeps can't: batch-boundary edge cases at the operators that
+still exchange batches under ``fused`` (sorts, hash joins — empty inputs,
+batch size 1, result sets not divisible by the batch size), mid-batch
+errors, the plan-cache key, EXPLAIN annotations, pipeline-region
+identification (including the aggregate and nested-path regions), and
+the never-pickle-generated-code contract.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.excess.plan import (
 )
 from tests.conftest import build_small_company
 
-MODES = ("fused", "batch", "row")
+MODES = ("fused", "row")
 
 
 def run_in_mode(db: Database, query: str, mode: str, batch_size=None):
@@ -73,12 +75,11 @@ class TestBatchBoundaries:
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 1024])
     def test_result_not_divisible_by_batch_size(self, small_company, size):
         """3 employees against batch sizes 1/2/3/4/1024: final partial
-        batches and exactly-full batches must both flush."""
+        batches and exactly-full batches must both flush (the Sort pulls
+        its fused input region in batches)."""
         query = "retrieve (E.name) from E in Employees sort by E.name"
         expected = run_in_mode(small_company, query, "row").rows
-        for mode in ("fused", "batch"):
-            got = run_in_mode(small_company, query, mode, size).rows
-            assert got == expected
+        assert run_in_mode(small_company, query, "fused", size).rows == expected
 
     @pytest.mark.parametrize("size", [1, 2, 1024])
     def test_join_and_aggregate_across_sizes(self, small_company, size):
@@ -91,9 +92,8 @@ class TestBatchBoundaries:
         ]
         for query in queries:
             expected = sorted(run_in_mode(small_company, query, "row").rows)
-            for mode in ("fused", "batch"):
-                got = run_in_mode(small_company, query, mode, size).rows
-                assert sorted(got) == expected
+            got = run_in_mode(small_company, query, "fused", size).rows
+            assert sorted(got) == expected
 
     def test_updates_identical_across_modes(self):
         """A full update cycle must leave identical databases whichever
@@ -120,7 +120,7 @@ class TestBatchBoundaries:
                 "retrieve (D.dname) from D in Departments sort by D.dname"
             ).rows
             snapshots.append((rows, depts))
-        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert snapshots[0] == snapshots[1]
 
 
 class TestMidBatchErrors:
@@ -130,6 +130,9 @@ class TestMidBatchErrors:
         "retrieve (E.age / (E.age - 30)) from E in Employees",
         "retrieve (E.age % (E.age - 30)) from E in Employees",
         'retrieve (TopTen["x"].name)',
+        # the same error raised by a batch-at-a-time Project over a join
+        "retrieve (E.age / (E.age - 30), D.dname) from E in Employees, "
+        "D in Departments where E.dept is D",
     ]
 
     @pytest.mark.parametrize("query", ERROR_QUERIES)
@@ -141,7 +144,6 @@ class TestMidBatchErrors:
         rows, message = outcomes["row"]
         assert message is not None
         assert outcomes["fused"] == (rows, message)
-        assert outcomes["batch"] == (rows, message)
 
     def test_error_in_compiled_and_interpreted_fusion(self, small_company):
         """The fused function built from interpreter callbacks
@@ -170,7 +172,7 @@ class TestExecModePlumbing:
             interpreter.exec_mode = mode
             keys.add(interpreter._cache_key("retrieve (1)", "dba"))
         interpreter.exec_mode = "fused"
-        assert len(keys) == 3
+        assert len(keys) == 2
 
     def test_mode_flip_mid_session_reflected_in_explain(self, small_company):
         query = "retrieve (E.name) from E in Employees where E.age > 35"
@@ -180,8 +182,7 @@ class TestExecModePlumbing:
         }
         assert "exec=fused" in trees["fused"]
         assert "batch_size=1024" in trees["fused"]
-        assert "exec=batch" in trees["batch"]
-        assert "exec=fused" not in trees["batch"]
+        assert "exec=batch" not in trees["fused"]
         assert "exec=row" in trees["row"]
         assert "batch_size" not in trees["row"]
         # and the rows agree whichever mode served the (distinct) plans
@@ -189,7 +190,16 @@ class TestExecModePlumbing:
             mode: sorted(run_in_mode(small_company, query, mode).rows)
             for mode in MODES
         }
-        assert rows["fused"] == rows["batch"] == rows["row"]
+        assert rows["fused"] == rows["row"]
+
+    def test_non_fusable_operators_keep_batch_annotation(self, small_company):
+        query = (
+            "retrieve (E.name, D.dname) from E in Employees, "
+            "D in Departments where E.dept is D"
+        )
+        tree = run_in_mode(small_company, query, "fused").plan_tree
+        join_line = next(line for line in tree.splitlines() if "HashJoin" in line)
+        assert "exec=batch" in join_line
 
     def test_explain_message_names_exec_mode(self, small_company):
         message = small_company.execute(
@@ -238,8 +248,7 @@ class TestExecModePlumbing:
             "where E.dept isnot D or E.salary > 45000.0"
         )
         expected = sorted(run_in_mode(small_company, query, "row").rows)
-        for mode in ("fused", "batch"):
-            assert sorted(run_in_mode(small_company, query, mode).rows) == expected
+        assert sorted(run_in_mode(small_company, query, "fused").rows) == expected
         tree = run_in_mode(small_company, query, "fused").plan_tree
         forall_lines = [
             line for line in tree.splitlines() if "[forall" in line
@@ -353,6 +362,107 @@ class TestPipelineRegions:
             "retrieve (D.dname) from D in Departments"
         ).rows
         assert sorted(rows) == [("Shoes",), ("Toys",)]
+
+
+class TestAnalyticRegions:
+    """The paper's implicit nested-set join (§3.3) and its global and
+    ``over`` aggregates (§3.4) run as fused regions."""
+
+    UNNEST = (
+        "retrieve (E.name, K.name) from E in Employees, K in E.kids "
+        "where K.age > 8"
+    )
+    GROUP = (
+        "retrieve unique (E.dept.dname, a = avg(E.salary over E.dept)) "
+        "from E in Employees"
+    )
+    GLOBAL = "retrieve (a = avg(E.salary), m = max(E.salary)) from E in Employees"
+
+    @pytest.mark.parametrize("query", [UNNEST, GROUP, GLOBAL])
+    def test_whole_plan_is_one_fused_region(self, small_company, query):
+        tree = small_company.execute(query).plan_tree
+        assert all("exec=fused" in line for line in tree.splitlines()), tree
+        message = small_company.execute("explain " + query).message
+        assert "pipelines=1" in message
+
+    @pytest.mark.parametrize("query", [GROUP, GLOBAL])
+    def test_aggregate_references_compile_to_closures(self, small_company, query):
+        for mode in MODES:
+            project = run_in_mode(small_company, query, mode).plan_tree.splitlines()[0]
+            assert project.startswith("Project")
+            assert "compiled=closure" in project
+
+    def test_correlated_reference_stays_a_callback(self, small_company):
+        tree = small_company.execute(
+            "retrieve (E.name, c = count(E.kids)) from E in Employees"
+        ).plan_tree
+        assert "compiled=fallback" in tree.splitlines()[0]
+
+    def test_pipeline_source_shows_nested_loop(self, small_company):
+        source = small_company.execute(self.UNNEST).pipeline_source
+        assert "# PathExpand E.kids as K" in source
+        assert "for _m1 in _ms1:" in source  # the path loop, nested
+        assert source.count("def _fused(ctx, env):") == 1
+
+    @pytest.mark.parametrize("query", [GROUP, GLOBAL])
+    def test_pipeline_source_shows_aggregate_sinks(self, small_company, query):
+        source = small_company.execute(query).pipeline_source
+        assert "_precompute_aggregates" in source
+        assert "# aggregate sink $agg" in source
+        assert "avg(E.salary)" in source
+
+    @pytest.mark.parametrize("query", [UNNEST, GROUP, GLOBAL])
+    def test_counters_match_row_mode(self, small_company, query):
+        results = {mode: run_in_mode(small_company, query, mode) for mode in MODES}
+        fused, row = results["fused"], results["row"]
+        assert sorted(fused.rows) == sorted(row.rows)
+        assert fused.metrics["rows_scanned"] == row.metrics["rows_scanned"]
+        per_op = {
+            mode: [
+                line.split("rows=")[1].split(",")[0]
+                for line in result.plan_tree.splitlines()
+            ]
+            for mode, result in results.items()
+        }
+        assert per_op["fused"] == per_op["row"]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # a correlated aggregate aborts the inline lowering after
+            # E.age was read; the second target reads E.age again
+            "retrieve (a = E.age + count(E.kids), b = E.age) from E in Employees",
+            "retrieve (E.name, E.age) from E in Employees "
+            "where E.age + count(E.kids) > 30",
+            # an enum comparison aborts after lowering both operands
+            'retrieve (E.rank) from E in Employees where E.rank > "junior"',
+            'retrieve (E.name, E.rank) from E in Employees, K in E.kids '
+            'where E.rank != "mid" and K.age > 1',
+        ],
+    )
+    def test_abandoned_lowering_matches_row_mode(self, query):
+        db = Database()
+        db.execute(
+            "define type Kid as (name: char(8), age: int4)\n"
+            "define type Emp as (name: char(8), age: int4, "
+            "rank: enum(junior, mid, senior), kids: {own Kid})\n"
+            "create {own ref Emp} Employees"
+        )
+        for n, (age, rank, kids) in enumerate(
+            [(30, "senior", [3, 5]), (40, "junior", []), (25, "mid", [2])]
+        ):
+            db.insert(
+                "Employees",
+                name=f"e{n}",
+                age=age,
+                rank=rank,
+                kids=[{"name": f"k{a}", "age": a} for a in kids],
+            )
+        fused = run_in_mode(db, query, "fused")
+        row = run_in_mode(db, query, "row")
+        assert sorted(fused.rows) == sorted(row.rows)
+        assert fused.rows
+        assert "exec=fused" in fused.plan_tree
 
 
 class TestFunctionInlining:

@@ -23,7 +23,7 @@ from repro.excess.compile import (
     compiled_label,
 )
 from repro.excess.evaluator import Evaluator
-from repro.excess.plan import PlanContext, plan_ops, render_plan
+from repro.excess.plan import PlanContext, fused_regions, plan_ops, render_plan
 
 
 def _ctx(db: Database, mode: str = "closure") -> PlanContext:
@@ -369,7 +369,7 @@ class TestPickling:
         plan = interpreter.plan_cache.get(key)
         assert plan is not None
         root = plan.plan_root
-        # fused execution caches generated pipeline functions; row/batch
+        # fused execution caches generated pipeline functions; row
         # execution caches per-operator compiled expressions — either way
         # something unpicklable lives on the tree
         assert any(
@@ -486,6 +486,7 @@ class TestFlagValidation:
             ("compile_mode", True),
             ("exec_mode", "fusedd"),
             ("exec_mode", None),
+            ("exec_mode", "batch"),
         ],
     )
     def test_bad_mode_raises_and_keeps_value(self, db, flag, bad):
@@ -498,7 +499,7 @@ class TestFlagValidation:
         for mode in ("off", "closure"):
             db.interpreter.compile_mode = mode
             assert db.interpreter.compile_mode == mode
-        for mode in ("row", "batch", "fused"):
+        for mode in ("row", "fused"):
             db.interpreter.exec_mode = mode
             assert db.interpreter.exec_mode == mode
 
@@ -554,7 +555,7 @@ class TestSharedPlanSeam:
     executions of *both* compile modes — the one place a plan node's
     per-mode expression cache is really shared."""
 
-    @pytest.mark.parametrize("exec_mode", ["fused", "batch", "row"])
+    @pytest.mark.parametrize("exec_mode", ["fused", "row"])
     def test_function_body_shared_across_modes(self, small_company, exec_mode):
         db = small_company
         interpreter = db.interpreter
@@ -589,8 +590,9 @@ class TestSharedPlanSeam:
 
     def test_shared_plan_with_hash_join(self, small_company):
         """A top-level plan run directly under both modes: the hash-join
-        keys, the filter and the projection each keep one entry per mode
-        and produce the same rows and counters."""
+        keys and the projection (batch operators) and the fused filter
+        region each keep one entry per mode and produce the same rows
+        and counters."""
         db = small_company
         db.interpreter.parallel_mode = "off"
         query = (
@@ -607,7 +609,7 @@ class TestSharedPlanSeam:
                 if op.label == "HashJoin":
                     op.invalidate()  # rebuild, so the build side runs too
             evaluator = Evaluator(
-                db, compile_mode=mode, exec_mode="batch", params=plan.params
+                db, compile_mode=mode, exec_mode="fused", params=plan.params
             )
             result = evaluator.run_retrieve(plan.bound)
             outcomes.append(
@@ -615,11 +617,16 @@ class TestSharedPlanSeam:
             )
         assert outcomes[0][0] == [("Ann", "Toys"), ("Sue", "Toys")]
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        fused = {id(op) for region in fused_regions(root) for op in region}
+        regions = [region[0] for region in fused_regions(root)]
+        assert any(op.exprs() for region in fused_regions(root) for op in region)
+        for op in regions:
+            assert set(op.__dict__["_fused"]) == {True, False}
         for op in plan_ops(root):
-            if op.exprs():
+            if op.exprs() and id(op) not in fused:
                 assert set(op.__dict__["_compiled"]) == {True, False}
 
-    @pytest.mark.parametrize("exec_mode", ["fused", "batch", "row"])
+    @pytest.mark.parametrize("exec_mode", ["fused", "row"])
     def test_off_builds_no_closures(self, small_company, exec_mode, monkeypatch):
         """``compile_mode="off"`` must not lower a single expression to a
         closure — not to execute, and not to print ``compiled=off``."""

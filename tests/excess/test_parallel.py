@@ -521,8 +521,8 @@ SORTED_HASH_QUERY = HASH_QUERY + " sort by E.salary desc"
 
 
 class TestTaskVariants:
-    def test_row_exec_mode_coerced_to_batch(self, parallel_company):
-        # workers always run batch-at-a-time; a "row"-mode parent still
+    def test_row_exec_mode_coerced_to_fused(self, parallel_company):
+        # workers always run fused; a "row"-mode parent still
         # gets the serial stream back
         db = parallel_company
         serial, _parallel = both_modes(db, RANGE_QUERY)
@@ -550,7 +550,7 @@ class TestTaskVariants:
             op for op in walk_plan(root) if isinstance(op, ExchangeMerge)
         )
         blob = pickle.dumps(merge.children[0])
-        flags = ("dba", compile_mode, "batch", 1024)
+        flags = ("dba", compile_mode, "fused", 1024)
         tagged = []
         for part in range(merge.dop):
             rows, _stats = run_fragment_task(
@@ -571,7 +571,7 @@ class TestTaskVariants:
         serial, _parallel = both_modes(db, HASH_QUERY)
         root = cached_root(db, HASH_QUERY)
         blob = pickle.dumps(root.children[0])
-        flags = ("dba", compile_mode, "batch", 1024)
+        flags = ("dba", compile_mode, "fused", 1024)
         tagged = []
         for part in range(root.dop):
             rows, _stats = run_fragment_task(

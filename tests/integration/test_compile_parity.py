@@ -1,11 +1,11 @@
 """Compiled ≡ interpreted parity over the paper-figure query corpus.
 
 Every query family the walkthrough exercises (F1–F13) is executed under
-every ``exec_mode`` (``fused`` / ``batch`` / ``row``) ×
+every ``exec_mode`` (``fused`` / ``row``) ×
 ``compile_mode`` (``closure`` / ``off``) combination against the same
 database, and must return identical row multisets (or raise the
-identical error). This pins the closure compiler and the batch/fused
-executors to the recursive row-at-a-time interpreter's semantics on
+identical error). This pins the closure compiler and the fused
+executor to the recursive row-at-a-time interpreter's semantics on
 exactly the queries the paper defines, plus the null-semantics edge
 cases where the implementations could plausibly diverge.
 """
@@ -106,7 +106,7 @@ def corpus_db():
 #: the full ablation grid: execution strategy × expression compilation
 MODE_MATRIX = [
     (exec_mode, compile_mode)
-    for exec_mode in ("fused", "batch", "row")
+    for exec_mode in ("fused", "row")
     for compile_mode in ("closure", "off")
 ]
 

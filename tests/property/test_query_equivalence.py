@@ -5,7 +5,8 @@
 * indexed and unindexed execution return the same rows;
 * the memory and paged stores answer identically;
 * compiled-closure and interpreted expression execution agree;
-* fused, batch, and row-at-a-time execution agree.
+* fused and row-at-a-time execution agree, including on the aggregate
+  and nested-path regions the fused executor compiles.
 """
 
 import pytest
@@ -201,8 +202,8 @@ class TestEquivalences:
     @given(predicate=predicates(), batch_size=st.sampled_from([1, 3, 1024]))
     @settings(max_examples=40, deadline=None)
     def test_exec_modes_equivalent(self, company_pair, predicate, batch_size):
-        """fused / batch / row execution must return identical rows for
-        random single-variable predicates at awkward batch sizes."""
+        """fused / row execution must return identical rows for random
+        single-variable predicates at awkward batch sizes."""
         memory, _paged = company_pair
         interpreter = memory.interpreter
         query = (
@@ -212,13 +213,13 @@ class TestEquivalences:
         rows = {}
         try:
             interpreter.batch_size = batch_size
-            for mode in ("fused", "batch", "row"):
+            for mode in ("fused", "row"):
                 interpreter.exec_mode = mode
                 rows[mode] = sorted(memory.execute(query).rows)
         finally:
             interpreter.exec_mode = "fused"
             interpreter.batch_size = 1024
-        assert rows["fused"] == rows["batch"] == rows["row"]
+        assert rows["fused"] == rows["row"]
 
     @given(query=equi_join_queries())
     @settings(max_examples=30, deadline=None)
@@ -228,14 +229,12 @@ class TestEquivalences:
         db = analyzed_company
         interpreter = db.interpreter
         fused = db.execute(query).rows
-        rows = {}
         try:
-            for mode in ("batch", "row"):
-                interpreter.exec_mode = mode
-                rows[mode] = sorted(db.execute(query).rows)
+            interpreter.exec_mode = "row"
+            row = sorted(db.execute(query).rows)
         finally:
             interpreter.exec_mode = "fused"
-        assert sorted(fused) == rows["batch"] == rows["row"]
+        assert sorted(fused) == row
 
     @given(predicate=predicates())
     @settings(max_examples=30, deadline=None)
@@ -297,7 +296,7 @@ def _outcome(db, query):
 class TestParallelEquivalence:
     @given(
         query=parallel_queries(),
-        exec_mode=st.sampled_from(["fused", "batch", "row"]),
+        exec_mode=st.sampled_from(["fused", "row"]),
     )
     @settings(max_examples=25, deadline=None)
     def test_parallel_on_off_equivalent(self, parallel_company, query, exec_mode):
@@ -331,3 +330,155 @@ class TestParallelEquivalence:
         finally:
             interpreter.parallel_mode = "process"
         assert parallel == serial
+
+
+# ---------------------------------------------------------------------------
+# fused ≡ row over the aggregate and nested-path regions
+# ---------------------------------------------------------------------------
+
+NESTED_SCHEMA = """
+define type Stop as (place: char(20), minute: int4)
+define type Dept as (dname: char(20), floor: int4)
+define type Person as (name: char(20), age: int4, kids: {own ref Person})
+define type Emp as (salary: float8, dept: ref Dept, boss: ref Emp,
+                    stops: [] own Stop) inherits Person
+create {own ref Dept} Depts
+create {own ref Emp} Emps
+"""
+
+#: (age, salary or None for null, dept index, kid ages, stop minutes,
+#: boss index or None)
+employee_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=20, max_value=66),
+        st.one_of(st.none(), st.sampled_from([10.0, 20.0, 30.0])),
+        st.integers(min_value=0, max_value=3),
+        st.lists(st.integers(min_value=1, max_value=18), max_size=3),
+        st.lists(st.integers(min_value=0, max_value=60), max_size=3),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def nested_companies(draw):
+    """``(departments, deleted departments, employees, deleted
+    employees)``: deleting a department leaves its employees' ``dept``
+    dangling (a null ``over`` key); deleting an employee leaves ``boss``
+    references dangling (a path step that yields no rows)."""
+    departments = draw(st.integers(min_value=1, max_value=4))
+    deleted = draw(st.sets(st.integers(0, departments - 1), max_size=2))
+    employees = draw(employee_rows)
+    fired = draw(st.sets(st.integers(0, 7), max_size=2))
+    return departments, deleted, employees, fired
+
+
+def build_nested_company(spec):
+    from repro import Database
+
+    departments, deleted, employees, fired = spec
+    db = Database()
+    db.interpreter.parallel_mode = "off"
+    db.execute(NESTED_SCHEMA)
+    depts = [
+        db.insert("Depts", dname=f"D{d}", floor=d % 2) for d in range(departments)
+    ]
+    emps = []
+    for n, (age, salary, dept, kids, stops, boss) in enumerate(employees):
+        fields = {
+            "name": f"E{n}",
+            "age": age,
+            "dept": depts[dept % departments],
+            "kids": [{"name": f"E{n}k{k}", "age": a} for k, a in enumerate(kids)],
+            "stops": [{"place": f"s{m}", "minute": m} for m in stops],
+        }
+        if salary is not None:
+            fields["salary"] = salary
+        if boss is not None and boss < len(emps):
+            fields["boss"] = emps[boss]
+        emps.append(db.insert("Emps", **fields))
+    for d in sorted(deleted):
+        db.execute(f'delete D from D in Depts where D.dname = "D{d}"')
+    for n in sorted(fired):
+        db.execute(f'delete E from E in Emps where E.name = "E{n}"')
+    return db
+
+
+@st.composite
+def region_queries(draw):
+    """Queries whose plans fuse a nested path loop, an aggregate sink,
+    or a Project over an Aggregate (plus a correlated aggregate, which
+    stays a callback inside a fused region)."""
+    age = draw(st.integers(min_value=0, max_value=20))
+    minute = draw(st.integers(min_value=0, max_value=60))
+    cut = draw(st.integers(min_value=20, max_value=70))
+    return draw(
+        st.sampled_from(
+            [
+                f"retrieve (E.name, K.name) from E in Emps, K in E.kids "
+                f"where K.age > {age}",
+                f"retrieve (E.name, K.age) from E in Emps, K in E.kids "
+                f"where K.age < E.age - {cut} sort by K.age desc, E.name",
+                f"retrieve (E.name, S.minute) from E in Emps, S in E.stops "
+                f"where S.minute >= {minute}",
+                f"retrieve (E.name, B.name) from E in Emps, B in E.boss.kids",
+                f"retrieve (E.name, K.age / (K.age - {age})) "
+                f"from E in Emps, K in E.kids",
+                "retrieve unique (E.dept.dname, a = avg(E.salary over E.dept)) "
+                "from E in Emps",
+                f"retrieve (E.name, n = count(E.name over E.dept), "
+                f"s = sum(E.salary over E.dept)) from E in Emps "
+                f"where E.age > {cut}",
+                f"retrieve (c = count(E.name where E.age > {cut}), "
+                f"s = sum(E.salary where E.age > {cut}), m = max(E.salary)) "
+                f"from E in Emps",
+                f"retrieve (E.name) from E in Emps "
+                f"where E.salary >= avg(E.salary where E.age > {cut})",
+                "retrieve (E.name, c = count(E.kids)) from E in Emps",
+                # an attribute read before an aggregate that only a
+                # callback evaluates, then read again by another target
+                "retrieve (a = E.age + count(E.kids), b = E.age) from E in Emps",
+                f"retrieve (E.name, E.age, K.age) from E in Emps, K in E.kids "
+                f"where K.age + count(E.kids) > {age}",
+            ]
+        )
+    )
+
+
+def _observed(db, query):
+    """Everything fused and row execution must agree on: rows (as a
+    multiset unless the query sorts), the error message, rows scanned,
+    and every operator's ``rows=``."""
+    import re
+
+    from repro.errors import EvaluationError
+
+    try:
+        result = db.execute(query)
+    except EvaluationError as exc:
+        return ("error", str(exc))
+    rows = result.rows if "sort by" in query else sorted(result.rows, key=repr)
+    return (
+        "ok",
+        rows,
+        result.metrics["rows_scanned"],
+        re.findall(r"rows=\d+", result.plan_tree),
+    )
+
+
+class TestFusedRegionEquivalence:
+    @given(
+        spec=nested_companies(),
+        query=region_queries(),
+        compile_mode=st.sampled_from(["closure", "off"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fused_equals_row(self, spec, query, compile_mode):
+        db = build_nested_company(spec)
+        interpreter = db.interpreter
+        interpreter.exec_mode = "row"
+        row = _observed(db, query)
+        interpreter.exec_mode = "fused"
+        interpreter.compile_mode = compile_mode
+        assert _observed(db, query) == row

@@ -141,7 +141,7 @@ def observe(db, text):
 
 
 MODES = st.tuples(
-    st.sampled_from(["fused", "batch", "row"]), st.sampled_from(["closure", "off"])
+    st.sampled_from(["fused", "row"]), st.sampled_from(["closure", "off"])
 )
 
 

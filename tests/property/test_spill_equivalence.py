@@ -16,7 +16,7 @@ from repro.util.workload import CompanyWorkload, build_company_database
 
 ages = st.integers(min_value=20, max_value=66)
 operators = st.sampled_from(["=", "<", "<=", ">", ">="])
-exec_modes = st.sampled_from(["fused", "batch", "row"])
+exec_modes = st.sampled_from(["fused", "row"])
 parallel_modes = st.sampled_from(["off", "process"])
 
 

@@ -51,8 +51,10 @@ def txn_statements(draw):
             )
         elif kind == "set_star":
             statements.append(
+                # one qualifying row: a set that two rows would assign
+                # is rejected as row-order dependent
                 f"set StarEmployee = E from E in Employees "
-                f"where E.age >= {age}"
+                f'where E.name = "{CompanyWorkload().name_of(age % 12)}"'
             )
         elif kind == "define":
             statements.append(f"define type Scratch{index} as (x: int4)")
