@@ -47,7 +47,7 @@ from typing import IO, Optional
 
 from repro.core.database import Database
 from repro.errors import ExcessError, ExtraError, LexicalError, ParseError
-from repro.excess.interpreter import FLAG_VALUES
+from repro.excess.flags import FLAG_VALUES
 from repro.excess.result import Result
 
 __all__ = ["Shell", "main"]

@@ -390,10 +390,14 @@ class Database:
         instance = self.objects.deref(member.oid)
         if instance is None:
             raise IntegrityError(f"cannot update dead object {member.oid}")
-        old_keys = self._key_snapshot(set_name, instance)
+        indexed = [
+            descriptor.attribute
+            for descriptor in self.catalog.indexes.indexes_on(set_name)
+        ]
+        old_keys = self._key_snapshot(instance, indexed)
         old_row = {name: instance.get(name) for name in changes}
         self.apply_changes(instance, changes)
-        new_keys = self._key_snapshot(set_name, instance)
+        new_keys = self._key_snapshot(instance, indexed)
         self.catalog.indexes.on_update(
             set_name, member.oid, old_keys.get, new_keys.get
         )
@@ -490,15 +494,19 @@ class Database:
                 return None
         return value
 
-    def _key_snapshot(self, set_name: str, instance: TupleInstance) -> dict[str, Any]:
+    @staticmethod
+    def _key_snapshot(
+        instance: TupleInstance, attributes: Any
+    ) -> dict[str, Any]:
+        """``instance``'s index keys for ``attributes`` (None for null)."""
         snapshot: dict[str, Any] = {}
-        for descriptor in self.catalog.indexes.indexes_on(set_name):
+        for attribute in attributes:
             value = (
-                instance.get(descriptor.attribute)
-                if instance.type.has_attribute(descriptor.attribute)
+                instance.get(attribute)
+                if instance.type.has_attribute(attribute)
                 else NULL
             )
-            snapshot[descriptor.attribute] = None if value is NULL else value
+            snapshot[attribute] = None if value is NULL else value
         return snapshot
 
     def _index_insert(self, set_name: str, collection: SetInstance, member: Any) -> None:

@@ -48,9 +48,10 @@ pure-Python dict model.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional
 
-from repro.errors import IntegrityError, SerializationError
+from repro.errors import ExcessError, IntegrityError, SerializationError
 from repro.util import faultinject
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -108,10 +109,14 @@ class SessionContext:
         #: bumped whenever a range is (re)declared; part of the plan
         #: cache key so re-declaring a range can never serve stale plans
         self.ranges_epoch = 0
-        #: per-session ablation/flag overrides (``optimize``,
-        #: ``compile_mode``, ``exec_mode``, ``batch_size``, ...);
-        #: unset keys inherit the interpreter's global attribute
-        self.overrides: dict[str, Any] = {}
+        #: per-session flag overrides (``optimize``, ``compile_mode``,
+        #: ``exec_mode``, ``batch_size``, ...), written through
+        #: :meth:`set_flag`; unset flags inherit the interpreter's
+        self._overrides: dict[str, Any] = {}
+        #: the resolved flags and the interpreter flag generation they
+        #: were resolved at (None: resolve on next use)
+        self._flags: Any = None
+        self._flags_generation = -1
         self.txn: Optional[Transaction] = None
         self.closed = False
 
@@ -121,12 +126,34 @@ class SessionContext:
 
     # -- flags -------------------------------------------------------------
 
-    def flag(self, attribute: str) -> Any:
-        """Resolve a session flag: the override if set, else the
-        interpreter's global attribute."""
-        if attribute in self.overrides:
-            return self.overrides[attribute]
-        return getattr(self.db.interpreter, attribute)
+    @property
+    def overrides(self) -> Mapping[str, Any]:
+        """This session's flag overrides (read-only; see :meth:`set_flag`)."""
+        return MappingProxyType(self._overrides)
+
+    def set_flag(self, name: str, value: Any) -> None:
+        """Override flag ``name`` for this session's statements."""
+        from repro.excess.flags import FLAG_VALUES, Flags, validate_flag
+
+        if name not in Flags._fields:
+            raise ExcessError(
+                f"unknown flag {name!r} (expected one of {list(Flags._fields)})"
+            )
+        if name in FLAG_VALUES:
+            validate_flag(name, value)
+        self._overrides[name] = value
+        self._flags = None
+
+    def resolved_flags(self) -> Any:
+        """This session's :class:`~repro.excess.flags.Flags`: resolved
+        once, and again only after an interpreter flag write or an
+        override of this session's."""
+        interpreter = self.db.interpreter
+        flags = self._flags
+        if flags is None or self._flags_generation != interpreter.flags_generation:
+            flags = self._flags = interpreter.resolve_flags(self._overrides)
+            self._flags_generation = interpreter.flags_generation
+        return flags
 
     # -- statement execution ----------------------------------------------
 
@@ -171,9 +198,11 @@ class SessionContext:
     def plan_token(self) -> tuple:
         """The part of the plan-cache key contributed by session state.
 
-        Sessions with no private range declarations, no catalog-private
-        transaction, and no flag overrides share the same (empty) token
-        and therefore cache entries. A transaction splits the key only
+        Sessions with no private range declarations and no
+        catalog-private transaction share the same (empty) token and
+        therefore cache entries (flags join the key as the resolved
+        tuple, so an override splits it only where it changes a value).
+        A transaction splits the key only
         once the catalog epoch has moved since it began — its own first
         DDL/index/range/grant, or another session's: from then on it may
         bind against a catalog no one else sees, and plans bound there
@@ -193,10 +222,9 @@ class SessionContext:
             if txn is not None and self.db.catalog.epoch != txn.begin_epoch
             else None
         )
-        overrides = tuple(sorted(self.overrides.items())) if self.overrides else None
-        if ranges is None and txn_id is None and overrides is None:
+        if ranges is None and txn_id is None:
             return ()
-        return (ranges, txn_id, overrides)
+        return (ranges, txn_id)
 
 
 class _VersionEntry:
@@ -246,6 +274,8 @@ class TransactionManager:
         #: procedure bodies, recovery replay — run inside the outer
         #: statement's snapshot window)
         self._depth = 0
+        #: open transactions, over all sessions (doomed ones included)
+        self._open = 0
 
     # -- sessions ----------------------------------------------------------
 
@@ -291,6 +321,31 @@ class TransactionManager:
             self.applied = txn
 
     # -- the per-statement snapshot window ---------------------------------
+
+    def run(self, session: SessionContext, kind: str,
+            call: Callable[..., Any], *args: Any) -> Any:
+        """``call(*args)`` under ``session``'s snapshot (see
+        :meth:`statement`). When the window has nothing to do — the
+        session has no transaction, no other workspace is applied, and
+        the statement reads or no transaction is open anywhere — or the
+        statement is nested or a control statement, it is a plain call
+        that only tracks the nesting depth."""
+        if (
+            self._depth
+            or kind == "control"
+            or (
+                session.txn is None
+                and self.applied is None
+                and (kind == "read" or not self._open)
+            )
+        ):
+            self._depth += 1
+            try:
+                return call(*args)
+            finally:
+                self._depth -= 1
+        with self.statement(session, kind):
+            return call(*args)
 
     @contextmanager
     def statement(self, session: SessionContext,
@@ -377,6 +432,7 @@ class TransactionManager:
         self._next_txn += 1
         undo.on_first_touch = self._first_touch_check(txn)
         session.txn = txn
+        self._open += 1
         self.db._attach_undo(undo)
         self.applied = txn
         if self.db.durability is not None:
@@ -435,6 +491,7 @@ class TransactionManager:
         if self.applied is txn:
             self.applied = None
         session.txn = None
+        self._open -= 1
         self.clock += 1
         commit_ts = self.clock
         readers = []
@@ -480,6 +537,7 @@ class TransactionManager:
         seen_epoch = self.db.catalog.epoch
         seen_version = self.db.data_version
         session.txn = None
+        self._open -= 1
         if self.applied is txn:
             self.applied = None
             self.db._detach_undo()

@@ -436,6 +436,9 @@ class BoundAppend:
     target: CollectionTarget
     assignments: list[tuple[str, BoundExpr]] = field(default_factory=list)
     expression: Optional[BoundExpr] = None
+    #: the lowered per-row write (payload closures, index upkeep),
+    #: attached lazily with the statement's plan
+    write: Optional[Any] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -453,6 +456,9 @@ class BoundReplace:
     query: BoundQuery
     target: BoundExpr = None  # type: ignore[assignment]
     assignments: list[tuple[str, BoundExpr]] = field(default_factory=list)
+    #: the lowered per-row write (payload closures, index upkeep),
+    #: attached lazily with the statement's plan
+    write: Optional[Any] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -463,6 +469,9 @@ class BoundSetStatement:
     #: ("named", name) | ("slot", base_expr, attribute) | ("index", base_expr, index_expr)
     location: tuple = ()
     expression: BoundExpr = None  # type: ignore[assignment]
+    #: the lowered per-row write (payload closures, index upkeep),
+    #: attached lazily with the statement's plan
+    write: Optional[Any] = field(default=None, repr=False, compare=False)
 
 
 @dataclass

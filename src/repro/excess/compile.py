@@ -1513,12 +1513,8 @@ class _RegionGen:
         if self.aggregate is not None:
             # the tables must exist before any row is evaluated, exactly
             # as the row-mode Aggregate.open() precomputes them
-            self.ns["_agg_query"] = self.aggregate.query
-            position = ops.index(self.aggregate)
-            emit(
-                "        ctx.evaluator._precompute_aggregates("
-                f"_agg_query, env, ctx.tables, stats=_st{position})"
-            )
+            self.ns["_agg_op"] = self.aggregate
+            emit("        ctx.evaluator._precompute_aggregates(_agg_op, env, ctx)")
         if self.lowering.prologue:
             emit("        _tables = ctx.tables")
             lines.extend("        " + line for line in self.lowering.prologue)

@@ -82,8 +82,10 @@ from repro.excess.binder import (
     VarRef,
 )
 from repro.core.governor import ResourceGovernor, row_footprint
-from repro.excess.compile import aggregate_sink, compile_expr
+from repro.excess.compile import aggregate_sink
+from repro.excess.flags import Flags
 from repro.excess.plan import (
+    Aggregate,
     HashJoin,
     PlanContext,
     PlanOp,
@@ -91,6 +93,7 @@ from repro.excess.plan import (
     SPILL_PARTITIONS,
     ensure_query_plan,
     ensure_retrieve_plan,
+    ensure_write_plan,
     partition_hash,
     plan_ops,
     reset_stats,
@@ -180,12 +183,8 @@ class Evaluator:
         self,
         database: Database,
         user: str = "dba",
-        compile_mode: str = "closure",
-        exec_mode: str = "fused",
-        batch_size: int = 1024,
+        flags: Flags = Flags(),
         session: Any = None,
-        statement_timeout_ms: int = 0,
-        memory_budget: int = 0,
         params: tuple = (),
     ):
         self.db = database
@@ -208,20 +207,12 @@ class Evaluator:
         self.metrics = ExecMetrics()
         #: id(membership node) → materialized member-key set (semi-join)
         self._semi_sets: dict[int, set] = {}
-        #: "closure" runs compiled expression closures on plan hot
-        #: paths; "off" forces the recursive interpreter (ablation)
-        self.compile_mode = compile_mode
-        #: "fused" runs generated whole-pipeline functions where regions
-        #: allow (exchanging row batches elsewhere); "row" keeps the
-        #: tuple-at-a-time Volcano path (the differential oracle)
-        self.exec_mode = exec_mode
-        #: target rows per exchanged batch (fused mode)
-        self.batch_size = batch_size
-        #: id(bound node) → callable from the compile seam (statement-
-        #: level expressions and aggregate hot paths; nodes stay alive
-        #: on the bound statement for this evaluator's life)
-        self._compiled_memo: dict[int, Any] = {}
-        self._compiled_ctx: Optional[PlanContext] = None
+        #: the execution flags (see :class:`~repro.excess.flags.Flags`);
+        #: the three the plan context reads are copied out
+        self.flags = flags
+        self.compile_mode = flags.compile_mode
+        self.exec_mode = flags.exec_mode
+        self.batch_size = flags.batch_size
         #: parent-side worker-pool dispatcher (interpreter-attached when
         #: parallel_mode=process; exchange merges and aggregate
         #: precompute consult it, everything else ignores it)
@@ -233,25 +224,10 @@ class Evaluator:
         #: None when neither flag is active, so ungoverned execution
         #: pays nothing — operators read it through PlanContext
         self.governor: Optional[ResourceGovernor] = (
-            ResourceGovernor(statement_timeout_ms, memory_budget)
-            if statement_timeout_ms or memory_budget
+            ResourceGovernor(flags.statement_timeout_ms, flags.memory_budget)
+            if flags.statement_timeout_ms or flags.memory_budget
             else None
         )
-
-    def _eval_expr(self, node: BoundExpr, env: Env, tables: dict) -> Any:
-        """Evaluate an expression that lives outside the plan operators
-        (update payloads, aggregate inputs, procedure arguments) through
-        the compile seam: a memoized closure under ``compile_mode=
-        "closure"``, a callback into :meth:`_eval` under ``"off"``."""
-        ctx = self._compiled_ctx
-        if ctx is None or ctx.tables is not tables:
-            ctx = PlanContext(self, tables)
-            self._compiled_ctx = ctx
-        fn = self._compiled_memo.get(id(node))
-        if fn is None:
-            fn = compile_expr(node, ctx.compiled).fn
-            self._compiled_memo[id(node)] = fn
-        return fn(env, ctx)
 
     def _invalidate_exec_caches(self) -> None:
         """Invalidate memoized execution state before data mutates.
@@ -275,10 +251,10 @@ class Evaluator:
     ) -> Result:
         """Execute a retrieve by draining its lowered operator pipeline
         (``StoreInto?(Sort?(Project(row source)))``)."""
-        env0: Env = dict(base_env or {})
-        ctx = PlanContext(self)
         pipeline = ensure_retrieve_plan(bound, self.db.catalog)
-        rows = list(self._run_plan(pipeline, env0, ctx))
+        rows: list = []
+        for batch in self._run_plan(pipeline, dict(base_env or {}), PlanContext(self)):
+            rows.extend(batch)
         columns = [t.label for t in bound.targets]
         result = Result(kind="retrieve", columns=columns, rows=rows)
         if bound.into:
@@ -340,24 +316,26 @@ class Evaluator:
         self, bound: BoundAppend, base_env: Optional[Env] = None
     ) -> Result:
         """Execute an append statement."""
-        tables: dict = {}
+        ctx = PlanContext(self)
+        fns = ensure_write_plan(bound, self.db.catalog).fns(ctx.compiled)
+        envs = self.query_envs(bound.query, base_env, ctx)
         pending: list[tuple[Env, Any]] = []
-        evaluate = self._eval_expr
-        for env in self.env_stream(bound.query, base_env, tables):
-            if bound.assignments:
-                raw = {
-                    attribute: evaluate(expression, env, tables)
-                    for attribute, expression in bound.assignments
-                }
-                raw = {k: v for k, v in raw.items() if v is not NULL}
-                pending.append((env, raw))
-            else:
-                assert bound.expression is not None
-                pending.append((env, evaluate(bound.expression, env, tables)))
+        if bound.assignments:
+            attributes = [attribute for attribute, _expr in bound.assignments]
+            for env in envs:
+                values = [fn(env, ctx) for fn in fns]
+                pending.append((env, {
+                    attribute: value
+                    for attribute, value in zip(attributes, values)
+                    if value is not NULL
+                }))
+        else:
+            (fn,) = fns
+            pending = [(env, fn(env, ctx)) for env in envs]
         count = 0
         self._invalidate_exec_caches()
         for env, payload in pending:
-            if self._append_one(bound.target, payload, env, tables):
+            if self._append_one(bound.target, payload, env, ctx.tables):
                 count += 1
         return Result(kind="append", count=count, message=f"appended {count}")
 
@@ -467,7 +445,7 @@ class Evaluator:
         )
         victims: list[tuple[Any, Optional[SetInstance], Optional[str]]] = []
         seen: set = set()
-        for env in self.env_stream(bound.query, base_env):
+        for env in self.query_envs(bound.query, base_env, PlanContext(self)):
             member = env[bound.variable]
             key = canonical_key(member)
             if key in seen:
@@ -519,53 +497,54 @@ class Evaluator:
         self, bound: BoundReplace, base_env: Optional[Env] = None
     ) -> Result:
         """Execute a replace statement."""
-        tables: dict = {}
+        ctx = PlanContext(self)
+        write = ensure_write_plan(bound, self.db.catalog)
+        target_fn, *fns = write.fns(ctx.compiled)
+        attributes = [attribute for attribute, _expr in bound.assignments]
         pending: list[tuple[Any, dict[str, Any]]] = []
-        evaluate = self._eval_expr
-        for env in self.env_stream(bound.query, base_env, tables):
-            target_value = evaluate(bound.target, env, tables)
+        for env in self.query_envs(bound.query, base_env, ctx):
+            target_value = target_fn(env, ctx)
             if target_value is NULL:
                 continue
-            changes = {
-                attribute: evaluate(expression, env, tables)
-                for attribute, expression in bound.assignments
-            }
-            pending.append((target_value, changes))
+            values = [fn(env, ctx) for fn in fns]
+            pending.append((target_value, dict(zip(attributes, values))))
         count = 0
         self._invalidate_exec_caches()
         for target_value, changes in pending:
             if isinstance(target_value, Ref):
-                self._apply_indexed_changes(target_value, changes)
+                self._apply_indexed_changes(target_value, changes, write.upkeep)
                 count += 1
             elif isinstance(target_value, TupleInstance):
                 self.db.apply_changes(target_value, changes)
                 count += 1
         return Result(kind="replace", count=count, message=f"replaced {count}")
 
-    def _apply_indexed_changes(self, reference: Ref, changes: dict) -> None:
-        """Apply changes to an object, maintaining indexes of every named
-        set the object belongs to."""
+    def _apply_indexed_changes(
+        self, reference: Ref, changes: dict, upkeep: tuple
+    ) -> None:
+        """Apply changes to an object, maintaining the indexes ``upkeep``
+        names (see :class:`~repro.excess.plan.WritePlan`) on every set
+        of it the object belongs to."""
         instance = self._deref(reference)
         if instance is None:
             return
-        containing: list[str] = []
-        for descriptor in self.db.catalog.indexes.all_indexes():
-            named = self.db.named(descriptor.set_name)
-            if isinstance(named.value, SetInstance) and named.value.contains(reference):
-                if descriptor.set_name not in containing:
-                    containing.append(descriptor.set_name)
-        snapshots = {
-            name: self.db._key_snapshot(name, instance) for name in containing
-        }
+        db = self.db
+        member_of = []
+        for set_name, attributes in upkeep:
+            collection = db.named(set_name).value
+            if isinstance(collection, SetInstance) and collection.contains(reference):
+                member_of.append(
+                    (set_name, attributes, db._key_snapshot(instance, attributes))
+                )
         old_row = {name: instance.get(name) for name in changes}
-        self.db.apply_changes(instance, changes)
-        for name in containing:
-            new_snapshot = self.db._key_snapshot(name, instance)
-            self.db.catalog.indexes.on_update(
-                name, reference.oid, snapshots[name].get, new_snapshot.get
+        db.apply_changes(instance, changes)
+        for set_name, attributes, old_keys in member_of:
+            new_keys = db._key_snapshot(instance, attributes)
+            db.catalog.indexes.on_update(
+                set_name, reference.oid, old_keys.get, new_keys.get
             )
         new_row = {name: instance.get(name) for name in changes}
-        self.db.note_member_update(reference, old_row, new_row)
+        db.note_member_update(reference, old_row, new_row)
 
     def run_set(
         self, bound: BoundSetStatement, base_env: Optional[Env] = None
@@ -583,28 +562,30 @@ class Evaluator:
         the last row winning, and replay applies it that way (no
         statement logged under the rule assigns any target twice).
         """
-        tables: dict = {}
-        evaluate = self._eval_expr
+        ctx = PlanContext(self)
+        write = ensure_write_plan(bound, self.db.catalog)
+        # the value, then the location's base (and index) expressions
+        value_fn, *location_fns = write.fns(ctx.compiled)
         kind = bound.location[0]
         #: (value, target): the slot owner's (base, instance) or the
         #: array's (base, index); None for a named singleton
         pending: list[tuple[Any, Any]] = []
         assigned: set = set()
-        for env in self.env_stream(bound.query, base_env, tables):
-            value = evaluate(bound.expression, env, tables)
+        for env in self.query_envs(bound.query, base_env, ctx):
+            value = value_fn(env, ctx)
             if kind == "named":
                 target: Any = None
                 key: Any = ()
             elif kind == "slot":
-                base = self._eval(bound.location[1], env, tables)
+                base = location_fns[0](env, ctx)
                 instance = self._resolve_instance(base)
                 if instance is None:
                     continue
                 target = (base, instance)
                 key = instance.oid if instance.oid is not None else id(instance)
             else:  # index
-                base = self._eval(bound.location[1], env, tables)
-                index = self._eval(bound.location[2], env, tables)
+                base = location_fns[0](env, ctx)
+                index = location_fns[1](env, ctx)
                 if base is NULL or index is NULL:
                     continue
                 if not isinstance(base, ArrayInstance):
@@ -634,13 +615,11 @@ class Evaluator:
                 named.value = canonical
             elif kind == "slot":
                 base, instance = target
-                attribute = bound.location[2]
-                old_row = {attribute: instance.get(attribute)}
-                self.db.apply_changes(instance, {attribute: value})
+                changes = {bound.location[2]: value}
                 if isinstance(base, Ref):
-                    self.db.note_member_update(
-                        base, old_row, {attribute: instance.get(attribute)}
-                    )
+                    self._apply_indexed_changes(base, changes, write.upkeep)
+                else:
+                    self.db.apply_changes(instance, changes)
             else:
                 base, index = target
                 if isinstance(value, Ref):
@@ -658,9 +637,12 @@ class Evaluator:
 
     def _run_plan(
         self, root: PlanOp, env: Env, ctx: PlanContext
-    ) -> Iterator[Any]:
-        """Drain one operator tree: reset its counters, open/next/close,
-        then absorb the counters into this statement's metrics.
+    ) -> Iterator[list]:
+        """Drain one operator tree as lists of rows: reset its counters,
+        run it, then absorb the counters into this statement's metrics.
+        Fused execution yields the root's batches (counting its
+        ``rows_out`` per batch, per the batch stats contract); row
+        execution opens/nexts/closes the tree and yields one-row lists.
 
         Plans are shared (they live on cached bound statements), so a
         recursive EXCESS function can re-enter a tree that is already
@@ -672,32 +654,25 @@ class Evaluator:
             reset_stats(root)
         root.running += 1
         governor = ctx.governor
-        if ctx.exec_mode != "row":
-            # fused execution: drain batches (the root's rows_out
-            # is counted here, per the batch stats contract)
-            root_stats = root.stats
-            try:
+        root_stats = root.stats
+        try:
+            if ctx.exec_mode != "row":
                 for batch in root.batches(ctx, env, ctx.batch_size):
                     if governor is not None:
                         governor.check_timeout("root")
                     root_stats.rows_out += len(batch)
-                    yield from batch
+                    yield batch
+                return
+            root.open(ctx, env)
+            try:
+                for row in root._iters[-1]:
+                    if governor is not None:
+                        governor.check_timeout("root")
+                    root_stats.rows_out += 1
+                    yield [row]
             finally:
-                root.running -= 1
-                if not nested:
-                    self._absorb_stats(root)
-            return
-        root.open(ctx, env)
-        root_iter = root._iters[-1]
-        root_stats = root.stats
-        try:
-            for row in root_iter:
-                if governor is not None:
-                    governor.check_timeout("root")
-                root_stats.rows_out += 1
-                yield row
+                root.close()
         finally:
-            root.close()
             root.running -= 1
             if not nested:
                 self._absorb_stats(root)
@@ -713,37 +688,36 @@ class Evaluator:
                 metrics.hash_probes += op.stats.probes
 
     def _query_rows(
-        self, query: BoundQuery, base_env: Env, tables: dict
+        self, query: BoundQuery, base_env: Env, ctx: PlanContext
     ) -> Iterator[Env]:
-        """Stream the *shared* environment of a query's binding pipeline
-        (callers must not retain yielded envs — see :meth:`env_stream`)."""
+        """Stream the environments of a query's binding pipeline (row
+        mode yields one *shared* environment: callers must not retain
+        it — see :meth:`query_envs`)."""
         plan = ensure_query_plan(query, self.db.catalog)
-        yield from self._run_plan(plan, dict(base_env), PlanContext(self, tables))
+        for batch in self._run_plan(plan, dict(base_env), ctx):
+            yield from batch
 
-    def env_stream(
-        self,
-        query: BoundQuery,
-        base_env: Optional[Env] = None,
-        tables: Optional[dict] = None,
-    ) -> Iterator[Env]:
-        """The shared row-source layer: one snapshot environment per
-        qualifying row of the query's lowered binding pipeline.
+    def query_envs(
+        self, query: BoundQuery, base_env: Optional[Env], ctx: PlanContext
+    ) -> list[Env]:
+        """The shared row-source layer: one private environment per
+        qualifying row of the query's lowered binding pipeline, drained
+        batch by batch.
 
-        Retrieve, append, delete, replace, set, and procedure invocation
-        all consume this stream, so every strategy decision (access
-        methods, join order, hash vs nested-loop) lives in the plan IR.
-        ``tables`` receives the aggregate tables the pipeline builds; pass
-        the same dict to later ``_eval`` calls over the yielded envs.
+        Append, delete, replace, set, and procedure invocation all
+        consume it, so every strategy decision (access methods, join
+        order, hash vs nested-loop) lives in the plan IR. ``ctx.tables``
+        receives the aggregate tables the pipeline builds; evaluate the
+        returned envs under the same ``ctx``.
         """
-        if tables is None:
-            tables = {}
-        if self.exec_mode != "row":
-            # fused-mode rows are already private per-row snapshots —
-            # consumers may retain them without copying
-            yield from self._query_rows(query, base_env or {}, tables)
-            return
-        for env in self._query_rows(query, base_env or {}, tables):
-            yield dict(env)
+        plan = ensure_query_plan(query, self.db.catalog)
+        # fused-mode rows are already private per-row snapshots; row
+        # mode yields its one shared environment, copied here
+        private = ctx.exec_mode != "row"
+        envs: list[Env] = []
+        for batch in self._run_plan(plan, dict(base_env or {}), ctx):
+            envs.extend(batch if private else map(dict, batch))
+        return envs
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -758,27 +732,30 @@ class Evaluator:
         return aggregate.inner_query
 
     def _precompute_aggregates(
-        self,
-        query: BoundQuery,
-        base_env: Env,
-        tables: dict,
-        stats: Any = None,
-    ) -> dict:
-        """Fill ``tables`` for global and partitioned aggregates by
+        self, op: Aggregate, base_env: Env, ctx: PlanContext
+    ) -> None:
+        """Fill ``ctx.tables`` for global and partitioned aggregates by
         running their inner pipelines; correlated ones get a memo dict
-        filled on demand (the :class:`~repro.excess.plan.Aggregate`
-        operator calls this at open, before any downstream evaluation).
+        filled on demand, paired with their compiled argument (the
+        :class:`~repro.excess.plan.Aggregate` operator calls this at
+        open, before any downstream evaluation).
 
-        ``stats`` is the calling Aggregate operator's counters (spill
-        accounting for EXPLAIN); an active governor adds cooperative
-        timeout checks per inner row and may spill the accumulating
-        groups to disk partitions (:meth:`_governed_aggregate`).
+        Arguments and partition keys are the operator's compiled
+        expressions. Its counters take the spill accounting for
+        EXPLAIN; an active governor adds cooperative timeout checks per
+        inner row and may spill the accumulating groups to disk
+        partitions (:meth:`_governed_aggregate`).
         """
-        evaluate = self._eval_expr
+        tables = ctx.tables
         governor = self.governor
-        for aggregate in query.aggregates:
+        fns = iter(op.compiled_exprs(ctx.compiled)[0])
+        for aggregate in op.query.aggregates:
+            argument = next(fns)
+            key = next(fns) if aggregate.inner_key is not None else None
             if aggregate.mode == "correlated":
-                tables[aggregate.aggregate_id] = ("correlated", aggregate, {})
+                tables[aggregate.aggregate_id] = (
+                    "correlated", aggregate, ({}, argument)
+                )
                 continue
             if self.parallel is not None and not base_env:
                 # partial→final on the worker pool; None = stay serial
@@ -791,28 +768,27 @@ class Evaluator:
             inner = self._aggregate_query(aggregate)
             if governor is not None:
                 computed = self._governed_aggregate(
-                    aggregate, inner, base_env, tables, evaluate,
-                    governor, stats,
+                    aggregate, inner, base_env, ctx, argument, key,
+                    governor, op.stats,
                 )
             else:
-                groups = self._sink_groups(aggregate, inner, base_env, tables)
+                groups = self._sink_groups(aggregate, inner, base_env, ctx)
                 if groups is None:
                     groups = self._drained_groups(
-                        aggregate, inner, base_env, tables
+                        aggregate, inner, base_env, ctx, argument, key
                     )
                 computed = {
-                    key: aggregate.function.impl(values)
-                    for key, values in groups.items()
+                    group: aggregate.function.impl(values)
+                    for group, values in groups.items()
                 }
             tables[aggregate.aggregate_id] = (aggregate.mode, aggregate, computed)
-        return tables
 
     def _sink_groups(
         self,
         aggregate: BoundAggregate,
         inner: BoundQuery,
         base_env: Env,
-        tables: dict,
+        ctx: PlanContext,
     ) -> Optional[dict]:
         """``{key: [values]}`` from one generated loop over the inner
         pipeline (:func:`~repro.excess.compile.aggregate_sink`), or None
@@ -822,7 +798,6 @@ class Evaluator:
         if self.exec_mode == "row":
             return None
         plan = ensure_query_plan(inner, self.db.catalog)
-        ctx = PlanContext(self, tables)
         sink = aggregate_sink(plan, aggregate, ctx.compiled)
         if sink is None:
             return None
@@ -842,21 +817,19 @@ class Evaluator:
         aggregate: BoundAggregate,
         inner: BoundQuery,
         base_env: Env,
-        tables: dict,
+        ctx: PlanContext,
+        argument: Any,
+        key_fn: Any,
     ) -> dict:
         """``{key: [values]}`` by draining the inner pipeline's rows and
-        evaluating the argument (and partition key) per row."""
-        evaluate = self._eval_expr
+        evaluating the compiled argument (and partition key) per row."""
         groups: dict[Any, list] = {}
-        for env in self._query_rows(inner, base_env, tables):
-            value = evaluate(aggregate.argument, env, tables)
+        partitioned = aggregate.mode == "partition"
+        for env in self._query_rows(inner, base_env, ctx):
+            value = argument(env, ctx)
             if value is NULL:
                 continue
-            if aggregate.mode == "partition":
-                assert aggregate.inner_key is not None
-                key = canonical_key(evaluate(aggregate.inner_key, env, tables))
-            else:
-                key = ()
+            key = canonical_key(key_fn(env, ctx)) if partitioned else ()
             groups.setdefault(key, []).append(value)
         return groups
 
@@ -865,8 +838,9 @@ class Evaluator:
         aggregate: BoundAggregate,
         inner: BoundQuery,
         base_env: Env,
-        tables: dict,
-        evaluate: Any,
+        ctx: PlanContext,
+        argument: Any,
+        key_fn: Any,
         governor: ResourceGovernor,
         stats: Any,
     ) -> dict:
@@ -884,20 +858,13 @@ class Evaluator:
         parts: Optional[list] = None
         reserved = 0
         partitioned = aggregate.mode == "partition"
-        if partitioned:
-            assert aggregate.inner_key is not None
         try:
-            for env in self._query_rows(inner, base_env, tables):
+            for env in self._query_rows(inner, base_env, ctx):
                 governor.check_timeout("aggregate")
-                value = evaluate(aggregate.argument, env, tables)
+                value = argument(env, ctx)
                 if value is NULL:
                     continue
-                if partitioned:
-                    key = canonical_key(
-                        evaluate(aggregate.inner_key, env, tables)
-                    )
-                else:
-                    key = ()
+                key = canonical_key(key_fn(env, ctx)) if partitioned else ()
                 if parts is None:
                     cost = row_footprint(value)
                     if governor.reserve(cost):
@@ -942,28 +909,28 @@ class Evaluator:
         self, node: AggregateRef, env: Env, tables: dict
     ) -> Any:
         mode, aggregate, computed = tables[node.aggregate_id]
-        evaluate = self._eval_expr
         if mode == "global":
             if () in computed:
                 return self._null_if_none(computed[()])
             return self._empty_aggregate(aggregate)
         if mode == "partition":
             assert node.outer_key is not None
-            key = canonical_key(evaluate(node.outer_key, env, tables))
+            key = canonical_key(self._eval(node.outer_key, env, tables))
             if key in computed:
                 return self._null_if_none(computed[key])
             return self._empty_aggregate(aggregate)
         # correlated: evaluate over nested sets under the current env
+        memo, argument = computed
         memo_key = tuple(
             canonical_key(env.get(dep, NULL)) for dep in aggregate.outer_deps
         )
-        memo = computed
         if memo_key in memo:
             return memo[memo_key]
         values: list = []
         inner = self._aggregate_query(aggregate)
-        for inner_env in self._query_rows(inner, env, tables):
-            value = evaluate(aggregate.argument, inner_env, tables)
+        ctx = PlanContext(self, tables)
+        for inner_env in self._query_rows(inner, env, ctx):
+            value = argument(inner_env, ctx)
             if value is not NULL:
                 values.append(value)
         if values:

@@ -10,7 +10,6 @@ when the database has it enabled.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -56,6 +55,7 @@ from repro.excess.binder import (
     Scope,
 )
 from repro.excess.evaluator import Evaluator
+from repro.excess.flags import FLAG_VALUES, Flags, validate_flag
 from repro.excess.functions import (
     ExcessFunction,
     FunctionParam,
@@ -64,55 +64,34 @@ from repro.excess.functions import (
 from repro.excess.lexer import Lexer
 from repro.excess.optimizer import CostModel, Optimizer
 from repro.excess.parser import OperatorTable, Parser
-from repro.excess.plan import pipeline_sources, render_plan, snapshot_stats
+from repro.excess.compile import compile_all
+from repro.excess.plan import (
+    PlanContext,
+    pipeline_sources,
+    render_plan,
+    snapshot_stats,
+)
 from repro.excess.procedures import Procedure, bind_procedure_body, run_procedure
 from repro.excess.result import Result
 
 __all__ = ["Interpreter", "PlanCache", "FLAG_VALUES", "validate_flag"]
 
-#: every validated execution flag and what it accepts: a tuple enumerates
-#: the allowed values, an integer is the smallest allowed integer.  The
-#: one table behind the interpreter's attribute setters, the server's
-#: wire ``set`` op and the shell's meta commands.
-FLAG_VALUES: dict[str, Any] = {
-    "optimize": (True, False),
-    "compile_mode": ("closure", "off"),
-    "exec_mode": ("fused", "row"),
-    "parallel_mode": ("process", "off"),
-    "batch_size": 1,
-    "workers": 1,
-    "statement_timeout_ms": 0,
-    "memory_budget": 0,
-}
-
-
-def validate_flag(name: str, value: Any) -> Any:
-    """``value`` if it is allowed for flag ``name`` (see
-    :data:`FLAG_VALUES`), else :class:`ExcessError`."""
-    allowed = FLAG_VALUES[name]
-    if isinstance(allowed, tuple):
-        if value not in allowed:
-            raise ExcessError(
-                f"{name} must be one of {list(allowed)}, got {value!r}"
-            )
-    elif not isinstance(value, int) or isinstance(value, bool) or value < allowed:
-        kind = "positive" if allowed else "non-negative"
-        raise ExcessError(f"{name} must be a {kind} integer, got {value!r}")
-    return value
-
-
-def _validated(name: str, doc: str) -> property:
-    """An interpreter attribute whose assignments go through
-    :func:`validate_flag`."""
+def _flag_attribute(name: str) -> property:
+    """An interpreter attribute for flag ``name``: assignments are
+    validated (flags in :data:`FLAG_VALUES`) and move the flag
+    generation, so every session re-resolves its :class:`Flags`."""
     slot = "_" + name
 
     def read(self: Any) -> Any:
         return getattr(self, slot)
 
     def write(self: Any, value: Any) -> None:
-        setattr(self, slot, validate_flag(name, value))
+        if name in FLAG_VALUES:
+            validate_flag(name, value)
+        setattr(self, slot, value)
+        self.flags_generation += 1
 
-    return property(read, write, doc=doc)
+    return property(read, write)
 
 
 @dataclass
@@ -344,39 +323,20 @@ class Interpreter:
 
     def __init__(self, database: Database, optimize: bool = True):
         self.db = database
-        self.optimize = optimize
-        #: whether the optimizer may rewrite equi-joins to hash joins
-        self.hash_joins = True
-        #: whether binding order comes from the cost-based search
-        #: (False forces the older heuristic ranks, for ablation)
-        self.cost_based = True
-        #: "closure" executes compiled expression closures on plan hot
-        #: paths; "off" forces the recursive interpreter (ablation)
-        self.compile_mode = "closure"
-        #: "fused" runs generated whole-pipeline functions where plan
-        #: regions allow (exchanging row batches elsewhere); "row" keeps
-        #: the tuple-at-a-time Volcano path (the differential oracle)
-        self.exec_mode = "fused"
-        #: target rows per exchanged batch (fused mode)
-        self.batch_size = 1024
-        #: "process" lowers eligible retrieve pipelines with exchange
-        #: operators and runs them on a multi-core worker pool; "off"
-        #: keeps every plan serial — byte-identical to the pre-parallel
-        #: lowering (ablation)
-        self.parallel_mode = "process"
-        #: worker-process budget for parallel plans (the chosen degree
-        #: of parallelism never exceeds this)
-        self.workers = max(1, os.cpu_count() or 1)
-        #: per-statement wall-clock budget in milliseconds, enforced
-        #: cooperatively at batch boundaries (0 = no timeout)
-        self.statement_timeout_ms = 0
-        #: bytes the pipeline-breaking operators (hash builds, sorts,
-        #: aggregates) may hold in memory before spilling (0 = unbounded)
-        self.memory_budget = 0
+        #: bumped by every flag write; a session whose resolved
+        #: :class:`Flags` carry an older generation re-resolves them
+        self.flags_generation = 0
+        # the engine-wide flags (documented on Flags); a session's
+        # overrides take precedence over these
+        for name, value in zip(Flags._fields, Flags(optimize=optimize)):
+            setattr(self, name, value)
         #: lazily created worker-pool dispatcher, shared by statements
         self._parallel_runner: Any = None
         #: LRU of prepared plans; entries self-invalidate via the epoch key
         self.plan_cache = PlanCache(magnitude=self._literal_magnitude)
+        #: the cost model value-sensitive cache keys are estimated with,
+        #: rebuilt when the catalog's statistics object is replaced
+        self._cost_model: Optional[CostModel] = None
         #: (registry symbols, parse table, its punctuation symbols) — see
         #: :meth:`_operator_table`
         self._operators: tuple = (None, None, ())
@@ -399,41 +359,28 @@ class Interpreter:
         across :meth:`Database.session` users, as the seed behaved."""
         return self._session().ranges
 
-    def _flag(self, name: str) -> Any:
-        """Resolve an execution flag: the active session's override
-        when one is set, the interpreter-global attribute otherwise."""
-        session = self._current_session
-        if session is not None and name in session.overrides:
-            return session.overrides[name]
-        return getattr(self, name)
+    def resolve_flags(self, overrides: Any) -> Flags:
+        """``overrides`` over the interpreter's attributes, as one tuple."""
+        return Flags._make(
+            overrides.get(name, getattr(self, name)) for name in Flags._fields
+        )
 
-    # -- validated flags -----------------------------------------------------------
+    # -- flags -------------------------------------------------------------------
 
-    optimize = _validated("optimize", "Whether the optimizer runs at all.")
-    compile_mode = _validated(
-        "compile_mode", 'Expression evaluation: "closure" or "off".'
-    )
-    exec_mode = _validated(
-        "exec_mode", 'Pipeline execution: "fused" or "row".'
-    )
-    parallel_mode = _validated(
-        "parallel_mode", 'Parallel execution mode: "process" or "off".'
-    )
-    batch_size = _validated(
-        "batch_size", "Target rows per exchanged batch (fused mode)."
-    )
-    workers = _validated("workers", "Worker-process budget for parallel plans.")
-    statement_timeout_ms = _validated(
-        "statement_timeout_ms",
-        "Per-statement deadline in milliseconds (0 = no timeout).",
-    )
-    memory_budget = _validated(
-        "memory_budget", "Pipeline-breaker memory budget in bytes (0 = unbounded)."
-    )
+    optimize = _flag_attribute("optimize")
+    hash_joins = _flag_attribute("hash_joins")
+    cost_based = _flag_attribute("cost_based")
+    compile_mode = _flag_attribute("compile_mode")
+    exec_mode = _flag_attribute("exec_mode")
+    parallel_mode = _flag_attribute("parallel_mode")
+    workers = _flag_attribute("workers")
+    batch_size = _flag_attribute("batch_size")
+    statement_timeout_ms = _flag_attribute("statement_timeout_ms")
+    memory_budget = _flag_attribute("memory_budget")
 
     # -- parallel execution ---------------------------------------------------------
 
-    def _parallel(self) -> Any:
+    def _parallel(self, workers: int) -> Any:
         """The interpreter's worker-pool dispatcher (created on first
         parallel-eligible execution; pool processes start lazily)."""
         runner = self._parallel_runner
@@ -442,7 +389,7 @@ class Interpreter:
 
             runner = ParallelRunner(self.db)
             self._parallel_runner = runner
-        runner.workers = self._flag("workers")
+        runner.workers = workers
         return runner
 
     def shutdown_parallel(self) -> None:
@@ -488,31 +435,25 @@ class Interpreter:
     def _literal_magnitude(
         self, set_name: str, attribute: str, op: str, value: Any
     ) -> int:
-        return CostModel(self.db.catalog).literal_magnitude(
-            set_name, attribute, op, value
-        )
+        catalog = self.db.catalog
+        model = self._cost_model
+        if (
+            model is None
+            or model.catalog is not catalog
+            or model.statistics is not catalog.statistics
+        ):
+            model = self._cost_model = CostModel(catalog)
+        return model.literal_magnitude(set_name, attribute, op, value)
 
-    def _cache_key(self, text: str, user: str, session: Any = None) -> tuple:
+    def _cache_key(self, text: str, user: str, session: Any) -> tuple:
         """``(shape key, literal values)`` — see :class:`PlanCache`."""
-        if session is None:
-            flag = lambda name: getattr(self, name)  # noqa: E731
-            token: tuple = ()
-        else:
-            flag = session.flag
-            token = session.plan_token()
         shape, params = Lexer(text, self._lexer_symbols()).shape()
         return (
             shape,
             user,
             self.db.catalog.epoch,
-            flag("optimize"),
-            flag("hash_joins"),
-            flag("cost_based"),
-            flag("compile_mode"),
-            flag("exec_mode"),
-            flag("parallel_mode"),
-            flag("workers"),
-        ) + token, params
+            session.resolved_flags(),
+        ) + session.plan_token(), params
 
     #: statement types that never mutate durable state (no implicit
     #: transaction needed even when other sessions' snapshots are open)
@@ -567,19 +508,20 @@ class Interpreter:
                 )
             result = Result(kind="empty")
             for statement in statements:
-                with transactions.statement(session, kind="control"):
-                    result = self.execute_statement(statement, user)
+                result = transactions.run(
+                    session, "control", self.execute_statement, statement, user
+                )
             return result
         key = self._cache_key(text, user, session)
         params = key[1]
+        flags = session.resolved_flags()
         plan = self.plan_cache.get(key)
         if plan is not None:
             kind = "read" if plan.kind in ("retrieve", "explain") else "write"
-            with transactions.statement(session, kind=kind):
-                result = self._execute_prepared(plan, user, "hit", params)
-                if plan.kind in self._DURABLE_KINDS:
-                    self._log_durable(text, user)
-            return result
+            return transactions.run(
+                session, kind, self._run_prepared,
+                plan, text, user, flags, "hit", params,
+            )
         statements, literals = self._parse(text)
         if not statements:
             return Result(kind="empty", message="no statements")
@@ -591,18 +533,37 @@ class Interpreter:
             and literals == params
         ):
             statement = statements[0]
-            with transactions.statement(session, kind=self._statement_kind(statement)):
-                plan = self._prepare(statement, params)
-                self.plan_cache.put(key, plan)
-                cache = "miss" if self.plan_cache.enabled else "off"
-                result = self._execute_prepared(plan, user, cache, params)
-                if plan.kind in self._DURABLE_KINDS:
-                    self._log_durable(text, user)
-            return result
+            return transactions.run(
+                session, self._statement_kind(statement), self._prepare_and_run,
+                statement, key, text, user, flags,
+            )
         result = Result(kind="empty")
         for statement in statements:
-            with transactions.statement(session, kind=self._statement_kind(statement)):
-                result = self.execute_statement(statement, user)
+            result = transactions.run(
+                session, self._statement_kind(statement),
+                self.execute_statement, statement, user,
+            )
+        return result
+
+    def _prepare_and_run(
+        self, statement: ast.Statement, key: tuple, text: str, user: str,
+        flags: Flags,
+    ) -> Result:
+        """A plan-cache miss: prepare, cache, and run the statement."""
+        params = key[1]
+        plan = self._prepare(statement, flags, params)
+        self.plan_cache.put(key, plan)
+        cache = "miss" if self.plan_cache.enabled else "off"
+        return self._run_prepared(plan, text, user, flags, cache, params)
+
+    def _run_prepared(
+        self, plan: "_PreparedPlan", text: str, user: str, flags: Flags,
+        cache: str, params: tuple,
+    ) -> Result:
+        """Run a prepared plan, then log it when it mutates."""
+        result = self._execute_prepared(plan, user, flags, cache, params)
+        if plan.kind in self._DURABLE_KINDS:
+            self._log_durable(text, user)
         return result
 
     def execute_statement(self, statement: ast.Statement, user: str) -> Result:
@@ -890,34 +851,19 @@ class Interpreter:
         if statement.where is not None:
             query.where = binder._bind_predicate(statement.where, scope, query)
         binder._finalize(scope, query)
-        Optimizer(
-            self.db.catalog,
-            enabled=self._flag("optimize"),
-            hash_joins=self._flag("hash_joins"),
-            cost_based=self._flag("cost_based"),
-            compile_mode=self._flag("compile_mode"),
-            exec_mode=self._flag("exec_mode"),
-        ).optimize(query)
+        session = self._session()
+        flags = session.resolved_flags()
+        self._optimizer(flags).optimize(query)
         evaluator = Evaluator(
-            self.db,
-            user=procedure.definer,
-            compile_mode=self._flag("compile_mode"),
-            exec_mode=self._flag("exec_mode"),
-            batch_size=self._flag("batch_size"),
-            session=self._session(),
-            statement_timeout_ms=self._flag("statement_timeout_ms"),
-            memory_budget=self._flag("memory_budget"),
+            self.db, user=procedure.definer, flags=flags, session=session
         )
-        tables: dict = {}
-        bindings: list[dict] = []
-        for env in evaluator.env_stream(query, {}, tables):
-            values = [evaluator._eval_expr(a, env, tables) for a in bound_args]
-            bindings.append(
-                {
-                    f"@{param.name}": value
-                    for param, value in zip(procedure.params, values)
-                }
-            )
+        ctx = PlanContext(evaluator)
+        fns = compile_all(bound_args, ctx.compiled)[0]
+        names = [f"@{param.name}" for param in procedure.params]
+        bindings = [
+            {name: fn(env, ctx) for name, fn in zip(names, fns)}
+            for env in evaluator.query_envs(query, {}, ctx)
+        ]
         return run_procedure(evaluator, procedure, bindings, binder)
 
     # -- DML handlers ------------------------------------------------------------------------------
@@ -925,8 +871,21 @@ class Interpreter:
     def _binder(self) -> Binder:
         return Binder(self.db.catalog, self.session_ranges)
 
+    def _optimizer(self, flags: Flags) -> Optimizer:
+        return Optimizer(
+            self.db.catalog,
+            enabled=flags.optimize,
+            hash_joins=flags.hash_joins,
+            cost_based=flags.cost_based,
+            compile_mode=flags.compile_mode,
+            exec_mode=flags.exec_mode,
+            parallel_mode=flags.parallel_mode,
+            workers=flags.workers,
+        )
+
     def _prepare(
-        self, statement: ast.Statement, params: Optional[tuple] = None
+        self, statement: ast.Statement, flags: Flags,
+        params: Optional[tuple] = None,
     ) -> _PreparedPlan:
         """Bind and optimize one query statement (the cacheable half).
 
@@ -938,7 +897,7 @@ class Interpreter:
         slots pinned.
         """
         if isinstance(statement, ast.Explain):
-            plan = self._prepare_explain(statement)
+            plan = self._prepare_explain(statement, flags)
             plan.params = params or ()
             return plan
         slots = ParamSlots()
@@ -947,16 +906,7 @@ class Interpreter:
             self.session_ranges,
             slots=slots if params is not None else None,
         )
-        optimizer = Optimizer(
-            self.db.catalog,
-            enabled=self._flag("optimize"),
-            hash_joins=self._flag("hash_joins"),
-            cost_based=self._flag("cost_based"),
-            compile_mode=self._flag("compile_mode"),
-            exec_mode=self._flag("exec_mode"),
-            parallel_mode=self._flag("parallel_mode"),
-            workers=self._flag("workers"),
-        )
+        optimizer = self._optimizer(flags)
         if isinstance(statement, ast.Retrieve):
             kind, bound = "retrieve", binder.bind_retrieve(statement)
         elif isinstance(statement, ast.Append):
@@ -988,34 +938,30 @@ class Interpreter:
         self,
         plan: _PreparedPlan,
         user: str,
+        flags: Flags,
         cache: str = "",
         params: Optional[tuple] = None,
     ) -> Result:
-        """Run a prepared plan under ``params`` (default: the values it
-        was prepared with): authorization checks (every execution, never
-        cached) then evaluation, collecting execution metrics."""
+        """Run a prepared plan under ``flags`` and ``params`` (default:
+        the values it was prepared with): authorization checks (every
+        execution, never cached) then evaluation, collecting execution
+        metrics."""
         start = time.perf_counter()
         if params is None:
             params = plan.params
         evaluator = Evaluator(
-            self.db,
-            user=user,
-            compile_mode=self._flag("compile_mode"),
-            exec_mode=self._flag("exec_mode"),
-            batch_size=self._flag("batch_size"),
-            session=self._session(),
-            statement_timeout_ms=self._flag("statement_timeout_ms"),
-            memory_budget=self._flag("memory_budget"),
+            self.db, user=user, flags=flags, session=self._session(),
             params=params,
         )
-        evaluator.metrics.cache = cache
-        evaluator.metrics.shape_hit = cache == "hit" and params != plan.params
+        metrics = evaluator.metrics
+        metrics.cache = cache
+        metrics.shape_hit = cache == "hit" and params != plan.params
         if (
             plan.kind == "retrieve"
-            and self._flag("parallel_mode") == "process"
-            and self._flag("workers") >= 2
+            and flags.parallel_mode == "process"
+            and flags.workers >= 2
         ):
-            evaluator.parallel = self._parallel()
+            evaluator.parallel = self._parallel(flags.workers)
         bound = plan.bound
         if plan.kind == "explain":
             message = plan.report.describe()
@@ -1060,9 +1006,9 @@ class Interpreter:
             # counter snapshot is taken here, since a cached plan's live
             # counters are reset by its next execution.
             root = plan.plan_root
-            mode = self._flag("compile_mode")
-            emode = self._flag("exec_mode")
-            bsize = self._flag("batch_size")
+            mode = flags.compile_mode
+            emode = flags.exec_mode
+            bsize = flags.batch_size
             if plan.kind == "explain":
                 result.plan_tree = render_plan(
                     root,
@@ -1089,14 +1035,17 @@ class Interpreter:
                 result._pipeline_source_thunk = lambda: pipeline_sources(
                     root, fused_compiled, params
                 )
-        evaluator.metrics.wall_ms = (time.perf_counter() - start) * 1000.0
-        result.metrics = evaluator.metrics.as_dict()
+        metrics.wall_ms = (time.perf_counter() - start) * 1000.0
+        result._exec_metrics = metrics
         return result
 
     def _run_query_statement(
         self, statement: ast.Statement, user: str
     ) -> Result:
-        return self._execute_prepared(self._prepare(statement), user)
+        flags = self._session().resolved_flags()
+        return self._execute_prepared(
+            self._prepare(statement, flags), user, flags
+        )
 
     def _do_alter_type(self, statement: ast.AlterType, user: str) -> Result:
         from repro.core.evolution import alter_type
@@ -1213,7 +1162,9 @@ class Interpreter:
                 keys = [k for _r, k in filtered]
         return Result(kind="retrieve", columns=left.columns, rows=rows)
 
-    def _prepare_explain(self, statement: ast.Explain) -> _PreparedPlan:
+    def _prepare_explain(
+        self, statement: ast.Explain, flags: Flags
+    ) -> _PreparedPlan:
         """Bind and optimize the inner statement; pre-render plan rows."""
         from repro.excess.binder import (
             IteratorSource,
@@ -1239,16 +1190,7 @@ class Interpreter:
                 f"{type(inner).__name__}"
             )
         query = bound_stmt.query
-        optimizer = Optimizer(
-            self.db.catalog,
-            enabled=self._flag("optimize"),
-            hash_joins=self._flag("hash_joins"),
-            cost_based=self._flag("cost_based"),
-            compile_mode=self._flag("compile_mode"),
-            exec_mode=self._flag("exec_mode"),
-            parallel_mode=self._flag("parallel_mode"),
-            workers=self._flag("workers"),
-        )
+        optimizer = self._optimizer(flags)
         report = optimizer.optimize(query)
         root = optimizer.lower(bound_stmt, report)
         rows: list[tuple] = []
@@ -1290,7 +1232,10 @@ class Interpreter:
 
     def _do_explain(self, statement: ast.Explain, user: str) -> Result:
         """Bind and optimize the inner statement; report the plan."""
-        return self._execute_prepared(self._prepare_explain(statement), user)
+        flags = self._session().resolved_flags()
+        return self._execute_prepared(
+            self._prepare_explain(statement, flags), user, flags
+        )
 
     # -- authorization helpers ----------------------------------------------------------------------
 

@@ -433,8 +433,10 @@ class Optimizer:
 
         Retrieves lower to their full pipeline
         (``StoreInto?(Sort?(Project(...)))``); update statements lower
-        their query block to the shared binding pipeline. The plan is
-        cached on the bound objects, so cached statements skip lowering.
+        their query block to the shared binding pipeline, and append,
+        replace and set their per-row write (:class:`~repro.excess.plan.
+        WritePlan`). The plan is cached on the bound objects, so cached
+        statements skip lowering.
         With ``report`` given, the lowered tree's fusable pipeline
         regions are counted onto it (EXPLAIN's ``pipelines=``).
         """
@@ -442,6 +444,7 @@ class Optimizer:
         from repro.excess.plan import (
             ensure_query_plan,
             ensure_retrieve_plan,
+            ensure_write_plan,
             fused_regions,
             parallelize_pipeline,
         )
@@ -465,6 +468,8 @@ class Optimizer:
                 root = ensure_query_plan(query, self.catalog)
             else:
                 root = None
+            if hasattr(bound, "write"):
+                ensure_write_plan(bound, self.catalog)
         if report is not None and root is not None:
             report.pipelines = len(fused_regions(root))
         return root

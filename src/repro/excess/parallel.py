@@ -61,6 +61,8 @@ import threading
 from typing import Any, Optional
 
 from repro.core.values import NULL
+from repro.excess.compile import compile_all
+from repro.excess.flags import Flags
 from repro.excess.plan import (
     PlanContext,
     PlanOp,
@@ -148,16 +150,14 @@ def _worker_evaluator(db: Any, flags: tuple) -> Any:
     # when already expired, so the worker's own first cooperative check
     # raises the timeout) and the memory budget; each worker governs
     # its shard independently
-    return Evaluator(
-        db,
-        user=user,
+    worker_flags = Flags(
         compile_mode=compile_mode,
         exec_mode=exec_mode,
         batch_size=batch_size,
         statement_timeout_ms=remaining_ms or 0,
         memory_budget=budget or 0,
-        params=params,
     )
+    return Evaluator(db, user=user, flags=worker_flags, params=params)
 
 
 def run_fragment_task(
@@ -231,23 +231,23 @@ def run_aggregate_task(
     inner, argument, inner_key, agg_mode = payload
     evaluator = _worker_evaluator(db, flags)
     evaluator.exchange = Shard(part, dop)
-    evaluate = evaluator._eval_expr
     from repro.excess.evaluator import canonical_key
 
+    ctx = PlanContext(evaluator)
+    partitioned = agg_mode == "partition"
+    fns = compile_all(
+        [argument, inner_key] if partitioned else [argument], ctx.compiled
+    )[0]
     groups: dict[Any, list] = {}
-    tables: dict = {}
     root = inner.plan
     if root is not None:
         # workers cache revived payloads across statements
         reset_stats(root)
-    for env in evaluator._query_rows(inner, {}, tables):
-        value = evaluate(argument, env, tables)
+    for env in evaluator._query_rows(inner, {}, ctx):
+        value = fns[0](env, ctx)
         if value is NULL:
             continue
-        if agg_mode == "partition":
-            key = canonical_key(evaluate(inner_key, env, tables))
-        else:
-            key = ()
+        key = canonical_key(fns[1](env, ctx)) if partitioned else ()
         groups.setdefault(key, []).append(value)
     stats = [_stats_tuple(op.stats) for op in plan_ops(root)] if root else []
     return groups, stats

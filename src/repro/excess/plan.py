@@ -55,7 +55,7 @@ The binding pipeline streams **one shared environment dict**, mutated in
 place as scans bind their variables (this is what keeps the plan IR as
 fast as the pre-IR nested-loop interpreter: no per-candidate-row dict
 copies).  Consumers that retain rows must snapshot:
-:meth:`repro.excess.evaluator.Evaluator.env_stream` copies each
+:meth:`repro.excess.evaluator.Evaluator.query_envs` copies each
 qualifying environment, and the tuple-level operators produce fresh row
 tuples.  Operator statistics accumulate across re-opens within one
 execution and are reset by the executor before each execution, so
@@ -85,8 +85,10 @@ from repro.excess.binder import (
     AggregateRef,
     AttrStep,
     Binary,
+    BoundAppend,
     BoundExpr,
     BoundQuery,
+    BoundReplace,
     BoundRetrieve,
     Const,
     ExcessCall,
@@ -123,6 +125,7 @@ __all__ = [
     "HashJoin",
     "UniversalCheck",
     "Aggregate",
+    "WritePlan",
     "Project",
     "Sort",
     "StoreInto",
@@ -138,6 +141,8 @@ __all__ = [
     "lower_retrieve",
     "ensure_query_plan",
     "ensure_retrieve_plan",
+    "lower_write",
+    "ensure_write_plan",
     "describe_expr",
     "render_plan",
     "snapshot_stats",
@@ -213,38 +218,36 @@ class PlanContext:
         self.objects = evaluator.db.objects
         #: (snapshot_ts, txn_id) of the executing session's transaction
         #: (None, None outside one) — part of the hash-build memo stamp
-        self.session_stamp = getattr(evaluator, "session_stamp", (None, None))
+        self.session_stamp = evaluator.session_stamp
         #: True when this execution's expressions lower to closures,
         #: False when they run the interpreter — never tested by an
         #: operator, only handed to :meth:`PlanOp.compiled_exprs` /
         #: ``fused_pipeline`` (plans are shared across modes, so the
         #: per-node caches are keyed by it)
-        self.compiled = (
-            getattr(evaluator, "compile_mode", "closure") == "closure"
-        )
+        self.compiled = evaluator.compile_mode == "closure"
         #: "fused" runs generated whole-pipeline functions where regions
         #: allow and exchanges row batches between the other operators;
         #: "row" preserves the tuple-at-a-time Volcano path (the oracle)
-        self.exec_mode = getattr(evaluator, "exec_mode", "fused")
+        self.exec_mode = evaluator.exec_mode
         #: target rows per exchanged batch (fused mode)
-        self.batch_size = getattr(evaluator, "batch_size", 1024)
+        self.batch_size = evaluator.batch_size
         #: worker-side shard descriptor (``.part``/``.dop``) — set only
         #: inside a parallel worker; :class:`ExchangePartition` (and the
         #: fused codegen) read it to restrict the scan to one partition.
         #: None in the parent process, where partitions pass through.
-        self.exchange = getattr(evaluator, "exchange", None)
+        self.exchange = evaluator.exchange
         #: parent-side parallel runner (``repro.excess.parallel``) — set
         #: when parallel execution is enabled; :class:`ExchangeMerge`
         #: dispatches its fragment through it. None ⇒ serial fallback.
-        self.parallel = getattr(evaluator, "parallel", None)
+        self.parallel = evaluator.parallel
         #: per-statement :class:`~repro.core.governor.ResourceGovernor`
         #: (deadline + memory budget) — None when neither flag is set,
         #: which keeps the batch hot path a single ``is None`` test
-        self.governor = getattr(evaluator, "governor", None)
+        self.governor = evaluator.governor
         #: this execution's literal values by slot — what every
         #: :class:`~repro.excess.binder.Param` of the plan evaluates to
         #: (empty when the statement was prepared outside the plan cache)
-        self.params: tuple = getattr(evaluator, "params", ())
+        self.params: tuple = evaluator.params
 
 
 @dataclass
@@ -1289,8 +1292,9 @@ class Aggregate(PlanOp):
         return f"Aggregate [{modes}]"
 
     def exprs(self) -> list[BoundExpr]:
-        # input extraction (argument + partition key) is evaluated by the
-        # evaluator's per-statement memo; listed here for the annotation
+        # input extraction: each aggregate's argument, then its
+        # partition key when it has one (the evaluator's precompute
+        # unpacks the compiled list in this order)
         exprs: list[BoundExpr] = []
         for aggregate in self.query.aggregates:
             exprs.append(aggregate.argument)
@@ -1304,9 +1308,7 @@ class Aggregate(PlanOp):
     def open(self, ctx: PlanContext, env: Env) -> None:
         # tables must be filled before any downstream next() — eagerly,
         # not inside the lazy generator
-        ctx.evaluator._precompute_aggregates(
-            self.query, env, ctx.tables, stats=self.stats
-        )
+        ctx.evaluator._precompute_aggregates(self, env, ctx)
         super().open(ctx, env)
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
@@ -1316,9 +1318,7 @@ class Aggregate(PlanOp):
         # pipeline breaker: aggregate tables must exist before any
         # downstream evaluation, exactly as in the row-mode open()
         self.stats.opens += 1
-        ctx.evaluator._precompute_aggregates(
-            self.query, env, ctx.tables, stats=self.stats
-        )
+        ctx.evaluator._precompute_aggregates(self, env, ctx)
         yield from self._pull_batches(self.children[0], ctx, env, size)
 
 
@@ -2136,6 +2136,82 @@ def ensure_retrieve_plan(bound: BoundRetrieve, catalog: Any) -> PlanOp:
     if bound.pipeline is None:
         bound.pipeline = lower_retrieve(bound, catalog)
     return bound.pipeline
+
+
+class WritePlan:
+    """What an ``append``, ``replace`` or ``set`` does per qualifying
+    row, lowered once and cached with the statement's plan.
+
+    The payload expressions compile once per compile mode through the
+    compile seam, as :meth:`PlanOp.compiled_exprs` does for operators.
+    The index upkeep list names what a write must maintain, so an
+    update reads the catalog's indexes at lowering time, not per row.
+    """
+
+    def __init__(self, payload: list[BoundExpr], upkeep: tuple = ()):
+        #: the expressions evaluated per qualifying row, in the order
+        #: the statement's evaluator method unpacks them
+        self.payload = payload
+        #: ``(set name, assigned attributes indexed on it)`` for every
+        #: named set with an index over an assigned attribute; a target
+        #: object is maintained in those of them it belongs to
+        self.upkeep = upkeep
+        self._compiled: dict[bool, list] = {}
+
+    def fns(self, compiled: bool) -> list:
+        """One callable ``fn(env, ctx)`` per payload expression."""
+        fns = self._compiled.get(compiled)
+        if fns is None:
+            fns = self._compiled[compiled] = compile_all(self.payload, compiled)[0]
+        return fns
+
+    def __getstate__(self) -> dict:
+        # closures are unpicklable; they are rebuilt on first use
+        return {"payload": self.payload, "upkeep": self.upkeep, "_compiled": {}}
+
+
+def _index_upkeep(catalog: Any, attributes: list[str]) -> tuple:
+    """``(set name, attributes)`` for every named set whose indexes
+    cover one of ``attributes`` (an attribute indexed twice is listed
+    once)."""
+    upkeep: dict[str, list[str]] = {}
+    for descriptor in catalog.indexes.all_indexes():
+        if descriptor.attribute in attributes:
+            indexed = upkeep.setdefault(descriptor.set_name, [])
+            if descriptor.attribute not in indexed:
+                indexed.append(descriptor.attribute)
+    return tuple((name, tuple(indexed)) for name, indexed in upkeep.items())
+
+
+def lower_write(bound: Any, catalog: Any) -> WritePlan:
+    """The per-row write of a bound append, replace or set statement."""
+    if isinstance(bound, BoundAppend):
+        if bound.assignments:
+            return WritePlan([expr for _attr, expr in bound.assignments])
+        return WritePlan([bound.expression])
+    if isinstance(bound, BoundReplace):
+        attributes = [attr for attr, _expr in bound.assignments]
+        return WritePlan(
+            [bound.target] + [expr for _attr, expr in bound.assignments],
+            _index_upkeep(catalog, attributes),
+        )
+    kind = bound.location[0]
+    if kind == "slot":
+        _kind, base, attribute = bound.location
+        return WritePlan(
+            [bound.expression, base], _index_upkeep(catalog, [attribute])
+        )
+    if kind == "index":
+        _kind, base, index = bound.location
+        return WritePlan([bound.expression, base, index])
+    return WritePlan([bound.expression])  # a named singleton
+
+
+def ensure_write_plan(bound: Any, catalog: Any) -> WritePlan:
+    """The (lazily lowered, cached) per-row write of an update."""
+    if bound.write is None:
+        bound.write = lower_write(bound, catalog)
+    return bound.write
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,11 @@ class Result:
     message: str = ""
     #: the optimizer's report, when a query ran
     plan: Optional[Any] = None
-    #: execution counters (rows scanned, hash builds/probes, plan-cache
-    #: hit/miss, wall time) when a query statement ran
-    metrics: Optional[dict] = None
+    #: backing store for the lazy :attr:`metrics` property
+    _metrics: Optional[dict] = field(default=None, repr=False)
+    #: the statement's :class:`~repro.excess.evaluator.ExecMetrics`,
+    #: turned into the :attr:`metrics` dict on first access
+    _exec_metrics: Optional[Any] = field(default=None, repr=False)
     #: rendered physical operator tree (estimated rows for EXPLAIN,
     #: estimated + actual per-operator counts for executed queries) —
     #: backing store for the lazy :attr:`plan_tree` property
@@ -80,6 +82,20 @@ class Result:
     #: :attr:`pipeline_source` debug hook
     _pipeline_source: Optional[str] = field(default=None, repr=False)
     _pipeline_source_thunk: Optional[Any] = field(default=None, repr=False)
+
+    @property
+    def metrics(self) -> Optional[dict]:
+        """Execution counters (rows scanned, hash builds/probes,
+        plan-cache hit/miss, wall time) when a query statement ran."""
+        if self._metrics is None and self._exec_metrics is not None:
+            self._metrics = self._exec_metrics.as_dict()
+            self._exec_metrics = None
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, value: Optional[dict]) -> None:
+        self._metrics = value
+        self._exec_metrics = None
 
     @property
     def plan_tree(self) -> Optional[str]:

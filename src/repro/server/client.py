@@ -219,8 +219,8 @@ class Client:
             rows=[tuple(row) for row in payload["rows"]],
             count=payload["count"],
             message=payload["message"],
-            metrics=payload["metrics"],
         )
+        result.metrics = payload["metrics"]
         result._plan_tree = payload.get("plan")
         return result
 

@@ -51,7 +51,7 @@ from repro.errors import (
     ServerOverloadedError,
     StatementTimeout,
 )
-from repro.excess.interpreter import validate_flag
+from repro.excess.flags import validate_flag
 from repro.excess.result import Result, render_value
 from repro.server.protocol import (
     PROTOCOL_VERSION,
@@ -355,7 +355,7 @@ class ExcessServer:
         if op == "set":
             flag = request.get("flag")
             value = _validate_flag(flag, request.get("value"))
-            session.overrides[flag] = value
+            session.set_flag(flag, value)
             return {"ok": True, "flag": flag, "value": value}, False
         if op == "status":
             payload = {

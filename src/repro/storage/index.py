@@ -89,12 +89,21 @@ class HashIndex:
 class _BTreeNode:
     """One node of the B+-tree.
 
-    Leaves hold ``keys[i] → values[i]`` (a list of OIDs per key) and are
-    chained through ``next_leaf`` for range scans. Internal nodes hold
-    separator ``keys`` and ``len(keys) + 1`` children.
+    Leaves hold ``keys[i] → values[i]`` (a sorted list of OIDs per key,
+    like a hash bucket) and are chained through ``next_leaf`` for range
+    scans. Internal nodes hold separator ``keys`` and ``len(keys) + 1``
+    children.
     """
 
     __slots__ = ("leaf", "keys", "values", "children", "next_leaf")
+
+    def __setstate__(self, state: tuple) -> None:
+        _dict, slots = state
+        for name, value in slots.items():
+            setattr(self, name, value)
+        if self.leaf:
+            # older snapshots hold OID lists in insertion order
+            self.values = [sorted(oids) for oids in self.values]
 
     def __init__(self, leaf: bool):
         self.leaf = leaf
@@ -139,7 +148,7 @@ class BTreeIndex:
         leaf = self._find_leaf(key)
         index = bisect.bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
-            return sorted(leaf.values[index])
+            return list(leaf.values[index])
         return []
 
     def range_scan(
@@ -169,7 +178,7 @@ class BTreeIndex:
                         return
                     if not include_high and key >= high:
                         return
-                for oid in sorted(node.values[i]):
+                for oid in list(node.values[i]):
                     yield key, oid
             node = node.next_leaf
             start = 0
@@ -206,8 +215,10 @@ class BTreeIndex:
             node = child
         index = bisect.bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
-            if oid not in node.values[index]:
-                node.values[index].append(oid)
+            bucket = node.values[index]
+            position = bisect.bisect_left(bucket, oid)
+            if position == len(bucket) or bucket[position] != oid:
+                bucket.insert(position, oid)
                 self._entries += 1
             return
         node.keys.insert(index, key)
@@ -243,11 +254,13 @@ class BTreeIndex:
         index = bisect.bisect_left(leaf.keys, key)
         if index >= len(leaf.keys) or leaf.keys[index] != key:
             return False
-        if oid not in leaf.values[index]:
+        bucket = leaf.values[index]
+        position = bisect.bisect_left(bucket, oid)
+        if position == len(bucket) or bucket[position] != oid:
             return False
-        leaf.values[index].remove(oid)
+        del bucket[position]
         self._entries -= 1
-        if leaf.values[index]:
+        if bucket:
             return True
         # The key is now empty: remove it and rebalance bottom-up.
         self._delete_key(self._root, key)
@@ -381,6 +394,8 @@ class BTreeIndex:
                     raise StorageError("leaf keys/values length mismatch")
                 if any(not v for v in node.values):
                     raise StorageError("empty OID list left in leaf")
+                if any(v != sorted(set(v)) for v in node.values):
+                    raise StorageError("leaf OID list not sorted and unique")
                 return
             if len(node.children) != len(node.keys) + 1:
                 raise StorageError("internal child count mismatch")

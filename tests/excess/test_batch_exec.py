@@ -170,7 +170,9 @@ class TestExecModePlumbing:
         keys = set()
         for mode in MODES:
             interpreter.exec_mode = mode
-            keys.add(interpreter._cache_key("retrieve (1)", "dba"))
+            keys.add(interpreter._cache_key(
+                "retrieve (1)", "dba", small_company.default_session
+            ))
         interpreter.exec_mode = "fused"
         assert len(keys) == 2
 
@@ -221,7 +223,7 @@ class TestExecModePlumbing:
             interpreter.exec_mode = mode
             try:
                 plan = interpreter.plan_cache.get(
-                    interpreter._cache_key(query, "dba")
+                    interpreter._cache_key(query, "dba", small_company.default_session)
                 )
             finally:
                 interpreter.exec_mode = "fused"
@@ -276,7 +278,9 @@ class TestExecModePlumbing:
 class TestPipelineRegions:
     def _cached_root(self, db, query):
         interpreter = db.interpreter
-        plan = interpreter.plan_cache.get(interpreter._cache_key(query, "dba"))
+        plan = interpreter.plan_cache.get(
+            interpreter._cache_key(query, "dba", db.default_session)
+        )
         assert plan is not None
         return plan.plan_root
 

@@ -23,11 +23,12 @@ from repro.excess.compile import (
     compiled_label,
 )
 from repro.excess.evaluator import Evaluator
+from repro.excess.flags import Flags
 from repro.excess.plan import PlanContext, fused_regions, plan_ops, render_plan
 
 
 def _ctx(db: Database, mode: str = "closure") -> PlanContext:
-    return PlanContext(Evaluator(db, compile_mode=mode))
+    return PlanContext(Evaluator(db, flags=Flags(compile_mode=mode)))
 
 
 def _run(db: Database, node) -> tuple:
@@ -321,10 +322,11 @@ class TestPlanAnnotations:
 class TestAblationPlumbing:
     def test_cache_key_includes_compile_mode(self, small_company):
         interpreter = small_company.interpreter
-        key_closure = interpreter._cache_key("retrieve (1)", "dba")
+        session = small_company.default_session
+        key_closure = interpreter._cache_key("retrieve (1)", "dba", session)
         interpreter.compile_mode = "off"
         try:
-            key_off = interpreter._cache_key("retrieve (1)", "dba")
+            key_off = interpreter._cache_key("retrieve (1)", "dba", session)
         finally:
             interpreter.compile_mode = "closure"
         assert key_closure != key_off
@@ -365,7 +367,7 @@ class TestPickling:
         query = "retrieve (E.name) from E in Employees where E.age > 35"
         small_company.execute(query)  # compile on the cached plan
         interpreter = small_company.interpreter
-        key = interpreter._cache_key(query, "dba")
+        key = interpreter._cache_key(query, "dba", small_company.default_session)
         plan = interpreter.plan_cache.get(key)
         assert plan is not None
         root = plan.plan_root
@@ -466,14 +468,22 @@ class TestEvaluatorConstruction:
         assert _ctx(db, "closure").compiled is True
         assert _ctx(db, "off").compiled is False
 
-    def test_eval_expr_memoizes(self, small_company):
-        evaluator = Evaluator(small_company)
-        node = Const(value=5)
-        assert evaluator._eval_expr(node, {}, {}) == 5
-        assert id(node) in evaluator._compiled_memo
-        first = evaluator._compiled_memo[id(node)]
-        assert evaluator._eval_expr(node, {}, {}) == 5
-        assert evaluator._compiled_memo[id(node)] is first
+    def test_write_payload_compiled_once_per_plan(self, small_company):
+        """A cached update's payload compiles once per compile mode, on
+        the plan — not once per execution."""
+        db = small_company
+        interpreter = db.interpreter
+        text = 'replace E (age = E.age + 1) from E in Employees where E.name = "Sue"'
+        db.execute(text)
+        plan = interpreter.plan_cache.get(
+            interpreter._cache_key(text, "dba", db.default_session)
+        )
+        write = plan.bound.write
+        first = write.fns(True)
+        db.execute(text.replace("Sue", "Ann"))
+        assert write.fns(True) is first
+        assert write.fns(False) is not first
+        assert len(write.fns(False)) == len(first) == 2
 
 
 class TestFlagValidation:
@@ -600,7 +610,9 @@ class TestSharedPlanSeam:
             "where E.dept is D and E.age > 35 sort by E.name"
         )
         db.execute(query)
-        plan = db.interpreter.plan_cache.get(db.interpreter._cache_key(query, "dba"))
+        plan = db.interpreter.plan_cache.get(
+            db.interpreter._cache_key(query, "dba", db.default_session)
+        )
         root = plan.plan_root
         assert any(op.label == "HashJoin" for op in plan_ops(root))
         outcomes = []
@@ -609,7 +621,9 @@ class TestSharedPlanSeam:
                 if op.label == "HashJoin":
                     op.invalidate()  # rebuild, so the build side runs too
             evaluator = Evaluator(
-                db, compile_mode=mode, exec_mode="fused", params=plan.params
+                db,
+                flags=Flags(compile_mode=mode, exec_mode="fused"),
+                params=plan.params,
             )
             result = evaluator.run_retrieve(plan.bound)
             outcomes.append(
@@ -653,7 +667,9 @@ class TestSharedPlanSeam:
         assert "compiled=closure" not in result.plan_tree
         explained = db.execute("explain " + query)
         assert "compiled=off" in explained.plan_tree
-        plan = interpreter.plan_cache.get(interpreter._cache_key(query, "dba"))
+        plan = interpreter.plan_cache.get(
+            interpreter._cache_key(query, "dba", db.default_session)
+        )
         function = db.catalog.lookup_function(db.type("Employee"), "Floormates")
         for root in (plan.plan_root, function.bound.pipeline):
             assert _cache_modes(root, "_compiled") <= {False}

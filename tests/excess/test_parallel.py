@@ -79,7 +79,9 @@ def cached_plan(db, query, mode="process"):
     saved = interpreter.parallel_mode
     interpreter.parallel_mode = mode
     try:
-        prepared = interpreter.plan_cache.get(interpreter._cache_key(query, "dba"))
+        prepared = interpreter.plan_cache.get(
+            interpreter._cache_key(query, "dba", db.default_session)
+        )
     finally:
         interpreter.parallel_mode = saved
     if prepared is None:
@@ -294,17 +296,20 @@ class TestPlanChoices:
 class TestFlags:
     def test_cache_key_includes_parallel_flags(self, parallel_company):
         interpreter = parallel_company.interpreter
-        key_on = interpreter._cache_key(RANGE_QUERY, "dba")
-        assert "process" in key_on[0] and 2 in key_on[0]
+        session = parallel_company.default_session
+        key_on = interpreter._cache_key(RANGE_QUERY, "dba", session)
+        flags = session.resolved_flags()
+        assert flags in key_on[0]
+        assert flags.parallel_mode == "process" and flags.workers == 2
         interpreter.parallel_mode = "off"
         try:
-            key_off = interpreter._cache_key(RANGE_QUERY, "dba")
+            key_off = interpreter._cache_key(RANGE_QUERY, "dba", session)
         finally:
             interpreter.parallel_mode = "process"
         assert key_on != key_off
         interpreter.workers = 3
         try:
-            key_3 = interpreter._cache_key(RANGE_QUERY, "dba")
+            key_3 = interpreter._cache_key(RANGE_QUERY, "dba", session)
         finally:
             interpreter.workers = 2
         assert key_3 != key_on

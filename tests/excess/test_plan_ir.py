@@ -45,7 +45,9 @@ class TestEvaluatorIsThin:
     def test_retrieve_flows_through_cached_pipeline(self, small_company):
         text = "retrieve (E.name) from E in Employees where E.age > 30"
         small_company.execute(text)
-        key = small_company.interpreter._cache_key(text, "dba")
+        key = small_company.interpreter._cache_key(
+            text, "dba", small_company.default_session
+        )
         prepared = small_company.interpreter.plan_cache.get(key)
         assert prepared is not None
         assert prepared.plan_root is prepared.bound.pipeline
@@ -196,7 +198,8 @@ class TestPlanTreeCounters:
         )
         plan = small_company.interpreter.plan_cache.get(
             small_company.interpreter._cache_key(
-                "retrieve (E.name) from E in Employees where E.age > 30", "dba"
+                "retrieve (E.name) from E in Employees where E.age > 30", "dba",
+                small_company.default_session,
             )
         )
         filt = next(
@@ -446,7 +449,9 @@ class TestRenderAndWalk:
     def test_walk_plan_preorder_and_reset(self, small_company):
         small_company.execute(JOIN_QUERY)
         prepared = small_company.interpreter.plan_cache.get(
-            small_company.interpreter._cache_key(JOIN_QUERY, "dba")
+            small_company.interpreter._cache_key(
+                JOIN_QUERY, "dba", small_company.default_session
+            )
         )
         ops = list(plan_ir.walk_plan(prepared.plan_root))
         assert isinstance(ops[0], plan_ir.Project)

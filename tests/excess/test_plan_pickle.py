@@ -58,7 +58,9 @@ def warmed():
     for query in QUERIES:
         rows = db.execute(query).rows
         interpreter = db.interpreter
-        prepared = interpreter.plan_cache.get(interpreter._cache_key(query, "dba"))
+        prepared = interpreter.plan_cache.get(
+            interpreter._cache_key(query, "dba", db.default_session)
+        )
         assert prepared is not None, query
         executed.append((query, prepared.plan_root, rows, prepared.params))
     return db, executed

@@ -16,6 +16,7 @@ from repro import Database
 from repro.errors import BindError, EvaluationError
 from repro.excess.binder import Param
 from repro.excess.evaluator import Evaluator
+from repro.excess.flags import Flags
 from repro.excess.parallel import run_fragment_task
 from repro.excess.plan import HashJoin, PlanContext, plan_ops
 from repro.util.workload import CompanyWorkload, build_company_database
@@ -34,7 +35,9 @@ def cold(build, text):
 
 def cached(db, text):
     interpreter = db.interpreter
-    return interpreter.plan_cache.get(interpreter._cache_key(text, "dba"))
+    return interpreter.plan_cache.get(
+        interpreter._cache_key(text, "dba", db.default_session)
+    )
 
 
 @pytest.fixture
@@ -369,7 +372,9 @@ class TestNoStaleConstants:
         revived = pickle.loads(pickle.dumps(plan.plan_root))
         for params, want in [((35,), [("Sue",), ("Ann",)]), ((45,), [("Ann",)])]:
             for mode in ("closure", "off"):
-                evaluator = Evaluator(db, compile_mode=mode, params=params)
+                evaluator = Evaluator(
+                    db, flags=Flags(compile_mode=mode), params=params
+                )
                 ctx = PlanContext(evaluator)
                 rows = [r for batch in revived.batches(ctx, {}, 16) for r in batch]
                 assert rows == want

@@ -129,10 +129,10 @@ class TestPlanCacheIdentity:
         a = db.connect(user="shared")
         b = db.connect(user="shared")
         a.execute(text)
-        b.overrides["optimize"] = False
+        b.set_flag("optimize", False)
         assert b.execute(text).metrics["cache"] == "miss"
-        assert b.flag("optimize") is False
-        assert a.flag("optimize") is True
+        assert b.resolved_flags().optimize is False
+        assert a.resolved_flags().optimize is True
 
 
 class TestBatchSizeValidation:

@@ -126,3 +126,61 @@ class TestDurability:
             assert recovered.execute("retrieve (Top)").rows == [(20.0,)]
         finally:
             recovered.close()
+
+
+def _replay_state(db):
+    return (
+        _balances(db),
+        sorted(db.execute("retrieve (L.id, L.bal) from L in Log").rows),
+        db.execute("retrieve (Top)").rows,
+    )
+
+
+class TestColdReplayAccessPath:
+    """Recovery replays logged text through a cold plan cache, with the
+    flags and statistics of the reopened engine — not those of the warm
+    run. Here the warm run reuses a sequential-scan plan on every shape
+    hit, while the replay plans the same statements with an index after
+    ``analyze``; the recovered state must still be the acknowledged one."""
+
+    STATEMENTS = [
+        "replace A (bal = A.bal + 1.0) from A in Accts where A.bal >= 395.0",
+        "replace A (bal = A.bal + 1.0) from A in Accts where A.bal >= 385.0",
+        "append to Log (id = A.id, bal = A.bal) from A in Accts where A.bal >= 375.0",
+        "append to Log (id = A.id, bal = A.bal) from A in Accts where A.bal >= 395.0",
+        "delete A from A in Accts where A.bal >= 401.0",
+        "set Top = A.bal from A in Accts where A.bal >= 392.0",
+    ]
+
+    @pytest.mark.parametrize("storage", ["memory", "paged"])
+    def test_recovered_state_is_the_acknowledged_state(self, tmp_path, storage):
+        directory = str(tmp_path / "d")
+        db = open_database(directory, storage=storage, fsync=False)
+        db.interpreter.parallel_mode = "off"
+        db.execute("define type Acct as (id: int4, bal: float8)")
+        db.execute("create {own ref Acct} Accts")
+        db.execute("create {own ref Acct} Log")
+        db.execute("create float8 Top")
+        for index in range(1, 41):
+            db.execute(f"append to Accts (id = {index}, bal = {index * 10}.0)")
+        db.execute("create index on Accts (bal) using btree")
+        db.execute("analyze Accts")
+        warm = db.connect()
+        warm.set_flag("optimize", False)  # flags are not logged
+        for text in self.STATEMENTS:
+            result = warm.execute(text)
+            assert result.plan.index_scans == []
+        assert warm.execute(self.STATEMENTS[1]).metrics["cache"] == "hit"
+        acknowledged = _replay_state(db)
+        killed = str(tmp_path / "killed")
+        shutil.copytree(directory, killed)  # no close(), no checkpoint
+        db.close()
+        recovered = open_database(killed, storage=storage, fsync=False)
+        try:
+            assert _replay_state(recovered) == acknowledged
+            # the replayed shapes were planned cold, on the index
+            probe = recovered.execute(self.STATEMENTS[0])
+            assert probe.metrics["cache"] == "hit"
+            assert probe.plan.index_scans
+        finally:
+            recovered.close()

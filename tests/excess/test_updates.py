@@ -311,3 +311,29 @@ class TestUpdateIndexMaintenance:
             "retrieve (E.name) from E in Employees where E.age = 30"
         )
         assert result.rows == []
+
+    def test_slot_set_updates_index(self, small_company):
+        # a slot `set` maintains indexes exactly like `replace`: before,
+        # it wrote the attribute and left the old index entry in place
+        db = small_company
+        db.execute("create index on Employees (salary) using btree")
+        db.execute('set E.salary = 1.0 from E in Employees where E.name = "Sue"')
+        moved = db.execute(
+            "retrieve (E.name) from E in Employees where E.salary = 1.0"
+        )
+        assert moved.rows == [("Sue",)] and moved.plan.index_scans
+        assert db.execute(
+            "retrieve (E.name) from E in Employees where E.salary = 50000.0"
+        ).rows == []
+
+    def test_replace_maintains_every_indexed_set(self, small_company):
+        db = small_company
+        db.execute("create {ref Employee} Stars")
+        db.execute('append to Stars (E) from E in Employees where E.name = "Ann"')
+        db.execute("create index on Stars (age) using hash")
+        db.execute('replace E (age = 51) from E in Employees where E.name = "Ann"')
+        result = db.execute("retrieve (S.name) from S in Stars where S.age = 51")
+        assert result.rows == [("Ann",)] and result.plan.index_scans
+        assert db.execute(
+            "retrieve (S.name) from S in Stars where S.age = 50"
+        ).rows == []
