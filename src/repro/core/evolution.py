@@ -156,16 +156,23 @@ def _patch_instances(
     adds: list[tuple[str, ComponentSpec]],
     drops: list[str],
 ) -> int:
-    """Bring every reachable instance of an affected type up to shape."""
+    """Bring every reachable instance of an affected type up to shape.
+
+    First-class objects are deduplicated by OID, never by ``id()``: on a
+    paged store a patched object can be evicted and collected mid-pass,
+    and the next object faulted in may reuse its ``id()``. ``own``
+    values need no deduplication — value semantics copies them on
+    assignment, so each is reachable only through its one parent."""
     patched = 0
     seen: set[int] = set()
     undo = database.objects.undo
 
     def patch_tuple(instance: TupleInstance) -> None:
         nonlocal patched
-        if id(instance) in seen:
-            return
-        seen.add(id(instance))
+        if instance.oid is not None:
+            if instance.oid in seen:
+                return
+            seen.add(instance.oid)
         if (
             isinstance(instance.type, SchemaType)
             and instance.type.name in affected_names

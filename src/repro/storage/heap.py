@@ -16,6 +16,7 @@ per insert, which made bulk loads quadratic.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Optional
 
 from repro.storage.buffer import BufferPool
@@ -90,7 +91,9 @@ class HeapFile:
         boundary = needed.bit_length()
         members = self._buckets.get(boundary)
         if members:
-            for page_no in list(members)[:_BOUNDARY_PROBES]:
+            # copy only the probed members: the caller may rebucket a
+            # page (mutating this set) between yields
+            for page_no in tuple(islice(members, _BOUNDARY_PROBES)):
                 if self._free_hints.get(page_no, 0) >= needed:
                     yield page_no
         top = max(self._buckets) if self._buckets else boundary

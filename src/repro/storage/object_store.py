@@ -1,10 +1,19 @@
 """The paged object store backing the EXTRA object table.
 
 Implements the :class:`repro.core.identity.ObjectStore` protocol on top
-of a heap file: object records are pickled into slotted pages and a
+of a heap file: object records are encoded into slotted pages and a
 directory maps OID → RID. Because EXTRA objects are mutable Python
 structures that callers hold live references to, the store also keeps a
 **live-object cache** (OID → deserialized record).
+
+Records are written in one compact format (:class:`RecordCodec`): the
+OID, a small integer naming the record's type in the store's **type
+table**, the slot values in order, and the owner fields. Types are
+catalog objects every instance shares, so no schema state reaches a
+page; the table is pickled with the store, so a snapshot shares its
+entries with the catalog and a faulted-in record's ``value.type`` *is*
+the catalog's type object. Records written by older engines (a full
+pickle of the :class:`~repro.core.identity.StoredObject`) still read.
 
 The cache is *bounded* when ``cache_capacity`` is set: least-recently
 used objects are evicted, dirty ones re-serialized through the heap file
@@ -26,20 +35,38 @@ to the disk's free list.
 
 from __future__ import annotations
 
+import copyreg
 import pickle
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.identity import Oid, StoredObject
+from repro.core.values import NULL, ArrayInstance, Ref, SetInstance, TupleInstance
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager, FileDiskManager
 from repro.storage.heap import HeapFile
 from repro.storage.pages import Rid
 
-__all__ = ["PagedObjectStore", "CacheStats"]
+__all__ = ["PagedObjectStore", "CacheStats", "RecordCodec"]
+
+#: First byte of a full pickle (the PROTO opcode). Older engines pickled
+#: the whole StoredObject, schema type included, into each record.
+_PROTO = 0x80
+#: The protocol-5 pickle of a record payload opens with PROTO (2 bytes)
+#: and FRAME (9 bytes); both are optional to the unpickler, so a record
+#: keeps only the body, which never starts with PROTO.
+_PICKLE_PROTOCOL = 5
+_FRAME = 0x95
+_PROTO_LEN = 2
+_FRAME_LEN = 9
+
+#: Tags of the tuples nested slot values flatten to. Scalars are stored
+#: bare and NULL as None, so a plain tuple in a slot is always a node.
+_REF, _TUPLE, _SET, _REF_SET, _ARRAY, _ADT = range(6)
+_SCALARS = frozenset((int, float, str, bool))
 
 
 @dataclass
@@ -59,6 +86,166 @@ class CacheStats:
         self.evictions = 0
         self.writebacks = 0
         self.peak_live = 0
+
+
+class RecordCodec:
+    """The compact record format of the paged object store.
+
+    A record is the pickle body of the plain tuple ``(oid, layout, slots,
+    owner, owner_name)``: ``slots`` holds the slot values in stored order
+    and ``layout`` indexes the **type table**. A table entry is ``(type,
+    names)`` — a tuple type with the attribute names of the slots in the
+    order the record stores them, or a set/array type or ADT class with
+    ``names=None``. Names travel with the layout rather than being read
+    off the type, because an instance keeps the shape it was written with
+    until ``alter type`` patches it. Nested values flatten to tagged
+    tuples that name their types the same way.
+
+    Entries are keyed by object identity and never dropped, so an index
+    stays valid on every page that holds it. The table is pickled with
+    the store: a snapshot then shares its entries with the catalog, and
+    decoding hands back the catalog's own type objects.
+    """
+
+    def __init__(self) -> None:
+        self.types: list[tuple[Any, Optional[tuple[str, ...]]]] = []
+        self._index: dict[tuple[int, Optional[tuple[str, ...]]], int] = {}
+
+    def __getstate__(self) -> dict:
+        return {"types": self.types}
+
+    def __setstate__(self, state: dict) -> None:
+        self.types = state["types"]
+        self._index = {
+            (id(kind), names): index
+            for index, (kind, names) in enumerate(self.types)
+        }
+
+    def _entry(self, kind: Any, names: Optional[tuple[str, ...]] = None) -> int:
+        key = (id(kind), names)
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = len(self.types)
+            self.types.append((kind, names))
+        return index
+
+    # -- encoding ----------------------------------------------------------------
+
+    def encode(self, record: StoredObject) -> bytes:
+        """The page bytes of ``record`` (the top-level value's OID is the
+        record's)."""
+        value = record.value
+        slots = value._slots
+        data = pickle.dumps(
+            (
+                record.oid,
+                self._entry(value.type, tuple(slots)),
+                self._flatten_all(slots.values()),
+                record.owner,
+                record.owner_name,
+            ),
+            protocol=_PICKLE_PROTOCOL,
+        )
+        if data[_PROTO_LEN] == _FRAME:
+            return data[_PROTO_LEN + _FRAME_LEN:]
+        return data[_PROTO_LEN:]
+
+    def _flatten_all(self, values: Iterable[Any]) -> list:
+        if _SCALARS.issuperset(map(type, values)):
+            return list(values)
+        flatten = self._flatten
+        return [v if v.__class__ in _SCALARS else flatten(v) for v in values]
+
+    def _flatten(self, value: Any) -> Any:
+        if value is NULL:
+            return None
+        cls = value.__class__
+        if cls is Ref:
+            return (_REF, value.oid)
+        if cls is TupleInstance:
+            slots = value._slots
+            return (
+                _TUPLE,
+                self._entry(value.type, tuple(slots)),
+                value.oid,
+                self._flatten_all(slots.values()),
+            )
+        if cls is SetInstance:
+            members = value._members
+            if members.__class__ is dict:  # reference set: members by OID
+                return (_REF_SET, self._entry(value.type), value.key, list(members))
+            return (
+                _SET, self._entry(value.type), value.key, self._flatten_all(members)
+            )
+        if cls is ArrayInstance:
+            return (_ARRAY, self._entry(value.type), self._flatten_all(value._slots))
+        # an ADT value: a plain class (state = its __dict__) is stored as
+        # its class's index plus that dict; any other pickles as itself
+        reduced = value.__reduce_ex__(_PICKLE_PROTOCOL)
+        if (
+            len(reduced) == 5
+            and reduced[0] is copyreg.__newobj__
+            and reduced[1] == (cls,)
+            and reduced[2].__class__ is dict
+            and reduced[3:] == (None, None)
+            and not hasattr(cls, "__setstate__")
+        ):
+            return (_ADT, self._entry(cls), reduced[2])
+        if cls is tuple:  # would read back as a node
+            raise StorageError(f"cannot store a plain tuple: {value!r}")
+        return value
+
+    # -- decoding ----------------------------------------------------------------
+
+    def decode(self, data: bytes) -> StoredObject:
+        """Rebuild the record :meth:`encode` wrote."""
+        oid, layout, slots, owner, owner_name = pickle.loads(data)
+        return StoredObject(oid, self._tuple(layout, oid, slots), owner, owner_name)
+
+    def _tuple(self, layout: int, oid: Optional[Oid], slots: list) -> TupleInstance:
+        tuple_type, names = self.types[layout]
+        instance = TupleInstance.__new__(TupleInstance)
+        instance.type = tuple_type
+        instance.oid = oid
+        instance._slots = dict(zip(names, self._unflatten_all(slots)))
+        return instance
+
+    def _unflatten_all(self, values: list) -> list:
+        if _SCALARS.issuperset(map(type, values)):
+            return values
+        unflatten = self._unflatten
+        return [v if v.__class__ in _SCALARS else unflatten(v) for v in values]
+
+    def _unflatten(self, node: Any) -> Any:
+        if node is None:
+            return NULL
+        if node.__class__ is not tuple:
+            return node  # an ADT value pickled as itself
+        tag = node[0]
+        if tag == _REF:
+            return Ref(node[1])
+        if tag == _TUPLE:
+            return self._tuple(node[1], node[2], node[3])
+        kind = self.types[node[1]][0]
+        if tag == _ADT:
+            adt = kind.__new__(kind)
+            adt.__dict__.update(node[2])
+            return adt
+        if tag == _ARRAY:
+            array = ArrayInstance.__new__(ArrayInstance)
+            array.type = kind
+            array._slots = self._unflatten_all(node[2])
+            return array
+        members = node[3]
+        result = SetInstance.__new__(SetInstance)
+        result.type = kind
+        result.key = node[2]
+        if tag == _REF_SET:
+            result._members = {oid: Ref(oid) for oid in members}
+        else:
+            result._members = self._unflatten_all(members)
+        return result
+
 
 
 class PagedObjectStore:
@@ -97,6 +284,7 @@ class PagedObjectStore:
         self._pins: dict[Oid, int] = {}
         self._dirty: set[Oid] = set()
         self.cache_stats = CacheStats()
+        self.codec = RecordCodec()
 
     # -- ObjectStore protocol ------------------------------------------------------
 
@@ -368,13 +556,13 @@ class PagedObjectStore:
 
     # -- serialization -----------------------------------------------------------------
 
-    @staticmethod
-    def _serialize(record: StoredObject) -> bytes:
-        return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    def _serialize(self, record: StoredObject) -> bytes:
+        return self.codec.encode(record)
 
-    @staticmethod
-    def _deserialize(data: bytes) -> StoredObject:
-        return pickle.loads(data)
+    def _deserialize(self, data: bytes) -> StoredObject:
+        if data[0] == _PROTO:  # a full pickle written by an older engine
+            return pickle.loads(data)
+        return self.codec.decode(data)
 
     # -- pickling ---------------------------------------------------------------------
 
@@ -396,6 +584,8 @@ class PagedObjectStore:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._weak = weakref.WeakValueDictionary()
+        if "codec" not in state:  # pickled by an engine that wrote full pickles
+            self.codec = RecordCodec()
 
     # -- introspection -----------------------------------------------------------------
 

@@ -53,13 +53,15 @@ class Page:
     byte-exact implementation.
     """
 
-    __slots__ = ("page_no", "size", "_slots", "_used", "dirty", "lsn")
+    __slots__ = ("page_no", "size", "_slots", "_used", "_holes", "dirty", "lsn")
 
     def __init__(self, page_no: int, size: int = PAGE_SIZE):
         self.page_no = page_no
         self.size = size
         self._slots: list[Optional[bytes]] = []
         self._used = 0
+        #: empty slots (an insert reuses the lowest one)
+        self._holes = 0
         self.dirty = False
         #: LSN of the last write that touched this page (stamped by the
         #: disk manager on write-back; drives incremental checkpoints).
@@ -79,6 +81,8 @@ class Page:
         else:
             for key, value in state.items():
                 setattr(self, key, value)
+        # pickles from before the hole count existed
+        self._holes = self._slots.count(None)
 
     # -- capacity -------------------------------------------------------------
 
@@ -116,12 +120,15 @@ class Page:
             )
         self._used += len(record) + SLOT_OVERHEAD
         self.dirty = True
-        for slot_no, existing in enumerate(self._slots):
-            if existing is None:
-                self._slots[slot_no] = record
-                return slot_no
-        self._slots.append(record)
-        return len(self._slots) - 1
+        slots = self._slots
+        if self._holes:
+            for slot_no, existing in enumerate(slots):
+                if existing is None:
+                    slots[slot_no] = record
+                    self._holes -= 1
+                    return slot_no
+        slots.append(record)
+        return len(slots) - 1
 
     def read(self, slot_no: int) -> bytes:
         """Return the record in ``slot_no``; raises on empty/unknown slots."""
@@ -150,6 +157,7 @@ class Page:
         """Free ``slot_no``; the slot may be reused by later inserts."""
         record = self.read(slot_no)
         self._slots[slot_no] = None
+        self._holes += 1
         self._used -= len(record) + SLOT_OVERHEAD
         self.dirty = True
 
@@ -157,6 +165,7 @@ class Page:
         """Drop trailing empty slots (space accounting is already exact)."""
         while self._slots and self._slots[-1] is None:
             self._slots.pop()
+            self._holes -= 1
 
     # -- binary image (for the file-backed disk) ---------------------------------
 
@@ -184,20 +193,24 @@ class Page:
         page_no, lsn, size, nslots = _PAGE_HEADER.unpack_from(data, 0)
         page = cls(page_no, size=size)
         page.lsn = lsn
+        # a dense page runs this loop once per record on every fault:
+        # bound locals, one slice per record, empty slots pre-filled
+        unpack = _SLOT_LEN.unpack_from
+        width = _SLOT_LEN.size
         offset = _PAGE_HEADER.size
         used = 0
-        slots: list[Optional[bytes]] = []
-        for _ in range(nslots):
-            (length,) = _SLOT_LEN.unpack_from(data, offset)
-            offset += _SLOT_LEN.size
-            if length < 0:
-                slots.append(None)
-            else:
-                slots.append(bytes(data[offset:offset + length]))
-                offset += length
+        slots: list[Optional[bytes]] = [None] * nslots
+        for slot_no in range(nslots):
+            (length,) = unpack(data, offset)
+            offset += width
+            if length >= 0:
+                end = offset + length
+                slots[slot_no] = data[offset:end]
+                offset = end
                 used += length + SLOT_OVERHEAD
         page._slots = slots
         page._used = used
+        page._holes = slots.count(None)
         return page
 
     # -- iteration ---------------------------------------------------------------

@@ -37,8 +37,13 @@ class TestPagedEngine:
         assert record.value.get("salary") == 12345.0
 
     def test_page_count_grows_with_data(self, paged_company):
-        stats = paged_company.stats()
-        assert stats["buffer"]["pages"] > 1
+        small = paged_company.stats()["buffer"]["pages"]
+        large = build_company_database(
+            CompanyWorkload(departments=3, employees=600, seed=11,
+                            storage="paged")
+        ).stats()["buffer"]["pages"]
+        assert large > 1
+        assert large > small
 
     def test_deletes_free_page_space(self, paged_company):
         db = paged_company

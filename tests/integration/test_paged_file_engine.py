@@ -121,11 +121,11 @@ class TestEngineOverFileStore:
 
 
 class TestDurableFileStore:
-    def _seed(self, directory: str):
+    def _seed(self, directory: str, rows: int = 60):
         db = open_database(directory, storage="paged", cache_capacity=8)
         db.execute("define type Item as (name: char(20), qty: int4)")
         db.execute("create {own ref Item} Items")
-        for i in range(60):
+        for i in range(rows):
             db.execute(f'append to Items (name = "it{i}", qty = {i})')
         return db
 
@@ -149,7 +149,9 @@ class TestDurableFileStore:
 
     def test_incremental_checkpoint_writes_only_dirty_pages(self, tmp_path):
         directory = str(tmp_path / "db")
-        db = self._seed(directory)
+        # enough rows to span several pages of compact records
+        db = self._seed(directory, rows=600)
+        assert db.store.page_count > 3
         first = db.checkpoint()
         assert first["pages_written"] > 1  # cold start: everything flushes
 

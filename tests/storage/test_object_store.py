@@ -109,3 +109,100 @@ class TestObjectTableOverPagedStore:
         instance.set("n", 42)
         table.mark_dirty(oid)
         assert store.fetch_cold(oid).value.get("n") == 42
+
+
+class TestRecordFormat:
+    """The compact record format: no schema state on a page, types shared
+    with the catalog through snapshots, older full-pickle records read."""
+
+    @staticmethod
+    def _db():
+        """A paged database holding two Zebrafish, the second of which
+        has a value in every slot (its pals set refers to the first)."""
+        from repro.adt.builtin import Date
+        from repro.core.database import Database
+
+        db = Database(storage="paged", cache_capacity=4)
+        db.execute(
+            "define type Zebrafish as (alphaattr: int4, betaattr: char(20), "
+            "innerattr: (deepattr: int4), tagsattr: {char(8)}, "
+            "bornattr: Date, pals: {ref Zebrafish})"
+        )
+        zebrafish = db.catalog.schema_type("Zebrafish")
+        first = db.integrity.create_object(zebrafish, {"alphaattr": 1})
+        second = db.integrity.create_object(zebrafish, {
+            "alphaattr": 7, "betaattr": "x", "innerattr": {"deepattr": 3},
+            "tagsattr": ["t"], "bornattr": Date(1988, 7, 4), "pals": [first],
+        })
+        return db, second.oid
+
+    def test_record_holds_no_schema_state(self):
+        db, oid = self._db()
+        db.store.flush()
+        data = db.store.file.read(db.store.rid_of(oid))
+        assert data[0] != 0x80  # not a full pickle
+        for needle in (
+            b"Zebrafish", b"alphaattr", b"betaattr", b"innerattr",
+            b"deepattr", b"tagsattr", b"bornattr", b"pals", b"Date",
+            b"char", b"int4", b"repro", b"Schema",
+        ):
+            assert needle not in data, needle
+        record = db.store.fetch_cold(oid)
+        assert record.value.get("innerattr").get("deepattr") == 3
+        assert record.value.type is db.catalog.schema_type("Zebrafish")
+
+    def test_snapshot_shares_the_type_table_with_the_catalog(self):
+        import pickle
+
+        db, oid = self._db()
+        clone = pickle.loads(pickle.dumps(db))
+        clone.store.evict_live_cache()
+        zebrafish = clone.catalog.schema_type("Zebrafish")
+        value = clone.objects.fetch(oid)
+        assert value.type is zebrafish
+        assert value.get("pals").type is zebrafish.attribute("pals").type
+        assert value.get("innerattr").type is zebrafish.attribute("innerattr").type
+
+    def test_reads_full_pickle_records_of_older_engines(self):
+        import pickle
+
+        store = PagedObjectStore()
+        record = make_record(4, "old")
+        decoded = store._deserialize(pickle.dumps(record, protocol=4))
+        assert decoded.oid == 4
+        assert decoded.value.get("s") == "old"
+
+
+class Tagged:
+    """An ADT class with its own reduction: its records pickle it whole."""
+
+    def __init__(self, label: str):
+        self.label = label
+
+    def __reduce__(self):
+        return (Tagged, (self.label,))
+
+    def __eq__(self, other):
+        return isinstance(other, Tagged) and other.label == self.label
+
+
+class TestRecordValues:
+    @staticmethod
+    def _round_trip(py_class, value):
+        """Store ``value`` in an ADT slot of class ``py_class`` and read
+        it back through the record codec."""
+        from repro.core.types import AdtType
+
+        t = TupleType([("v", own(AdtType(py_class.__name__, py_class)))])
+        instance = TupleInstance(t)
+        instance._slots["v"] = value
+        store = PagedObjectStore()
+        record = store._deserialize(store._serialize(StoredObject(1, instance)))
+        return record.value.get("v")
+
+    def test_adt_with_its_own_reduction_pickles_as_itself(self):
+        assert self._round_trip(Tagged, Tagged("x")) == Tagged("x")
+
+    def test_a_plain_tuple_is_refused(self):
+        with pytest.raises(StorageError):
+            self._round_trip(tuple, (1, 2))
