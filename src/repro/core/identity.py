@@ -16,7 +16,8 @@ EXODUS-storage-manager-like paged implementation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional, Protocol
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Protocol
 
 from repro.errors import OwnershipError, StorageError, UnknownObjectError
 
@@ -81,6 +82,10 @@ class StoredObject:
 class ObjectStore(Protocol):
     """Minimal storage interface the object table requires."""
 
+    #: read-only view of the store's own index, keyed by the live OIDs:
+    #: ``oid in store.live`` is the liveness test without a method call
+    live: Mapping[Oid, Any]
+
     def insert(self, oid: Oid, record: StoredObject) -> None:
         """Store a new record under ``oid``; ``oid`` must be fresh."""
         ...
@@ -109,6 +114,14 @@ class MemoryObjectStore:
 
     def __init__(self) -> None:
         self._records: dict[Oid, StoredObject] = {}
+        self.live = MappingProxyType(self._records)
+
+    def __getstate__(self) -> dict:
+        return {"_records": self._records}
+
+    def __setstate__(self, state: dict) -> None:
+        self._records = state["_records"]
+        self.live = MappingProxyType(self._records)
 
     def insert(self, oid: Oid, record: StoredObject) -> None:
         """Store ``record`` under a fresh ``oid``."""
@@ -234,7 +247,14 @@ class ObjectTable:
 
     def is_live(self, oid: Oid) -> bool:
         """True when ``oid`` denotes a live (undeleted) object."""
-        return oid in self._store
+        return oid in self._store.live
+
+    @property
+    def store(self) -> ObjectStore:
+        """The backing store (generated pipelines bind its ``live`` and
+        ``fetch`` once per call; ``fetch(oid).value`` with ``KeyError``
+        read as dead is :meth:`deref`)."""
+        return self._store
 
     def was_allocated(self, oid: Oid) -> bool:
         """True when ``oid`` was ever handed out (live or tombstoned)."""

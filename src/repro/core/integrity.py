@@ -381,13 +381,6 @@ class IntegrityManager:
             return member
         return None
 
-    def live_members(self, collection: SetInstance) -> Iterable[Any]:
-        """Iterate the set's members, skipping dangling references."""
-        for member in collection:
-            if isinstance(member, Ref) and not self._objects.is_live(member.oid):
-                continue
-            yield member
-
     # -- vacuum ------------------------------------------------------------------------------
 
     def vacuum(self) -> int:

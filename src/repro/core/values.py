@@ -50,6 +50,7 @@ __all__ = [
     "check_slot",
     "copy_value",
     "value_equal",
+    "PLAIN_SCALARS",
     "is_null",
 ]
 
@@ -302,6 +303,15 @@ class SetInstance:
         members = self._members
         return list(members.values() if members.__class__ is dict else members)
 
+    def live_members(self, live: Any) -> list[Any]:
+        """A list copy of the members minus references whose OID is not
+        in ``live`` (a store's live-OID mapping): a reference set keys
+        its Refs by OID, so the test needs no per-member type check."""
+        members = self._members
+        if members.__class__ is dict:
+            return [ref for oid, ref in members.items() if oid in live]
+        return list(members)
+
     def clear(self) -> None:
         """Remove all members."""
         self._members.clear()
@@ -406,6 +416,15 @@ class ArrayInstance:
         """A list copy of all slots in order."""
         return list(self._slots)
 
+    def live_slots(self, live: Any) -> list[Any]:
+        """The non-null slots in order, minus references whose OID is not
+        in ``live`` (a store's live-OID mapping)."""
+        return [
+            slot
+            for slot in self._slots
+            if slot is not NULL and not (isinstance(slot, Ref) and slot.oid not in live)
+        ]
+
     def __iter__(self) -> Iterator[Any]:
         return iter(list(self._slots))
 
@@ -452,6 +471,11 @@ def copy_value(value: Any) -> Any:
     return _copy.deepcopy(value)
 
 
+#: scalars whose ``==`` is already value equality; ``bool`` is left out
+#: because a boolean equals only a boolean (``true = 1`` is false)
+PLAIN_SCALARS = frozenset((int, float, str))
+
+
 def value_equal(left: Any, right: Any) -> bool:
     """Recursive value equality in the sense of [Banc86].
 
@@ -460,6 +484,8 @@ def value_equal(left: Any, right: Any) -> bool:
     where null = null is unknown — live in the evaluator). References are
     equal only when they denote the same object.
     """
+    if left.__class__ in PLAIN_SCALARS and right.__class__ in PLAIN_SCALARS:
+        return left == right
     if left is NULL or right is NULL:
         return left is right
     if isinstance(left, Ref) or isinstance(right, Ref):

@@ -47,6 +47,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from repro.core.schema import SchemaType
 from repro.core.values import (
     NULL,
+    PLAIN_SCALARS,
     ArrayInstance,
     Ref,
     SetInstance,
@@ -814,7 +815,7 @@ class _ExprLowering:
         raise _Unsupported
 
     def _live_check(self, out: str, buf: list, i: str) -> None:
-        buf.append(f"{i}if isinstance({out}, Ref) and not _alive({out}.oid):")
+        buf.append(f"{i}if isinstance({out}, Ref) and {out}.oid not in _live:")
         buf.append(f"{i}    {out} = NULL")
 
     def _lower_var(self, node: VarRef, buf: list, i: str) -> str:
@@ -862,22 +863,20 @@ class _ExprLowering:
             buf.append(f"{i}if _o{level} is NULL:")
             buf.append(f"{i}    {out} = NULL")
             buf.append(f"{i}else:")
-            buf.append(f"{i}    {out} = _o{level}.get({node.attribute!r})")
+            buf.extend(_get_lines(out, f"_o{level}", node.attribute, f"{i}    "))
             buf.append(
-                f"{i}    if isinstance({out}, Ref) and not _alive({out}.oid):"
+                f"{i}    if isinstance({out}, Ref) and {out}.oid not in _live:"
             )
             buf.append(f"{i}        {out} = NULL")
             return out
         base_reg = self._lower(base, buf, i)
         buf.append(f"{i}{out} = {base_reg}")
         buf.append(f"{i}if isinstance({out}, Ref):")
-        buf.append(f"{i}    {out} = _deref({out}.oid)")
-        buf.append(f"{i}    if {out} is None:")
-        buf.append(f"{i}        {out} = NULL")
-        buf.append(f"{i}    else:")
-        buf.append(f"{i}        {out} = {out}.get({node.attribute!r})")
+        buf.extend(_deref_lines(out, f"{i}    "))
+        buf.append(f"{i}    if {out} is not NULL:")
+        buf.extend(_get_lines(out, out, node.attribute, f"{i}        "))
         buf.append(f"{i}elif isinstance({out}, TupleInstance):")
-        buf.append(f"{i}    {out} = {out}.get({node.attribute!r})")
+        buf.extend(_get_lines(out, out, node.attribute, f"{i}    "))
         buf.append(f"{i}else:")
         buf.append(f"{i}    {out} = NULL")
         self._live_check(out, buf, i)
@@ -913,7 +912,7 @@ class _ExprLowering:
             return value
         key = self._lower(node.outer_key, buf, i)
         out = self.new_tmp()
-        buf.append(f"{i}{out} = {table}.get(canonical_key({key}), _MISS)")
+        buf.append(f"{i}{out} = {table}.get({_canonical(key)}, _MISS)")
         buf.append(f"{i}if {out} is _MISS:")
         buf.append(f"{i}    {out} = {empty}")
         buf.append(f"{i}elif {out} is None:")
@@ -930,18 +929,16 @@ class _ExprLowering:
         out = self.new_tmp()
         if node.kind == "compare" and node.enum_labels is None:
             if node.op in ("<", "<=", ">", ">="):
-                expr = f"{left} {node.op} {right}"
-            elif node.op == "=":
-                expr = f"_veq({left}, {right})"
-            elif node.op == "!=":
-                expr = f"not _veq({left}, {right})"
+                expr = [f"{out} = {left} {node.op} {right}"]
+            elif node.op in ("=", "!="):
+                expr = self._equality(node, left, right, out)
             else:
                 raise _Unsupported
             buf.append(f"{i}if {left} is NULL or {right} is NULL:")
             buf.append(f"{i}    {out} = NULL")
             buf.append(f"{i}else:")
             buf.append(f"{i}    try:")
-            buf.append(f"{i}        {out} = {expr}")
+            buf.extend(f"{i}        {line}" for line in expr)
             buf.append(f"{i}    except TypeError as _exc:")
             buf.append(
                 f'{i}        raise EvaluationError('
@@ -989,6 +986,20 @@ class _ExprLowering:
             )
             return out
         raise _Unsupported
+
+    @staticmethod
+    def _equality(node: Binary, left: str, right: str, out: str) -> list:
+        """``=``/``!=`` of two non-null operands: plain ``==`` when both
+        are ``int``/``float``/``str`` (``value_equal``'s own early
+        return, so a ``bool`` still equals only a ``bool``), else
+        ``value_equal``."""
+        negate = node.op == "!="
+        return [
+            f"if {left}.__class__ in _SCALARS and {right}.__class__ in _SCALARS:",
+            f"    {out} = {left} {'!=' if negate else '=='} {right}",
+            "else:",
+            f"    {out} = {'not ' if negate else ''}_veq({left}, {right})",
+        ]
 
     def _lower_bool(self, node: Binary, buf: list, i: str) -> str:
         left = self._lower(node.left, buf, i)
@@ -1054,6 +1065,34 @@ class _Unsupported(Exception):
     """Internal: the expression shape has no inline lowering."""
 
 
+def _canonical(reg: str) -> str:
+    """``canonical_key`` of ``reg`` with its scalar case inline."""
+    return f"({reg} if {reg}.__class__ in _SELF_KEYED else canonical_key({reg}))"
+
+
+def _get_lines(reg: str, obj: str, attribute: str, i: str) -> list:
+    """Statements reading ``attribute`` of the TupleInstance in ``obj``
+    into ``reg``: its slot dict, and ``TupleInstance.get`` (which raises
+    the unknown-attribute error) only when the slot is missing."""
+    return [
+        f"{i}try:",
+        f"{i}    {reg} = {obj}._slots[{attribute!r}]",
+        f"{i}except KeyError:",
+        f"{i}    {reg} = {obj}.get({attribute!r})",
+    ]
+
+
+def _deref_lines(reg: str, i: str) -> list:
+    """Statements replacing the Ref in ``reg`` by its object, or NULL
+    when it is dead: ``ObjectTable.deref`` on the per-call ``_fetch``."""
+    return [
+        f"{i}try:",
+        f"{i}    {reg} = _fetch({reg}.oid).value",
+        f"{i}except KeyError:",
+        f"{i}    {reg} = NULL",
+    ]
+
+
 class FusedPipeline(NamedTuple):
     """One fused pipeline region, ready to run."""
 
@@ -1073,6 +1112,10 @@ class FusedPipeline(NamedTuple):
     #: True when every expression in the region compiled to a direct
     #: closure (no interpreter callbacks)
     full: bool
+    #: True when the region probes a hash join, whose build a
+    #: ``memory_budget`` may spill: such a statement runs the operators'
+    #: own ``run_batches`` instead (``PlanOp.batches``)
+    hash_join: bool
 
 
 def _cached_region(op: Any, key: Any, build: Callable[[], Any]) -> Any:
@@ -1155,7 +1198,7 @@ class _RegionGen:
 
     def __init__(self, ops: list, compiled: bool, sink: Any) -> None:
         from repro.excess import plan
-        from repro.excess.evaluator import canonical_key
+        from repro.excess.evaluator import _SELF_KEYED, canonical_key
 
         self.plan = plan
         self.ops = ops
@@ -1174,7 +1217,9 @@ class _RegionGen:
             "TupleInstance": TupleInstance,
             "EvaluationError": EvaluationError,
             "canonical_key": canonical_key,
+            "_SELF_KEYED": _SELF_KEYED,
             "_veq": value_equal,
+            "_SCALARS": PLAIN_SCALARS,
             "_truth": _truth,
             "_ooid": _object_oid,
             "_MISS": _MISS,
@@ -1204,6 +1249,9 @@ class _RegionGen:
         #: body lines: source text, or ("bind"|"deref", level, indent)
         #: markers resolved once the whole body is known
         self.lines: list = []
+        #: the region's hash joins, outermost first: their tables are
+        #: read in this order before any row, as nested run_batches do
+        self.joins: list = []
 
     # -- helpers ---------------------------------------------------------
 
@@ -1265,6 +1313,8 @@ class _RegionGen:
 
         if isinstance(op, plan.NestedLoopJoin):
             self.nested_loop(op, indent, after_source)
+        elif isinstance(op, plan.HashJoin):
+            self.hash_join(op, indent, after_source)
         elif isinstance(op, plan.PathExpand):
             self.path_loop(op, indent, after_source)
         elif isinstance(op, plan.Singleton):
@@ -1284,13 +1334,9 @@ class _RegionGen:
             self.ns["_set_name"] = leaf.set_name
             emit(indent, "_collection = _db.named(_set_name).value")
             emit(indent, "if isinstance(_collection, ArrayInstance):")
-            emit(indent, "    _members = [")
-            emit(indent, "        _s for _s in _collection")
-            emit(indent, "        if _s is not NULL")
-            emit(indent, "        and not (isinstance(_s, Ref) and not _alive(_s.oid))")
-            emit(indent, "    ]")
+            emit(indent, "    _members = _collection.live_slots(_live)")
             emit(indent, "elif isinstance(_collection, SetInstance):")
-            emit(indent, "    _members = _live_members(_collection)")
+            emit(indent, "    _members = _collection.live_members(_live)")
             emit(indent, "else:")
             emit(indent, '    raise EvaluationError(f"{_set_name!r} is not a collection")')
             if partition is not None:
@@ -1335,7 +1381,7 @@ class _RegionGen:
                         f"_key, None, include_low={include})",
                     )
                 emit(indent, "    _oids = [_oid for _k, _oid in _pairs]")
-            emit(indent, "    _members = [Ref(_o) for _o in _oids if _alive(_o)]")
+            emit(indent, "    _members = [Ref(_o) for _o in _oids if _o in _live]")
         inner = self.open_loop(leaf.var, "_members", indent)
         self.count(leaf, inner)
         if partition is not None:
@@ -1373,6 +1419,50 @@ class _RegionGen:
             )
 
         self.body(outer, indent, inner_side)
+
+    def hash_join(
+        self, join: Any, indent: str, cont: Callable[[str], None]
+    ) -> None:
+        """``HashJoin(body, build)``: the probe body's loops, the probe
+        key per surviving row (mirroring ``plan.join_key``), then a
+        ``for`` over the build members under that key."""
+        n = len(self.joins)
+        self.joins.append(join)
+        emit = self.emit
+
+        def probe(at: str) -> None:
+            key = self.value(join.probe_key, at)
+            if join.join_op == "is":
+                # null keys take part (null is null); non-objects raise
+                emit(at, f"if {key} is NULL:")
+                emit(at, f'    _hk{n} = ("null",)')
+                emit(at, f"elif isinstance({key}, Ref) or (")
+                emit(at, f"    isinstance({key}, TupleInstance)")
+                emit(at, f"    and {key}.oid is not None")
+                emit(at, "):")
+                emit(at, f'    _hk{n} = ("ref", {key}.oid)')
+                emit(at, "else:")
+                emit(at, "    raise EvaluationError(")
+                emit(
+                    at,
+                    "        f\"'is'/'isnot' compares object references, "
+                    f"got {{{key}!r}}\"",
+                )
+                emit(at, "    )")
+            else:
+                # an int/float/str (not NaN) is its own key; anything
+                # else, null included, goes through join_key
+                emit(at, f"if {key}.__class__ in _SCALARS and {key} == {key}:")
+                emit(at, f"    _hk{n} = {key}")
+                emit(at, "else:")
+                emit(at, f'    _hk{n} = _join_key({key}, "=")')
+                emit(at, f"    if _hk{n} is None:")
+                emit(at, "        continue")
+            body = self.open_loop(join.var, f"_tb{n}.get(_hk{n}, ())", at)
+            self.count(join, body)
+            cont(body)
+
+        self.body(join.children[0], indent, probe)
 
     def path_loop(
         self, expand: Any, indent: str, cont: Callable[[str], None]
@@ -1416,22 +1506,18 @@ class _RegionGen:
         else:
             emit(indent, f"_p = env.get({expand.parent!r})")
             emit(indent, "if isinstance(_p, Ref):")
-            emit(indent, "    _p = _deref(_p.oid)")
+            self.lines.extend(_deref_lines("_p", indent + "    "))
         for step in expand.steps:
             emit(indent, "if isinstance(_p, TupleInstance):")
-            emit(indent, f"    _p = _p.get({step!r})")
+            self.lines.extend(_get_lines("_p", "_p", step, indent + "    "))
             emit(indent, "    if isinstance(_p, Ref):")
-            emit(indent, "        _p = _deref(_p.oid)")
+            self.lines.extend(_deref_lines("_p", indent + "        "))
             emit(indent, "else:")
             emit(indent, "    _p = None")
         emit(indent, "if isinstance(_p, SetInstance):")
-        emit(indent, f"    _ms{level} = _live_members(_p)")
+        emit(indent, f"    _ms{level} = _p.live_members(_live)")
         emit(indent, "elif isinstance(_p, ArrayInstance):")
-        emit(indent, f"    _ms{level} = [")
-        emit(indent, "        _s for _s in _p")
-        emit(indent, "        if _s is not NULL")
-        emit(indent, "        and not (isinstance(_s, Ref) and not _alive(_s.oid))")
-        emit(indent, "    ]")
+        emit(indent, f"    _ms{level} = _p.live_slots(_live)")
         emit(indent, "else:")
         emit(indent, f"    _ms{level} = ()")
 
@@ -1449,7 +1535,7 @@ class _RegionGen:
                 self.lowering.cond_depth += 1
                 key = self.value(aggregate.inner_key, inner)
                 self.lowering.cond_depth -= 1
-                emit(inner, f"_k = canonical_key({key})")
+                emit(inner, f"_k = {_canonical(key)}")
                 emit(inner, "_g = _groups.get(_k)")
                 emit(inner, "if _g is None:")
                 emit(inner, f"    _groups[_k] = [{value}]")
@@ -1467,7 +1553,7 @@ class _RegionGen:
         regs = [self.value(t.expression, indent) for t in project.targets]
         emit(indent, f"_r = ({', '.join(regs)},)")
         if project.unique:
-            emit(indent, "_k = tuple(map(canonical_key, _r))")
+            emit(indent, f"_k = ({''.join(_canonical(reg) + ', ' for reg in regs)})")
             emit(indent, "if _k in _seen:")
             emit(indent, "    continue")
             emit(indent, "_seen.add(_k)")
@@ -1505,16 +1591,22 @@ class _RegionGen:
         emit("    try:")
         emit("        _db = ctx.db")
         emit("        _params = ctx.params")
-        emit("        _objects = ctx.objects")
-        emit("        _deref = _objects.deref")
-        emit("        _alive = _objects.is_live")
-        if any(isinstance(o, (plan.SeqScan, plan.PathExpand)) for o in ops):
-            emit("        _live_members = _db.integrity.live_members")
+        # bound per call, never into the cached namespace: the object
+        # table's store changes under checkpoint + reopen
+        emit("        _store = ctx.objects.store")
+        emit("        _live = _store.live")
+        emit("        _fetch = _store.fetch")
         if self.aggregate is not None:
             # the tables must exist before any row is evaluated, exactly
             # as the row-mode Aggregate.open() precomputes them
             self.ns["_agg_op"] = self.aggregate
             emit("        ctx.evaluator._precompute_aggregates(_agg_op, env, ctx)")
+        if self.joins:
+            self.ns["_join_key"] = plan.join_key
+        for n, join in enumerate(self.joins):
+            # the build subtree runs as its own region (or its memo hits)
+            self.ns[f"_hj{n}"] = join
+            emit(f"        _tb{n} = _hj{n}._table_for(ctx)")
         if self.lowering.prologue:
             emit("        _tables = ctx.tables")
             lines.extend("        " + line for line in self.lowering.prologue)
@@ -1534,9 +1626,7 @@ class _RegionGen:
                 # attribute read (and path step) of this row
                 lines.append(f"{indent}_o{level} = _m{level}")
                 lines.append(f"{indent}if isinstance(_o{level}, Ref):")
-                lines.append(f"{indent}    _o{level} = _deref(_o{level}.oid)")
-                lines.append(f"{indent}    if _o{level} is None:")
-                lines.append(f"{indent}        _o{level} = NULL")
+                lines.extend(_deref_lines(f"_o{level}", indent + "    "))
                 lines.append(
                     f"{indent}elif not isinstance(_o{level}, TupleInstance):"
                 )
@@ -1560,6 +1650,9 @@ class _RegionGen:
                 emit(f"        {st}.rows_in += {child}")
             if region_op is not root or self.sink is not None:
                 emit(f"        {st}.rows_out += {self.counters[id(region_op)]}")
+            if isinstance(region_op, plan.HashJoin):
+                # one probe per outer row, whatever its key
+                emit(f"        {st}.probes += {child}")
         if self.sink is None:
             emit("    return _out")
             kind = "rows" if self.project is not None else "envs"
@@ -1572,7 +1665,9 @@ class _RegionGen:
 
         source = "\n".join(lines)
         exec(compile(source, "<fused pipeline>", "exec"), self.ns)
-        return FusedPipeline(self.ns["_fused"], source, kind, len(ops), self.full)
+        return FusedPipeline(
+            self.ns["_fused"], source, kind, len(ops), self.full, bool(self.joins)
+        )
 
 
 #: "no entry" marker for aggregate-table lookups in generated code

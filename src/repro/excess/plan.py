@@ -169,6 +169,12 @@ SCAN_OPS: tuple = ()  # filled in below, after the classes exist
 SPILL_PARTITIONS = 8
 
 
+def _budgeted(ctx: "PlanContext") -> bool:
+    """True when the statement runs under a ``memory_budget``."""
+    governor = ctx.governor
+    return governor is not None and governor.memory_budget > 0
+
+
 def _spill_note(stats: "OpStats") -> str:
     """The ``spill=[partitions=N, bytes=M]`` EXPLAIN suffix (empty when
     the operator stayed in memory)."""
@@ -366,12 +372,14 @@ class PlanOp:
         the whole region executes as one generated Python function
         (cached on the node like ``_compiled``, dropped by
         ``__getstate__``); everything else runs the operator's native
-        :meth:`run_batches`.  Rows inside a batch are *private*:
-        binding-level rows are per-row snapshot dicts (never the shared
-        environment), so consumers may retain or mutate them freely.
+        :meth:`run_batches` — and so does a region holding a hash join
+        under a ``memory_budget``, whose build may spill (the Grace
+        path).  Rows inside a batch are *private*: binding-level rows
+        are per-row snapshot dicts (never the shared environment), so
+        consumers may retain or mutate them freely.
         """
         fused = fused_pipeline(self, ctx.compiled)
-        if fused is not None:
+        if fused is not None and not (fused.hash_join and _budgeted(ctx)):
             rows = fused.fn(ctx, env)
             for start in range(0, len(rows), size):
                 yield rows[start : start + size]
@@ -484,22 +492,23 @@ class PlanOp:
 # ---------------------------------------------------------------------------
 
 
-def _scan_members(db: Any, set_name: str) -> Iterator[Any]:
-    """Live members of a named set (or a named array's live, non-null
-    slots, in order) — the row source of the range-partitioning exchange
-    specialization (``SeqScan`` itself always runs fused or row-mode)."""
-    collection = db.named(set_name).value
+def _live_of(collection: Any, ctx: PlanContext) -> list:
+    """A set's live members, or an array's live non-null slots in order
+    (dangling references skipped, GEM null-on-dangle)."""
+    live = ctx.objects.store.live
     if isinstance(collection, ArrayInstance):
-        is_live = db.objects.is_live
-        return (
-            slot
-            for slot in collection
-            if slot is not NULL
-            and not (isinstance(slot, Ref) and not is_live(slot.oid))
-        )
-    if isinstance(collection, SetInstance):
-        return iter(db.integrity.live_members(collection))
-    raise EvaluationError(f"{set_name!r} is not a collection")
+        return collection.live_slots(live)
+    return collection.live_members(live)
+
+
+def _scan_members(ctx: PlanContext, set_name: str) -> list:
+    """Live members of a named set (or a named array's live, non-null
+    slots, in order): the row-mode ``SeqScan``'s source, and the
+    range-partitioning exchange's."""
+    collection = ctx.db.named(set_name).value
+    if not isinstance(collection, (ArrayInstance, SetInstance)):
+        raise EvaluationError(f"{set_name!r} is not a collection")
+    return _live_of(collection, ctx)
 
 
 class Singleton(PlanOp):
@@ -543,26 +552,12 @@ class SeqScan(_BindingOp):
         return f"SeqScan {self.set_name} as {self.var}"
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
-        db = ctx.db
-        collection = db.named(self.set_name).value
+        members = _scan_members(ctx, self.set_name)
         saved = env.get(self.var, _MISSING)
         try:
-            if isinstance(collection, ArrayInstance):
-                for slot in collection:
-                    if slot is NULL:
-                        continue
-                    if isinstance(slot, Ref) and not db.objects.is_live(slot.oid):
-                        continue
-                    env[self.var] = slot
-                    yield env
-            elif isinstance(collection, SetInstance):
-                for member in db.integrity.live_members(collection):
-                    env[self.var] = member
-                    yield env
-            else:
-                raise EvaluationError(
-                    f"{self.set_name!r} is not a collection"
-                )
+            for member in members:
+                env[self.var] = member
+                yield env
         finally:
             if saved is _MISSING:
                 env.pop(self.var, None)
@@ -670,19 +665,9 @@ class PathExpand(_BindingOp):
             return
         saved = env.get(self.var, _MISSING)
         try:
-            if isinstance(current, SetInstance):
-                for member in ctx.db.integrity.live_members(current):
+            if isinstance(current, (ArrayInstance, SetInstance)):
+                for member in _live_of(current, ctx):
                     env[self.var] = member
-                    yield env
-            elif isinstance(current, ArrayInstance):
-                for slot in current:
-                    if slot is NULL:
-                        continue
-                    if isinstance(slot, Ref) and not ctx.db.objects.is_live(
-                        slot.oid
-                    ):
-                        continue
-                    env[self.var] = slot
                     yield env
         finally:
             if saved is _MISSING:
@@ -980,8 +965,7 @@ class HashJoin(PlanOp):
         return [self.build_key, self.probe_key]
 
     def _table_for(self, ctx: PlanContext) -> Any:
-        governor = ctx.governor
-        budgeted = governor is not None and governor.memory_budget > 0
+        budgeted = _budgeted(ctx)
         stamp = (ctx.db.data_version, ctx.session_stamp, self._build_params(ctx))
         memo = self._memo  # single read: thread-consistent pair
         if not budgeted and memo is not None and memo[0] == stamp:
@@ -1048,7 +1032,7 @@ class HashJoin(PlanOp):
         self.stats.builds += 1
         table: dict[Any, list] = {}
         governor = ctx.governor
-        budgeted = governor is not None and governor.memory_budget > 0
+        budgeted = _budgeted(ctx)
         entries = self._build_entries(ctx)
         reserved = 0
         for key, member in entries:
@@ -1667,7 +1651,7 @@ class ExchangePartition(PlanOp):
             # point of range partitioning is that each worker pays only
             # for its 1/dop share of the scan
             child_stats.opens += 1
-            members = list(_scan_members(ctx.db, child.set_name))
+            members = _scan_members(ctx, child.set_name)
             lo, hi = self._slice(len(members), shard)
             var = child.var
             batch: list = []
@@ -1831,9 +1815,13 @@ def join_key(value: Any, op: str) -> Optional[Any]:
 
     Returns None when the row cannot match anything: a null value under
     ``=`` is unknown against every member (3VL), so it neither enters
-    the build table nor probes.  Under ``is``, null keys *do* participate
-    — ``null is null`` is true (both denote no object) — and non-objects
-    raise exactly as nested-loop ``is`` would.
+    the build table nor probes, and a NaN equals nothing (not even the
+    same float object, which a dict lookup would match).  A boolean is
+    keyed apart from the ``1``/``0`` it hashes equal to, because
+    ``value_equal`` lets a boolean equal only a boolean.  Under ``is``,
+    null keys *do* participate — ``null is null`` is true (both denote
+    no object) — and non-objects raise exactly as nested-loop ``is``
+    would.
     """
     from repro.excess.evaluator import canonical_key
 
@@ -1848,6 +1836,10 @@ def join_key(value: Any, op: str) -> Optional[Any]:
             f"'is'/'isnot' compares object references, got {value!r}"
         )
     if value is NULL:
+        return None
+    if value.__class__ is bool:
+        return ("bool", value)
+    if value.__class__ is float and value != value:
         return None
     return canonical_key(value)
 
@@ -2470,6 +2462,7 @@ def fusable_ops(op: PlanOp) -> Optional[list[PlanOp]]:
         body   := Filter* source
         source := Exchange[range](SeqScan) | SeqScan | IndexScan
                 | PathExpand | NestedLoopJoin(body, Filter* PathExpand)
+                | HashJoin(body, build)
 
     A range-mode :class:`ExchangePartition` over a SeqScan joins the
     region (the generated loop slices the member list when a worker
@@ -2478,7 +2471,11 @@ def fusable_ops(op: PlanOp) -> Optional[list[PlanOp]]:
     call to the aggregate precompute before the loop; a nested loop
     whose inner side expands a path fuses as a nested ``for`` loop (a
     path expansion over the incoming environment, as in a correlated
-    aggregate's inner query, is a one-loop region of its own).
+    aggregate's inner query, is a one-loop region of its own).  A hash
+    join fuses its probe: the key is computed inline per probe row and
+    the matching build members are a nested ``for``; the ``build``
+    subtree is not part of the region (it is read once per call through
+    :meth:`HashJoin._table_for`, and roots its own region).
     """
     chain: list[PlanOp] = []
     current = op
@@ -2510,6 +2507,9 @@ def _fusable_body(op: PlanOp) -> Optional[list[PlanOp]]:
         return chain + [op, op.children[0]]
     if isinstance(op, (SeqScan, IndexScan, PathExpand)):
         return chain + [op]
+    if isinstance(op, HashJoin):
+        outer = _fusable_body(op.children[0])
+        return None if outer is None else chain + [op] + outer
     if isinstance(op, NestedLoopJoin):
         outer = _fusable_body(op.children[0])
         if outer is None:
@@ -2531,8 +2531,9 @@ def fused_regions(root: PlanOp) -> list[list[PlanOp]]:
 
     Mirrors the batch executor's dispatch: a region fires wherever
     ``batches()`` is invoked — at the tree root, at every child pull, at
-    nested-loop inner and hash-join build boundaries.  UniversalCheck's
-    ∀ subtrees always run row-at-a-time and are never fused.
+    nested-loop inner and hash-join build boundaries (a fused hash join's
+    build subtree is visited too).  UniversalCheck's ∀ subtrees always
+    run row-at-a-time and are never fused.
     """
     regions: list[list[PlanOp]] = []
 
@@ -2540,6 +2541,9 @@ def fused_regions(root: PlanOp) -> list[list[PlanOp]]:
         chain = fusable_ops(op)
         if chain is not None:
             regions.append(chain)
+            for member in chain:
+                if isinstance(member, HashJoin):
+                    visit(member.children[1])
             return
         if isinstance(op, UniversalCheck):
             visit(op.children[0])

@@ -40,6 +40,7 @@ import pickle
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.identity import Oid, StoredObject
@@ -277,6 +278,9 @@ class PagedObjectStore:
         self.file = HeapFile("objects", self.pool)
         self.cache_capacity = cache_capacity
         self._directory: dict[Oid, Rid] = {}
+        #: the protocol's read-only live-OID view over the directory
+        #: (``_live`` below is the object cache, a different thing)
+        self.live = MappingProxyType(self._directory)
         self._live: "OrderedDict[Oid, StoredObject]" = OrderedDict()
         self._weak: "weakref.WeakValueDictionary[Oid, StoredObject]" = (
             weakref.WeakValueDictionary()
@@ -574,6 +578,7 @@ class PagedObjectStore:
         self.flush()
         self.pool.flush_all()
         state = dict(self.__dict__)
+        del state["live"]
         state["_live"] = OrderedDict()
         state["_weak"] = None
         state["_pins"] = {}
@@ -583,6 +588,7 @@ class PagedObjectStore:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self.live = MappingProxyType(self._directory)
         self._weak = weakref.WeakValueDictionary()
         if "codec" not in state:  # pickled by an engine that wrote full pickles
             self.codec = RecordCodec()

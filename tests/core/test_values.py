@@ -156,6 +156,19 @@ class TestSetInstance:
         assert s.contains(1)
         assert len(s) == 2
 
+    def test_live_members_drops_dead_references(self):
+        refs = SetInstance(SetType(own_ref(person_type())))
+        for oid in (3, 1, 2):
+            refs.insert(Ref(oid))
+        assert refs.live_members({1: None, 3: None}) == [Ref(3), Ref(1)]
+        values = SetInstance(SetType(own(INT4)))
+        for v in (2, 1):
+            values.insert(v)
+        members = values.live_members({})
+        assert members == [2, 1]
+        members.append(9)  # a copy
+        assert len(values) == 2
+
     def test_ref_members_dedupe_by_oid(self):
         t = person_type()
         s = SetInstance(SetType(own_ref(t)))
@@ -303,6 +316,17 @@ class TestValueEqual:
         assert value_equal(1, 1)
         assert not value_equal(1, 2)
         assert value_equal("a", "a")
+
+    def test_scalar_early_return_keeps_the_boolean_rule(self):
+        # int/float/str compare with ==; a boolean equals only a boolean
+        assert not value_equal(True, 1) and not value_equal(1, True)
+        assert not value_equal(False, 0) and not value_equal(0.0, False)
+        assert value_equal(True, True) and not value_equal(True, False)
+        assert value_equal(1, 1.0) and value_equal(2.5, 2.5)
+        assert not value_equal("1", 1)
+        nan = float("nan")
+        assert not value_equal(nan, nan)
+        assert not value_equal(nan, 1.0)
 
     def test_null_only_equals_null(self):
         assert value_equal(NULL, NULL)

@@ -4,22 +4,24 @@ generated-pipeline machinery.
 The equivalence of the two ``exec_mode`` settings over the paper corpus
 is pinned by tests/integration/test_compile_parity.py; this module covers
 what parity sweeps can't: batch-boundary edge cases at the operators that
-still exchange batches under ``fused`` (sorts, hash joins — empty inputs,
-batch size 1, result sets not divisible by the batch size), mid-batch
-errors, the plan-cache key, EXPLAIN annotations, pipeline-region
-identification (including the aggregate and nested-path regions), and
-the never-pickle-generated-code contract.
+still exchange batches under ``fused`` (sorts, and hash joins under a
+``memory_budget`` — empty inputs, batch size 1, result sets not
+divisible by the batch size), mid-batch errors, the plan-cache key,
+EXPLAIN annotations, pipeline-region identification (including the
+aggregate, nested-path and hash-join-probe regions; an unbudgeted hash
+join's probe is fused, its build subtree a region of its own), and the
+never-pickle-generated-code contract.
 """
 
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 
 from repro import Database
 from repro.errors import EvaluationError
-from repro.excess import plan as plan_ir
 from repro.excess.compile import FusedPipeline, fused_pipeline
 from repro.excess.plan import (
     Filter,
@@ -130,7 +132,7 @@ class TestMidBatchErrors:
         "retrieve (E.age / (E.age - 30)) from E in Employees",
         "retrieve (E.age % (E.age - 30)) from E in Employees",
         'retrieve (TopTen["x"].name)',
-        # the same error raised by a batch-at-a-time Project over a join
+        # the same error raised by a Project fused over a hash join
         "retrieve (E.age / (E.age - 30), D.dname) from E in Employees, "
         "D in Departments where E.dept is D",
     ]
@@ -195,13 +197,10 @@ class TestExecModePlumbing:
         assert rows["fused"] == rows["row"]
 
     def test_non_fusable_operators_keep_batch_annotation(self, small_company):
-        query = (
-            "retrieve (E.name, D.dname) from E in Employees, "
-            "D in Departments where E.dept is D"
-        )
+        query = "retrieve (E.name) from E in Employees sort by E.name"
         tree = run_in_mode(small_company, query, "fused").plan_tree
-        join_line = next(line for line in tree.splitlines() if "HashJoin" in line)
-        assert "exec=batch" in join_line
+        sort_line = next(line for line in tree.splitlines() if "Sort" in line)
+        assert "exec=batch" in sort_line
 
     def test_explain_message_names_exec_mode(self, small_company):
         message = small_company.execute(
@@ -296,7 +295,7 @@ class TestPipelineRegions:
         assert fusable_ops(chain[0]) is not None
         assert fusable_ops(chain[-1]) is not None
 
-    def test_join_breaks_the_pipeline(self, small_company):
+    def test_hash_join_probe_fuses_build_is_its_own_region(self, small_company):
         query = (
             "retrieve (E.name, D.dname) from E in Employees, "
             "D in Departments where E.dept is D"
@@ -304,9 +303,14 @@ class TestPipelineRegions:
         small_company.execute(query)
         root = self._cached_root(small_company, query)
         join = next(op for op in plan_ops(root) if isinstance(op, HashJoin))
-        assert fusable_ops(join) is None
-        # the join's input sides still fuse as scan regions
-        assert len(fused_regions(root)) == 2
+        regions = fused_regions(root)
+        assert len(regions) == 2
+        # Project, HashJoin and the probe scan are one region ...
+        assert regions[0][:2] == [root, join]
+        assert join.children[0] in regions[0]
+        # ... and the build subtree roots the other
+        assert regions[1][0] is join.children[1]
+        assert join.children[1] not in regions[0]
 
     def test_pipeline_source_debug_hook(self, small_company):
         query = "retrieve (E.name) from E in Employees where E.age > 35"
@@ -467,6 +471,113 @@ class TestAnalyticRegions:
         assert sorted(fused.rows) == sorted(row.rows)
         assert fused.rows
         assert "exec=fused" in fused.plan_tree
+
+
+class TestFusedHashJoin:
+    """The paper's explicit object join (§3.3) and value joins run their
+    hash-join probe inside the generated pipeline; the build subtree is
+    its own region."""
+
+    IS_JOIN = (
+        "retrieve (E.name, D.dname) from E in Employees, D in Departments "
+        "where E.dept is D and D.floor = 2"
+    )
+    VALUE_JOIN = (
+        "retrieve (E.name, M.name) from E in Employees, M in Employees "
+        "where E.age = M.age and E.salary > 40000.0"
+    )
+
+    def test_explain_shows_probe_fused_and_build_region(self, small_company):
+        tree = small_company.execute(self.IS_JOIN).plan_tree.splitlines()
+        assert tree[0].startswith("Project") and "exec=fused" in tree[0]
+        assert tree[1].lstrip().startswith("HashJoin")
+        assert "exec=fused" in tree[1]
+        assert all("exec=fused" in line for line in tree), tree
+        message = small_company.execute("explain " + self.IS_JOIN).message
+        assert "pipelines=2" in message
+
+    def test_pipeline_source_shows_the_probe_loop(self, small_company):
+        source = small_company.execute(self.IS_JOIN).pipeline_source
+        regions = source.split("\n\n")
+        assert len(regions) == 2
+        probe, build = regions
+        assert probe.startswith("# Project") and "# HashJoin" in probe
+        assert "_tb0 = _hj0._table_for(ctx)" in probe
+        assert "for _m1 in _tb0.get(_hk0, ()):" in probe
+        assert build.startswith("# Filter D.floor = 2")
+        # no per-row liveness or dereference calls into the engine
+        assert "is_live" not in source and "deref" not in source
+        assert "_live_members" not in source
+
+    @pytest.mark.parametrize("query", [IS_JOIN, VALUE_JOIN])
+    def test_counters_match_row_mode(self, small_company, query):
+        results = {mode: run_in_mode(small_company, query, mode) for mode in MODES}
+        fused, row = results["fused"], results["row"]
+        assert sorted(fused.rows) == sorted(row.rows)
+        assert fused.rows
+        for key in ("rows_scanned", "hash_builds", "hash_probes"):
+            assert fused.metrics[key] == row.metrics[key]
+
+        def counters(tree):
+            return re.findall(r"(?:rows|builds|probes)=\d+", tree)
+
+        assert counters(fused.plan_tree) == counters(row.plan_tree)
+
+    def test_budgeted_statement_keeps_the_batch_path(self, small_company, monkeypatch):
+        calls = []
+        original = HashJoin.run_batches
+
+        def spy(self, ctx, env, size):
+            calls.append(self)
+            return original(self, ctx, env, size)
+
+        monkeypatch.setattr(HashJoin, "run_batches", spy)
+        interpreter = small_company.interpreter
+        expected = small_company.execute(self.VALUE_JOIN).rows
+        assert calls == []
+        interpreter.memory_budget = 1
+        try:
+            budgeted = small_company.execute(self.VALUE_JOIN)
+        finally:
+            interpreter.memory_budget = 0
+        assert len(calls) == 1
+        assert budgeted.rows == expected
+        assert "spill=" in budgeted.plan_tree  # the Grace build ran
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_hash_keys_follow_value_equality(self, mode):
+        """A boolean never equals 1/0 and a NaN equals nothing, so a hash
+        join returns what the nested loop does (a boolean can only meet
+        an int4 through an untyped ADT function)."""
+        from repro.core.types import INT4
+
+        class Flag:
+            pass
+
+        db = Database()
+        db.interpreter.parallel_mode = "off"
+        db.execute("define type T as (n: int4, x: float8)")
+        db.execute("create {own ref T} Ts")
+        db.catalog.adts.define_adt("Flag", Flag)
+        db.catalog.adts.define_function(
+            "Flag", "big", lambda n: n > 0, [INT4], None
+        )
+        for n, x in ((0, 1.0), (1, float("nan")), (2, 2.0)):
+            db.insert("Ts", n=n, x=x)
+        queries = [
+            "retrieve (A.n, B.n) from A in Ts, B in Ts where big(A.n) = B.n",
+            "retrieve (A.n, B.n) from A in Ts, B in Ts where A.x = B.x",
+        ]
+        interpreter = db.interpreter
+        for query in queries:
+            hashed = run_in_mode(db, query, mode)
+            assert "HashJoin" in hashed.plan_tree
+            interpreter.hash_joins = False
+            nested = run_in_mode(db, query, mode)
+            interpreter.hash_joins = True
+            assert "HashJoin" not in nested.plan_tree
+            assert sorted(hashed.rows) == sorted(nested.rows)
+        assert sorted(run_in_mode(db, queries[1], mode).rows) == [(0, 0), (2, 2)]
 
 
 class TestFunctionInlining:

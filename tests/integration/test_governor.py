@@ -18,7 +18,6 @@ import time
 
 import pytest
 
-from repro.core.database import Database
 from repro.core.governor import (
     TIMEOUT_SITES,
     ResourceGovernor,
@@ -136,8 +135,8 @@ SERIAL_SITES = [
     ("root", "fused", SCAN_SORT),
     ("root", "row", SCAN_SORT),
     ("fused", "fused", SCAN_SORT),
-    # the hash join pulls its probe side in batches even under fused
-    ("batch", "fused", JOIN),
+    # a Sort pulls its input (here a fused hash join) in batches
+    ("batch", "fused", JOIN + " sort by E.name, M.name"),
     ("aggregate", "fused", AGGREGATE),
     ("aggregate", "row", AGGREGATE),
 ]

@@ -1,7 +1,8 @@
 """Property-based spill equivalence: any query run under a tight
 ``memory_budget`` must return byte-identical rows (values *and* order)
 to the unbudgeted run, across every execution mode and with parallel
-execution both off and on.
+execution both off and on. Hash joins are included: unbudgeted they run
+fused, budgeted they take the operators' own batch path.
 
 The database is large enough (6000 employees) that the parallel
 planner's partition threshold admits real multi-worker plans, and the
@@ -51,7 +52,28 @@ def aggregate_queries(draw):
     )
 
 
-queries = st.one_of(sort_queries(), aggregate_queries())
+@st.composite
+def join_queries(draw):
+    """Value ``=`` and object ``is`` hash joins: fused regions when
+    unbudgeted, the operators' own batch path (and a Grace build, should
+    the build outgrow the budget) under a ``memory_budget``."""
+    op = draw(operators)
+    age = draw(ages)
+    other = draw(ages)
+    return draw(
+        st.sampled_from(
+            [
+                f"retrieve (E.name, D.dname) from E in Employees, "
+                f"D in Departments where E.dept is D and E.age {op} {age}",
+                f"retrieve (E.name, M.name) from E in Employees, "
+                f"M in Employees where E.salary = M.salary "
+                f"and E.age = {age} and M.age {op} {other}",
+            ]
+        )
+    )
+
+
+queries = st.one_of(sort_queries(), aggregate_queries(), join_queries())
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +88,7 @@ def spill_company():
 
 class TestSpillEquivalenceProperty:
     @settings(
-        max_examples=20,
+        max_examples=30,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )

@@ -20,7 +20,7 @@ import pytest
 from repro.core.database import Database
 from repro.errors import ServerOverloadedError, StatementTimeout
 from repro.server import Client, RemoteError, RetryPolicy, ServerThread
-from repro.server.protocol import ProtocolError, encode_message, read_message
+from repro.server.protocol import ProtocolError
 from repro.util.netchaos import FAULTS, ChaosProxy
 
 

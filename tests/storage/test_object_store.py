@@ -206,3 +206,103 @@ class TestRecordValues:
     def test_a_plain_tuple_is_refused(self):
         with pytest.raises(StorageError):
             self._round_trip(tuple, (1, 2))
+
+
+class TestLiveMapping:
+    """``store.live`` — the read-only view of live OIDs that generated
+    pipelines test liveness against — agrees with ``is_live`` through an
+    object's whole life, on both stores."""
+
+    @staticmethod
+    def _open(kind, tmp_path):
+        from repro.storage.recovery import open_database
+
+        return open_database(
+            str(tmp_path / "db"),
+            storage=kind,
+            cache_capacity=2 if kind == "paged" else None,
+        )
+
+    @staticmethod
+    def _assert_agrees(db):
+        table = db.objects
+        live = table.store.live
+        for oid in range(0, table._next_oid + 2):
+            assert (oid in live) == table.is_live(oid) == (oid in table.store)
+        assert sorted(live) == sorted(table.oids())
+        with pytest.raises(TypeError):
+            live[1] = None  # read-only
+
+    @staticmethod
+    def _names(db):
+        return sorted(
+            row[0] for row in db.execute("retrieve (I.name) from I in Items").rows
+        )
+
+    @pytest.mark.parametrize("kind", ["memory", "paged"])
+    def test_live_agrees_with_is_live(self, kind, tmp_path):
+        db = self._open(kind, tmp_path)
+        db.execute("define type Item as (name: char(8))")
+        db.execute("create {own ref Item} Items")
+        for n in range(6):  # a cache of 2 evicts most of them
+            db.execute(f'append to Items (name = "i{n}")')
+        self._assert_agrees(db)
+        if kind == "paged":
+            assert db.objects.store.cache_stats.evictions > 0
+        db.execute('delete I from I in Items where I.name = "i1"')
+        self._assert_agrees(db)
+        assert 2 not in db.objects.store.live
+        # an aborted delete: undo re-registers the object
+        db.execute("begin")
+        db.execute('delete I from I in Items where I.name = "i2"')
+        assert 3 not in db.objects.store.live
+        db.execute("abort")
+        assert 3 in db.objects.store.live
+        self._assert_agrees(db)
+        db.checkpoint()
+        db.close()
+        db = self._open(kind, tmp_path)
+        self._assert_agrees(db)
+        assert self._names(db) == ["i0", "i2", "i3", "i4", "i5"]
+        db.close()
+
+    def test_cached_fused_plan_sees_an_object_resurrected_by_abort(self):
+        """``abort`` moves the catalog epoch, so the plan cache never
+        serves a plan across it; the plan kept from before the
+        transaction is run directly, its generated function reused."""
+        from repro import Database
+        from repro.excess.compile import fused_pipeline
+        from repro.excess.evaluator import Evaluator
+        from repro.excess.plan import PlanContext
+
+        db = Database()
+        db.execute("define type Dept as (dname: char(8))")
+        db.execute("define type Emp as (name: char(8), dept: ref Dept)")
+        db.execute("create {own ref Dept} Depts")
+        db.execute("create {own ref Emp} Emps")
+        toys = db.insert("Depts", dname="Toys")
+        db.insert("Emps", name="Sue", dept=toys)
+        query = (
+            "retrieve (E.name, E.dept.dname, D.dname) from E in Emps, "
+            "D in Depts where E.dept is D"
+        )
+        assert db.execute(query).rows == [("Sue", "Toys", "Toys")]
+        interpreter = db.interpreter
+        root = interpreter.plan_cache.get(
+            interpreter._cache_key(query, "dba", db.default_session)
+        ).plan_root
+        assert "exec=fused" in db.execute(query).plan_tree.splitlines()[1]
+        generated = fused_pipeline(root, True)
+
+        def run():
+            ctx = PlanContext(Evaluator(db))
+            return [row for batch in root.batches(ctx, {}, 1024) for row in batch]
+
+        assert run() == [("Sue", "Toys", "Toys")]
+        db.execute("begin")
+        db.execute('delete D from D in Depts where D.dname = "Toys"')
+        assert run() == []
+        db.execute("abort")
+        assert toys.oid in db.objects.store.live
+        assert run() == [("Sue", "Toys", "Toys")]
+        assert fused_pipeline(root, True) is generated
