@@ -238,9 +238,12 @@ class SetInstance:
       ``{oid: Ref}`` dict, so insert, remove and membership are O(1);
     * ``own`` elements live in a list searched with value equality.
 
-    Either way iteration follows insertion order minus removals. A set
-    pickles its members as a list (the container older snapshots and
-    pages hold), and :meth:`__setstate__` rebuilds the dict.
+    Either way iteration follows insertion order minus removals. A
+    reference set pickles only its member OIDs, in iteration order, as
+    the ``member_oids`` slot, and :meth:`__setstate__` rebuilds the
+    ``{oid: Ref}`` dict; a value set pickles its member list. Older
+    pickles hold a ``_members`` list (of Refs, for a reference set) and
+    still load.
     """
 
     __slots__ = ("type", "key", "_members")
@@ -317,19 +320,29 @@ class SetInstance:
         self._members.clear()
 
     def __getstate__(self) -> tuple:
-        return (None, {"type": self.type, "key": self.key, "_members": self.members()})
+        state = {"type": self.type, "key": self.key}
+        members = self._members
+        if members.__class__ is dict:
+            # plain ints: a Ref per member would pickle as one object each
+            state["member_oids"] = list(members)
+        else:
+            state["_members"] = list(members)
+        return (None, state)
 
     def __setstate__(self, state: tuple) -> None:
-        # (None, slots) — older pickles also carry an ``_oids`` index
-        # slot, which the dict container makes redundant
+        # (None, slots) — older pickles hold a ``_members`` list of Refs
+        # and may also carry an ``_oids`` index slot, which the dict
+        # container makes redundant
         slots = state[1]
         self.type = slots["type"]
         self.key = slots["key"]
-        members = slots["_members"]
-        if self.type.element.semantics.is_object:
-            self._members = {member.oid: member for member in members}
+        oids = slots.get("member_oids")
+        if oids is not None:
+            self._members = {oid: Ref(oid) for oid in oids}
+        elif self.type.element.semantics.is_object:
+            self._members = {member.oid: member for member in slots["_members"]}
         else:
-            self._members = members
+            self._members = slots["_members"]
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.members())

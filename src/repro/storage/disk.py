@@ -26,6 +26,7 @@ incremental-checkpoint assertions can observe real behaviour.
 
 from __future__ import annotations
 
+import bisect
 import os
 import tempfile
 from dataclasses import dataclass
@@ -163,6 +164,7 @@ class FileDiskManager:
         self._next_page_no = 0
         self._free_page_nos: list[int] = []
         self._block_count = 0
+        #: free blocks in ascending order
         self._free_blocks: list[int] = []
         self._durable_blocks: set[int] = set()
         self._pending_free: list[int] = []
@@ -203,20 +205,17 @@ class FileDiskManager:
     # -- block allocator -------------------------------------------------------
 
     def _allocate_blocks(self, n_blocks: int) -> int:
-        if n_blocks == 1 and self._free_blocks:
-            return self._free_blocks.pop()
-        if n_blocks > 1 and self._free_blocks:
-            # contiguous run search; free lists are short in practice
-            free = sorted(self._free_blocks)
+        free = self._free_blocks  # ascending, so a run search needs no sort
+        if n_blocks == 1 and free:
+            return free.pop()
+        if n_blocks > 1 and free:
+            # the lowest-starting run of at least n_blocks contiguous blocks
             run_start = 0
             for i in range(1, len(free) + 1):
                 if i == len(free) or free[i] != free[i - 1] + 1:
                     if i - run_start >= n_blocks:
                         start = free[run_start]
-                        taken = set(range(start, start + n_blocks))
-                        self._free_blocks = [
-                            b for b in self._free_blocks if b not in taken
-                        ]
+                        del free[run_start:run_start + n_blocks]
                         return start
                     run_start = i
         start = self._block_count
@@ -228,7 +227,7 @@ class FileDiskManager:
             if block in self._durable_blocks:
                 self._pending_free.append(block)
             else:
-                self._free_blocks.append(block)
+                bisect.insort(self._free_blocks, block)
 
     def _extent_is_durable(self, first_block: int, n_blocks: int) -> bool:
         return any(
@@ -338,9 +337,9 @@ class FileDiskManager:
         for first_block, n_blocks, _length in self._table.values():
             durable.update(range(first_block, first_block + n_blocks))
         self._durable_blocks = durable
-        self._free_blocks.extend(
-            block for block in self._pending_free if block not in durable
-        )
+        for block in self._pending_free:
+            if block not in durable:
+                bisect.insort(self._free_blocks, block)
         self._pending_free = []
 
     # -- pickling / reattachment -----------------------------------------------
@@ -362,6 +361,7 @@ class FileDiskManager:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self._free_blocks.sort()  # older engines kept it in release order
 
     def attach(self, path: str) -> None:
         """(Re)bind to the page file after a snapshot load.

@@ -579,6 +579,12 @@ class PagedObjectStore:
         self.pool.flush_all()
         state = dict(self.__dict__)
         del state["live"]
+        # the directory as one flat int list of (oid, page_no, slot_no)
+        # runs: a Rid per row would pickle, and load, one object per row
+        state["_directory"] = [
+            n for oid, rid in self._directory.items()
+            for n in (oid, rid.page_no, rid.slot_no)
+        ]
         state["_live"] = OrderedDict()
         state["_weak"] = None
         state["_pins"] = {}
@@ -588,6 +594,13 @@ class PagedObjectStore:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        directory = state["_directory"]
+        if directory.__class__ is list:  # older engines pickled the Rid dict
+            runs = iter(directory)
+            self._directory = {
+                oid: Rid(page_no, slot_no)
+                for oid, page_no, slot_no in zip(runs, runs, runs)
+            }
         self.live = MappingProxyType(self._directory)
         self._weak = weakref.WeakValueDictionary()
         if "codec" not in state:  # pickled by an engine that wrote full pickles

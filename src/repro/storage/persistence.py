@@ -18,6 +18,29 @@ Two format versions exist:
   footer LSN, which makes a crash between checkpoint-snapshot and
   log rotation harmless (replay skips what the snapshot already has).
 
+What the pickle holds, and in which form:
+
+* the catalog (schema types, named objects, index structures,
+  statistics), authorization and the object table, as the objects
+  themselves;
+* every reference set (``ref`` / ``own ref`` elements) as its member
+  OIDs, a plain int list in iteration order (``member_oids``); load
+  rebuilds the ``{oid: Ref}`` dict. ``own`` value sets pickle their
+  member list;
+* with the paged store, the OID → ``Rid`` directory as one flat int list
+  of ``(oid, page_no, slot_no)`` runs in directory order, next to the
+  disk manager's extent table and the record type table. Object records
+  themselves live in ``pages.data``, not in the snapshot.
+
+So the two row-sized structures cost a few bytes per row and no Python
+object per row at save; load builds only the rows' in-memory form
+(a ``Ref`` per member, a ``Rid`` per directory entry).
+
+Older forms that still read: reference sets pickled as a ``_members``
+list of ``Ref`` objects (with or without the ``_oids`` index slot of
+older engines), the directory pickled as a ``Rid`` dict, and everything
+``tests/storage/test_legacy_format.py`` opens.
+
 Limitations (documented, inherent to pickling): ADT classes and any
 Python callables registered with the engine (ADT function
 implementations, user-defined aggregates) must be importable module-level

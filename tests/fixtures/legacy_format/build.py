@@ -1,11 +1,13 @@
-"""Write the on-disk format fixture that ``tests/storage/test_legacy_format.py`` opens.
+"""Write an on-disk format fixture that ``tests/storage/test_legacy_format.py`` opens.
 
-The fixture pins data written by an *older* engine: run this script with
+A fixture pins data written by an *older* engine: run this script with
 that engine's ``src`` on ``PYTHONPATH``, never with the code under test::
 
-    PYTHONPATH=<old checkout>/src python tests/fixtures/legacy_format/build.py
+    PYTHONPATH=<old checkout>/src python tests/fixtures/legacy_format/build.py [OUT_DIR]
 
-It writes one durable data directory per store into this directory:
+It writes one durable data directory per store into ``OUT_DIR`` (default:
+this directory, the fixture of the engine from before reference sets were
+keyed by OID):
 
 * ``memory/`` — ``snapshot.db`` + ``wal.log``;
 * ``paged/``  — ``snapshot.db`` + ``wal.log`` + ``pages.data`` (file store).
@@ -88,15 +90,17 @@ def build(directory: str, storage: str) -> None:
         out.write("\n")
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    out_dir = os.path.abspath(argv[0]) if argv else HERE
+    os.makedirs(out_dir, exist_ok=True)
     # relative directories: the file store pickles its page-file path,
     # which should not name the machine the fixture was built on (open
     # re-attaches the store to the directory it is given)
-    os.chdir(HERE)
+    os.chdir(out_dir)
     for storage in ("memory", "paged"):
         build(storage, storage)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

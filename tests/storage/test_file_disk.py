@@ -3,6 +3,7 @@ writes, persistence across attach, and the page binary image."""
 
 import os
 import pickle
+import random
 
 import pytest
 
@@ -43,6 +44,16 @@ class TestPageImage:
         copy = Page.from_bytes(page.to_bytes())
         assert copy.size == page.size
         assert copy.read(slot) == big
+
+
+def _lowest_run(free: list[int], n_blocks: int):
+    """The block a run search must pick: the lowest start of
+    ``n_blocks`` contiguous free blocks (None when no run is long enough)."""
+    blocks = set(free)
+    for start in sorted(free):
+        if all(block in blocks for block in range(start, start + n_blocks)):
+            return start
+    return None
 
 
 class TestFileDisk:
@@ -195,3 +206,49 @@ class TestFileDisk:
         revived = pickle.loads(blob)
         with pytest.raises(StorageError):
             revived.attach(path)
+
+    def test_free_list_stays_ascending_and_runs_start_lowest(self, tmp_path):
+        """Releases (direct and through the checkpoint hand-over) keep the
+        free list sorted, and every multi-block allocation takes the
+        lowest-starting run that fits, as a search over the sorted list
+        would."""
+        disk = FileDiskManager(str(tmp_path / "pages.data"))
+        rng = random.Random(33)
+        pages: dict[int, Page] = {}
+        runs_checked = 0
+        for _step in range(600):
+            draw = rng.random()
+            if draw < 0.1:
+                disk.commit_checkpoint()
+            elif draw < 0.25 and pages:
+                page_no = rng.choice(sorted(pages))
+                del pages[page_no]
+                disk.free_page(page_no)
+            else:
+                if pages and draw < 0.6:
+                    page = pages[rng.choice(sorted(pages))]
+                else:
+                    size = BLOCK_SIZE * rng.randint(1, 3)
+                    page = disk.allocate_page(size=size)
+                    pages[page.page_no] = page
+                page.compact()
+                for slot_no, _data in list(page.records()):
+                    page.delete(slot_no)
+                page.insert(b"r" * rng.randint(1, page.size - 64))
+                n_blocks = -(-len(page.to_bytes()) // BLOCK_SIZE)
+                free = list(disk._free_blocks)
+                end = disk.block_count
+                before = disk._table.get(page.page_no)
+                disk.write_page(page)
+                first_block = disk._table[page.page_no][0]
+                if before is None or first_block != before[0]:  # allocated
+                    if n_blocks == 1:
+                        expected = free[-1] if free else end
+                    else:
+                        expected = _lowest_run(free, n_blocks)
+                        expected = end if expected is None else expected
+                        runs_checked += expected != end
+                    assert first_block == expected
+            assert disk._free_blocks == sorted(disk._free_blocks)
+            assert len(set(disk._free_blocks)) == len(disk._free_blocks)
+        assert runs_checked > 20  # the free list really was searched

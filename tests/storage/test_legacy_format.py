@@ -1,13 +1,20 @@
-"""Data directories written by an older engine still open.
+"""Data directories written by older engines still open.
 
-``tests/fixtures/legacy_format`` was written (see its ``build.py``) by the
-engine from before reference sets were keyed by OID. Its pickles hold the
-older forms of four things:
+Both fixture roots were written by ``tests/fixtures/legacy_format/build.py``
+with an older engine's ``src``.
+
+``legacy_format`` comes from the engine from before reference sets were
+keyed by OID. Its pickles hold the older forms of four things:
 
 * sets with list members plus an ``_oids`` index slot;
 * ``Ref`` and ``StoredObject`` as attribute-dict state;
 * hash-index buckets as Python sets;
 * an explicit ``_tombstones`` set on the object table.
+
+``rid_dict_format`` comes from the engine from just before snapshots
+wrote flat integers. It holds compact page records, but reference sets
+pickle a ``_members`` list of ``Ref`` objects and the paged store
+pickles its directory as an OID → ``Rid`` dict.
 
 Each store must open to exactly the canonical state the writing engine
 recorded, and keep working in the current format afterwards.
@@ -23,16 +30,18 @@ import pytest
 
 from repro.core.database import Database
 from repro.core.values import Ref
+from repro.storage.pages import Rid
 from repro.util.statedump import canonical_state
 
-FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "legacy_format"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOTS = ["legacy_format", "rid_dict_format"]
 STORES = ["memory", "paged"]
 
 
-def _open(tmp_path: Path, storage: str) -> tuple[Database, dict]:
+def _open(tmp_path: Path, root: str, storage: str) -> tuple[Database, dict]:
     """Open a private copy of one fixture directory (opening writes)."""
     directory = tmp_path / storage
-    shutil.copytree(FIXTURE / storage, directory)
+    shutil.copytree(FIXTURES / root / storage, directory)
     expected = json.loads((directory / "state.json").read_text(encoding="utf-8"))
     return Database.open(str(directory), storage=storage, fsync=False), expected
 
@@ -48,15 +57,16 @@ def _names(db: Database, set_name: str) -> list[str]:
     return sorted(row[0] for row in rows)
 
 
+@pytest.mark.parametrize("root", ROOTS)
 @pytest.mark.parametrize("storage", STORES)
 class TestLegacyDataDirectory:
-    def test_opens_to_the_recorded_state(self, tmp_path, storage):
-        db, expected = _open(tmp_path, storage)
+    def test_opens_to_the_recorded_state(self, tmp_path, root, storage):
+        db, expected = _open(tmp_path, root, storage)
         assert _canon(db) == expected
         db.close()
 
-    def test_loaded_values_use_the_current_representation(self, tmp_path, storage):
-        db, _expected = _open(tmp_path, storage)
+    def test_loaded_values_use_the_current_representation(self, tmp_path, root, storage):
+        db, _expected = _open(tmp_path, root, storage)
         emps = db.named("Emps").value
         assert isinstance(emps._members, dict)
         assert all(
@@ -76,10 +86,12 @@ class TestLegacyDataDirectory:
             d.index for d in db.catalog.indexes.all_indexes() if d.kind == "hash"
         ]
         assert all(isinstance(b, list) for b in hash_index._buckets.values())
+        if storage == "paged":
+            assert all(isinstance(rid, Rid) for rid in db.store._directory.values())
         db.close()
 
-    def test_keeps_working_and_reopens_in_the_current_format(self, tmp_path, storage):
-        db, _expected = _open(tmp_path, storage)
+    def test_keeps_working_and_reopens_in_the_current_format(self, tmp_path, root, storage):
+        db, _expected = _open(tmp_path, root, storage)
         db.execute('delete E from E in Emps where E.name = "e4"')
         db.execute('append to Stars (E) from E in Emps where E.name = "e0"')
         assert _names(db, "Stars") == ["e0", "e12", "e9"]
@@ -95,10 +107,11 @@ class TestLegacyDataDirectory:
         reopened.close()
 
 
-def test_both_stores_open_to_the_same_state(tmp_path):
+@pytest.mark.parametrize("root", ROOTS)
+def test_both_stores_open_to_the_same_state(tmp_path, root):
     states = []
     for storage in STORES:
-        db, _expected = _open(tmp_path, storage)
+        db, _expected = _open(tmp_path, root, storage)
         states.append(_canon(db))
         db.close()
     assert states[0] == states[1]
