@@ -94,6 +94,11 @@ class ObjectStore(Protocol):
         """Return the record for ``oid``; raise ``KeyError`` if absent."""
         ...
 
+    def record(self, oid: Oid) -> Optional[StoredObject]:
+        """Return the record for ``oid``, or ``None`` when it is not live:
+        one lookup that is both the liveness test and the fetch."""
+        ...
+
     def update(self, oid: Oid, record: StoredObject) -> None:
         """Replace the record stored under ``oid``."""
         ...
@@ -115,6 +120,8 @@ class MemoryObjectStore:
     def __init__(self) -> None:
         self._records: dict[Oid, StoredObject] = {}
         self.live = MappingProxyType(self._records)
+        #: the protocol's ``record``: the records dict's own ``get``
+        self.record = self._records.get
 
     def __getstate__(self) -> dict:
         return {"_records": self._records}
@@ -122,6 +129,7 @@ class MemoryObjectStore:
     def __setstate__(self, state: dict) -> None:
         self._records = state["_records"]
         self.live = MappingProxyType(self._records)
+        self.record = self._records.get
 
     def insert(self, oid: Oid, record: StoredObject) -> None:
         """Store ``record`` under a fresh ``oid``."""
@@ -233,10 +241,8 @@ class ObjectTable:
         This is the referential-integrity-friendly lookup: a reference to
         a deleted object reads as null (paper §2.2 / GEM semantics).
         """
-        try:
-            return self._store.fetch(oid).value
-        except KeyError:
-            return None
+        record = self._store.record(oid)
+        return None if record is None else record.value
 
     def record(self, oid: Oid) -> StoredObject:
         """Return the full stored record (value + ownership) for ``oid``."""
@@ -252,8 +258,8 @@ class ObjectTable:
     @property
     def store(self) -> ObjectStore:
         """The backing store (generated pipelines bind its ``live`` and
-        ``fetch`` once per call; ``fetch(oid).value`` with ``KeyError``
-        read as dead is :meth:`deref`)."""
+        ``record`` once per call; ``record(oid)`` read as dead when None
+        is :meth:`deref`)."""
         return self._store
 
     def was_allocated(self, oid: Oid) -> bool:

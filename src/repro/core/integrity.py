@@ -79,6 +79,10 @@ class IntegrityManager:
         """
         instance = TupleInstance(schema_type)
         oid = self._objects.register(instance, owner=owner, owner_name=owner_name)
+        # the owned components built below enter a bounded object cache
+        # and could evict this object, still clean and empty on its page,
+        # before its slots are marked dirty
+        self._objects.pin(oid)
         try:
             for name, raw in (values or {}).items():
                 spec = schema_type.attribute(name)
@@ -89,6 +93,8 @@ class IntegrityManager:
             # already owns) back out so no half-object leaks.
             self.delete_object(oid)
             raise
+        finally:
+            self._objects.unpin(oid)
         return Ref(oid)
 
     def _build_slot(self, spec: ComponentSpec, raw: Any, holder: Oid) -> Any:

@@ -42,12 +42,14 @@ from repro.core.schema import SchemaType
 from repro.core.types import (
     ArrayType,
     BOOLEAN,
+    CharType,
     ComponentSpec,
     FLOAT8,
     INT4,
     Semantics,
     SetType,
     TEXT,
+    TextType,
     TupleType,
     Type,
     common_numeric_type,
@@ -1845,8 +1847,11 @@ class Binder:
                 "object reference"
             )
         if not spec.type.is_assignable_from(value.type):
-            # numeric widening is checked dynamically; allow numerics
+            # numeric widening and a text's char(n) length are checked
+            # dynamically, at store time; allow them
             if is_numeric(spec.type) and is_numeric(value.type):
+                return
+            if isinstance(spec.type, CharType) and isinstance(value.type, TextType):
                 return
             raise BindError(
                 f"cannot assign {value.type} to attribute {attribute!r} of "

@@ -734,8 +734,11 @@ class _ExprLowering:
     lives in ``_m<level>`` and attribute reads off it share one
     dereference per row, ``_o<level>`` — safe because nothing can mutate
     the object store between two expression evaluations over the same
-    row. Global and partition aggregate references read the tables the
-    region's precompute filled, looked up once per call (``prologue``).
+    row. At a *typed* level (an object element, stamped by lowering) the
+    loop has already skipped dead members, so ``_o<level>`` is never
+    null. Global and partition aggregate references read the tables the
+    region's precompute filled, and parameters their ``ctx.params``
+    slot, once per call (``prologue``).
     """
 
     def __init__(self, ns: dict, enabled: bool, aggregates: dict):
@@ -744,8 +747,12 @@ class _ExprLowering:
         #: loop variable name → its level; grows as the generator opens
         #: nested loops, so an expression only sees enclosing variables
         self.loop_vars: dict[str, int] = {}
+        #: levels whose ``_o`` is a live object on every row
+        self.typed: set[int] = set()
         #: levels whose ``_o`` dereference a lowered expression read
         self.uses_object: set[int] = set()
+        #: levels whose member ``_m`` a lowered expression reads
+        self.uses_member: set[int] = set()
         #: aggregate_id → BoundAggregate of the global/partition
         #: aggregates whose tables this region's precompute fills
         self.aggregates = aggregates
@@ -753,6 +760,8 @@ class _ExprLowering:
         self.prologue: list[str] = []
         #: aggregate ids whose table lookup ``prologue`` already holds
         self.tables: set[int] = set()
+        #: parameter slots ``prologue`` binds as ``_pv<slot>``
+        self.params: set[int] = set()
         #: (level, attribute, ...) → register holding that attribute path
         #: of a loop variable, computed unconditionally earlier in the row
         self.paths: dict[tuple, str] = {}
@@ -774,8 +783,10 @@ class _ExprLowering:
         # forget the registers and per-call lookups they would have set
         paths = dict(self.paths)
         uses_object = set(self.uses_object)
+        uses_member = set(self.uses_member)
         prologue = len(self.prologue)
         tables = set(self.tables)
+        params = set(self.params)
         cond_depth = self.cond_depth
         buf: list[str] = []
         try:
@@ -783,15 +794,21 @@ class _ExprLowering:
         except _Unsupported:
             self.paths = paths
             self.uses_object = uses_object
+            self.uses_member = uses_member
             del self.prologue[prologue:]
             self.tables = tables
+            self.params = params
             self.cond_depth = cond_depth
             return None, None
         return buf, reg
 
     def _lower(self, node: BoundExpr, buf: list, i: str) -> str:
         if isinstance(node, Param):
-            return f"_params[{node.slot}]"
+            name = f"_pv{node.slot}"
+            if node.slot not in self.params:
+                self.params.add(node.slot)
+                self.prologue.append(f"{name} = _params[{node.slot}]")
+            return name
         if isinstance(node, Const):
             self.consts += 1
             name = f"_c{self.consts}"
@@ -823,6 +840,7 @@ class _ExprLowering:
         if level is not None:
             # scans and path loops yield only live members, and nothing
             # dies while this row's expressions run — no liveness re-check
+            self.uses_member.add(level)
             return f"_m{level}"
         out = self.new_tmp()
         buf.append(f"{i}{out} = env.get({node.name!r}, NULL)")
@@ -853,34 +871,59 @@ class _ExprLowering:
         return out
 
     def _lower_attr_read(self, node: AttrStep, buf: list, i: str) -> str:
+        out = self._read_slot(node, buf, i)
+        if node.is_object:
+            # a ref / own ref slot holds a Ref or null (check_slot); any
+            # other slot never holds a Ref, so it needs no liveness test
+            buf.append(f"{i}if {out} is not NULL and {out}.oid not in _live:")
+            buf.append(f"{i}    {out} = NULL")
+        return out
+
+    def _read_slot(self, node: AttrStep, buf: list, i: str) -> str:
+        """The stored slot value of ``node``, null when its base object
+        is null or dead; a reference it holds is not liveness-checked."""
+        obj, live = self._object_of(node.base, buf, i)
         out = self.new_tmp()
-        base = node.base
-        level = (
-            self.loop_vars.get(base.name) if isinstance(base, VarRef) else None
-        )
-        if level is not None:
+        if live:
+            buf.extend(_get_lines(out, obj, node.attribute, i))
+            return out
+        buf.append(f"{i}if {obj} is NULL:")
+        buf.append(f"{i}    {out} = NULL")
+        buf.append(f"{i}else:")
+        buf.extend(_get_lines(out, obj, node.attribute, f"{i}    "))
+        return out
+
+    def _object_of(self, node: BoundExpr, buf: list, i: str) -> tuple:
+        """``(register, live)``: the object ``node`` denotes (a
+        TupleInstance, or NULL for null, dead and non-object values);
+        ``live`` when the register is never NULL."""
+        if isinstance(node, VarRef) and node.name in self.loop_vars:
+            level = self.loop_vars[node.name]
             self.uses_object.add(level)
-            buf.append(f"{i}if _o{level} is NULL:")
+            return f"_o{level}", level in self.typed
+        if isinstance(node, AttrStep) and node.is_object:
+            # one record lookup is both the liveness test and the deref
+            key = self._path_key(node)
+            key = None if key is None else ("obj",) + key
+            if key is not None and key in self.paths:
+                return self.paths[key], False
+            ref = self._read_slot(node, buf, i)
+            out = self.new_tmp()
+            buf.append(f"{i}if {ref} is NULL:")
             buf.append(f"{i}    {out} = NULL")
             buf.append(f"{i}else:")
-            buf.extend(_get_lines(out, f"_o{level}", node.attribute, f"{i}    "))
-            buf.append(
-                f"{i}    if isinstance({out}, Ref) and {out}.oid not in _live:"
-            )
-            buf.append(f"{i}        {out} = NULL")
-            return out
-        base_reg = self._lower(base, buf, i)
-        buf.append(f"{i}{out} = {base_reg}")
+            buf.extend(_deref_lines(out, f"{i}    ", ref))
+            if key is not None and self.cond_depth == 0:
+                self.paths[key] = out
+            return out, False
+        value = self._lower(node, buf, i)
+        out = self.new_tmp()
+        buf.append(f"{i}{out} = {value}")
         buf.append(f"{i}if isinstance({out}, Ref):")
         buf.extend(_deref_lines(out, f"{i}    "))
-        buf.append(f"{i}    if {out} is not NULL:")
-        buf.extend(_get_lines(out, out, node.attribute, f"{i}        "))
-        buf.append(f"{i}elif isinstance({out}, TupleInstance):")
-        buf.extend(_get_lines(out, out, node.attribute, f"{i}    "))
-        buf.append(f"{i}else:")
+        buf.append(f"{i}elif not isinstance({out}, TupleInstance):")
         buf.append(f"{i}    {out} = NULL")
-        self._live_check(out, buf, i)
-        return out
+        return out, False
 
     def _lower_aggregate(self, node: AggregateRef, buf: list, i: str) -> str:
         """Mirror of ``Evaluator._eval_aggregate_ref`` for the global and
@@ -1066,8 +1109,20 @@ class _Unsupported(Exception):
 
 
 def _canonical(reg: str) -> str:
-    """``canonical_key`` of ``reg`` with its scalar case inline."""
-    return f"({reg} if {reg}.__class__ in _SELF_KEYED else canonical_key({reg}))"
+    """``canonical_key`` of ``reg`` with its scalar and Ref cases inline."""
+    return (
+        f"({reg} if {reg}.__class__ in _SELF_KEYED else "
+        f'("ref", {reg}.oid) if {reg}.__class__ is Ref else canonical_key({reg}))'
+    )
+
+
+def _set_members(reg: str, kind: str) -> str:
+    """What a loop of ``kind`` iterates over the SetInstance in ``reg``:
+    a reference set's own Refs (no copy; the loop skips dead ones), or a
+    list copy of its live members."""
+    if kind == "ref":
+        return f"{reg}._members.values()"
+    return f"{reg}.live_members(_live)"
 
 
 def _get_lines(reg: str, obj: str, attribute: str, i: str) -> list:
@@ -1082,14 +1137,13 @@ def _get_lines(reg: str, obj: str, attribute: str, i: str) -> list:
     ]
 
 
-def _deref_lines(reg: str, i: str) -> list:
-    """Statements replacing the Ref in ``reg`` by its object, or NULL
-    when it is dead: ``ObjectTable.deref`` on the per-call ``_fetch``."""
+def _deref_lines(reg: str, i: str, ref: Optional[str] = None) -> list:
+    """Statements setting ``reg`` to the object the Ref in ``ref``
+    (default: ``reg``) denotes, or NULL when it is dead: one lookup on
+    the per-call ``_record``."""
     return [
-        f"{i}try:",
-        f"{i}    {reg} = _fetch({reg}.oid).value",
-        f"{i}except KeyError:",
-        f"{i}    {reg} = NULL",
+        f"{i}{reg} = _record({ref or reg}.oid)",
+        f"{i}{reg} = NULL if {reg} is None else {reg}.value",
     ]
 
 
@@ -1241,13 +1295,17 @@ class _RegionGen:
         self.uses_row = self.project is None and sink is None
         #: loop level → its variable name
         self.level_vars: list[str] = []
+        #: loop level → what its ``for`` yields: "value" (any member,
+        #: Refs re-checked per row), "ref" (a Ref of an object element)
+        #: or "oid" (an index's OIDs)
+        self.level_kinds: list[str] = []
         #: id(op) → the local counting its output rows (aliases share)
         self.counters: dict[int, str] = {}
         #: id(op) → the counter of rows that re-open it (the inner side
         #: of a nested loop opens once per outer row)
         self.opened_by: dict[int, str] = {}
-        #: body lines: source text, or ("bind"|"deref", level, indent)
-        #: markers resolved once the whole body is known
+        #: body lines: source text, or (level, indent) markers of each
+        #: loop body's head, resolved once the whole body is known
         self.lines: list = []
         #: the region's hash joins, outermost first: their tables are
         #: read in this order before any row, as nested run_batches do
@@ -1285,17 +1343,55 @@ class _RegionGen:
         self.counters[id(op)] = name
         self.emit(indent, f"{name} += 1")
 
-    def open_loop(self, var: str, members: str, indent: str) -> str:
-        """``for`` over ``members`` binding ``var`` at a new level;
-        returns the body indent."""
+    def open_loop(
+        self, var: str, members: str, indent: str, kind: str = "value"
+    ) -> str:
+        """``for`` over ``members`` binding ``var`` at a new level of
+        ``kind`` (:attr:`level_kinds`); returns the body indent."""
         level = len(self.level_vars)
         self.level_vars.append(var)
+        self.level_kinds.append(kind)
         self.lowering.loop_vars[var] = level
-        self.emit(indent, f"for _m{level} in {members}:")
+        if kind != "value":
+            self.lowering.typed.add(level)
+        loop_var = f"_id{level}" if kind == "oid" else f"_m{level}"
+        self.emit(indent, f"for {loop_var} in {members}:")
         body = indent + "    "
-        self.lines.append(("bind", level, body))
-        self.lines.append(("deref", level, body))
+        self.lines.append((level, body))
         return body
+
+    def loop_head(self, level: int, indent: str) -> list:
+        """The first statements of loop ``level``'s body: skip a dead
+        member of a typed level, the one dereference every inline read
+        of the row shares, and the member's ``_row`` binding."""
+        lowering = self.lowering
+        kind = self.level_kinds[level]
+        m, o = f"_m{level}", f"_o{level}"
+        lines = []
+        if kind == "value":
+            if level in lowering.uses_object:
+                lines.append(f"{o} = {m}")
+                lines.append(f"if isinstance({o}, Ref):")
+                lines.extend(_deref_lines(o, "    "))
+                lines.append(f"elif not isinstance({o}, TupleInstance):")
+                lines.append(f"    {o} = NULL")
+        else:
+            # a dead member is skipped before it is counted, exactly as
+            # row mode's live-member list leaves it out
+            oid = f"_id{level}" if kind == "oid" else f"{m}.oid"
+            if level in lowering.uses_object:
+                lines.append(f"{o} = _record({oid})")
+                lines.append(f"if {o} is None:")
+                lines.append("    continue")
+                lines.append(f"{o} = {o}.value")
+            else:
+                lines.append(f"if {oid} not in _live:")
+                lines.append("    continue")
+            if kind == "oid" and (self.uses_row or level in lowering.uses_member):
+                lines.append(f"{m} = Ref(_id{level})")
+        if self.uses_row:
+            lines.append(f"_row[{self.level_vars[level]!r}] = {m}")
+        return [indent + line for line in lines]
 
     # -- region structure -------------------------------------------------
 
@@ -1331,36 +1427,40 @@ class _RegionGen:
         leaf = op.children[0] if partition is not None else op
         emit = self.emit
         if isinstance(leaf, plan.SeqScan):
+            kind = "ref" if leaf.is_object else "value"
             self.ns["_set_name"] = leaf.set_name
             emit(indent, "_collection = _db.named(_set_name).value")
-            emit(indent, "if isinstance(_collection, ArrayInstance):")
+            emit(indent, "if isinstance(_collection, SetInstance):")
+            emit(indent, f"    _members = {_set_members('_collection', kind)}")
+            emit(indent, "elif isinstance(_collection, ArrayInstance):")
             emit(indent, "    _members = _collection.live_slots(_live)")
-            emit(indent, "elif isinstance(_collection, SetInstance):")
-            emit(indent, "    _members = _collection.live_members(_live)")
             emit(indent, "else:")
             emit(indent, '    raise EvaluationError(f"{_set_name!r} is not a collection")')
             if partition is not None:
-                # range partitioning: slice the member list before any
-                # row work — the whole saving of a parallel scan (a
-                # passthrough when no worker shard is active)
+                # range partitioning: slice the live member list row
+                # mode slices before any row work — the whole saving of
+                # a parallel scan (a passthrough when no worker shard is
+                # active)
+                self.ns["_live_of"] = plan._live_of
                 emit(indent, "_ex = ctx.exchange")
                 emit(indent, "if _ex is not None:")
-                emit(indent, "    _members = list(_members)")
+                emit(indent, "    _members = _live_of(_collection, ctx)")
                 emit(indent, "    _mn = len(_members)")
                 emit(
                     indent,
                     "    _members = _members[(_ex.part * _mn) // _ex.dop"
                     " : ((_ex.part + 1) * _mn) // _ex.dop]",
                 )
-        else:  # IndexScan
+        else:  # IndexScan: an index holds OIDs only, so the level is typed
+            kind = "oid"
             self.ns["_descriptor"] = leaf.descriptor
             emit(indent, f"_key = {self.closure(leaf.key_expr)}(env, ctx)")
             emit(indent, "if _key is NULL:")
-            emit(indent, "    _members = []")
+            emit(indent, "    _members = ()")
             emit(indent, "else:")
             emit(indent, "    _index = _descriptor.index")
             if leaf.op == "=":
-                emit(indent, "    _oids = _index.search(_key)")
+                emit(indent, "    _members = _index.search(_key)")
             else:
                 emit(indent, '    if not getattr(_index, "supports_range", False):')
                 emit(indent, "        raise EvaluationError(")
@@ -1380,9 +1480,8 @@ class _RegionGen:
                         "    _pairs = _index.range_scan("
                         f"_key, None, include_low={include})",
                     )
-                emit(indent, "    _oids = [_oid for _k, _oid in _pairs]")
-            emit(indent, "    _members = [Ref(_o) for _o in _oids if _o in _live]")
-        inner = self.open_loop(leaf.var, "_members", indent)
+                emit(indent, "    _members = [_oid for _k, _oid in _pairs]")
+        inner = self.open_loop(leaf.var, "_members", indent, kind)
         self.count(leaf, inner)
         if partition is not None:
             # the partition's output equals the (already sliced) scan
@@ -1470,7 +1569,8 @@ class _RegionGen:
         """The ``for`` over a resolved path collection."""
         self.resolve_path(expand, indent)
         level = len(self.level_vars)
-        body = self.open_loop(expand.var, f"_ms{level}", indent)
+        kind = "ref" if expand.is_object else "value"
+        body = self.open_loop(expand.var, f"_ms{level}", indent, kind)
         self.count(expand, body)
         cont(body)
 
@@ -1495,11 +1595,13 @@ class _RegionGen:
     def resolve_path(self, expand: Any, indent: str) -> None:
         """Mirror of ``PathExpand._resolve_collection`` into
         ``_ms<level>``: an array walks its live non-null slots, a set its
-        live members, and a null, dangling or non-object step yields no
-        rows."""
+        live members (an object element's dead ones are skipped by the
+        loop), and a null, dangling or non-object step yields no rows."""
         level = len(self.level_vars)
         emit = self.emit
         parent_level = self.lowering.loop_vars.get(expand.parent)
+        # a typed parent is a live object: its first step needs no test
+        live = parent_level in self.lowering.typed
         if parent_level is not None:
             self.lowering.uses_object.add(parent_level)
             emit(indent, f"_p = _o{parent_level}")
@@ -1508,14 +1610,21 @@ class _RegionGen:
             emit(indent, "if isinstance(_p, Ref):")
             self.lines.extend(_deref_lines("_p", indent + "    "))
         for step in expand.steps:
+            if live:
+                self.lines.extend(_get_lines("_p", "_p", step, indent))
+                emit(indent, "if isinstance(_p, Ref):")
+                self.lines.extend(_deref_lines("_p", indent + "    "))
+                live = False
+                continue
             emit(indent, "if isinstance(_p, TupleInstance):")
             self.lines.extend(_get_lines("_p", "_p", step, indent + "    "))
             emit(indent, "    if isinstance(_p, Ref):")
             self.lines.extend(_deref_lines("_p", indent + "        "))
             emit(indent, "else:")
             emit(indent, "    _p = None")
+        kind = "ref" if expand.is_object else "value"
         emit(indent, "if isinstance(_p, SetInstance):")
-        emit(indent, f"    _ms{level} = _p.live_members(_live)")
+        emit(indent, f"    _ms{level} = {_set_members('_p', kind)}")
         emit(indent, "elif isinstance(_p, ArrayInstance):")
         emit(indent, f"    _ms{level} = _p.live_slots(_live)")
         emit(indent, "else:")
@@ -1595,7 +1704,7 @@ class _RegionGen:
         # table's store changes under checkpoint + reopen
         emit("        _store = ctx.objects.store")
         emit("        _live = _store.live")
-        emit("        _fetch = _store.fetch")
+        emit("        _record = _store.record")
         if self.aggregate is not None:
             # the tables must exist before any row is evaluated, exactly
             # as the row-mode Aggregate.open() precomputes them
@@ -1607,9 +1716,9 @@ class _RegionGen:
             # the build subtree runs as its own region (or its memo hits)
             self.ns[f"_hj{n}"] = join
             emit(f"        _tb{n} = _hj{n}._table_for(ctx)")
-        if self.lowering.prologue:
+        if self.lowering.tables:
             emit("        _tables = ctx.tables")
-            lines.extend("        " + line for line in self.lowering.prologue)
+        lines.extend("        " + line for line in self.lowering.prologue)
         if self.project is not None and self.project.unique:
             emit("        _seen = set()")
         if self.uses_row:
@@ -1617,20 +1726,8 @@ class _RegionGen:
         for line in self.lines:
             if isinstance(line, str):
                 lines.append(line)
-                continue
-            kind, level, indent = line
-            if kind == "bind" and self.uses_row:
-                lines.append(f"{indent}_row[{self.level_vars[level]!r}] = _m{level}")
-            elif kind == "deref" and level in self.lowering.uses_object:
-                # one dereference of the member shared by every inline
-                # attribute read (and path step) of this row
-                lines.append(f"{indent}_o{level} = _m{level}")
-                lines.append(f"{indent}if isinstance(_o{level}, Ref):")
-                lines.extend(_deref_lines(f"_o{level}", indent + "    "))
-                lines.append(
-                    f"{indent}elif not isinstance(_o{level}, TupleInstance):"
-                )
-                lines.append(f"{indent}    _o{level} = NULL")
+            else:
+                lines.extend(self.loop_head(*line))
 
         # --- loop epilogue: cooperative cancellation point ----------------
         # a fused region materializes its whole output in one call, so the

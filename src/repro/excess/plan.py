@@ -533,6 +533,13 @@ class _BindingOp(PlanOp):
     """Base for operators that bind one range variable in the shared
     environment, restoring any shadowed value on close."""
 
+    #: True when the binding's element is a first-class object (``ref`` /
+    #: ``own ref``): every member is a Ref, so fused code iterates the
+    #: set's Refs (an index's OIDs) and looks each record up once.
+    #: Stamped by :func:`_source_op`; the class default keeps plans
+    #: pickled without it on the generic path.
+    is_object = False
+
     def __init__(self, var: str) -> None:
         super().__init__()
         self.var = var
@@ -1961,6 +1968,7 @@ def _source_op(binding: RangeBinding, catalog: Any) -> PlanOp:
     operator always carries a non-None ``est_rows``.
     """
     source = binding.source
+    is_object = binding.element.semantics.is_object
     if isinstance(source, NamedSetSource):
         if binding.access == "index" and binding.index_descriptor is not None:
             op: PlanOp = IndexScan(binding)
@@ -1970,13 +1978,14 @@ def _source_op(binding: RangeBinding, catalog: Any) -> PlanOp:
                 if binding.est_base_rows is not None
                 else (1 if binding.index_op == "=" else max(1, cardinality // 3))
             )
-            return op
-        op = SeqScan(source.set_name, binding.name)
-        op.est_rows = (
-            binding.est_base_rows
-            if binding.est_base_rows is not None
-            else catalog.cardinality(source.set_name)
-        )
+        else:
+            op = SeqScan(source.set_name, binding.name)
+            op.est_rows = (
+                binding.est_base_rows
+                if binding.est_base_rows is not None
+                else catalog.cardinality(source.set_name)
+            )
+        op.is_object = is_object
         return op
     if isinstance(source, PathSource):
         op = PathExpand(source, binding.name)
@@ -1984,6 +1993,7 @@ def _source_op(binding: RangeBinding, catalog: Any) -> PlanOp:
         op.est_rows = (
             binding.est_base_rows if binding.est_base_rows is not None else 4
         )
+        op.is_object = is_object
         return op
     if isinstance(source, IteratorSource):
         op = FunctionScan(source, binding.name)

@@ -326,6 +326,13 @@ class PagedObjectStore:
         self._admit(oid, record, dirty=False)
         return record
 
+    def record(self, oid: Oid) -> Optional[StoredObject]:
+        """The live record for ``oid`` (faulted in through :meth:`fetch`),
+        or None when ``oid`` is not live."""
+        if oid in self._directory:
+            return self.fetch(oid)
+        return None
+
     def update(self, oid: Oid, record: StoredObject) -> None:
         """Mark ``oid`` dirty; serialization is deferred (write-back).
 

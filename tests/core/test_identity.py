@@ -171,6 +171,21 @@ class TestMemoryObjectStore:
         store.delete(1)
         assert 1 not in store
 
+    def test_record_reads_dead_as_none_and_survives_pickling(self):
+        import pickle
+
+        from repro.core.identity import StoredObject
+
+        store = MemoryObjectStore()
+        record = StoredObject(oid=1, value=make_instance())
+        store.insert(1, record)
+        assert store.record(1) is record
+        assert store.record(2) is None
+        copy = pickle.loads(pickle.dumps(store))
+        assert copy.record(1).oid == 1
+        copy.delete(1)
+        assert copy.record(1) is None
+
     def test_duplicate_insert_rejected(self):
         from repro.core.identity import StoredObject
         from repro.errors import StorageError

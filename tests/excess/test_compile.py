@@ -9,6 +9,7 @@ plan-cache / ablation plumbing of ``interpreter.compile_mode``.
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 
@@ -674,3 +675,93 @@ class TestSharedPlanSeam:
         for root in (plan.plan_root, function.bound.pipeline):
             assert _cache_modes(root, "_compiled") <= {False}
             assert _cache_modes(root, "_fused") <= {False}
+
+
+class TestSchemaTypedLoops:
+    """Fused code is generated from the static types: an object element's
+    loop iterates the set's Refs and looks each record up once, and a
+    read of a value attribute carries no dangling-reference check."""
+
+    @staticmethod
+    def source(db: Database, query: str) -> str:
+        db.interpreter.parallel_mode = "off"
+        return db.execute(query).pipeline_source
+
+    @staticmethod
+    def registers(source: str, attribute: str) -> list:
+        return re.findall(rf"(_t\d+) = _o0\._slots\['{attribute}'\]", source)
+
+    def test_value_reads_carry_no_checks(self, small_company):
+        source = self.source(
+            small_company,
+            "retrieve (E.name) from E in Employees where E.age > 60",
+        )
+        assert "live_members(" not in source
+        assert "_fetch(" not in source
+        assert "_record(_m0.oid)" in source
+        regs = self.registers(source, "age") + self.registers(source, "name")
+        assert len(regs) == 2
+        for reg in regs:
+            assert f"isinstance({reg}" not in source
+            assert f"{reg}.oid" not in source
+
+    def test_ref_step_is_one_record_lookup(self, small_company):
+        source = self.source(
+            small_company,
+            "retrieve (E.name, E.dept.floor) from E in Employees",
+        )
+        (dept,) = self.registers(source, "dept")
+        assert source.count(f"_record({dept}.oid)") == 1
+        assert f"{dept}.oid not in _live" not in source
+        assert source.count("_record(") == 2
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "retrieve (T.name, T.age) from T in Team",
+            "retrieve (T) from T in Team",
+            "retrieve (T) from T in Team where T.age > 5",
+            "retrieve (T.name) from T in TopTen",
+            "retrieve (T.name, K.name) from T in Team, K in T.kids",
+            "retrieve (n = count(T.name)) from T in Team",
+        ],
+    )
+    def test_dead_members_are_skipped(self, small_company, query):
+        """Deleting Sue takes her out of every named set, but her kids
+        die by cascade and stay in ``Team`` as dead members (and Sue in
+        the ``TopTen`` array); the typed loop skips them before counting,
+        as row mode's live-member list does."""
+        db = small_company
+        db.interpreter.parallel_mode = "off"
+        db.execute("create {ref Person} Team")
+        db.execute("append to Team (E) from E in Employees")
+        db.execute("append to Team (K) from E in Employees, K in E.kids")
+        db.execute('delete E from E in Employees where E.name = "Sue"')
+        team = db.named("Team").value
+        assert len(team.live_members(db.store.live)) == len(team) - 2
+        observed = []
+        for mode in ("row", "fused"):
+            db.interpreter.exec_mode = mode
+            result = db.execute(query)
+            observed.append(
+                (sorted(result.rows, key=repr), result.metrics["rows_scanned"])
+            )
+        assert observed[0] == observed[1]
+        names = {row[0] for row in observed[1][0]}
+        assert not names & {"Sue", "Tim", "Zoe"}
+
+    def test_dangling_ref_read_is_null(self, small_company):
+        """A ``ref`` slot read as a value keeps its liveness test: after
+        Toys is deleted, Sue's and Ann's ``dept`` read as null."""
+        db = small_company
+        db.interpreter.parallel_mode = "off"
+        db.execute('delete D from D in Departments where D.dname = "Toys"')
+        query = "retrieve (E.name, E.dept, E.dept.floor) from E in Employees"
+        observed = []
+        for mode in ("row", "fused"):
+            db.interpreter.exec_mode = mode
+            observed.append(sorted(db.execute(query).rows, key=repr))
+        assert observed[0] == observed[1]
+        assert [row[1:] for row in observed[1] if row[0] != "Bob"] == [
+            (NULL, NULL), (NULL, NULL)
+        ]

@@ -3,8 +3,9 @@
 
 import pytest
 
+from repro import Database
 from repro.core.values import NULL
-from repro.errors import BindError, IntegrityError
+from repro.errors import BindError, IntegrityError, TypeSystemError
 
 
 class TestAppend:
@@ -236,6 +237,44 @@ class TestReplace:
             small_company.execute(
                 "replace E (dept = 5) from E in Employees"
             )
+
+
+class TestReplaceCharLiteral:
+    """A text literal assigns to a ``char(n)`` attribute; its length is
+    checked when the value is stored, as ``append`` checks it."""
+
+    @pytest.fixture
+    def accts(self):
+        db = Database()
+        db.interpreter.parallel_mode = "off"
+        db.execute("define type Acct as (id: int4, note: char(8))")
+        db.execute("create {own ref Acct} Accts")
+        db.execute('append to Accts (id = 1, note = "a")')
+        db.execute('append to Accts (id = 2, note = "b")')
+        return db
+
+    @staticmethod
+    def notes(db):
+        return sorted(db.execute("retrieve (A.id, A.note) from A in Accts").rows)
+
+    def test_text_literal_assigns(self, accts):
+        accts.execute('replace A (note = "x") from A in Accts')
+        assert self.notes(accts) == [(1, "x"), (2, "x")]
+
+    def test_overlong_literal_fails_ad_hoc(self, accts):
+        with pytest.raises(TypeSystemError, match="char\\(8\\)"):
+            accts.execute('replace A (note = "123456789") from A in Accts')
+        assert self.notes(accts) == [(1, "a"), (2, "b")]
+
+    def test_overlong_literal_fails_on_shape_hit(self, accts):
+        accts.execute('replace A (note = "x") from A in Accts where A.id = 1')
+        hits = accts.interpreter.plan_cache.stats()["hits"]
+        with pytest.raises(TypeSystemError, match="char\\(8\\)"):
+            accts.execute(
+                'replace A (note = "abcdefghij") from A in Accts where A.id = 2'
+            )
+        assert accts.interpreter.plan_cache.stats()["hits"] == hits + 1
+        assert self.notes(accts) == [(1, "x"), (2, "b")]
 
 
 class TestSetStatement:

@@ -66,6 +66,30 @@ class TestPagedEngine:
         assert stats.misses > 0
         assert stats.evictions > 0
 
+    def test_inline_owned_components_survive_a_tiny_cache(self):
+        """Building an object's owned components admits them to the
+        object cache; the object itself, registered empty a moment
+        earlier, must not be evicted before its slots are written."""
+        import gc
+
+        db = Database(storage="paged", cache_capacity=2)
+        db.interpreter.parallel_mode = "off"
+        db.execute(
+            "define type Person as (name: char(20), age: int4, "
+            "kids: {own ref Person})"
+        )
+        db.execute("create {own ref Person} People")
+        db.insert(
+            "People", name="A", age=1,
+            kids=[{"name": f"a{k}", "age": k} for k in range(3)],
+        )
+        gc.collect()
+        rows = db.execute(
+            "retrieve (P.name, P.age, n = count(P.kids)) from P in People "
+            'where P.name = "A"'
+        ).rows
+        assert rows == [("A", 1, 3)]
+
 
 class TestSnapshotThroughExcess:
     def test_snapshot_preserves_everything(self, tmp_path, small_company):

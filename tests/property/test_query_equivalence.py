@@ -252,7 +252,13 @@ class TestEquivalences:
 def parallel_queries(draw):
     """Random single-variable retrieves for the parallel sweep: plain or
     error-prone targets, optionally sorted (order must survive the
-    exchange round-trip byte-identically)."""
+    exchange round-trip byte-identically), over ``Employees`` or over
+    ``Crew``, a reference set holding dead members."""
+    if draw(st.booleans()):
+        op = draw(operators)
+        age = draw(st.integers(min_value=0, max_value=66))
+        order = draw(st.sampled_from(["", " sort by C.age desc", " sort by C.name"]))
+        return f"retrieve (C.name, C.age) from C in Crew where C.age {op} {age}{order}"
     predicate = draw(predicates())
     if draw(st.booleans()):
         targets = f"E.name, E.salary / (E.age - {draw(ages)})"
@@ -269,7 +275,10 @@ def parallel_queries(draw):
 @pytest.fixture(scope="module")
 def parallel_company():
     """A 2-worker database whose partition threshold is lowered so even
-    the 40-row test sets produce dop=2 parallel plans."""
+    the 40-row test sets produce dop=2 parallel plans. ``Crew`` holds
+    every employee and kid; deleting the oldest employees leaves their
+    cascaded kids dead members of it, which a range partition must
+    slice exactly as the serial scan skips them."""
     import repro.core.statistics as statistics
 
     saved = statistics.PARALLEL_MIN_PARTITION_ROWS
@@ -277,6 +286,12 @@ def parallel_company():
     db = build_company_database(
         CompanyWorkload(departments=4, employees=40, seed=21)
     )
+    db.execute("create {ref Person} Crew")
+    db.execute("append to Crew (E) from E in Employees")
+    db.execute("append to Crew (K) from E in Employees, K in E.kids")
+    db.execute("delete E from E in Employees where E.age > 55")
+    crew = db.named("Crew").value
+    assert len(crew.live_members(db.store.live)) < len(crew)
     db.interpreter.workers = 2
     yield db
     statistics.PARALLEL_MIN_PARTITION_ROWS = saved
@@ -341,9 +356,11 @@ define type Stop as (place: char(20), minute: int4)
 define type Dept as (dname: char(20), floor: int4)
 define type Person as (name: char(20), age: int4, kids: {own ref Person})
 define type Emp as (salary: float8, dept: ref Dept, boss: ref Emp,
-                    stops: [] own Stop) inherits Person
+                    stops: [] own Stop, pals: {ref Emp}) inherits Person
 create {own ref Dept} Depts
 create {own ref Emp} Emps
+create {ref Person} Crew
+create {own Stop} Places
 """
 
 #: (age, salary or None for null, dept index, kid ages, stop minutes,
@@ -366,7 +383,10 @@ def nested_companies(draw):
     """``(departments, deleted departments, employees, deleted
     employees)``: deleting a department leaves its employees' ``dept``
     dangling (a null ``over`` key); deleting an employee leaves ``boss``
-    references dangling (a path step that yields no rows)."""
+    references dangling (a path step that yields no rows), a dead member
+    in the ``pals`` sets naming it, and its cascaded kids dead members
+    of the named ``{ref Person}`` set ``Crew`` (a deleted object leaves
+    every named set, but its owned components do not)."""
     departments = draw(st.integers(min_value=1, max_value=4))
     deleted = draw(st.sets(st.integers(0, departments - 1), max_size=2))
     employees = draw(employee_rows)
@@ -379,12 +399,18 @@ class Flag:
     boolean meets an ``int4`` in a comparison the binder accepts."""
 
 
-def build_nested_company(spec):
+def build_nested_company(spec, store="memory"):
+    """The nested company of ``spec`` on the memory store, or on a paged
+    store whose object cache is smaller than the data (so record
+    lookups fault objects back in)."""
     from repro import Database
     from repro.core.types import INT4
 
     departments, deleted, employees, fired = spec
-    db = Database()
+    if store == "paged":
+        db = Database(storage="paged", cache_capacity=4)
+    else:
+        db = Database()
     db.interpreter.parallel_mode = "off"
     db.execute(NESTED_SCHEMA)
     db.catalog.adts.define_adt("Flag", Flag)
@@ -407,7 +433,12 @@ def build_nested_company(spec):
             fields["salary"] = salary
         if boss is not None and boss < len(emps):
             fields["boss"] = emps[boss]
+            fields["pals"] = [emps[boss], emps[0]]
         emps.append(db.insert("Emps", **fields))
+        for m in stops:
+            db.execute(f'append to Places (place = "s{m % 7}", minute = {m})')
+    db.execute("append to Crew (E) from E in Emps")
+    db.execute("append to Crew (K) from E in Emps, K in E.kids")
     for d in sorted(deleted):
         db.execute(f'delete D from D in Depts where D.dname = "D{d}"')
     for n in sorted(fired):
@@ -451,6 +482,22 @@ def region_queries(draw):
                 "retrieve (a = E.age + count(E.kids), b = E.age) from E in Emps",
                 f"retrieve (E.name, E.age, K.age) from E in Emps, K in E.kids "
                 f"where K.age + count(E.kids) > {age}",
+                # reference sets holding dead members (typed loops skip
+                # them), and a value set (the generic loop)
+                f"retrieve (C.name, C.age) from C in Crew where C.age > {age}",
+                "retrieve (C.name, K.name) from C in Crew, K in C.kids",
+                "retrieve (C) from C in Crew",
+                "retrieve unique (C.age, n = count(C.name over C.age)) "
+                "from C in Crew",
+                f"retrieve (E.name, P.name, P.dept.floor) from E in Emps, "
+                f"P in E.pals where P.age > {cut - 20}",
+                "retrieve (E.name, P) from E in Emps, P in E.pals",
+                # a ref read as a value: a dangling one reads as null
+                "retrieve (E.name, E.boss, E.dept) from E in Emps",
+                f"retrieve (P.place, P.minute) from P in Places "
+                f"where P.minute >= {minute}",
+                "retrieve (m = max(P.minute), c = count(P.place)) "
+                "from P in Places",
             ]
         )
     )
@@ -494,6 +541,10 @@ def hash_join_queries(draw):
                 "where adult(E.age) = F.age % 2",
                 "retrieve (E.name, F.name) from E in Emps, F in Emps "
                 "where adult(E.age) = adult(F.age)",
+                "retrieve (C.name, E.name) from C in Crew, E in Emps "
+                "where C.name = E.name",
+                "retrieve (E.name, P.name, D.dname) from E in Emps, "
+                "P in E.pals, D in Depts where P.dept is D",
             ]
         )
     )
@@ -521,15 +572,19 @@ def _observed(db, query):
     )
 
 
+stores = st.sampled_from(["memory", "paged"])
+
+
 class TestFusedRegionEquivalence:
     @given(
         spec=nested_companies(),
         query=region_queries(),
         compile_mode=st.sampled_from(["closure", "off"]),
+        store=stores,
     )
     @settings(max_examples=80, deadline=None)
-    def test_fused_equals_row(self, spec, query, compile_mode):
-        db = build_nested_company(spec)
+    def test_fused_equals_row(self, spec, query, compile_mode, store):
+        db = build_nested_company(spec, store)
         interpreter = db.interpreter
         interpreter.exec_mode = "row"
         row = _observed(db, query)
@@ -541,10 +596,11 @@ class TestFusedRegionEquivalence:
         spec=nested_companies(),
         query=hash_join_queries(),
         compile_mode=st.sampled_from(["closure", "off"]),
+        store=stores,
     )
     @settings(max_examples=80, deadline=None)
-    def test_fused_hash_join_equals_row(self, spec, query, compile_mode):
-        db = build_nested_company(spec)
+    def test_fused_hash_join_equals_row(self, spec, query, compile_mode, store):
+        db = build_nested_company(spec, store)
         interpreter = db.interpreter
         interpreter.exec_mode = "row"
         interpreter.compile_mode = compile_mode

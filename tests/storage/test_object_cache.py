@@ -45,6 +45,18 @@ class TestBoundedCache:
         assert store.fetch(1).value.get("s") == "p1"
         assert store.cache_stats.faults == faults_before + 1
 
+    def test_record_faults_back_and_reads_dead_as_none(self):
+        store = make_store(2)
+        for oid in range(1, 6):
+            store.insert(oid, make_record(oid, f"p{oid}"))
+        gc.collect()
+        faults_before = store.cache_stats.faults
+        assert store.record(1).value.get("s") == "p1"
+        assert store.cache_stats.faults == faults_before + 1
+        store.delete(2)
+        assert store.record(2) is None
+        assert store.record(99) is None
+
     def test_lru_victim_selection(self):
         store = make_store(2)
         store.insert(1, make_record(1))
