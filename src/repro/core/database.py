@@ -341,16 +341,13 @@ class Database:
         collection = named.value
         if not isinstance(collection, SetInstance):
             raise TypeSystemError(f"{set_name!r} is not a set")
-        row = self._stats_row(member)
         self._index_delete(set_name, collection, member)
         removed = self.integrity.remove_member(
             named, collection, member, delete_owned=delete_owned
         )
         if removed:
             self.catalog.note_cardinality(set_name, -1)
-            self.catalog.statistics.observe_remove(
-                set_name, row, self._minmax_rescanner(set_name)
-            )
+            self.catalog.statistics.observe_remove(set_name)
             self.data_version += 1
         return removed
 
@@ -364,7 +361,6 @@ class Database:
         if not self.objects.is_live(reference.oid):
             return 0
         self.data_version += 1
-        row = self._stats_row(reference)
         for name in self.catalog.named_names():
             named = self.catalog.named(name)
             if isinstance(named.value, SetInstance) and named.value.contains(reference):
@@ -374,9 +370,7 @@ class Database:
                     undo.save_set(named.value)
                 named.value.remove(reference)
                 self.catalog.note_cardinality(name, -1)
-                self.catalog.statistics.observe_remove(
-                    name, row, self._minmax_rescanner(name)
-                )
+                self.catalog.statistics.observe_remove(name)
         return self.integrity.delete_object(reference.oid)
 
     def update_member(
@@ -395,23 +389,17 @@ class Database:
             for descriptor in self.catalog.indexes.indexes_on(set_name)
         ]
         old_keys = self._key_snapshot(instance, indexed)
-        old_row = {name: instance.get(name) for name in changes}
         self.apply_changes(instance, changes)
         new_keys = self._key_snapshot(instance, indexed)
         self.catalog.indexes.on_update(
             set_name, member.oid, old_keys.get, new_keys.get
         )
         new_row = {name: instance.get(name) for name in changes}
-        self.catalog.statistics.observe_update(
-            set_name, old_row, new_row, self._minmax_rescanner(set_name)
-        )
-        self.objects.mark_dirty(member.oid)
+        self.catalog.statistics.observe_update(set_name, new_row)
+        self.objects.mark_dirty(instance)
 
     def note_member_update(
-        self,
-        reference: Ref,
-        old_row: Optional[dict[str, Any]],
-        new_row: Optional[dict[str, Any]],
+        self, reference: Ref, new_row: Optional[dict[str, Any]]
     ) -> None:
         """Statistics upkeep for an attribute update applied outside
         :meth:`update_member` (the evaluator's replace/set paths apply
@@ -426,9 +414,7 @@ class Database:
             if isinstance(named.value, SetInstance) and named.value.contains(
                 reference
             ):
-                statistics.observe_update(
-                    name, old_row, new_row, self._minmax_rescanner(name)
-                )
+                statistics.observe_update(name, new_row)
 
     def apply_changes(self, instance: TupleInstance, changes: dict[str, Any]) -> None:
         """Write raw-form attribute changes into ``instance`` with full
@@ -455,7 +441,7 @@ class Database:
                     spec, raw, holder=holder
                 )
         if instance.oid is not None:
-            self.objects.mark_dirty(instance.oid)
+            self.objects.mark_dirty(instance)
         self.data_version += 1
 
     # -- indexes ----------------------------------------------------------------------------
@@ -611,8 +597,12 @@ class Database:
     def close(self) -> None:
         """Release durable-mode resources (the WAL file handle and, on
         the paged file store, the page file's, which reopens on next
-        use); a no-op for purely in-memory databases."""
+        use, and the clean records of the object cache, which fault back
+        in); a no-op for purely in-memory databases."""
         if self.durability is not None:
+            release = getattr(self.store, "release", None)
+            if release is not None:
+                release()
             self.durability.close()
             self.durability = None
             close_pages = getattr(getattr(self.store, "disk", None), "close", None)
@@ -693,42 +683,6 @@ class Database:
             for name, value in row.items()
             if value is NULL or isinstance(value, (int, float, str, bool, Ref))
         }
-
-    def _minmax_rescanner(self, set_name: str) -> Any:
-        """A single-attribute min/max rescan callback, used when a delete
-        removes an extremal value (keeps min/max exact, per-attribute
-        scan cost only when actually needed)."""
-
-        def rescan(attribute: str) -> Optional[tuple]:
-            try:
-                named = self.named(set_name)
-            except CatalogError:
-                return None
-            if not isinstance(named.value, SetInstance):
-                return None
-            low: Any = None
-            high: Any = None
-            for member in named.value.members():
-                row = self._stats_row(member)
-                value = row.get(attribute) if row else None
-                if value is None or value is NULL:
-                    continue
-                if not isinstance(value, (int, float, str)) or isinstance(
-                    value, bool
-                ):
-                    continue
-                try:
-                    if low is None or value < low:
-                        low = value
-                    if high is None or value > high:
-                        high = value
-                except TypeError:
-                    return None
-            if low is None:
-                return None
-            return (low, high)
-
-        return rescan
 
     def stats(self) -> dict[str, Any]:
         """A summary of engine state for diagnostics and benchmarks."""

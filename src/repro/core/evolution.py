@@ -201,8 +201,9 @@ def _patch_instances(
                     patch_tuple(member)
 
     for oid in list(database.objects.oids()):
-        patch_tuple(database.objects.fetch(oid))
-        database.objects.mark_dirty(oid)
+        instance = database.objects.fetch(oid)
+        patch_tuple(instance)
+        database.objects.mark_dirty(instance)
     for named_name in database.catalog.named_names():
         patch_value(database.catalog.named(named_name).value)
     return patched

@@ -291,9 +291,18 @@ class ObjectTable:
 
     # -- mutation -----------------------------------------------------------
 
-    def mark_dirty(self, oid: Oid) -> None:
-        """Write the (mutated in place) object back to the store."""
+    def mark_dirty(self, instance: "TupleInstance") -> None:
+        """Write ``instance`` — an object the caller mutated in place —
+        back to the store.
+
+        The store's record may hold another copy: a bounded cache evicts
+        a clean record nobody references, and a caller that kept only
+        the instance then sees a later fetch fault a fresh copy from the
+        page. The caller's instance carries the writes, so it becomes the
+        record's value."""
+        oid = instance.oid
         record = self.record(oid)
+        record.value = instance
         self._store.update(oid, record)
 
     def delete(self, oid: Oid) -> None:

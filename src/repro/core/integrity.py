@@ -81,13 +81,13 @@ class IntegrityManager:
         oid = self._objects.register(instance, owner=owner, owner_name=owner_name)
         # the owned components built below enter a bounded object cache
         # and could evict this object, still clean and empty on its page,
-        # before its slots are marked dirty
+        # before a failure below rolls back what it already owns
         self._objects.pin(oid)
         try:
             for name, raw in (values or {}).items():
                 spec = schema_type.attribute(name)
                 instance._slots[name] = self._build_slot(spec, raw, holder=oid)
-            self._objects.mark_dirty(oid)
+            self._objects.mark_dirty(instance)
         except Exception:
             # Creation failed part-way: roll the object (and anything it
             # already owns) back out so no half-object leaks.
@@ -243,8 +243,9 @@ class IntegrityManager:
         self._objects.delete(oid)
         deleted += 1
         if owner_oid is not None and self._objects.is_live(owner_oid):
-            self._remove_ref_from_holder(self._objects.fetch(owner_oid), oid)
-            self._objects.mark_dirty(owner_oid)
+            holder = self._objects.fetch(owner_oid)
+            self._remove_ref_from_holder(holder, oid)
+            self._objects.mark_dirty(holder)
         return deleted
 
     def _remove_ref_from_holder(self, holder: TupleInstance, oid: Oid) -> None:
@@ -400,7 +401,7 @@ class IntegrityManager:
         for oid in list(self._objects.oids()):
             instance = self._objects.fetch(oid)
             scrubbed += self._vacuum_tuple(instance)
-            self._objects.mark_dirty(oid)
+            self._objects.mark_dirty(instance)
         for name in self._catalog.named_names():
             named = self._catalog.named(name)
             scrubbed += self._vacuum_value(named.value)

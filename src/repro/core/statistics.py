@@ -6,13 +6,15 @@ and join-order decisions are made from tabular cost information
 
 - per-set: member count at analyze time, the ``data_version`` the
   statistics were built at, and a churn counter;
-- per-attribute: distinct-value count, null fraction, exact min/max,
-  and a small equi-depth histogram over numeric attributes.
+- per-attribute: distinct-value count, null fraction, min/max (exact
+  at analyze time), and a small equi-depth histogram over numeric
+  attributes.
 
 Statistics are built by an explicit ``analyze`` scan
 (:meth:`StatisticsManager.rebuild`) and kept *approximately* fresh by
-cheap incremental upkeep hooks on insert/remove/update: cardinality (in
-the catalog) and min/max stay exact, while distinct counts and
+O(1) incremental upkeep hooks on insert/remove/update: cardinality (in
+the catalog) stays exact, min/max widen on write and never shrink before
+the next analyze (a conservative range), while distinct counts and
 histograms drift until the churn since the last analyze exceeds
 ``STALE_CHURN_FRACTION`` of the analyzed cardinality — at which point
 the set is marked stale and the ``on_stale`` callback (wired to the
@@ -125,7 +127,7 @@ class SetStats:
     #: mutations observed since the analyze scan
     churn: int = 0
     #: histograms/distinct counts no longer trustworthy (churn exceeded
-    #: the threshold); min/max stay exact regardless
+    #: the threshold); min/max stay a superset of the data's range
     stale: bool = False
     attributes: dict[str, AttributeStats] = field(default_factory=dict)
 
@@ -259,104 +261,50 @@ class StatisticsManager:
     # -- incremental upkeep ------------------------------------------------------
 
     def observe_insert(self, set_name: str, row: Optional[dict]) -> None:
-        """Cheap upkeep after one member was inserted: widen min/max
-        (stays exact) and count churn."""
+        """Cheap upkeep after one member was inserted: widen min/max and
+        count churn."""
         stats = self._stats.get(set_name)
         if stats is None:
             return
         self._note(set_name)
-        if row:
-            for attribute, value in row.items():
-                attr = stats.attributes.get(attribute)
-                if attr is None or value is NULL or value is None:
-                    continue
-                try:
-                    if attr.minimum is None or value < attr.minimum:
-                        attr.minimum = value
-                    if attr.maximum is None or value > attr.maximum:
-                        attr.maximum = value
-                except TypeError:
-                    pass
+        self._widen(stats, row)
         self._bump_churn(stats)
 
-    def observe_remove(
-        self,
-        set_name: str,
-        row: Optional[dict],
-        rescan: Optional[Callable[[str], Optional[tuple]]] = None,
-    ) -> None:
-        """Upkeep after one member was removed: when an extremal value
-        left, re-derive exact min/max via ``rescan(attribute)`` (a
-        single-attribute scan provided by the database)."""
+    def observe_remove(self, set_name: str) -> None:
+        """Upkeep after one member was removed: count churn. Min/max do
+        not shrink until the next analyze — a range wider than the data
+        only makes estimates conservative, and re-deriving an exact
+        bound would scan the whole set."""
         stats = self._stats.get(set_name)
         if stats is None:
             return
         self._note(set_name)
-        if row:
-            for attribute, value in row.items():
-                attr = stats.attributes.get(attribute)
-                if attr is None or value is NULL or value is None:
-                    continue
-                if value == attr.minimum or value == attr.maximum:
-                    fresh = rescan(attribute) if rescan is not None else None
-                    if fresh is None:
-                        attr.minimum = None
-                        attr.maximum = None
-                    else:
-                        attr.minimum, attr.maximum = fresh
         self._bump_churn(stats)
 
-    def observe_update(
-        self,
-        set_name: str,
-        old_row: Optional[dict],
-        new_row: Optional[dict],
-        rescan: Optional[Callable[[str], Optional[tuple]]] = None,
-    ) -> None:
-        """Upkeep after an in-place member update: treat it as a remove
-        of the old values plus an insert of the new ones (one churn)."""
+    def observe_update(self, set_name: str, new_row: Optional[dict]) -> None:
+        """Upkeep after an in-place member update: widen min/max by the
+        new values (the old ones stay inside the range, see
+        :meth:`observe_remove`), one churn."""
         stats = self._stats.get(set_name)
         if stats is None:
             return
         self._note(set_name)
-        if old_row:
-            changed = {
-                k: v
-                for k, v in old_row.items()
-                if new_row is None or k in new_row
-            }
-            self._minmax_shrink(stats, changed, rescan)
-        if new_row:
-            for attribute, value in new_row.items():
-                attr = stats.attributes.get(attribute)
-                if attr is None or value is NULL or value is None:
-                    continue
-                try:
-                    if attr.minimum is None or value < attr.minimum:
-                        attr.minimum = value
-                    if attr.maximum is None or value > attr.maximum:
-                        attr.maximum = value
-                except TypeError:
-                    pass
+        self._widen(stats, new_row)
         self._bump_churn(stats)
 
-    def _minmax_shrink(
-        self,
-        stats: SetStats,
-        row: dict,
-        rescan: Optional[Callable[[str], Optional[tuple]]],
-    ) -> None:
-        for attribute, value in row.items():
+    @staticmethod
+    def _widen(stats: SetStats, row: Optional[dict]) -> None:
+        for attribute, value in (row or {}).items():
             attr = stats.attributes.get(attribute)
             if attr is None or value is NULL or value is None:
                 continue
-            if value == attr.minimum or value == attr.maximum:
-                fresh = rescan(attribute) if rescan is not None else None
-                if fresh is None:
-                    attr.minimum = None
-                    attr.maximum = None
-                else:
-                    attr.minimum, attr.maximum = fresh
+            try:
+                if attr.minimum is None or value < attr.minimum:
+                    attr.minimum = value
+                if attr.maximum is None or value > attr.maximum:
+                    attr.maximum = value
+            except TypeError:
+                pass
 
     def _bump_churn(self, stats: SetStats) -> None:
         stats.churn += 1

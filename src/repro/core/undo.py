@@ -398,7 +398,9 @@ class UndoLog:
         objects = self.db.objects
         for oid in self._dirty_oids:
             if objects.is_live(oid):
-                objects.mark_dirty(oid)
+                # pinned since the log touched it: fetch returns the
+                # instance the swaps wrote
+                objects.mark_dirty(objects.fetch(oid))
 
     def rollback(self) -> None:
         """Apply every record newest-first: live state returns to what it

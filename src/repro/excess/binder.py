@@ -297,6 +297,12 @@ class PathSource(BindingSource):
 
     parent: str = ""
     steps: list[str] = field(default_factory=list)
+    #: the component spec of each step, as the binder resolved it from
+    #: the schema (None when not stamped: fused code then tests the class
+    #: of each step's value)
+    specs: Optional[tuple[ComponentSpec, ...]] = field(
+        default=None, compare=False
+    )
 
 
 @dataclass
@@ -798,6 +804,7 @@ class Binder:
             raise BindError("nested range specification requires a path")
         current: Type = parent_type
         names: list[str] = []
+        specs: list[ComponentSpec] = []
         element: Optional[ComponentSpec] = None
         for index, step in enumerate(steps):
             if not isinstance(step, ast.AttributeStep):
@@ -811,6 +818,7 @@ class Binder:
                 )
             spec = current.attribute(step.name)
             names.append(step.name)
+            specs.append(spec)
             if isinstance(spec.type, (SetType, ArrayType)):
                 if index != len(steps) - 1:
                     raise BindError(
@@ -826,7 +834,7 @@ class Binder:
                 "range specification path must end at a set- or array-valued "
                 "attribute"
             )
-        return PathSource(parent=parent_name, steps=names), element
+        return PathSource(parent=parent_name, steps=names, specs=tuple(specs)), element
 
     def _implicit_set_binding(
         self, set_name: str, scope: Scope, query: BoundQuery
@@ -1594,7 +1602,9 @@ class Binder:
             parent = outer_scope.lookup(source.parent)
             if parent is not None:
                 self._clone_binding_into(parent, inner_scope, outer_scope)
-            source = PathSource(parent=source.parent, steps=list(source.steps))
+            source = PathSource(
+                parent=source.parent, steps=list(source.steps), specs=source.specs
+            )
         clone = RangeBinding(
             name=binding.name,
             source=source,

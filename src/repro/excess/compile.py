@@ -45,9 +45,9 @@ import operator
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro.core.schema import SchemaType
+from repro.core.types import ArrayType, CharType, FloatType, IntegerType, TextType
 from repro.core.values import (
     NULL,
-    PLAIN_SCALARS,
     ArrayInstance,
     Ref,
     SetInstance,
@@ -618,7 +618,7 @@ def _compile_aggregate_ref(node: AggregateRef) -> CompiledExpr:
     _eval_aggregate_ref``: an empty group yields the function's empty
     value, a ``None`` result reads as null); correlated references keep
     the interpreter callback, which owns their per-row memo."""
-    from repro.excess.evaluator import canonical_key
+    from repro.excess.evaluator import partition_key
 
     aggregate_id = node.aggregate_id
 
@@ -642,7 +642,8 @@ def _compile_aggregate_ref(node: AggregateRef) -> CompiledExpr:
 
         def run(env: dict, ctx: Any) -> Any:
             _mode, aggregate, computed = ctx.tables[aggregate_id]
-            return lookup(computed, canonical_key(key_fn(env, ctx)), aggregate)
+            key = partition_key(aggregate.inner_key)(key_fn(env, ctx))
+            return lookup(computed, key, aggregate)
 
         return CompiledExpr(run, key_full)
 
@@ -717,6 +718,53 @@ def compiled_label(full: bool, compiled: bool = True) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: arithmetic operators the fused lowering inlines
+_ARITH = ("+", "-", "*", "/", "%")
+
+
+def _family(node: BoundExpr) -> Optional[str]:
+    """``"num"`` (int/float) or ``"str"`` when every value of ``node`` is
+    null or a plain Python scalar of that family, as its static type
+    guarantees: a stored attribute value was type-checked when it was
+    written (``alter type`` bumps the epoch, so no plan outlives the
+    types it was bound against), a shape fixes each Param's literal
+    kind, and int/float arithmetic stays in its family. None for
+    everything else — booleans, enums, ADT values, references, and
+    results whose class no schema fixes (calls, aggregates)."""
+    if isinstance(node, Param):
+        static = node.type  # its literal kind (reading .value would pin it)
+    elif isinstance(node, Const):
+        cls = node.value.__class__
+        return "num" if cls in (int, float) else "str" if cls is str else None
+    elif isinstance(node, AttrStep) and not node.is_object:
+        static = node.type
+    elif isinstance(node, Unary) and node.op == "-":
+        return "num" if _family(node.operand) == "num" else None
+    elif isinstance(node, Binary) and node.kind == "arith" and node.op in _ARITH:
+        both = _family(node.left) == _family(node.right) == "num"
+        return "num" if both else None
+    else:
+        return None
+    if isinstance(static, (IntegerType, FloatType)):
+        return "num"
+    if isinstance(static, (CharType, TextType)):
+        return "str"
+    return None
+
+
+def _never_null(node: BoundExpr) -> bool:
+    """True when ``node`` of a scalar :func:`_family` is never null: a
+    Param (literals are never lifted as null), a non-null constant, and
+    arithmetic over those."""
+    if isinstance(node, Param):
+        return True
+    if isinstance(node, Const):
+        return node.value is not NULL
+    if isinstance(node, Unary):
+        return _never_null(node.operand)
+    if isinstance(node, Binary):
+        return _never_null(node.left) and _never_null(node.right)
+    return False
 
 
 class _ExprLowering:
@@ -739,6 +787,11 @@ class _ExprLowering:
     null. Global and partition aggregate references read the tables the
     region's precompute filled, and parameters their ``ctx.params``
     slot, once per call (``prologue``).
+
+    Value operations are specialised on the binder's static types: a
+    comparison of two operands of one scalar :func:`_family` is the bare
+    operator (null tested only on an operand that can be null), and a
+    key of such a value is the value itself (:meth:`table_key`).
     """
 
     def __init__(self, ns: dict, enabled: bool, aggregates: dict):
@@ -775,8 +828,10 @@ class _ExprLowering:
         self.tmp += 1
         return f"_t{self.tmp}"
 
-    def lower(self, node: BoundExpr, indent: str):
-        """``(statements, result_name)`` or ``(None, None)``."""
+    def lower(self, node: BoundExpr, indent: str, test: bool = False):
+        """``(statements, result_name)`` or ``(None, None)``; with
+        ``test``, the result is a condition that holds exactly when the
+        expression evaluates to True (a filter's test)."""
         if not self.enabled:
             return None, None
         # an abandoned lowering discards its statements, so it must also
@@ -790,7 +845,10 @@ class _ExprLowering:
         cond_depth = self.cond_depth
         buf: list[str] = []
         try:
-            reg = self._lower(node, buf, indent)
+            if test:
+                reg = self._lower_test(node, buf, indent)
+            else:
+                reg = self._lower(node, buf, indent)
         except _Unsupported:
             self.paths = paths
             self.uses_object = uses_object
@@ -871,12 +929,34 @@ class _ExprLowering:
         return out
 
     def _lower_attr_read(self, node: AttrStep, buf: list, i: str) -> str:
+        if not node.is_object:
+            # only a ref / own ref slot holds a Ref (check_slot): any other
+            # read needs no liveness test
+            return self._read_slot(node, buf, i)
+        slot = self._slot(node, buf, i)
+        key = self._path_key(node)
+        obj = None if key is None else self.paths.get(("obj",) + key)
+        out = self.new_tmp()
+        if obj is not None:
+            # a step through the slot already looked the record up
+            buf.append(f"{i}{out} = NULL if {obj} is NULL else {slot}")
+        else:
+            buf.append(
+                f"{i}{out} = {slot} if {slot} is not NULL "
+                f"and {slot}.oid in _live else NULL"
+            )
+        return out
+
+    def _slot(self, node: AttrStep, buf: list, i: str) -> str:
+        """:meth:`_read_slot`, read once per row for a loop variable's
+        path (a ``ref`` read as a value and stepped through)."""
+        key = self._path_key(node)
+        key = None if key is None else ("slot",) + key
+        if key in self.paths:
+            return self.paths[key]
         out = self._read_slot(node, buf, i)
-        if node.is_object:
-            # a ref / own ref slot holds a Ref or null (check_slot); any
-            # other slot never holds a Ref, so it needs no liveness test
-            buf.append(f"{i}if {out} is not NULL and {out}.oid not in _live:")
-            buf.append(f"{i}    {out} = NULL")
+        if key is not None and self.cond_depth == 0:
+            self.paths[key] = out
         return out
 
     def _read_slot(self, node: AttrStep, buf: list, i: str) -> str:
@@ -905,9 +985,9 @@ class _ExprLowering:
             # one record lookup is both the liveness test and the deref
             key = self._path_key(node)
             key = None if key is None else ("obj",) + key
-            if key is not None and key in self.paths:
+            if key in self.paths:
                 return self.paths[key], False
-            ref = self._read_slot(node, buf, i)
+            ref = self._slot(node, buf, i)
             out = self.new_tmp()
             buf.append(f"{i}if {ref} is NULL:")
             buf.append(f"{i}    {out} = NULL")
@@ -924,6 +1004,17 @@ class _ExprLowering:
         buf.append(f"{i}elif not isinstance({out}, TupleInstance):")
         buf.append(f"{i}    {out} = NULL")
         return out, False
+
+    @staticmethod
+    def table_key(reg: str, node: BoundExpr, by_oid: bool) -> str:
+        """The key of ``node``'s value in ``reg``: its OID (None for
+        null) when ``by_oid``, else its ``canonical_key`` — the value
+        itself for a scalar :func:`_family`, or the class dispatch."""
+        if by_oid:
+            return f"(None if {reg} is NULL else {reg}.oid)"
+        if _family(node) is None:
+            return _canonical(reg)
+        return reg if _never_null(node) else f"(_NULLKEY if {reg} is NULL else {reg})"
 
     def _lower_aggregate(self, node: AggregateRef, buf: list, i: str) -> str:
         """Mirror of ``Evaluator._eval_aggregate_ref`` for the global and
@@ -953,9 +1044,13 @@ class _ExprLowering:
                 )
         if aggregate.mode == "global":
             return value
+        from repro.excess.evaluator import oid_keyed
+
         key = self._lower(node.outer_key, buf, i)
+        # the producer's key function (evaluator.partition_key)
+        key = self.table_key(key, node.outer_key, oid_keyed(aggregate.inner_key))
         out = self.new_tmp()
-        buf.append(f"{i}{out} = {table}.get({_canonical(key)}, _MISS)")
+        buf.append(f"{i}{out} = {table}.get({key}, _MISS)")
         buf.append(f"{i}if {out} is _MISS:")
         buf.append(f"{i}    {out} = {empty}")
         buf.append(f"{i}elif {out} is None:")
@@ -967,21 +1062,31 @@ class _ExprLowering:
             return self._lower_bool(node, buf, i)
         if node.kind == "object" and node.op in ("is", "isnot"):
             return self._lower_object(node, buf, i)
+        typed = self._typed_compare(node, buf, i)
+        if typed is not None:
+            nullable, expr = typed
+            out = self.new_tmp()
+            if nullable:
+                tests = " or ".join(f"{reg} is NULL" for reg in nullable)
+                expr = f"NULL if {tests} else {expr}"
+            buf.append(f"{i}{out} = {expr}")
+            return out
         left = self._lower(node.left, buf, i)
         right = self._lower(node.right, buf, i)
         out = self.new_tmp()
         if node.kind == "compare" and node.enum_labels is None:
             if node.op in ("<", "<=", ">", ">="):
-                expr = [f"{out} = {left} {node.op} {right}"]
+                expr = f"{left} {node.op} {right}"
             elif node.op in ("=", "!="):
-                expr = self._equality(node, left, right, out)
+                negate = "not " if node.op == "!=" else ""
+                expr = f"{negate}_veq({left}, {right})"
             else:
                 raise _Unsupported
             buf.append(f"{i}if {left} is NULL or {right} is NULL:")
             buf.append(f"{i}    {out} = NULL")
             buf.append(f"{i}else:")
             buf.append(f"{i}    try:")
-            buf.extend(f"{i}        {line}" for line in expr)
+            buf.append(f"{i}        {out} = {expr}")
             buf.append(f"{i}    except TypeError as _exc:")
             buf.append(
                 f'{i}        raise EvaluationError('
@@ -994,7 +1099,7 @@ class _ExprLowering:
             buf.append(f"{i}else:")
             buf.append(f"{i}    {out} = str({left}) + str({right})")
             return out
-        if node.kind == "arith" and node.op in ("+", "-", "*", "/", "%"):
+        if node.kind == "arith" and node.op in _ARITH:
             buf.append(f"{i}if {left} is NULL or {right} is NULL:")
             buf.append(f"{i}    {out} = NULL")
             buf.append(f"{i}else:")
@@ -1030,19 +1135,37 @@ class _ExprLowering:
             return out
         raise _Unsupported
 
-    @staticmethod
-    def _equality(node: Binary, left: str, right: str, out: str) -> list:
-        """``=``/``!=`` of two non-null operands: plain ``==`` when both
-        are ``int``/``float``/``str`` (``value_equal``'s own early
-        return, so a ``bool`` still equals only a ``bool``), else
-        ``value_equal``."""
-        negate = node.op == "!="
-        return [
-            f"if {left}.__class__ in _SCALARS and {right}.__class__ in _SCALARS:",
-            f"    {out} = {left} {'!=' if negate else '=='} {right}",
-            "else:",
-            f"    {out} = {'not ' if negate else ''}_veq({left}, {right})",
+    def _typed_compare(self, node: BoundExpr, buf: list, i: str) -> Optional[tuple]:
+        """``(nullable operand registers, expression)`` of a comparison
+        of two plain scalars of one :func:`_family`, where the operator
+        is ``value_equal`` or the ordering itself and cannot raise; None
+        (nothing lowered) for any other node."""
+        if not (
+            isinstance(node, Binary)
+            and node.kind == "compare"
+            and node.enum_labels is None
+        ):
+            return None
+        family = _family(node.left)
+        if family is None or family != _family(node.right):
+            return None
+        left = self._lower(node.left, buf, i)
+        right = self._lower(node.right, buf, i)
+        nullable = [
+            reg
+            for reg, operand in ((left, node.left), (right, node.right))
+            if not _never_null(operand)
         ]
+        return nullable, f"{left} {'==' if node.op == '=' else node.op} {right}"
+
+    def _lower_test(self, node: BoundExpr, buf: list, i: str) -> str:
+        """A condition that holds exactly when ``node`` is True: a typed
+        comparison tested in place, anything else its register."""
+        typed = self._typed_compare(node, buf, i)
+        if typed is None:
+            return f"{self._lower(node, buf, i)} is True"
+        nullable, expr = typed
+        return " and ".join([f"{reg} is not NULL" for reg in nullable] + [expr])
 
     def _lower_bool(self, node: Binary, buf: list, i: str) -> str:
         left = self._lower(node.left, buf, i)
@@ -1152,6 +1275,7 @@ class FusedPipeline(NamedTuple):
 
     #: ``fn(ctx, env)`` — materializes the region's whole output: a list
     #: of rows or envs, or an aggregate sink's ``{key: [values]}`` groups
+    #: per aggregate
     fn: Callable[[Any, dict], Any]
     #: the generated Python source (``plan.pipeline_sources`` prepends
     #: the region's operator descriptions for ``Result.pipeline_source``)
@@ -1159,7 +1283,7 @@ class FusedPipeline(NamedTuple):
     #: "rows" when the region root is a Project (emits result tuples, or
     #: ``(row, sort_keys)`` pairs under a Sort); "envs" when the region
     #: emits environment dicts for a consumer operator; "sink" when it
-    #: feeds an aggregate's groups
+    #: feeds aggregates' groups (one table per aggregate)
     kind: str
     #: number of plan operators folded into the function
     ops: int
@@ -1198,21 +1322,22 @@ def fused_pipeline(op: Any, compiled: bool) -> Optional[FusedPipeline]:
 
 
 def aggregate_sink(
-    op: Any, aggregate: Any, compiled: bool
+    op: Any, aggregates: list, compiled: bool
 ) -> Optional[FusedPipeline]:
-    """The aggregate sink over ``op`` — the lowered inner pipeline of the
-    global or partition ``aggregate`` — or None when that pipeline is
-    not a plain fusable body (no Project, no Aggregate).
+    """The aggregate sink over ``op`` — the lowered inner pipeline the
+    global and partition ``aggregates`` share (``plan.shared_passes``) —
+    or None when that pipeline is not a plain fusable body (no Project,
+    no Aggregate).
 
-    The generated loop evaluates the argument (and the partition key)
-    inline per row, skips null values, and returns the ``{key:
-    [values]}`` groups the aggregate function is applied to — what
-    ``Evaluator._precompute_aggregates`` otherwise builds by draining
-    the pipeline's row snapshots.
+    The generated loop evaluates each argument (and partition key)
+    inline per row, skips null values, and returns one ``{key:
+    [values]}`` table per aggregate, in order — what ``Evaluator.
+    _precompute_aggregates`` otherwise builds by draining the
+    pipeline's row snapshots once.
     """
-    key = ("sink", bool(compiled))
+    key = ("sink", bool(compiled), tuple(a.aggregate_id for a in aggregates))
     return _cached_region(
-        op, key, lambda: _build_fused(op, bool(compiled), aggregate)
+        op, key, lambda: _build_fused(op, bool(compiled), aggregates)
     )
 
 
@@ -1250,9 +1375,9 @@ class _RegionGen:
     operators byte for byte.
     """
 
-    def __init__(self, ops: list, compiled: bool, sink: Any) -> None:
+    def __init__(self, ops: list, compiled: bool, sink: Optional[list]) -> None:
         from repro.excess import plan
-        from repro.excess.evaluator import _SELF_KEYED, canonical_key
+        from repro.excess.evaluator import NULL_KEY, _SELF_KEYED, canonical_key
 
         self.plan = plan
         self.ops = ops
@@ -1273,11 +1398,11 @@ class _RegionGen:
             "canonical_key": canonical_key,
             "_SELF_KEYED": _SELF_KEYED,
             "_veq": value_equal,
-            "_SCALARS": PLAIN_SCALARS,
             "_truth": _truth,
             "_ooid": _object_oid,
             "_MISS": _MISS,
             "_ONE": (None,),
+            "_NULLKEY": NULL_KEY,
         }
         aggregates = {}
         if self.aggregate is not None:
@@ -1530,34 +1655,28 @@ class _RegionGen:
         emit = self.emit
 
         def probe(at: str) -> None:
+            from repro.excess.evaluator import oid_keyed
+
             key = self.value(join.probe_key, at)
+            hk = f"_hk{n}"
             if join.join_op == "is":
                 # null keys take part (null is null); non-objects raise
-                emit(at, f"if {key} is NULL:")
-                emit(at, f'    _hk{n} = ("null",)')
-                emit(at, f"elif isinstance({key}, Ref) or (")
-                emit(at, f"    isinstance({key}, TupleInstance)")
-                emit(at, f"    and {key}.oid is not None")
-                emit(at, "):")
-                emit(at, f'    _hk{n} = ("ref", {key}.oid)')
-                emit(at, "else:")
-                emit(at, "    raise EvaluationError(")
-                emit(
-                    at,
-                    "        f\"'is'/'isnot' compares object references, "
-                    f"got {{{key}!r}}\"",
-                )
-                emit(at, "    )")
+                if oid_keyed(join.probe_key):
+                    emit(at, f"{hk} = _NULLKEY if {key} is NULL else {key}.oid")
+                else:
+                    emit(at, f'{hk} = _join_key({key}, "is")')
+            elif _family(join.probe_key) is not None:
+                # a typed scalar is its own key: null and NaN are never
+                # build keys (join_key drops them), so they find nothing
+                hk = key
             else:
-                # an int/float/str (not NaN) is its own key; anything
-                # else, null included, goes through join_key
-                emit(at, f"if {key}.__class__ in _SCALARS and {key} == {key}:")
-                emit(at, f"    _hk{n} = {key}")
-                emit(at, "else:")
-                emit(at, f'    _hk{n} = _join_key({key}, "=")')
-                emit(at, f"    if _hk{n} is None:")
-                emit(at, "        continue")
-            body = self.open_loop(join.var, f"_tb{n}.get(_hk{n}, ())", at)
+                emit(at, f'{hk} = _join_key({key}, "=")')
+                emit(at, f"if {hk} is None:")
+                emit(at, "    continue")
+            # an object build member is a Ref of a live object: the table
+            # is rebuilt after every write
+            kind = "ref" if join.is_object else "value"
+            body = self.open_loop(join.var, f"_tb{n}.get({hk}, ())", at, kind)
             self.count(join, body)
             cont(body)
 
@@ -1580,10 +1699,10 @@ class _RegionGen:
         """Apply ``filters`` (top-down list) bottom-up, then ``cont``."""
         for flt in reversed(filters):
             for predicate in flt.predicates:
-                stmts, reg = self.lowering.lower(predicate, indent)
+                stmts, test = self.lowering.lower(predicate, indent, test=True)
                 if stmts is not None:
                     self.lines.extend(stmts)
-                    self.emit(indent, f"if {reg} is not True:")
+                    self.emit(indent, f"if not ({test}):")
                 else:
                     self.uses_row = True
                     name = self.closure(predicate)
@@ -1609,6 +1728,13 @@ class _RegionGen:
             emit(indent, f"_p = env.get({expand.parent!r})")
             emit(indent, "if isinstance(_p, Ref):")
             self.lines.extend(_deref_lines("_p", indent + "    "))
+            if expand.specs is not None:
+                # the typed steps take an object or NULL
+                emit(indent, "elif not isinstance(_p, TupleInstance):")
+                emit(indent, "    _p = NULL")
+        if expand.specs is not None:
+            self.typed_path(expand, level, live, indent)
+            return
         for step in expand.steps:
             if live:
                 self.lines.extend(_get_lines("_p", "_p", step, indent))
@@ -1630,28 +1756,59 @@ class _RegionGen:
         emit(indent, "else:")
         emit(indent, f"    _ms{level} = ()")
 
+    def typed_path(self, expand: Any, level: int, live: bool, indent: str) -> None:
+        """:meth:`resolve_path` from the binder's step specs: ``_p``
+        holds a TupleInstance or NULL, a step's slot holds what its spec
+        says (a Ref or null for a reference, an instance or null
+        otherwise), and the last step a set or array — no class tests."""
+        emit = self.emit
+        for step, spec in zip(expand.steps, expand.specs):
+            at = indent
+            if not live:
+                emit(indent, "if _p is not NULL:")
+                at = indent + "    "
+            self.lines.extend(_get_lines("_p", "_p", step, at))
+            if spec.semantics.is_object:
+                emit(at, "if _p is not NULL:")
+                self.lines.extend(_deref_lines("_p", at + "    "))
+            live = False
+        collection = expand.specs[-1].type
+        if isinstance(collection, ArrayType):
+            members = "_p.live_slots(_live)"
+        else:
+            kind = "ref" if expand.is_object else "value"
+            members = _set_members("_p", kind)
+        emit(indent, f"_ms{level} = () if _p is NULL else {members}")
+
     # -- finishes ---------------------------------------------------------
 
     def finish(self, indent: str) -> None:
         emit = self.emit
         if self.sink is not None:
-            aggregate = self.sink
-            value = self.value(aggregate.argument, indent)
-            emit(indent, f"if {value} is not NULL:")
-            inner = indent + "    "
-            if aggregate.mode == "partition":
-                # the key is evaluated only for non-null values
-                self.lowering.cond_depth += 1
-                key = self.value(aggregate.inner_key, inner)
-                self.lowering.cond_depth -= 1
-                emit(inner, f"_k = {_canonical(key)}")
-                emit(inner, "_g = _groups.get(_k)")
-                emit(inner, "if _g is None:")
-                emit(inner, f"    _groups[_k] = [{value}]")
-                emit(inner, "else:")
-                emit(inner, f"    _g.append({value})")
-            else:
-                emit(inner, f"_append({value})")
+            from repro.excess.evaluator import oid_keyed
+
+            lowering = self.lowering
+            for j, aggregate in enumerate(self.sink):
+                value = self.value(aggregate.argument, indent)
+                emit(indent, f"if {value} is not NULL:")
+                inner = indent + "    "
+                if aggregate.mode == "partition":
+                    # the key is evaluated only for non-null values
+                    lowering.cond_depth += 1
+                    key = self.value(aggregate.inner_key, inner)
+                    lowering.cond_depth -= 1
+                    # evaluator.partition_key: one key function per aggregate
+                    key = lowering.table_key(
+                        key, aggregate.inner_key, oid_keyed(aggregate.inner_key)
+                    )
+                    emit(inner, f"_k = {key}")
+                    emit(inner, f"_g = _groups{j}.get(_k)")
+                    emit(inner, "if _g is None:")
+                    emit(inner, f"    _groups{j}[_k] = [{value}]")
+                    emit(inner, "else:")
+                    emit(inner, f"    _g.append({value})")
+                else:
+                    emit(inner, f"_append{j}({value})")
             return
         project = self.project
         if project is None:
@@ -1662,7 +1819,14 @@ class _RegionGen:
         regs = [self.value(t.expression, indent) for t in project.targets]
         emit(indent, f"_r = ({', '.join(regs)},)")
         if project.unique:
-            emit(indent, f"_k = ({''.join(_canonical(reg) + ', ' for reg in regs)})")
+            from repro.excess.evaluator import oid_keyed
+
+            keys = [
+                self.lowering.table_key(reg, t.expression, oid_keyed(t.expression))
+                for reg, t in zip(regs, project.targets)
+            ]
+            key = keys[0] if len(keys) == 1 else f"({', '.join(keys)})"
+            emit(indent, f"_k = {key}")
             emit(indent, "if _k in _seen:")
             emit(indent, "    continue")
             emit(indent, "_seen.add(_k)")
@@ -1691,10 +1855,15 @@ class _RegionGen:
             self.ns[f"_st{position}"] = region_op.stats
         lines: list[str] = ["def _fused(ctx, env):"]
         emit = lines.append
-        if self.sink is not None and self.sink.mode == "partition":
-            emit("    _groups = {}")
-        emit("    _out = []")
-        emit("    _append = _out.append")
+        if self.sink is None:
+            emit("    _out = []")
+            emit("    _append = _out.append")
+        for j, aggregate in enumerate(self.sink or ()):
+            if aggregate.mode == "partition":
+                emit(f"    _groups{j} = {{}}")
+            else:
+                emit(f"    _out{j} = []")
+                emit(f"    _append{j} = _out{j}.append")
         for index in range(self.n_counters):
             emit(f"    _n{index} = 0")
         emit("    try:")
@@ -1753,11 +1922,14 @@ class _RegionGen:
         if self.sink is None:
             emit("    return _out")
             kind = "rows" if self.project is not None else "envs"
-        elif self.sink.mode == "partition":
-            emit("    return _groups")
-            kind = "sink"
         else:
-            emit("    return {(): _out} if _out else {}")
+            tables = [
+                f"_groups{j}"
+                if aggregate.mode == "partition"
+                else f"({{(): _out{j}}} if _out{j} else {{}})"
+                for j, aggregate in enumerate(self.sink)
+            ]
+            emit(f"    return [{', '.join(tables)}]")
             kind = "sink"
 
         source = "\n".join(lines)

@@ -27,7 +27,7 @@ counters into :class:`ExecMetrics`. What remains here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.core.database import Database
 from repro.core.schema import SchemaType
@@ -97,6 +97,7 @@ from repro.excess.plan import (
     partition_hash,
     plan_ops,
     reset_stats,
+    shared_passes,
 )
 from repro.storage.spill import SpillFile
 from repro.excess.result import Result
@@ -147,13 +148,16 @@ class ExecMetrics:
 #: scalar types that are their own canonical key
 _SELF_KEYED = frozenset((str, int, float, bool))
 
+#: the canonical key of null (and the ``is``-join key of a null reference)
+NULL_KEY = ("null",)
+
 
 def canonical_key(value: Any) -> Any:
     """A hashable canonical form for grouping and duplicate elimination."""
     if type(value) in _SELF_KEYED:
         return value
     if value is NULL:
-        return ("null",)
+        return NULL_KEY
     if isinstance(value, Ref):
         return ("ref", value.oid)
     if isinstance(value, TupleInstance):
@@ -172,6 +176,28 @@ def canonical_key(value: Any) -> Any:
     except TypeError:
         return ("repr", repr(value))
     return value
+
+
+def oid_keyed(key: Optional[BoundExpr]) -> bool:
+    """True when a key expression (an ``over`` key, a ``unique`` target,
+    an ``is`` probe) is statically an object reference: a range variable
+    or attribute whose value is a Ref or null (a dangling reference
+    already reads as null), so its OID can key it."""
+    return key is not None and key.is_object and isinstance(key, (VarRef, AttrStep))
+
+
+def _oid_key(value: Any) -> Optional[int]:
+    return None if value is NULL else value.oid
+
+
+def partition_key(key: Optional[BoundExpr]) -> Callable[[Any], Any]:
+    """The one function that keys a partition aggregate's table, chosen
+    from the static type of its ``over`` key (``BoundAggregate.
+    inner_key``): an object reference keys by OID (None for null), any
+    other value by :func:`canonical_key`. Every producer of the table —
+    the fused sink, the drained, governed and parallel paths — and every
+    lookup of it use this choice."""
+    return _oid_key if oid_keyed(key) else canonical_key
 
 
 class Evaluator:
@@ -407,7 +433,7 @@ class Evaluator:
 
     def _mark_owner_dirty(self, owner: Any) -> None:
         if isinstance(owner, TupleInstance) and owner.oid is not None:
-            self.db.objects.mark_dirty(owner.oid)
+            self.db.objects.mark_dirty(owner)
 
     def _resolve_collection(
         self, target: CollectionTarget, env: Env, tables: dict
@@ -536,7 +562,6 @@ class Evaluator:
                 member_of.append(
                     (set_name, attributes, db._key_snapshot(instance, attributes))
                 )
-        old_row = {name: instance.get(name) for name in changes}
         db.apply_changes(instance, changes)
         for set_name, attributes, old_keys in member_of:
             new_keys = db._key_snapshot(instance, attributes)
@@ -544,7 +569,7 @@ class Evaluator:
                 set_name, reference.oid, old_keys.get, new_keys.get
             )
         new_row = {name: instance.get(name) for name in changes}
-        db.note_member_update(reference, old_row, new_row)
+        db.note_member_update(reference, new_row)
 
     def run_set(
         self, bound: BoundSetStatement, base_env: Optional[Env] = None
@@ -740,15 +765,20 @@ class Evaluator:
         :class:`~repro.excess.plan.Aggregate` operator calls this at
         open, before any downstream evaluation).
 
-        Arguments and partition keys are the operator's compiled
-        expressions. Its counters take the spill accounting for
-        EXPLAIN; an active governor adds cooperative timeout checks per
-        inner row and may spill the accumulating groups to disk
-        partitions (:meth:`_governed_aggregate`).
+        Aggregates whose inner iteration is the same share one pass
+        (:func:`shared_passes`), in every exec mode, so ``rows_scanned``
+        counts each pass once. Arguments and partition keys are the
+        operator's compiled expressions. Its counters take the spill
+        accounting for EXPLAIN; an active governor adds cooperative
+        timeout checks per inner row and may spill the accumulating
+        groups to disk partitions (:meth:`_governed_aggregates`).
         """
         tables = ctx.tables
         governor = self.governor
         fns = iter(op.compiled_exprs(ctx.compiled)[0])
+        #: aggregate_id → (compiled argument, compiled key or None)
+        compiled: dict[int, tuple] = {}
+        serial: list[BoundAggregate] = []
         for aggregate in op.query.aggregates:
             argument = next(fns)
             key = next(fns) if aggregate.inner_key is not None else None
@@ -765,40 +795,49 @@ class Evaluator:
                         aggregate.mode, aggregate, computed
                     )
                     continue
-            inner = self._aggregate_query(aggregate)
+            compiled[aggregate.aggregate_id] = (argument, key)
+            serial.append(aggregate)
+        for group in shared_passes(serial):
+            inner = self._aggregate_query(group[0])
+            fills = [
+                (
+                    aggregate,
+                    *compiled[aggregate.aggregate_id],
+                    partition_key(aggregate.inner_key),
+                )
+                for aggregate in group
+            ]
             if governor is not None:
-                computed = self._governed_aggregate(
-                    aggregate, inner, base_env, ctx, argument, key,
-                    governor, op.stats,
+                computed = self._governed_aggregates(
+                    fills, inner, base_env, ctx, governor, op.stats
                 )
             else:
-                groups = self._sink_groups(aggregate, inner, base_env, ctx)
+                groups = self._sink_groups(group, inner, base_env, ctx)
                 if groups is None:
-                    groups = self._drained_groups(
-                        aggregate, inner, base_env, ctx, argument, key
-                    )
-                computed = {
-                    group: aggregate.function.impl(values)
-                    for group, values in groups.items()
-                }
-            tables[aggregate.aggregate_id] = (aggregate.mode, aggregate, computed)
+                    groups = self._drained_groups(fills, inner, base_env, ctx)
+                computed = [
+                    {key: aggregate.function.impl(values) for key, values in table.items()}
+                    for aggregate, table in zip(group, groups)
+                ]
+            for aggregate, table in zip(group, computed):
+                tables[aggregate.aggregate_id] = (aggregate.mode, aggregate, table)
 
     def _sink_groups(
         self,
-        aggregate: BoundAggregate,
+        aggregates: list[BoundAggregate],
         inner: BoundQuery,
         base_env: Env,
         ctx: PlanContext,
-    ) -> Optional[dict]:
-        """``{key: [values]}`` from one generated loop over the inner
-        pipeline (:func:`~repro.excess.compile.aggregate_sink`), or None
-        when execution is row-at-a-time or the pipeline is not a fusable
-        body. Counters are reset and absorbed exactly as
-        :meth:`_run_plan` does for the drained path."""
+    ) -> Optional[list]:
+        """Each aggregate's ``{key: [values]}`` from one generated loop
+        over the shared inner pipeline (:func:`~repro.excess.compile.
+        aggregate_sink`), or None when execution is row-at-a-time or the
+        pipeline is not a fusable body. Counters are reset and absorbed
+        exactly as :meth:`_run_plan` does for the drained path."""
         if self.exec_mode == "row":
             return None
         plan = ensure_query_plan(inner, self.db.catalog)
-        sink = aggregate_sink(plan, aggregate, ctx.compiled)
+        sink = aggregate_sink(plan, aggregates, ctx.compiled)
         if sink is None:
             return None
         nested = plan.running > 0
@@ -813,90 +852,93 @@ class Evaluator:
                 self._absorb_stats(plan)
 
     def _drained_groups(
-        self,
-        aggregate: BoundAggregate,
-        inner: BoundQuery,
-        base_env: Env,
-        ctx: PlanContext,
-        argument: Any,
-        key_fn: Any,
-    ) -> dict:
-        """``{key: [values]}`` by draining the inner pipeline's rows and
-        evaluating the compiled argument (and partition key) per row."""
-        groups: dict[Any, list] = {}
-        partitioned = aggregate.mode == "partition"
+        self, fills: list, inner: BoundQuery, base_env: Env, ctx: PlanContext
+    ) -> list[dict]:
+        """Each aggregate's ``{key: [values]}`` by draining the shared
+        inner pipeline's rows once and evaluating every compiled
+        argument (and partition key) per row. ``fills`` holds one
+        ``(aggregate, argument, key_fn, key_of)`` per aggregate."""
+        groups: list[dict] = [{} for _ in fills]
         for env in self._query_rows(inner, base_env, ctx):
-            value = argument(env, ctx)
-            if value is NULL:
-                continue
-            key = canonical_key(key_fn(env, ctx)) if partitioned else ()
-            groups.setdefault(key, []).append(value)
+            for (_aggregate, argument, key_fn, key_of), table in zip(fills, groups):
+                value = argument(env, ctx)
+                if value is NULL:
+                    continue
+                key = key_of(key_fn(env, ctx)) if key_fn is not None else ()
+                table.setdefault(key, []).append(value)
         return groups
 
-    def _governed_aggregate(
+    def _governed_aggregates(
         self,
-        aggregate: BoundAggregate,
+        fills: list,
         inner: BoundQuery,
         base_env: Env,
         ctx: PlanContext,
-        argument: Any,
-        key_fn: Any,
         governor: ResourceGovernor,
         stats: Any,
-    ) -> dict:
-        """The governed accumulation path: timeout checks per inner row,
-        and group values spilled to hash partitions past the budget.
+    ) -> list[dict]:
+        """The governed accumulation path of one shared pass: timeout
+        checks per inner row, and group values spilled to hash
+        partitions past the budget. Returns each aggregate's computed
+        table.
 
-        Spilling preserves per-key value order (a key's values land in
-        one partition file, flushed prefix first, then streamed in
-        encounter order), so non-commutative aggregate functions see the
-        exact sequence the in-memory path feeds them. The computed table
-        is only ever read by key lookup, so its (partition-major) dict
-        order is unobservable.
+        Groups are keyed ``(position, key)`` by the aggregate's position
+        in ``fills``. Spilling preserves per-group value order (a group's
+        values land in one partition file, flushed prefix first, then
+        streamed in encounter order), so non-commutative aggregate
+        functions see the exact sequence the in-memory path feeds them.
+        The computed tables are only ever read by key lookup, so their
+        (partition-major) dict order is unobservable.
         """
         groups: dict[Any, list] = {}
         parts: Optional[list] = None
         reserved = 0
-        partitioned = aggregate.mode == "partition"
         try:
             for env in self._query_rows(inner, base_env, ctx):
                 governor.check_timeout("aggregate")
-                value = argument(env, ctx)
-                if value is NULL:
-                    continue
-                key = canonical_key(key_fn(env, ctx)) if partitioned else ()
-                if parts is None:
-                    cost = row_footprint(value)
-                    if governor.reserve(cost):
-                        reserved += cost
-                        groups.setdefault(key, []).append(value)
+                for position, (_aggregate, argument, key_fn, key_of) in enumerate(
+                    fills
+                ):
+                    value = argument(env, ctx)
+                    if value is NULL:
                         continue
-                    # over budget: spill what accumulated, then stream
-                    parts = [SpillFile() for _ in range(SPILL_PARTITIONS)]
-                    for gkey, values in groups.items():
-                        part = parts[partition_hash(gkey) % SPILL_PARTITIONS]
-                        for held in values:
-                            part.append((gkey, held))
-                    groups = {}
-                    governor.release(reserved)
-                    reserved = 0
-                    governor.spilled()
-                parts[partition_hash(key) % SPILL_PARTITIONS].append(
-                    (key, value)
-                )
-            if parts is None:
-                return {
-                    key: aggregate.function.impl(values)
-                    for key, values in groups.items()
-                }
-            computed: dict = {}
-            for part in parts:
-                pgroups: dict[Any, list] = {}
-                for key, value in part:
-                    pgroups.setdefault(key, []).append(value)
-                for key, values in pgroups.items():
-                    computed[key] = aggregate.function.impl(values)
-            if stats is not None:
+                    key = (
+                        position,
+                        key_of(key_fn(env, ctx)) if key_fn is not None else (),
+                    )
+                    if parts is None:
+                        cost = row_footprint(value)
+                        if governor.reserve(cost):
+                            reserved += cost
+                            groups.setdefault(key, []).append(value)
+                            continue
+                        # over budget: spill what accumulated, then stream
+                        parts = [SpillFile() for _ in range(SPILL_PARTITIONS)]
+                        for gkey, values in groups.items():
+                            part = parts[partition_hash(gkey) % SPILL_PARTITIONS]
+                            for held in values:
+                                part.append((gkey, held))
+                        groups = {}
+                        governor.release(reserved)
+                        reserved = 0
+                        governor.spilled()
+                    parts[partition_hash(key) % SPILL_PARTITIONS].append(
+                        (key, value)
+                    )
+
+            def regrouped(parts: list) -> Iterator[dict]:
+                # one spilled partition in memory at a time
+                for part in parts:
+                    pgroups: dict[Any, list] = {}
+                    for key, value in part:
+                        pgroups.setdefault(key, []).append(value)
+                    yield pgroups
+
+            computed: list[dict] = [{} for _ in fills]
+            for table in [groups] if parts is None else regrouped(parts):
+                for (position, key), values in table.items():
+                    computed[position][key] = fills[position][0].function.impl(values)
+            if parts is not None and stats is not None:
                 stats.spill_partitions += len(parts)
                 stats.spill_bytes += sum(p.bytes_written for p in parts)
             return computed
@@ -915,7 +957,9 @@ class Evaluator:
             return self._empty_aggregate(aggregate)
         if mode == "partition":
             assert node.outer_key is not None
-            key = canonical_key(self._eval(node.outer_key, env, tables))
+            key = partition_key(aggregate.inner_key)(
+                self._eval(node.outer_key, env, tables)
+            )
             if key in computed:
                 return self._null_if_none(computed[key])
             return self._empty_aggregate(aggregate)

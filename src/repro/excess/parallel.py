@@ -222,7 +222,7 @@ def run_aggregate_task(
 
     ``payload`` is ``(inner_query, argument, inner_key, agg_mode)`` —
     the aggregate's range-partitioned inner pipeline plus the
-    expressions to evaluate per row.  Returns ``({canonical_key: [raw
+    expressions to evaluate per row.  Returns ``({partition_key: [raw
     values, in row order]}, stats)``; the parent concatenates the value
     lists in part order and applies the aggregate function **once**, so
     even order-sensitive folds (float summation) are byte-identical to
@@ -231,9 +231,10 @@ def run_aggregate_task(
     inner, argument, inner_key, agg_mode = payload
     evaluator = _worker_evaluator(db, flags)
     evaluator.exchange = Shard(part, dop)
-    from repro.excess.evaluator import canonical_key
+    from repro.excess.evaluator import partition_key
 
     ctx = PlanContext(evaluator)
+    key_of = partition_key(inner_key)
     partitioned = agg_mode == "partition"
     fns = compile_all(
         [argument, inner_key] if partitioned else [argument], ctx.compiled
@@ -247,7 +248,7 @@ def run_aggregate_task(
         value = fns[0](env, ctx)
         if value is NULL:
             continue
-        key = canonical_key(fns[1](env, ctx)) if partitioned else ()
+        key = key_of(fns[1](env, ctx)) if partitioned else ()
         groups.setdefault(key, []).append(value)
     stats = [_stats_tuple(op.stats) for op in plan_ops(root)] if root else []
     return groups, stats

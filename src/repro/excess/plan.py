@@ -85,6 +85,7 @@ from repro.excess.binder import (
     AggregateRef,
     AttrStep,
     Binary,
+    BoundAggregate,
     BoundAppend,
     BoundExpr,
     BoundQuery,
@@ -134,6 +135,7 @@ __all__ = [
     "ExchangeBroadcast",
     "join_key",
     "partition_hash",
+    "shared_passes",
     "sort_rows",
     "parallelize_pipeline",
     "parallelize_query_block",
@@ -639,10 +641,16 @@ class PathExpand(_BindingOp):
 
     label = "PathExpand"
 
+    #: the binder's component spec of each step (None: not stamped, so
+    #: fused code tests each step value's class); class default for
+    #: plans pickled without it
+    specs = None
+
     def __init__(self, source: PathSource, var: str) -> None:
         super().__init__(var)
         self.parent = source.parent
         self.steps = list(source.steps)
+        self.specs = source.specs
 
     def describe(self, params: tuple = ()) -> str:
         path = ".".join([self.parent, *self.steps])
@@ -928,6 +936,10 @@ class HashJoin(PlanOp):
 
     label = "HashJoin"
 
+    #: True when the build binding's element is a first-class object:
+    #: every table member is then a Ref (see ``_BindingOp.is_object``)
+    is_object = False
+
     def __init__(
         self,
         outer: PlanOp,
@@ -937,6 +949,7 @@ class HashJoin(PlanOp):
     ) -> None:
         super().__init__([outer, build])
         self.var = binding.name
+        self.is_object = binding.element.semantics.is_object
         self.build_key = binding.hash_build_key
         self.probe_key = binding.hash_probe_key
         self.join_op = binding.hash_join_op
@@ -1311,6 +1324,25 @@ class Aggregate(PlanOp):
         self.stats.opens += 1
         ctx.evaluator._precompute_aggregates(self, env, ctx)
         yield from self._pull_batches(self.children[0], ctx, env, size)
+
+
+def shared_passes(aggregates: list[BoundAggregate]) -> list[list[BoundAggregate]]:
+    """Group global/partition aggregates whose inner iteration is the
+    same — equal range bindings and an equal aggregate-local ``where`` —
+    so that one loop fills every table of a group. Groups keep
+    first-occurrence order."""
+    passes: list[list[BoundAggregate]] = []
+    for aggregate in aggregates:
+        for group in passes:
+            if (
+                group[0].where == aggregate.where
+                and group[0].inner_bindings == aggregate.inner_bindings
+            ):
+                group.append(aggregate)
+                break
+        else:
+            passes.append([aggregate])
+    return passes
 
 
 # ---------------------------------------------------------------------------
@@ -1826,19 +1858,19 @@ def join_key(value: Any, op: str) -> Optional[Any]:
     same float object, which a dict lookup would match).  A boolean is
     keyed apart from the ``1``/``0`` it hashes equal to, because
     ``value_equal`` lets a boolean equal only a boolean.  Under ``is``,
-    null keys *do* participate — ``null is null`` is true (both denote
-    no object) — and non-objects raise exactly as nested-loop ``is``
-    would.
+    an object keys by its OID, null keys *do* participate (as
+    ``canonical_key(NULL)``) — ``null is null`` is true (both denote no
+    object) — and non-objects raise exactly as nested-loop ``is`` would.
     """
-    from repro.excess.evaluator import canonical_key
+    from repro.excess.evaluator import NULL_KEY, canonical_key
 
     if op == "is":
         if value is NULL:
-            return ("null",)
+            return NULL_KEY
         if isinstance(value, Ref):
-            return ("ref", value.oid)
+            return value.oid
         if isinstance(value, TupleInstance) and value.oid is not None:
-            return ("ref", value.oid)
+            return value.oid
         raise EvaluationError(
             f"'is'/'isnot' compares object references, got {value!r}"
         )
@@ -2605,17 +2637,21 @@ def pipeline_sources(
     for op in plan_ops(root):
         if not isinstance(op, Aggregate):
             continue
-        for aggregate in op.query.aggregates:
-            inner = aggregate.inner_query
-            if aggregate.mode == "correlated" or inner is None or inner.plan is None:
+        tabled = [a for a in op.query.aggregates if a.mode != "correlated"]
+        for group in shared_passes(tabled):
+            inner = group[0].inner_query
+            if inner is None or inner.plan is None:
                 continue
-            sink = aggregate_sink(inner.plan, aggregate, compiled)
+            sink = aggregate_sink(inner.plan, group, compiled)
             if sink is not None:
-                header = [
-                    f"# aggregate sink $agg{aggregate.aggregate_id} = "
-                    f"{aggregate.function.name}"
+                filled = ", ".join(
+                    f"$agg{aggregate.aggregate_id} = {aggregate.function.name}"
                     f"({describe_expr(aggregate.argument, params)})"
-                ] + [f"# {o.describe(params)}" for o in fusable_ops(inner.plan)]
+                    for aggregate in group
+                )
+                header = [f"# aggregate sink {filled}"] + [
+                    f"# {o.describe(params)}" for o in fusable_ops(inner.plan)
+                ]
                 sources.append("\n".join(header + [sink.source]))
     return "\n\n".join(sources)
 

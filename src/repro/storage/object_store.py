@@ -415,6 +415,18 @@ class PagedObjectStore:
             else:
                 self._dirty.discard(oid)
 
+    def release(self) -> None:
+        """Drop the cache's references to its clean, unpinned records —
+        what eviction would drop — so a closed database's objects are
+        freed as soon as nothing else holds them, not when the cyclic
+        collector reaches the database. Dirty and pinned records stay,
+        and a record a caller kept is still found through the weak
+        identity map."""
+        for oid in [
+            oid for oid in self._live if oid not in self._dirty and not self._pins.get(oid)
+        ]:
+            del self._live[oid]
+
     # -- pinning --------------------------------------------------------------------
 
     def pin(self, oid: Oid) -> None:

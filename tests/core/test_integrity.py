@@ -266,3 +266,78 @@ class TestRefSets:
         db.create_named("Team", own(SetType(ref(db.type("Employee")))))
         with pytest.raises(IntegrityError):
             db.insert("Team", name="A", age=30, salary=1.0)
+
+
+class TestSlotForms:
+    """Every raw form ``_build_slot`` and ``_element_value`` accept or
+    reject, on a type with a single ``own ref`` slot, an ``own`` tuple
+    holding a ``ref``, a fixed array and reference sets."""
+
+    @pytest.fixture
+    def db(self, db_with_schema):
+        from repro.core.types import ArrayType, TupleType
+
+        db = db_with_schema
+        person = db.type("Person")
+        db.define_type(
+            "Holder",
+            {
+                "name": own(char(10)),
+                "item": own_ref(person),
+                "pal": ref(person),
+                "spot": own(TupleType([("label", own(char(5))), ("who", ref(person))])),
+                "top": own(ArrayType(own(INT4), 2)),
+                "crew": own(SetType(ref(person))),
+                "gang": own(SetType(own_ref(person))),
+            },
+        )
+        db.create_named("Holders", own(SetType(own_ref(db.type("Holder")))))
+        return db
+
+    def test_null_and_owned_forms(self, db):
+        person = db.type("Person")
+        kept = db.integrity.create_object(person, {"name": "K"})
+        pal = db.integrity.create_object(person, {"name": "P"})
+        holder = db.insert(
+            "Holders",
+            name="h",
+            item=kept,
+            pal=None,
+            spot={"label": "x", "who": pal},
+            top=[1, 2],
+            crew=[pal],
+            gang=[{"name": "G"}],
+        )
+        value = db.objects.fetch(holder.oid)
+        assert value.get("pal") is NULL
+        assert db.objects.owner_of(kept.oid)[0] == holder.oid
+        assert value.get("spot").get("who") == pal
+        assert list(value.get("top")) == [1, 2]
+        inline = db.insert("Holders", name="i", item={"name": "new"})
+        child = db.objects.fetch(inline.oid).get("item")
+        assert db.objects.owner_of(child.oid)[0] == inline.oid
+
+    def test_rejected_forms(self, db):
+        person = db.type("Person")
+        with pytest.raises(TypeSystemError, match="too many initializers"):
+            db.insert("Holders", name="a", top=[1, 2, 3])
+        with pytest.raises(IntegrityError, match="existing objects"):
+            db.insert("Holders", name="b", crew=[{"name": "x"}])
+        with pytest.raises(IntegrityError, match="must be references"):
+            db.insert("Holders", name="c", gang=[7])
+        with pytest.raises(TypeSystemError):
+            db.insert("Holders", name="d", item=7)
+        assert db.integrity.create_object(person, {"name": "ok"})
+
+    def test_vacuum_scrubs_own_tuples_and_arrays(self, db):
+        from repro.core.types import ArrayType
+
+        person = db.type("Person")
+        db.create_named("Board", own(ArrayType(ref(person), 3)))
+        pal = db.integrity.create_object(person, {"name": "P"})
+        holder = db.insert("Holders", name="h", spot={"label": "x", "who": pal})
+        db.execute('set Board[2] = H.spot.who from H in Holders where H.name = "h"')
+        db.integrity.delete_object(pal.oid)
+        assert db.vacuum() >= 2
+        assert db.objects.fetch(holder.oid).get("spot").get("who") is NULL
+        assert db.named("Board").value.get(2) is NULL

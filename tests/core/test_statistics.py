@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Database
 from repro.core.statistics import (
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_NEQ_SELECTIVITY,
@@ -179,35 +180,36 @@ class TestIncrementalUpkeep:
         assert (attr.minimum, attr.maximum) == (10, 99)
         assert manager.get("S").churn == 1
 
-    def test_remove_extremal_triggers_rescan(self):
+    def test_remove_extremal_keeps_minmax(self):
+        """Min/max never shrink between analyze runs: removing the
+        maximum leaves the (now conservative) range as it was."""
         manager = StatisticsManager()
         manager.rebuild("S", rows_of([10, 20, 30]), 1)
-        manager.observe_remove("S", {"x": 30}, rescan=lambda a: (10, 20))
-        attr = manager.get("S").attributes["x"]
-        assert (attr.minimum, attr.maximum) == (10, 20)
-
-    def test_remove_interior_skips_rescan(self):
-        manager = StatisticsManager()
-        manager.rebuild("S", rows_of([10, 20, 30]), 1)
-
-        def boom(attribute):
-            raise AssertionError("rescan should not run")
-
-        manager.observe_remove("S", {"x": 20}, rescan=boom)
+        manager.observe_remove("S")
         attr = manager.get("S").attributes["x"]
         assert (attr.minimum, attr.maximum) == (10, 30)
+        assert manager.get("S").churn == 1
 
-    def test_remove_without_rescan_clears_minmax(self):
+    def test_update_widens_but_never_shrinks(self):
+        manager = StatisticsManager()
+        manager.rebuild("S", rows_of([10, 20, 30]), 1)
+        manager.observe_update("S", {"x": 5})
+        manager.observe_update("S", {"x": 15})
+        attr = manager.get("S").attributes["x"]
+        assert (attr.minimum, attr.maximum) == (5, 30)
+
+    def test_remove_of_the_last_value_keeps_minmax(self):
         manager = StatisticsManager()
         manager.rebuild("S", rows_of([10, 20]), 1)
-        manager.observe_remove("S", {"x": 20})
+        manager.observe_remove("S")
+        manager.observe_remove("S")
         attr = manager.get("S").attributes["x"]
-        assert attr.minimum is None and attr.maximum is None
+        assert (attr.minimum, attr.maximum) == (10, 20)
 
     def test_update_is_one_churn(self):
         manager = StatisticsManager()
         manager.rebuild("S", rows_of([10, 20]), 1)
-        manager.observe_update("S", {"x": 20}, {"x": 50}, rescan=lambda a: (10, 50))
+        manager.observe_update("S", {"x": 50})
         stats = manager.get("S")
         assert stats.churn == 1
         attr = stats.attributes["x"]
@@ -216,8 +218,8 @@ class TestIncrementalUpkeep:
     def test_upkeep_noop_when_never_analyzed(self):
         manager = StatisticsManager()
         manager.observe_insert("S", {"x": 1})
-        manager.observe_remove("S", {"x": 1})
-        manager.observe_update("S", {"x": 1}, {"x": 2})
+        manager.observe_remove("S")
+        manager.observe_update("S", {"x": 2})
         assert manager.get("S") is None
 
 
@@ -298,20 +300,21 @@ class TestDatabaseAnalyze:
         attr = company.catalog.statistics.get("Employees").attributes["age"]
         assert attr.maximum == 99
 
-    def test_delete_extremal_keeps_minmax_exact(self, company):
+    def test_delete_extremal_keeps_minmax_conservative(self, company):
+        """Deleting the oldest employee leaves the analyzed maximum in
+        place (a superset of the data's range) instead of rescanning."""
         company.analyze("Employees")
         stats = company.catalog.statistics.get("Employees")
         old_max = stats.attributes["age"].maximum
         company.execute(
             f"delete E from E in Employees where E.age = {old_max}"
         )
-        fresh = stats.attributes["age"].maximum
         remaining = company.execute(
             "retrieve (hi = max(E.age)) from E in Employees"
         ).scalar()
-        assert fresh == remaining != old_max
+        assert stats.attributes["age"].maximum == old_max > remaining
 
-    def test_update_keeps_minmax_exact(self, company):
+    def test_update_keeps_minmax_conservative(self, company):
         company.analyze("Employees")
         stats = company.catalog.statistics.get("Employees")
         old_max = stats.attributes["age"].maximum
@@ -321,7 +324,7 @@ class TestDatabaseAnalyze:
         remaining = company.execute(
             "retrieve (hi = max(E.age)) from E in Employees"
         ).scalar()
-        assert stats.attributes["age"].maximum == remaining
+        assert stats.attributes["age"].maximum == old_max > remaining
 
     def test_destroy_forgets_stats(self, company):
         company.analyze("Employees")
@@ -400,3 +403,29 @@ class TestTransactionInterplay:
         assert db.catalog.statistics.get("Employees").churn > churn_before
         db.abort()
         assert db.catalog.statistics.get("Employees").churn == churn_before
+
+
+class TestUpkeepCost:
+    def test_extremal_replace_faults_no_object(self):
+        """Replacing the row that holds an analyzed minimum is O(1)
+        statistics work: on a paged store whose object cache holds a
+        tenth of the set, the replace faults no object (a min/max
+        rescan would fault the whole set back in)."""
+        db = Database(storage="paged", cache_capacity=16)
+        db.interpreter.parallel_mode = "off"
+        db.execute(
+            "define type Acct as (id: int4, bal: float8) "
+            "create {own ref Acct} Accts "
+            "create index on Accts (id) using hash"
+        )
+        for n in range(160):
+            db.insert("Accts", id=n, bal=float(n))
+        db.execute("analyze Accts")
+        assert db.execute("retrieve (A.bal) from A in Accts where A.id = 0").rows == [
+            (0.0,)
+        ]
+        faults = db.store.cache_stats.faults
+        db.execute("replace A (bal = 500.0) from A in Accts where A.id = 0")
+        assert db.store.cache_stats.faults == faults
+        bal = db.catalog.statistics.get("Accts").attributes["bal"]
+        assert (bal.minimum, bal.maximum) == (0.0, 500.0)

@@ -14,6 +14,7 @@ import re
 import pytest
 
 from repro import Database
+from repro.core.types import INT4
 from repro.core.values import NULL
 from repro.errors import EvaluationError, ExcessError
 from repro.excess.binder import Binary, Const, Unary, VarRef
@@ -765,3 +766,128 @@ class TestSchemaTypedLoops:
         assert [row[1:] for row in observed[1] if row[0] != "Bob"] == [
             (NULL, NULL), (NULL, NULL)
         ]
+
+
+#: the eight statements of the benchmark's ``analytic_scan_mem`` workload
+ANALYTIC_TEMPLATES = {
+    "filter_scan":
+        "retrieve (E.name, E.salary) from E in Employees where E.age > 60",
+    "ref_path":
+        "retrieve (E.name, E.dept.floor) from E in Employees "
+        "where E.dept.floor = 3",
+    "unnest_kids":
+        "retrieve (E.name, K.name) from E in Employees, K in E.kids "
+        "where K.age > 16",
+    "group_avg":
+        "retrieve unique (E.dept.dname, a = avg(E.salary over E.dept)) "
+        "from E in Employees",
+    "global_agg":
+        "retrieve (a = avg(E.salary), m = max(E.salary)) from E in Employees",
+    "ref_join":
+        "retrieve (E.name, D.dname) from E in Employees, D in Departments "
+        "where E.dept is D and D.floor = 2",
+    "self_join":
+        "retrieve (E.name, F.name) from E in Employees, F in Employees "
+        "where E.salary = F.salary and E.age = 64 and F.age = 21",
+    "sort_top":
+        "retrieve (E.name, E.salary) from E in Employees where E.age = 40 "
+        "sort by E.salary desc, E.name",
+}
+
+
+class TestTypedValueCode:
+    """Fused value code is specialised on the binder's static types: a
+    comparison of two plain scalars is the bare operator, a key of one is
+    the value itself, an object key is its OID, typed object levels take
+    no class dispatch, and aggregates over one iteration share a pass."""
+
+    @staticmethod
+    def typed_registers(source: str) -> list:
+        """Registers holding a read of a plain-scalar or ``ref``
+        attribute."""
+        return re.findall(
+            r"(_t\d+) = _o\d+\._slots\['(?:name|age|salary|floor|dname|dept)'\]",
+            source,
+        )
+
+    @staticmethod
+    def loop_bodies(source: str) -> list:
+        """Each generated function's code from its first loop on."""
+        return [
+            function[function.index("    for "):]
+            for function in source.split("def _fused")[1:]
+        ]
+
+    @pytest.mark.parametrize("name", sorted(ANALYTIC_TEMPLATES))
+    def test_no_class_dispatch_on_typed_values(self, small_company, name):
+        source = TestSchemaTypedLoops.source(small_company, ANALYTIC_TEMPLATES[name])
+        assert "_SCALARS" not in source
+        assert "_veq(" not in source
+        registers = self.typed_registers(source)
+        assert registers
+        for reg in registers:
+            for dispatch in (
+                f"{reg}.__class__",
+                f"canonical_key({reg})",
+                f"isinstance({reg}",
+                f'("ref", {reg}',
+            ):
+                assert dispatch not in source
+        for body in self.loop_bodies(source):
+            assert "isinstance(" not in body
+            assert "except TypeError" not in body
+
+    def test_global_aggregates_share_one_sink(self, small_company):
+        db = small_company
+        db.interpreter.parallel_mode = "off"
+        query = ANALYTIC_TEMPLATES["global_agg"]
+        source = db.execute(query).pipeline_source
+        assert source.count("# aggregate sink") == 1
+        assert "# aggregate sink $agg1 = avg(E.salary), $agg2 = max(E.salary)" in source
+        scanned = {}
+        for mode in ("row", "fused"):
+            db.interpreter.exec_mode = mode
+            result = db.execute(query)
+            assert result.rows == [(50000.0, 60000.0)]
+            scanned[mode] = result.metrics["rows_scanned"]
+        assert scanned == {"row": 3, "fused": 3}
+
+    def test_ref_key_and_step_share_one_lookup(self, small_company):
+        """``group_avg`` reads ``E.dept`` as its ``over`` key and steps
+        through it to ``dname``: one slot read, one record lookup, and the
+        partition table keyed by OID."""
+        source = TestSchemaTypedLoops.source(
+            small_company, ANALYTIC_TEMPLATES["group_avg"]
+        )
+        outer = source.split("# aggregate sink")[0]
+        (dept,) = re.findall(r"(_t\d+) = _o0\._slots\['dept'\]", outer)
+        assert outer.count("_record(") == 2  # the scan's and the step's
+        assert f"{dept}.oid in _live" not in outer
+        assert ".oid), _MISS)" in outer
+        sink = source.split("# aggregate sink")[1]
+        assert "_k = (None if" in sink
+
+    def test_enum_and_adt_values_keep_the_generic_path(self):
+        """No schema fixes the Python class an enum comparison orders
+        by or an ADT function returns: both keep the generic code."""
+        db = Database()
+        db.interpreter.parallel_mode = "off"
+        db.execute(
+            "define type Job as (title: char(10), n: int4, "
+            "grade: enum (low, mid, high)) create {own ref Job} Jobs"
+        )
+        db.catalog.adts.define_adt("Flag", type("Flag", (), {}))
+        db.catalog.adts.define_function("Flag", "big", lambda n: n > 1, [INT4], None)
+        for n, grade in enumerate(["low", "high", "mid"]):
+            db.insert("Jobs", title=f"j{n}", n=n, grade=grade)
+        enum = db.execute(
+            'retrieve unique (J.grade) from J in Jobs where J.grade > "low"'
+        )
+        assert sorted(enum.rows) == [("high",), ("mid",)]
+        assert "_fn0(_row, ctx)" in enum.pipeline_source  # the enum compare
+        assert "_SELF_KEYED" in enum.pipeline_source  # the unique key
+        adt = db.execute(
+            "retrieve (J.title) from J in Jobs where big(J.n) = true"
+        )
+        assert adt.rows == [("j2",)]
+        assert "_fn0(_row, ctx)" in adt.pipeline_source

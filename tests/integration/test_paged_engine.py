@@ -91,6 +91,64 @@ class TestPagedEngine:
         assert rows == [("A", 1, 3)]
 
 
+class TestWritesOnATinyCache:
+    """Each write keeps the instance it mutates while its payload
+    dereferences other objects through a 2-object cache (so the target's
+    record can be evicted and dropped before it is marked dirty)."""
+
+    @staticmethod
+    def db():
+        import gc
+
+        db = Database(storage="paged", cache_capacity=2)
+        db.interpreter.parallel_mode = "off"
+        db.execute(
+            "define type Person as (name: char(20), age: int4, "
+            "kids: {own ref Person}, pal: ref Person)"
+        )
+        db.execute("create {own ref Person} People")
+        for n in range(6):
+            db.insert("People", name=f"p{n}", age=n)
+        for n in range(6):
+            db.execute(
+                f"replace P (pal = Q) from P in People, Q in People "
+                f'where P.name = "p{n}" and Q.name = "p{(n + 1) % 6}"'
+            )
+        gc.collect()
+        return db
+
+    @staticmethod
+    def ages(db):
+        return sorted(
+            db.execute("retrieve (P.name, P.age) from P in People").rows
+        )
+
+    def test_replace_reading_other_objects(self):
+        db = self.db()
+        db.execute("replace P (age = P.pal.pal.pal.age + 100) from P in People")
+        assert self.ages(db) == [
+            (f"p{n}", (n + 3) % 6 + 100) for n in range(6)
+        ]
+
+    def test_slot_set_reading_other_objects(self):
+        db = self.db()
+        db.execute("set P.age = P.pal.pal.age + 50 from P in People")
+        assert self.ages(db) == [(f"p{n}", (n + 2) % 6 + 50) for n in range(6)]
+
+    def test_insert_into_own_set_reading_other_objects(self):
+        db = self.db()
+        db.execute(
+            "append to P.kids (name = P.pal.pal.name, age = P.pal.age) "
+            "from P in People"
+        )
+        rows = db.execute(
+            "retrieve (P.name, K.name, K.age) from P in People, K in P.kids"
+        ).rows
+        assert sorted(rows) == [
+            (f"p{n}", f"p{(n + 2) % 6}", (n + 1) % 6) for n in range(6)
+        ]
+
+
 class TestSnapshotThroughExcess:
     def test_snapshot_preserves_everything(self, tmp_path, small_company):
         db = small_company

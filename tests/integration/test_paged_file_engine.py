@@ -147,6 +147,27 @@ class TestDurableFileStore:
             "retrieve (count(I.qty)) from I in Items").scalar() == 60
         recovered.close()
 
+    def test_close_releases_clean_cached_records(self, tmp_path):
+        """Closing keeps only the dirty records cached (so a dropped
+        database's objects need no cyclic collection to be freed); the
+        database still answers, and a record a caller kept is still the
+        one a fetch returns."""
+        db = open_database(str(tmp_path / "db"), storage="paged", cache_capacity=100)
+        db.execute("define type Item as (name: char(20), qty: int4)")
+        db.execute("create {own ref Item} Items")
+        refs = [db.insert("Items", name=f"it{i}", qty=i) for i in range(60)]
+        db.checkpoint()
+        db.execute('replace I (qty = 999) from I in Items where I.name = "it5"')
+        kept = db.store.fetch(refs[7].oid)
+        db.close()
+        assert list(db.store._live) == [refs[5].oid]
+        assert db.store.fetch(refs[7].oid) is kept
+        rows = db.execute("retrieve (I.name, I.qty) from I in Items").rows
+        assert sorted(rows) == sorted(
+            (f"it{i}", 999 if i == 5 else i) for i in range(60)
+        )
+        db.close()
+
     def test_incremental_checkpoint_writes_only_dirty_pages(self, tmp_path):
         directory = str(tmp_path / "db")
         # enough rows to span several pages of compact records

@@ -112,7 +112,7 @@ class TestIntegrityInvariants:
                 owner=parent.oid,
             )
             instance.get("kids").insert(kid)
-            db.objects.mark_dirty(parent.oid)
+            db.objects.mark_dirty(instance)
             created.append(kid)
             parent = kid
         deleted = db.delete(root)

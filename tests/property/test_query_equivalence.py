@@ -356,7 +356,8 @@ define type Stop as (place: char(20), minute: int4)
 define type Dept as (dname: char(20), floor: int4)
 define type Person as (name: char(20), age: int4, kids: {own ref Person})
 define type Emp as (salary: float8, dept: ref Dept, boss: ref Emp,
-                    stops: [] own Stop, pals: {ref Emp}) inherits Person
+                    stops: [] own Stop, pals: {ref Emp},
+                    grade: enum (low, mid, high)) inherits Person
 create {own ref Dept} Depts
 create {own ref Emp} Emps
 create {ref Person} Crew
@@ -364,11 +365,11 @@ create {own Stop} Places
 """
 
 #: (age, salary or None for null, dept index, kid ages, stop minutes,
-#: boss index or None)
+#: boss index or None); an int salary is stored in the ``float8`` slot
 employee_rows = st.lists(
     st.tuples(
         st.integers(min_value=20, max_value=66),
-        st.one_of(st.none(), st.sampled_from([10.0, 20.0, 30.0])),
+        st.one_of(st.none(), st.sampled_from([10.0, 20.0, 30.0, 20])),
         st.integers(min_value=0, max_value=3),
         st.lists(st.integers(min_value=1, max_value=18), max_size=3),
         st.lists(st.integers(min_value=0, max_value=60), max_size=3),
@@ -431,6 +432,8 @@ def build_nested_company(spec, store="memory"):
         }
         if salary is not None:
             fields["salary"] = salary
+        if n % 4:
+            fields["grade"] = ("low", "mid", "high")[n % 3]
         if boss is not None and boss < len(emps):
             fields["boss"] = emps[boss]
             fields["pals"] = [emps[boss], emps[0]]
@@ -550,6 +553,62 @@ def hash_join_queries(draw):
     )
 
 
+@st.composite
+def typed_queries(draw):
+    """Query templates whose fused code is specialised on static types,
+    with ``{op}`` and ``{age}`` left for the test to fill: every
+    comparison operator against an ``int4`` value the data holds (and a
+    float, string or ``float8`` literal) so ties occur, null salaries,
+    ints stored in the ``float8`` slot, a dangling ``dept`` read through,
+    arithmetic operands, global aggregates that share a pass beside one
+    with its own ``where``, ``over`` keys that are references (dangling
+    ones among them), ``unique`` over char and float columns holding
+    nulls, ``is`` joins whose build or probe set holds dead members, and
+    enum and ADT-function values, which keep the generic path."""
+    salary = draw(st.sampled_from(["20", "20.0", "15.5", "30"]))
+    name = draw(st.sampled_from(['"E1"', '"E1k0"', '"E"', '"zz"']))
+    floor = draw(st.integers(min_value=0, max_value=1))
+    return draw(
+        st.sampled_from(
+            [
+                "retrieve (E.name) from E in Emps where E.age {op} {age}",
+                "retrieve (E.name) from E in Emps where E.age {op} {age}.5",
+                "retrieve (E.name) from E in Emps where {age} {op} E.age",
+                "retrieve (E.name, E.salary) from E in Emps "
+                "where E.salary {op} " + salary,
+                "retrieve (K.name) from E in Emps, K in E.kids "
+                "where K.name {op} " + name,
+                "retrieve (E.name, K.age) from E in Emps, K in E.kids "
+                "where K.age * 2 {op} E.age - {age} + 30",
+                "retrieve (E.name) from E in Emps where -E.age {op} -{age}",
+                "retrieve (E.name, E.dept.dname) from E in Emps "
+                "where E.dept.floor {op} " + str(floor),
+                "retrieve (a = avg(E.salary), m = max(E.salary), "
+                "c = count(E.name where E.age {op} {age})) from E in Emps",
+                "retrieve (E.name, n = count(E.name over E.dept), "
+                "d = E.dept.dname) from E in Emps where E.age {op} {age}",
+                "retrieve unique (E.dept.dname, E.dept, "
+                "s = sum(E.salary over E.dept)) from E in Emps",
+                "retrieve unique (b = E.boss, n = count(E.name over E.boss)) "
+                "from E in Emps where E.age {op} {age}",
+                "retrieve unique (E.salary) from E in Emps where E.age {op} {age}",
+                "retrieve unique (E.dept.dname, E.salary) from E in Emps",
+                "retrieve (E.name, C.name) from E in Emps, C in Crew "
+                "where E.boss is C",
+                # the filter makes Crew, with its dead members, the build
+                "retrieve (E.name, C.name) from E in Emps, C in Crew "
+                "where E.boss is C and C.age {op} {age}",
+                "retrieve (E.name, C.name) from E in Emps, C in Crew "
+                "where E.name = C.name and C.age {op} {age}",
+                "retrieve (E.name) from E in Emps where adult(E.age) = true",
+                'retrieve (E.name) from E in Emps where E.grade {op} "mid"',
+                "retrieve unique (E.grade) from E in Emps",
+                "retrieve unique (a = adult(E.age)) from E in Emps",
+            ]
+        )
+    )
+
+
 def _observed(db, query):
     """Everything fused and row execution must agree on: rows (as a
     multiset unless the query sorts), the error message, rows scanned,
@@ -613,3 +672,25 @@ class TestFusedRegionEquivalence:
         interpreter.exec_mode = "row"
         nested = _observed(db, query)
         assert nested[:2] == row[:2]
+
+    @given(
+        spec=nested_companies(),
+        template=typed_queries(),
+        pick=st.integers(min_value=0, max_value=7),
+        compile_mode=st.sampled_from(["closure", "off"]),
+        store=stores,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_typed_value_code_equals_row(self, spec, template, pick, compile_mode, store):
+        """Every comparison operator, against an age the data holds."""
+        db = build_nested_company(spec, store)
+        employees = spec[2]
+        age = employees[pick % len(employees)][0] if employees else 40
+        interpreter = db.interpreter
+        interpreter.compile_mode = compile_mode
+        for op in ("=", "!=", "<", "<=", ">", ">="):
+            query = template.format(op=op, age=age)
+            interpreter.exec_mode = "row"
+            row = _observed(db, query)
+            interpreter.exec_mode = "fused"
+            assert _observed(db, query) == row, query

@@ -29,9 +29,6 @@ SCHEMA = [
     "create {ref Item} Picks",
     "create index on Items (name) using hash",
     "create index on Items (size) using btree",
-    # the long note a growing replace copies (a replace
-    # assigns a char attribute from another char attribute)
-    f'append to Items (name = "long", size = 0, note = "{"x" * 900}")',
 ]
 
 STORES = {
@@ -71,9 +68,9 @@ statements = st.one_of(
         names, sizes,
     ),
     st.builds(
-        "replace I (note = L.note) from I in Items, L in Items "
-        'where I.name = "{}" and L.name = "long"'.format,
+        'replace I (note = "{1}") from I in Items where I.name = "{0}"'.format,
         names,
+        st.integers(min_value=300, max_value=900).map(lambda n: "x" * n),
     ),
 )
 

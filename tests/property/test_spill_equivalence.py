@@ -46,6 +46,13 @@ def aggregate_queries(draw):
     fn = draw(st.sampled_from(["sum", "min", "max", "count"]))
     op = draw(operators)
     age = draw(ages)
+    if draw(st.booleans()):
+        # three aggregates over one iteration: one shared (spilling) pass
+        return (
+            f"retrieve unique (E.age, t = {fn}(E.salary over E.age), "
+            f"n = count(E.name over E.age), m = max(E.salary)) "
+            f"from E in Employees where E.age {op} {age}"
+        )
     return (
         f"retrieve unique (E.age, t = {fn}(E.salary over E.age)) "
         f"from E in Employees where E.age {op} {age}"

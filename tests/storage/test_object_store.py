@@ -107,8 +107,31 @@ class TestObjectTableOverPagedStore:
         instance = TupleInstance(t, {"n": 1})
         oid = table.register(instance)
         instance.set("n", 42)
-        table.mark_dirty(oid)
+        table.mark_dirty(instance)
         assert store.fetch_cold(oid).value.get("n") == 42
+
+    def test_mark_dirty_writes_the_instance_the_caller_holds(self):
+        """A caller holding only the TupleInstance while five other
+        objects pass through a 2-object cache: the record is evicted and
+        dropped, and mark_dirty must write the caller's instance, not a
+        copy faulted back from the page."""
+        import gc
+
+        from repro import Database
+
+        db = Database(storage="paged", cache_capacity=2)
+        db.execute("define type Acct as (id: int4, bal: float8)")
+        db.execute("create {own ref Acct} Accts")
+        refs = [db.insert("Accts", id=n, bal=0.0) for n in range(6)]
+        instance = db.objects.fetch(refs[0].oid)
+        for ref in refs[1:]:
+            db.objects.fetch(ref.oid)
+        gc.collect()
+        instance._slots["bal"] = 99.0
+        db.objects.mark_dirty(instance)
+        db.store.flush()
+        assert db.store.fetch_cold(refs[0].oid).value.get("bal") == 99.0
+        assert db.objects.fetch(refs[0].oid).get("bal") == 99.0
 
 
 class TestRecordFormat:
