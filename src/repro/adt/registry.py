@@ -97,6 +97,11 @@ class OperatorDef:
 class AdtRegistry:
     """Registry of ADTs, their functions, and their operators."""
 
+    #: bumped by every operator registration, so the interpreter rebuilds
+    #: its parse table and lexer symbols only when they may have changed
+    #: (a class default: registries pickled before it existed read 0)
+    operators_version = 0
+
     def __init__(self) -> None:
         self._adts: dict[str, AdtType] = {}
         #: (adt_name, function_name) → list of overloads
@@ -265,6 +270,7 @@ class AdtRegistry:
                     "precedence/associativity/fixity"
                 )
         entries.append(definition)
+        self.operators_version += 1
         return definition
 
     def operator_defs(self, symbol: str) -> list[OperatorDef]:

@@ -52,6 +52,20 @@ class NamedObject:
         return isinstance(self.spec.type, SetType)
 
 
+class _Epoch:
+    """The catalog's schema epoch as a counter of its own: the statistics
+    and index managers bump it without holding the catalog, so a dropped
+    catalog is freed by reference counting."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int = 0):
+        self.value = value
+
+    def bump(self) -> None:
+        self.value += 1
+
+
 class Catalog:
     """All name → definition mappings for one database."""
 
@@ -72,19 +86,27 @@ class Catalog:
         #: monotonically increasing schema version; any change that could
         #: invalidate a cached query plan bumps it (DDL, index create/drop,
         #: grants, session range re-declaration)
-        self._epoch = 0
+        self._epoch = _Epoch()
         #: tracked named-set cardinalities for optimizer cost decisions
         self._cardinalities: dict[str, int] = {}
         #: per-set attribute statistics (``analyze``); crossing the churn
         #: staleness threshold bumps the epoch so cached plans costed
         #: under the old histograms are dropped
-        self.statistics = StatisticsManager(on_stale=self.bump_epoch)
-        self.indexes.on_change = self.bump_epoch
+        self.statistics = StatisticsManager(on_stale=self._epoch.bump)
+        self.indexes.on_change = self._epoch.bump
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("undo", None)  # undo logs never survive pickling
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if not isinstance(self._epoch, _Epoch):
+            # a snapshot from before the counter: an int epoch, and
+            # managers wired to this catalog's bump_epoch
+            self._epoch = _Epoch(self._epoch)
+            self.statistics.on_stale = self.indexes.on_change = self._epoch.bump
 
     # -- plan-cache epoch -------------------------------------------------------
 
@@ -92,11 +114,11 @@ class Catalog:
     def epoch(self) -> int:
         """The current schema epoch; plans bound under an older epoch may
         be stale and must not be reused."""
-        return self._epoch
+        return self._epoch.value
 
     def bump_epoch(self) -> None:
         """Invalidate every plan bound against the current catalog state."""
-        self._epoch += 1
+        self._epoch.bump()
 
     # -- cardinality statistics -------------------------------------------------
 

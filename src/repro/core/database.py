@@ -142,6 +142,8 @@ class Database:
 
             manager = TransactionManager(self)
             self.__dict__["_transactions"] = manager
+        elif manager.db is None:  # closed, now used again
+            manager.attach(self)
         return manager
 
     @property
@@ -150,6 +152,8 @@ class Database:
         ``db.execute`` / ``db.begin`` call without an explicit session
         runs here, preserving the seed's one-session semantics."""
         session = self.__dict__.get("_default_session")
+        if session is not None and session.db is None:
+            self.transactions  # closed, now used again: links the sessions
         if session is None or session.closed:
             session = self.transactions.create_session(
                 self.authz.directory.dba, name="default", is_default=True
@@ -518,11 +522,14 @@ class Database:
     @property
     def interpreter(self) -> Any:
         """The (lazily constructed) EXCESS statement interpreter."""
-        if self._interpreter is None:
+        interpreter = self._interpreter
+        if interpreter is None:
             from repro.excess.interpreter import Interpreter
 
-            self._interpreter = Interpreter(self)
-        return self._interpreter
+            interpreter = self._interpreter = Interpreter(self)
+        elif interpreter.db is None:  # closed, now used again
+            interpreter.attach(self)
+        return interpreter
 
     def execute(self, text: str, user: Optional[str] = None) -> Any:
         """Parse and run one or more EXCESS statements; returns the result
@@ -598,7 +605,12 @@ class Database:
         """Release durable-mode resources (the WAL file handle and, on
         the paged file store, the page file's, which reopens on next
         use, and the clean records of the object cache, which fault back
-        in); a no-op for purely in-memory databases."""
+        in), and unlink the interpreter, transaction manager and
+        sessions, which point back at this database: dropped after
+        ``close()``, a database is freed by reference counting, not left
+        to the cyclic collector.  A closed database stays usable: its
+        accessors (``execute``, ``interpreter``, ``transactions``,
+        ``default_session``, ``connect``) link them again."""
         if self.durability is not None:
             release = getattr(self.store, "release", None)
             if release is not None:
@@ -608,6 +620,11 @@ class Database:
             close_pages = getattr(getattr(self.store, "disk", None), "close", None)
             if close_pages is not None:
                 close_pages()
+        if self._interpreter is not None:
+            self._interpreter.attach(None)
+        manager = self.__dict__.get("_transactions")
+        if manager is not None:
+            manager.attach(None)
 
     # -- misc -------------------------------------------------------------------------------------------
 

@@ -279,6 +279,13 @@ class TransactionManager:
 
     # -- sessions ----------------------------------------------------------
 
+    def attach(self, database: Optional["Database"]) -> None:
+        """Point this manager and its sessions at ``database`` (None
+        unlinks them from a closed database, see ``Database.close``)."""
+        self.db = database
+        for session in self.sessions.values():
+            session.db = database
+
     def create_session(
         self, user: str, name: Optional[str] = None, is_default: bool = False
     ) -> SessionContext:
@@ -549,7 +556,7 @@ class TransactionManager:
         # Force the catalog epoch and data version past every value
         # observed during the transaction: plans and memoized builds
         # cached against rolled-back state must never be served again.
-        self.db.catalog._epoch = max(self.db.catalog.epoch, seen_epoch) + 1
+        self.db.catalog._epoch.value = max(self.db.catalog.epoch, seen_epoch) + 1
         self.db.data_version = max(self.db.data_version, seen_version) + 1
         if self.db.durability is not None:
             self.db.durability.on_abort(session)

@@ -1668,6 +1668,9 @@ class Binder:
                     collect(arg)
 
         collect(node)
+        # the recursive closure refers to itself through its cell; emptying
+        # the cell frees it without the cyclic collector
+        del collect
         for path in paths:
             if path.root != root:
                 continue

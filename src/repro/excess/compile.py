@@ -1934,8 +1934,11 @@ class _RegionGen:
 
         source = "\n".join(lines)
         exec(compile(source, "<fused pipeline>", "exec"), self.ns)
+        # taken out of its own globals, so the function and its namespace
+        # (which holds the region's operators) form no reference cycle
+        fn = self.ns.pop("_fused")
         return FusedPipeline(
-            self.ns["_fused"], source, kind, len(ops), self.full, bool(self.joins)
+            fn, source, kind, len(ops), self.full, bool(self.joins)
         )
 
 

@@ -97,6 +97,7 @@ from repro.excess.plan import (
     partition_hash,
     plan_ops,
     reset_stats,
+    runnable_region,
     shared_passes,
 )
 from repro.storage.spill import SpillFile
@@ -278,9 +279,7 @@ class Evaluator:
         """Execute a retrieve by draining its lowered operator pipeline
         (``StoreInto?(Sort?(Project(row source)))``)."""
         pipeline = ensure_retrieve_plan(bound, self.db.catalog)
-        rows: list = []
-        for batch in self._run_plan(pipeline, dict(base_env or {}), PlanContext(self)):
-            rows.extend(batch)
+        rows = self._plan_rows(pipeline, dict(base_env or {}), PlanContext(self))
         columns = [t.label for t in bound.targets]
         result = Result(kind="retrieve", columns=columns, rows=rows)
         if bound.into:
@@ -660,6 +659,34 @@ class Evaluator:
     # Plan execution
     # ------------------------------------------------------------------
 
+    def _plan_rows(self, root: PlanOp, env: Env, ctx: PlanContext) -> list:
+        """Every row of one operator tree. A root whose fused region
+        this execution runs (:func:`~repro.excess.plan.runnable_region`)
+        is one call of the generated function, inside the same counter
+        reset/absorb, ``rows_out`` count, root timeout check and
+        ``running`` nesting as :meth:`_run_plan`, which drains every
+        other tree (row mode, roots that do not fuse)."""
+        fused = None if ctx.exec_mode == "row" else runnable_region(root, ctx)
+        if fused is None:
+            rows: list = []
+            for batch in self._run_plan(root, env, ctx):
+                rows.extend(batch)
+            return rows
+        nested = root.running > 0
+        if not nested:
+            reset_stats(root)
+        root.running += 1
+        try:
+            rows = fused.fn(ctx, env)
+            if rows and ctx.governor is not None:
+                ctx.governor.check_timeout("root")
+            root.stats.rows_out += len(rows)
+            return rows
+        finally:
+            root.running -= 1
+            if not nested:
+                self._absorb_stats(root)
+
     def _run_plan(
         self, root: PlanOp, env: Env, ctx: PlanContext
     ) -> Iterator[list]:
@@ -736,13 +763,14 @@ class Evaluator:
         returned envs under the same ``ctx``.
         """
         plan = ensure_query_plan(query, self.db.catalog)
-        # fused-mode rows are already private per-row snapshots; row
-        # mode yields its one shared environment, copied here
-        private = ctx.exec_mode != "row"
-        envs: list[Env] = []
-        for batch in self._run_plan(plan, dict(base_env or {}), ctx):
-            envs.extend(batch if private else map(dict, batch))
-        return envs
+        env = dict(base_env or {})
+        if ctx.exec_mode != "row":
+            # fused-mode rows are already private per-row snapshots
+            return self._plan_rows(plan, env, ctx)
+        # row mode yields its one shared environment, copied here
+        return [
+            dict(row) for batch in self._run_plan(plan, env, ctx) for row in batch
+        ]
 
     # ------------------------------------------------------------------
     # Aggregates

@@ -61,13 +61,14 @@ from repro.excess.functions import (
     FunctionParam,
     bind_function_body,
 )
-from repro.excess.lexer import Lexer
+from repro.excess.lexer import Lexer, ShapeIndex
 from repro.excess.optimizer import CostModel, Optimizer
 from repro.excess.parser import OperatorTable, Parser
 from repro.excess.compile import compile_all
 from repro.excess.plan import (
     PlanContext,
     pipeline_sources,
+    plan_ops,
     render_plan,
     snapshot_stats,
 )
@@ -118,6 +119,12 @@ class _PreparedPlan:
     slots: ParamSlots = field(default_factory=ParamSlots)
     #: ``len(slots.pinned)`` when the cache last keyed this plan
     pins_keyed: int = 0
+    #: the plan tree's operators (:func:`~repro.excess.plan.plan_ops`),
+    #: whose counters every execution snapshots
+    ops: list = field(default_factory=list)
+    #: the named sets the statement reads: SELECT is checked on each one
+    #: at every execution
+    reads: tuple = ()
 
 
 class _Shape:
@@ -154,6 +161,11 @@ class PlanCache:
     epoch, so entries prepared against older catalog states simply never
     match again — stale plans are never served, no explicit flushing
     needed (dead entries age out of the LRU).
+
+    :attr:`templates` holds the lexer shape of every live shape key, so
+    the text of a cached shape is matched against its template instead
+    of scanned.  It is per shape, never per text: bounded by the cache,
+    a template goes with the last key of its shape.
     """
 
     def __init__(self, capacity: int = 128, magnitude: Any = None):
@@ -167,16 +179,18 @@ class PlanCache:
         self._magnitude = magnitude
         self._shapes: dict[tuple, _Shape] = {}
         self._entries: "OrderedDict[tuple, _PreparedPlan]" = OrderedDict()
+        #: the lexer shapes of the live shape keys
+        self.templates = ShapeIndex()
 
     def _subkey(self, shape: _Shape, params: tuple) -> tuple:
         """What of ``params`` distinguishes plans of one shape."""
-        key = tuple(params[slot] for slot in shape.pinned)
+        key = tuple([params[slot] for slot in shape.pinned])
         if shape.sensitive:
             magnitude = self._magnitude
-            key += tuple(
+            key += tuple([
                 magnitude(set_name, attribute, op, params[slot])
                 for slot, set_name, attribute, op in shape.sensitive
-            )
+            ])
         return key
 
     def get(self, key: tuple) -> Optional[_PreparedPlan]:
@@ -237,6 +251,8 @@ class PlanCache:
                 return known
             for entry in [e for e in self._entries if e[0] == shape_key]:
                 del self._entries[entry]
+        else:
+            self.templates.add(shape_key[0])
         self._shapes[shape_key] = shape
         return shape
 
@@ -245,10 +261,12 @@ class PlanCache:
         shape.plans -= 1
         if shape.plans <= 0:
             del self._shapes[shape_key]
+            self.templates.discard(shape_key[0])
 
     def clear(self) -> None:
         self._entries.clear()
         self._shapes.clear()
+        self.templates.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -337,13 +355,25 @@ class Interpreter:
         #: the cost model value-sensitive cache keys are estimated with,
         #: rebuilt when the catalog's statistics object is replaced
         self._cost_model: Optional[CostModel] = None
-        #: (registry symbols, parse table, its punctuation symbols) — see
-        #: :meth:`_operator_table`
-        self._operators: tuple = (None, None, ())
+        #: (registry, its operators version, parse table, the table's
+        #: punctuation symbols) — see :meth:`_operator_table`
+        self._operators: tuple = (None, -1, None, ())
         #: the session whose statement is currently executing (set by
         #: :meth:`execute`; statements run one at a time, so a plain
         #: attribute suffices); ``None`` resolves to the default session
         self._current_session: Any = None
+
+    def attach(self, database: Optional[Database]) -> None:
+        """Point this interpreter and its worker-pool dispatcher at
+        ``database``.  None unlinks them from a closed database (see
+        :meth:`Database.close`) and drops the plan cache and the cost
+        model, which hold its catalog."""
+        self.db = database
+        if self._parallel_runner is not None:
+            self._parallel_runner.db = database
+        if database is None:
+            self.plan_cache.clear()
+            self._cost_model = None
 
     # -- sessions ------------------------------------------------------------------
 
@@ -404,32 +434,39 @@ class Interpreter:
 
     def _operator_table(self) -> OperatorTable:
         """The parse table of the ADT registry's operators, rebuilt only
-        when the registry's symbol set changed (a symbol's precedence,
-        associativity and fixity are fixed by its first registration)."""
+        when an operator was registered since (a symbol's precedence,
+        associativity and fixity are fixed by its first registration).
+        A new punctuation symbol changes how texts scan, so the plan
+        cache, whose shape templates were scanned without it, is
+        cleared."""
         adts = self.db.catalog.adts
-        symbols = adts.operator_symbols()
-        if symbols != self._operators[0]:
+        registry, version, table, punctuation = self._operators
+        if registry is not adts or version != adts.operators_version:
+            version = adts.operators_version
             table = OperatorTable()
-            for symbol in symbols:
+            for symbol in adts.operator_symbols():
                 info = adts.operator_parse_info(symbol)
                 if info is not None:
                     table.add_operator(
                         symbol, info.precedence, info.associativity, info.fixity
                     )
-            self._operators = (symbols, table, tuple(table.punctuation_symbols()))
-        return self._operators[1]
+            symbols = tuple(table.punctuation_symbols())
+            if symbols != punctuation:
+                self.plan_cache.clear()
+            self._operators = (adts, version, table, symbols)
+        return table
 
     def _lexer_symbols(self) -> tuple:
         """The current operator table's punctuation symbols."""
         self._operator_table()
-        return self._operators[2]
+        return self._operators[3]
 
     # -- entry point -----------------------------------------------------------------
 
     def _parse(self, text: str) -> tuple[list[ast.Statement], tuple]:
         """``(statements, literal values by parser slot)``."""
         tokens = Lexer(text, self._lexer_symbols()).tokens()
-        parser = Parser(tokens, self._operators[1])
+        parser = Parser(tokens, self._operators[2])
         return parser.parse_script().statements, parser.literals
 
     def _literal_magnitude(
@@ -446,8 +483,12 @@ class Interpreter:
         return model.literal_magnitude(set_name, attribute, op, value)
 
     def _cache_key(self, text: str, user: str, session: Any) -> tuple:
-        """``(shape key, literal values)`` — see :class:`PlanCache`."""
-        shape, params = Lexer(text, self._lexer_symbols()).shape()
+        """``(shape key, literal values)`` — see :class:`PlanCache`. A
+        text of a cached shape is matched against its template; any
+        other is scanned."""
+        symbols = self._lexer_symbols()
+        found = self.plan_cache.templates.match(text)
+        shape, params = found or Lexer(text, symbols).shape()
         return (
             shape,
             user,
@@ -932,6 +973,8 @@ class Interpreter:
             plan_root=root,
             params=params or (),
             slots=slots,
+            ops=plan_ops(root) if root is not None else [],
+            reads=tuple(sorted(self._read_names(bound.query))),
         )
 
     def _execute_prepared(
@@ -975,24 +1018,24 @@ class Interpreter:
                 message=message,
             )
         elif plan.kind == "retrieve":
-            self._check_query_reads(user, bound.query)
+            self._check_reads(user, plan.reads)
             result = evaluator.run_retrieve(bound)
         elif plan.kind == "append":
-            self._check_query_reads(user, bound.query)
+            self._check_reads(user, plan.reads)
             self._check_collection_write(user, Privilege.APPEND, bound.target)
             result = evaluator.run_append(bound)
         elif plan.kind == "delete":
-            self._check_query_reads(user, bound.query)
+            self._check_reads(user, plan.reads)
             self._check_binding_write(
                 user, Privilege.DELETE, bound.query, bound.variable
             )
             result = evaluator.run_delete(bound)
         elif plan.kind == "replace":
-            self._check_query_reads(user, bound.query)
+            self._check_reads(user, plan.reads)
             self._check_replace_write(user, bound)
             result = evaluator.run_replace(bound)
         elif plan.kind == "set":
-            self._check_query_reads(user, bound.query)
+            self._check_reads(user, plan.reads)
             if bound.location[0] == "named":
                 self._check(user, Privilege.REPLACE, bound.location[1])
             result = evaluator.run_set(bound)
@@ -1018,7 +1061,7 @@ class Interpreter:
                     batch_size=bsize,
                 )
             else:
-                snap = snapshot_stats(root)
+                snap = snapshot_stats(plan.ops)
                 result._plan_tree_thunk = lambda: render_plan(
                     root,
                     actuals=True,
@@ -1243,11 +1286,11 @@ class Interpreter:
         if self.db.authz.enabled:
             self.db.authz.check(user, privilege, object_name)
 
-    def _check_query_reads(self, user: str, query: BoundQuery) -> None:
-        if not self.db.authz.enabled:
-            return
-        for name in self._read_names(query):
-            self.db.authz.check(user, Privilege.SELECT, name)
+    def _check_reads(self, user: str, names: tuple) -> None:
+        authz = self.db.authz
+        if authz.enabled:
+            for name in names:
+                authz.check(user, Privilege.SELECT, name)
 
     def _read_names(self, query: BoundQuery) -> set[str]:
         names: set[str] = set()

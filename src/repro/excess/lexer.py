@@ -21,7 +21,7 @@ from typing import Any, Iterable, Optional
 
 from repro.errors import LexicalError
 
-__all__ = ["TokenType", "Token", "Lexer", "KEYWORDS"]
+__all__ = ["TokenType", "Token", "Lexer", "ShapeIndex", "KEYWORDS"]
 
 #: Reserved words of the (reconstructed) EXCESS grammar.
 #:
@@ -103,12 +103,15 @@ class Token:
 
 #: one trivia item: blanks, a ``--`` line comment, or a block comment
 _TRIVIA = r"[ \t\r\n]+|--[^\n]*|/\*[\s\S]*?\*/"
-#: the literal grammar, shared by both patterns below
-_LITERALS = (
-    r"(?P<FLOAT>(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
-    r"|(?P<INT>\d+)"
-    r"""|(?P<STRING>"(?:[^"\\\n]|\\[\s\S])*"|'(?:[^'\\\n]|\\[\s\S])*')"""
+#: the literal grammar, one pattern per kind: shared by both patterns
+#: below and by the shape templates (:class:`ShapeIndex`)
+_FLOAT = r"(?:\d+\.\d+|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+"
+_INT = r"\d+"
+_STRING = (
+    r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'
+    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"
 )
+_LITERALS = rf"(?P<FLOAT>{_FLOAT})|(?P<INT>{_INT})|(?P<STRING>{_STRING})"
 _IDENT = r"[^\W\d]\w*"
 _STRUCT = r"[()\[\]{},:;.]"
 
@@ -246,3 +249,147 @@ def _unquote(text: str) -> str:
     return re.sub(
         r"\\([\s\S])", lambda m: _ESCAPES.get(m.group(1), m.group(1)), body
     )
+
+
+#: shape letter → (anchored match of the kind's pattern, value of a match)
+_KINDS = {
+    "i": (re.compile(_INT).match, int),
+    "f": (re.compile(_FLOAT).match, float),
+    "s": (re.compile(_STRING).match, _unquote),
+}
+
+#: templates are bucketed by this many leading characters of their
+#: first chunk (the whole chunk when it is shorter)
+_PREFIX = 16
+
+
+class ShapeIndex:
+    """Shapes of cached statements, found again by matching a text
+    against them instead of scanning it.
+
+    A shape ``(kinds, chunk0, ..., chunkN)`` (:meth:`Lexer.shape`, the
+    only definition of one) is a template: a text has that shape when it
+    is ``chunk0``, a literal of kind ``kinds[0]``, ``chunk1``, ... and
+    ends right after ``chunkN``.  Chunks are compared with
+    ``str.startswith``, literals with an anchored match of their kind's
+    pattern from the lexer's grammar.  Candidates are the templates
+    whose first chunk starts like the text.
+
+    The chunks are what the scanner made of a text of this shape, so
+    only a literal's first character can tokenize otherwise, and one
+    boundary rule keeps a match equal to the scan: a number that starts
+    with a digit must not follow a word character or ``.`` (``x`` then
+    ``15`` scans as the identifier ``x15``, ``.`` then ``5`` as the
+    float ``.5``), nor an exponent sign right after a number without
+    one (``1``, ``e+``, ``2.5`` scans as ``1e+2`` then ``.5``).  Such a
+    text is refused, and the caller scans it.
+
+    Chunks were munched under one operator-symbol set, so the owner
+    clears the index when that set changes.  A shape is counted, and
+    stays until as many :meth:`discard` calls as :meth:`add` calls.
+    """
+
+    def __init__(self) -> None:
+        self._counts: dict[tuple, int] = {}
+        #: first-chunk prefix → [(shape, steps, last chunk)]
+        self._buckets: dict[str, list] = {}
+        #: the prefix lengths in use, longest first
+        self._lengths: tuple[int, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def add(self, shape: tuple) -> None:
+        count = self._counts.get(shape, 0)
+        self._counts[shape] = count + 1
+        if count:
+            return
+        kinds, *chunks = shape
+        steps = tuple(
+            (chunk, *_KINDS[kind], _numeric(kinds, position, chunk))
+            for position, (chunk, kind) in enumerate(zip(chunks, kinds))
+        )
+        key = chunks[0][:_PREFIX]
+        self._buckets.setdefault(key, []).append((shape, steps, chunks[-1]))
+        self._relength()
+
+    def discard(self, shape: tuple) -> None:
+        count = self._counts.pop(shape, 0) - 1
+        if count > 0:
+            self._counts[shape] = count
+        elif count == 0:
+            key = shape[1][:_PREFIX]
+            bucket = [t for t in self._buckets[key] if t[0] != shape]
+            if bucket:
+                self._buckets[key] = bucket
+            else:
+                del self._buckets[key]
+                self._relength()
+
+    def clear(self) -> None:
+        self._counts.clear()
+        self._buckets.clear()
+        self._lengths = ()
+
+    def _relength(self) -> None:
+        self._lengths = tuple(
+            sorted({len(key) for key in self._buckets}, reverse=True)
+        )
+
+    def match(self, text: str) -> Optional[tuple[tuple, tuple]]:
+        """``Lexer(text).shape()`` when ``text`` fits an indexed shape,
+        else None."""
+        buckets = self._buckets
+        for length in self._lengths:
+            for shape, steps, last in buckets.get(text[:length], ()):
+                values = _fit(text, steps, last)
+                if values is not None:
+                    return shape, values
+        return None
+
+
+def _numeric(kinds: str, position: int, chunk: str) -> int:
+    """0 for a string literal; 2 for a number whose chunk is an exponent
+    sign right after another number (``1`` ``e+`` ``2``, which scans as
+    the float ``1e+2`` when the first number has no exponent); else 1."""
+    if kinds[position] == "s":
+        return 0
+    if (
+        position
+        and kinds[position - 1] != "s"
+        and len(chunk) == 2
+        and chunk[0] in "eE"
+        and chunk[1] in "+-"
+    ):
+        return 2
+    return 1
+
+
+def _fit(text: str, steps: tuple, last: str) -> Optional[tuple]:
+    """The literal values of ``text`` read by a template's ``steps``
+    (``(chunk, match, value, numeric)`` per literal, see
+    :func:`_numeric`) and ``last`` chunk, or None when it does not fit
+    (see :class:`ShapeIndex`)."""
+    pos = 0
+    values = []
+    literal = ""
+    for chunk, match, value, numeric in steps:
+        if not text.startswith(chunk, pos):
+            return None
+        pos += len(chunk)
+        found = match(text, pos)
+        if found is None:
+            return None
+        before, literal = literal, found.group()
+        if numeric and pos and literal[0] != "." and (
+            text[pos - 1].isalnum()
+            or text[pos - 1] in "_."
+            or (numeric == 2 and "e" not in before and "E" not in before)
+        ):
+            # a digit here would continue the token before it
+            return None
+        values.append(value(literal))
+        pos = found.end()
+    if len(text) - pos != len(last) or not text.startswith(last, pos):
+        return None
+    return tuple(values)

@@ -819,6 +819,9 @@ class Optimizer:
                 )
 
         extend([], frozenset(), 0.0, None)
+        # the recursive closure refers to itself through its cell; emptying
+        # the cell frees it without the cyclic collector
+        del extend
         totals.sort(key=lambda entry: (entry[0], entry[1]))
         report.search = "dp"
         report.considered_orders = len(totals)

@@ -151,6 +151,7 @@ __all__ = [
     "plan_ops",
     "walk_plan",
     "reset_stats",
+    "runnable_region",
     "fusable_ops",
     "fused_regions",
     "pipeline_sources",
@@ -175,6 +176,18 @@ def _budgeted(ctx: "PlanContext") -> bool:
     """True when the statement runs under a ``memory_budget``."""
     governor = ctx.governor
     return governor is not None and governor.memory_budget > 0
+
+
+def runnable_region(op: "PlanOp", ctx: "PlanContext") -> Optional[Any]:
+    """The fused region (:func:`~repro.excess.compile.fused_pipeline`)
+    rooted at ``op`` that this fused-mode execution runs, or None: ``op``
+    roots no region, or the region probes a hash join under a
+    ``memory_budget``, whose build may spill (the operators' own
+    ``run_batches`` take that Grace path)."""
+    fused = fused_pipeline(op, ctx.compiled)
+    if fused is None or (fused.hash_join and _budgeted(ctx)):
+        return None
+    return fused
 
 
 def _spill_note(stats: "OpStats") -> str:
@@ -380,8 +393,8 @@ class PlanOp:
         are per-row snapshot dicts (never the shared environment), so
         consumers may retain or mutate them freely.
         """
-        fused = fused_pipeline(self, ctx.compiled)
-        if fused is not None and not (fused.hash_join and _budgeted(ctx)):
+        fused = runnable_region(self, ctx)
+        if fused is not None:
             rows = fused.fn(ctx, env)
             for start in range(0, len(rows), size):
                 yield rows[start : start + size]
@@ -2476,14 +2489,15 @@ def plan_ops(root: PlanOp) -> list[PlanOp]:
     """The tree's operators (pre-order), memoized on the root.
 
     The tree is immutable after lowering, and the per-statement hot path
-    walks it three times (reset, metrics, snapshot) — a cached flat list
-    beats re-running the recursive generator.
+    walks it twice (reset, metrics) — a cached flat tuple beats
+    re-running the recursive generator.  The memo leaves the root out:
+    holding it would make every plan a reference cycle, left with its
+    memoized hash-build tables to the cyclic collector.
     """
-    ops = root.__dict__.get("_plan_ops")
-    if ops is None:
-        ops = list(walk_plan(root))
-        root.__dict__["_plan_ops"] = ops
-    return ops
+    below = root.__dict__.get("_plan_ops")
+    if below is None:
+        below = root.__dict__["_plan_ops"] = tuple(walk_plan(root))[1:]
+    return [root, *below]
 
 
 def reset_stats(root: PlanOp) -> None:
@@ -2594,6 +2608,9 @@ def fused_regions(root: PlanOp) -> list[list[PlanOp]]:
             visit(child)
 
     visit(root)
+    # the recursive closure refers to itself through its cell; emptying
+    # the cell frees it without the cyclic collector
+    del visit
     return regions
 
 
@@ -2617,6 +2634,9 @@ def _row_mode_ids(root: PlanOp) -> set[int]:
             visit(child)
 
     visit(root)
+    # the recursive closures refer to themselves through their cells;
+    # emptying the cells frees them without the cyclic collector
+    del mark, visit
     return ids
 
 
@@ -2737,24 +2757,22 @@ def _param_slots(nodes: list) -> Optional[tuple[int, ...]]:
     return tuple(sorted(slots))
 
 
-def snapshot_stats(root: PlanOp) -> dict[int, tuple[int, str]]:
-    """Capture per-operator actuals for deferred rendering.
+def snapshot_stats(ops: list[PlanOp]) -> list[tuple[int, str]]:
+    """Capture per-operator actuals for deferred rendering: one
+    ``(rows_out, extra counters)`` per operator of ``ops`` (a tree's
+    :func:`plan_ops`), in that order.
 
     The live counters are reset by the next execution of a cached plan,
     so a :class:`Result` that renders its tree lazily must freeze them
-    at execution time. Keyed by ``id(op)`` — valid as long as the plan
-    tree is alive, which the snapshot's rendering closure guarantees.
+    at execution time.
     """
-    return {
-        id(op): (op.stats.rows_out, op.extra_counters())
-        for op in plan_ops(root)
-    }
+    return [(op.stats.rows_out, op.extra_counters()) for op in ops]
 
 
 def render_plan(
     root: PlanOp,
     actuals: bool = True,
-    snapshot: Optional[dict] = None,
+    snapshot: Optional[list] = None,
     compile_mode: Optional[str] = None,
     exec_mode: Optional[str] = None,
     batch_size: Optional[int] = None,
@@ -2762,7 +2780,8 @@ def render_plan(
 ) -> str:
     """Pretty-print the operator tree, one operator per line, with the
     estimated and (when ``actuals``) last-execution row counts — from
-    ``snapshot`` (see :func:`snapshot_stats`) when given, else live.
+    ``snapshot`` (:func:`snapshot_stats` of the tree's :func:`plan_ops`)
+    when given, else live.
     Parameter slots print the literals of ``params`` (the execution
     being rendered; a cached plan has run under many).
 
@@ -2779,6 +2798,10 @@ def render_plan(
     always the ∀ check subtrees of UniversalCheck).
     """
     lines: list[str] = []
+    frozen = (
+        None if snapshot is None
+        else {id(op): counts for op, counts in zip(plan_ops(root), snapshot)}
+    )
     fused_ids: set[int] = set()
     row_ids: set[int] = set()
     if exec_mode == "fused":
@@ -2799,8 +2822,8 @@ def render_plan(
         est = "?" if op.est_rows is None else str(op.est_rows)
         counters = f"(est={est}"
         if actuals:
-            if snapshot is not None:
-                rows_out, extra = snapshot[id(op)]
+            if frozen is not None:
+                rows_out, extra = frozen[id(op)]
             else:
                 rows_out, extra = op.stats.rows_out, op.extra_counters()
             counters += f", rows={rows_out}{extra}"
@@ -2822,4 +2845,7 @@ def render_plan(
             emit(child, depth + 1, child_role)
 
     emit(root, 0, "")
+    # the recursive closure refers to itself through its cell; emptying
+    # the cell frees it without the cyclic collector
+    del emit
     return "\n".join(lines)

@@ -22,11 +22,12 @@ __all__ = ["HashIndex", "BTreeIndex"]
 
 
 class HashIndex:
-    """An equality-only index: key → sorted list of OIDs.
+    """An equality-only index: key → its OIDs, ascending.
 
-    A bucket is a sorted OID list, like a B+-tree leaf entry: a unique
-    key costs a one-element list, and :meth:`search` copies the bucket
-    instead of sorting it on every probe.
+    A bucket is the OID itself when the key has one object (the common
+    case for a key like an account id, which then costs no list), else a
+    sorted OID list of two or more, like a B+-tree leaf entry, so
+    :meth:`search` copies the bucket instead of sorting it per probe.
     """
 
     kind = "hash"
@@ -34,21 +35,27 @@ class HashIndex:
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._buckets: dict[Any, list[int]] = {}
+        self._buckets: dict[Any, Any] = {}
         self._entries = 0
 
     def __setstate__(self, state: dict) -> None:
-        # older snapshots hold set buckets
-        state["_buckets"] = {
-            key: sorted(oids) for key, oids in state["_buckets"].items()
-        }
+        # older snapshots hold set buckets, and lists for single OIDs
+        buckets = state["_buckets"]
+        for key, oids in buckets.items():
+            if oids.__class__ is not int:
+                oids = sorted(oids)
+                buckets[key] = oids[0] if len(oids) == 1 else oids
         self.__dict__.update(state)
 
     def insert(self, key: Any, oid: int) -> None:
         """Add ``(key, oid)``; duplicate pairs are idempotent."""
         bucket = self._buckets.get(key)
         if bucket is None:
-            self._buckets[key] = [oid]
+            self._buckets[key] = oid
+        elif bucket.__class__ is int:
+            if bucket == oid:
+                return
+            self._buckets[key] = [bucket, oid] if bucket < oid else [oid, bucket]
         else:
             index = bisect.bisect_left(bucket, oid)
             if index < len(bucket) and bucket[index] == oid:
@@ -61,18 +68,26 @@ class HashIndex:
         bucket = self._buckets.get(key)
         if bucket is None:
             return False
-        index = bisect.bisect_left(bucket, oid)
-        if index == len(bucket) or bucket[index] != oid:
-            return False
-        del bucket[index]
-        self._entries -= 1
-        if not bucket:
+        if bucket.__class__ is int:
+            if bucket != oid:
+                return False
             del self._buckets[key]
+        else:
+            index = bisect.bisect_left(bucket, oid)
+            if index == len(bucket) or bucket[index] != oid:
+                return False
+            del bucket[index]
+            if len(bucket) == 1:
+                self._buckets[key] = bucket[0]
+        self._entries -= 1
         return True
 
     def search(self, key: Any) -> list[int]:
         """OIDs whose indexed key equals ``key``, ascending."""
-        return list(self._buckets.get(key, ()))
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            return []
+        return [bucket] if bucket.__class__ is int else list(bucket)
 
     def keys(self) -> list[Any]:
         """All distinct indexed keys (unordered structure; sorted here for

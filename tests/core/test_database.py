@@ -219,3 +219,79 @@ class TestStats:
         assert stats["objects"] == 1
         assert stats["types"] == 2
         assert stats["named_objects"] == 2
+
+
+class TestCloseFreesByReferenceCounting:
+    """``close()`` unlinks the interpreter, transaction manager and
+    sessions, which point back at the database, so a database dropped
+    after it is freed at once rather than by the cyclic collector."""
+
+    @staticmethod
+    def _company(storage):
+        from repro.util.workload import CompanyWorkload, build_company_database
+
+        db = build_company_database(
+            CompanyWorkload(departments=3, employees=40, seed=3, storage=storage)
+        )
+        db.interpreter.parallel_mode = "off"
+        # plans, a hash join, a connected session and a transaction
+        db.execute(
+            "retrieve (E.name, D.dname) from E in Employees, D in Departments "
+            "where E.dept is D"
+        )
+        db.execute("retrieve (E.name) from E in Employees where E.age > 30")
+        session = db.connect()
+        session.begin()
+        session.execute("retrieve (E.name) from E in Employees")
+        session.commit()
+        session.close()
+        return db
+
+    @pytest.mark.parametrize("storage", ["memory", "paged"])
+    def test_dropped_after_close_without_a_collection(self, storage):
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            db = self._company(storage)
+            plans = [
+                weakref.ref(op)
+                for entry in db.interpreter.plan_cache._entries.values()
+                for op in entry.ops
+            ]
+            db.interpreter.shutdown_parallel()
+            db.close()
+            dropped = weakref.ref(db)
+            catalog = weakref.ref(db.catalog)
+            del db
+            assert dropped() is None
+            assert catalog() is None
+            # the operators of a fused hash join among them
+            assert plans and all(plan() is None for plan in plans)
+        finally:
+            gc.enable()
+
+    def test_closed_database_stays_usable(self):
+        db = self._company("memory")
+        db.execute("range of X is Employees")
+        db.default_session.set_flag("batch_size", 7)
+        db.close()
+        assert db.interpreter.parallel_mode == "off"
+        assert db.default_session.resolved_flags().batch_size == 7
+        rows = db.execute("retrieve (X.name) where X.age > 30").rows
+        assert rows == db.execute(
+            "retrieve (E.name) from E in Employees where E.age > 30"
+        ).rows
+        session = db.connect()
+        assert session.execute("retrieve (E.name) from E in Employees").rows
+        db.begin()
+        db.execute('delete E from E in Employees where E.age > 30')
+        db.abort()
+        assert db.execute(
+            "retrieve (E.name) from E in Employees where E.age > 30"
+        ).rows == rows
+        db.close()
+        db.close()  # idempotent
+        assert db.execute("retrieve (E.name) from E in Employees").rows

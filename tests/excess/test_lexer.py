@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LexicalError
-from repro.excess.lexer import Lexer, TokenType
+from repro.excess.lexer import Lexer, ShapeIndex, TokenType
 from tests.excess.reference_lexer import ReferenceLexer
 
 
@@ -194,10 +194,58 @@ def corpus() -> list[str]:
     return sorted(texts)
 
 
+def sibling(text, extra=EXTRA):
+    """``text`` with other literals of the same form (every digit moved
+    on by one, every string one character longer): a text of the same
+    shape, whose template the hit path would have cached."""
+    parts, pos = [], 0
+    for match in Lexer(text, extra)._shape.finditer(text):
+        kind = match.lastgroup
+        if kind not in ("INT", "FLOAT", "STRING"):
+            break
+        start, end = match.span(kind)
+        literal = match.group(kind)
+        if kind == "STRING":
+            literal = literal[0] + "x" + literal[1:]
+        else:
+            literal = re.sub(r"\d", lambda m: str((int(m.group()) + 1) % 10), literal)
+        parts += [text[pos:start], literal]
+        pos = end
+    return "".join(parts) + text[pos:]
+
+
+#: per operator-symbol set, the templates of every text checked so far:
+#: a template may refuse a text, never give it another shape
+SEEN = {(): ShapeIndex(), EXTRA: ShapeIndex()}
+
+
+def check_template(text, extra):
+    """The template path (:class:`ShapeIndex`) against the scan."""
+    expected = shape_outcome(text, extra)
+    seen = SEEN[extra]
+    found = seen.match(text)
+    if expected[0] == "error":
+        assert found is None
+        return
+    assert found is None or found == expected
+    twin = sibling(text, extra)
+    twin_shape, twin_values = Lexer(twin, extra).shape()
+    assert twin_shape == expected[0]
+    assert twin_values != expected[1] or not twin_values
+    primed = ShapeIndex()
+    primed.add(twin_shape)
+    assert primed.match(text) == expected
+    if len(seen) > 5000:
+        seen.clear()
+    seen.add(expected[0])
+
+
 def check_agreement(text):
     expected = outcome(ReferenceLexer, text)
     assert outcome(Lexer, text) == expected
     shaped = shape_outcome(text)
+    for extra in SEEN:
+        check_template(text, extra)
     if expected[0] == "error":
         assert shaped == expected
         return
@@ -225,6 +273,8 @@ class TestAgainstReferenceScanner:
             "a && b <=> c &--x\n y", "a <-- b\nc", "a\fb", 'x "a\\\nb" y',
             "1.e5 1e+ 5abc int4 New1 a.5 1.5.3 .5e3 7e-2", "x/*5*/6 -- 7\n8",
             "'it\\'s' \"a\\nb\\tc\\\\d\\qe\"", "", "  \n\t", "-- only", "é = 'ü'",
+            # texts a template without the boundary rule mis-shaped
+            ").51.51e5", "1e5=.5.5", ".5.1.5.1e5", "x.5 x1.5", '@-- "x"',
         ],
     )
     def test_edge_cases(self, text):
@@ -241,6 +291,68 @@ class TestAgainstReferenceScanner:
     )
     def test_random_text(self, text):
         check_agreement(text)
+
+
+class TestShapeTemplates:
+    @pytest.mark.parametrize(
+        "cached,text",
+        [
+            ("x.5", "x1.5"),  # x1 is an identifier
+            ("1..5", "1.2.5"),  # 1.2 is a float
+            ("1e+.5", "1e+2.5"),  # 1e+2 is a float
+            (".5e+.5", ".5e+2"),  # .5e+2 is a float
+        ],
+    )
+    def test_boundary_rule_refuses_a_digit_that_joins(self, cached, text):
+        template = Lexer(cached).shape()[0]
+        assert Lexer(text).shape()[0] != template
+        index = ShapeIndex()
+        index.add(template)
+        assert index.match(text) is None
+
+    @pytest.mark.parametrize(
+        "cached,text",
+        [
+            ("1e5e+7", "2e5e+3"),  # an exponent takes no second one
+            ("'a'.5", "'b'1.5"),  # a quote joins nothing
+            ("x = .5", "x = 1.5"),
+        ],
+    )
+    def test_a_digit_that_joins_nothing_matches(self, cached, text):
+        index = ShapeIndex()
+        index.add(Lexer(cached).shape()[0])
+        assert index.match(text) == Lexer(text).shape()
+
+    def test_templates_hold_under_one_symbol_set(self):
+        # '@--' is one unknown operator run before '@' is registered; an
+        # operator and a line comment after, so the owner of an index
+        # clears it when the symbol set changes
+        text = '@-- "x"'
+        before, after = Lexer(text).shape(), Lexer(text, ("@",)).shape()
+        assert before == (("s", "@-- ", ""), ("x",))
+        assert after == (("", '@-- "x"'), ())
+        index = ShapeIndex()
+        index.add(before[0])
+        assert index.match(text) == before != after
+
+    def test_counted_shapes_and_prefix_buckets(self):
+        index = ShapeIndex()
+        long_shape = Lexer("retrieve (E.name) where E.age = 5").shape()[0]
+        short_shape = Lexer("x = 5").shape()[0]
+        for shape in (long_shape, long_shape, short_shape):
+            index.add(shape)
+        assert len(index) == 2
+        assert index.match("x = 7") == (short_shape, (7,))
+        assert index.match("retrieve (E.name) where E.age = 6")[1] == (6,)
+        assert index.match("retrieve (E.name) where E.age = 6 ") is None
+        index.discard(long_shape)
+        assert index.match("retrieve (E.name) where E.age = 6") is not None
+        index.discard(long_shape)
+        index.discard(long_shape)  # unknown: ignored
+        assert index.match("retrieve (E.name) where E.age = 6") is None
+        assert index.match("x = 8") == (short_shape, (8,))
+        index.clear()
+        assert len(index) == 0 and index.match("x = 8") is None
 
 
 class TestShape:

@@ -49,8 +49,31 @@ class TestHashIndex:
         assert index.search("k") == [1, 3, 5, 7, 9]
         assert index._buckets["k"] == [1, 3, 5, 7, 9]
         index.insert("u", 4)
-        assert index._buckets["u"] == [4]  # a unique key is a one-element list
+        assert index._buckets["u"] == 4  # a unique key's bucket is its OID
+        assert index.search("u") == [4]
         assert len(index) == 6
+
+    def test_a_bucket_collapses_to_its_oid_and_back(self):
+        index = HashIndex()
+        index.insert("k", 9)
+        index.insert("k", 9)  # idempotent on a single-OID bucket too
+        index.insert("k", 2)
+        assert index._buckets["k"] == [2, 9] and len(index) == 2
+        assert not index.delete("k", 5)
+        assert index.delete("k", 2)
+        assert index._buckets["k"] == 9 and index.search("k") == [9]
+        assert not index.delete("k", 2)
+        assert index.delete("k", 9)
+        assert "k" not in index and index.search("k") == [] and len(index) == 0
+
+    def test_older_buckets_load_in_the_current_form(self):
+        index = HashIndex()
+        index.__setstate__({
+            "name": "h", "_entries": 4,
+            "_buckets": {"a": {3, 1}, "b": [7], "c": {5}, "d": 8},
+        })
+        assert index._buckets == {"a": [1, 3], "b": 7, "c": 5, "d": 8}
+        assert index.search("a") == [1, 3] and index.search("c") == [5]
 
     def test_idempotent_insert_into_a_list_bucket(self):
         index = HashIndex()
