@@ -199,21 +199,39 @@ class ObjectTable:
 
     # -- allocation ---------------------------------------------------------
 
+    def allocate(self) -> Oid:
+        """Hand out the next OID without storing anything under it.
+
+        :meth:`register` stores the object later, once it is fully
+        built; an OID that is never registered reads as a tombstone."""
+        oid = self._next_oid
+        self._next_oid += 1
+        return oid
+
+    def allocated_after(self, oid: Oid) -> range:
+        """The OIDs handed out after ``oid``, oldest first."""
+        return range(oid + 1, self._next_oid)
+
     def register(
         self,
         value: "TupleInstance",
         owner: Optional[Oid] = None,
         owner_name: Optional[str] = None,
+        oid: Optional[Oid] = None,
     ) -> Oid:
-        """Give ``value`` identity: allocate an OID and store the object.
+        """Give ``value`` identity: store it under ``oid`` — one that
+        :meth:`allocate` handed out — or under a freshly allocated OID.
 
+        The store receives ``value`` as it is now, so a caller registers
+        an object once it is fully built: a paged store encodes it and
+        writes it to its page once, and it enters the cache clean.
         ``owner``/``owner_name`` record an ``own ref`` owner at creation
         time (at most one of the two may be given).
         """
         if owner is not None and owner_name is not None:
             raise OwnershipError("an object cannot have two owners")
-        oid = self._next_oid
-        self._next_oid += 1
+        if oid is None:
+            oid = self.allocate()
         record = StoredObject(oid=oid, value=value, owner=owner, owner_name=owner_name)
         self._store.insert(oid, record)
         value.oid = oid

@@ -76,25 +76,34 @@ class IntegrityManager:
         ``values`` maps attribute names to raw values (see module doc for
         the accepted forms). ``owner`` / ``owner_name`` establish an
         ``own ref`` ownership claim at birth.
+
+        The object reaches the object table once, fully built, so a paged
+        store encodes it and writes it to its page once and no cache ever
+        holds it half-built. Its OID is allocated before its slots are
+        built, so inline ``own ref`` components get later OIDs than their
+        owner (WAL replay and clients that saw an ``@oid`` rely on that
+        numbering).
         """
+        objects = self._objects
+        oid = objects.allocate()
         instance = TupleInstance(schema_type)
-        oid = self._objects.register(instance, owner=owner, owner_name=owner_name)
-        # the owned components built below enter a bounded object cache
-        # and could evict this object, still clean and empty on its page,
-        # before a failure below rolls back what it already owns
-        self._objects.pin(oid)
         try:
             for name, raw in (values or {}).items():
                 spec = schema_type.attribute(name)
                 instance._slots[name] = self._build_slot(spec, raw, holder=oid)
-            self._objects.mark_dirty(instance)
         except Exception:
-            # Creation failed part-way: roll the object (and anything it
-            # already owns) back out so no half-object leaks.
+            # Creation failed part-way: store what was built, then roll
+            # the object and everything it already owns back out, so no
+            # half-object leaks; the OID stays a tombstone.
+            objects.register(instance, owner=owner, owner_name=owner_name, oid=oid)
             self.delete_object(oid)
+            # components built for the slot that failed were never
+            # stored in it, so the cascade above cannot reach them
+            for kid in objects.allocated_after(oid):
+                if objects.is_live(kid) and objects.record(kid).owner == oid:
+                    self.delete_object(kid)
             raise
-        finally:
-            self._objects.unpin(oid)
+        objects.register(instance, owner=owner, owner_name=owner_name, oid=oid)
         return Ref(oid)
 
     def _build_slot(self, spec: ComponentSpec, raw: Any, holder: Oid) -> Any:

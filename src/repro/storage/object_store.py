@@ -293,7 +293,12 @@ class PagedObjectStore:
     # -- ObjectStore protocol ------------------------------------------------------
 
     def insert(self, oid: Oid, record: StoredObject) -> None:
-        """Serialize ``record`` into the heap file and cache it live."""
+        """Serialize ``record`` into the heap file and cache it live and
+        clean.
+
+        The object table registers a new object once it is fully built,
+        so this is the one encode and page write its creation costs, and
+        evicting it before its first mutation costs no writeback."""
         if oid in self._directory:
             raise StorageError(f"oid {oid} already present")
         rid = self.file.insert(self._serialize(record))

@@ -58,6 +58,9 @@ class TestPagedEngine:
         )
         db.store.pool.capacity = 4
         db.store.evict_live_cache()
+        # start cold whatever the record layout: the records may fit on
+        # no more pages than the pool holds
+        db.store.pool.clear()
         db.store.pool.stats.reset()
         oids = list(db.objects.oids())
         for oid in oids:
@@ -68,8 +71,8 @@ class TestPagedEngine:
 
     def test_inline_owned_components_survive_a_tiny_cache(self):
         """Building an object's owned components admits them to the
-        object cache; the object itself, registered empty a moment
-        earlier, must not be evicted before its slots are written."""
+        object cache; the object itself is stored once they are built,
+        and the 2-object cache must keep every component reachable."""
         import gc
 
         db = Database(storage="paged", cache_capacity=2)

@@ -1,7 +1,7 @@
 """Network chaos, admission control, graceful drain, and client retry.
 
 The chaos matrix routes real client connections through
-:class:`~repro.util.netchaos.ChaosProxy` and injects every fault the
+:class:`~tests.server.netchaos.ChaosProxy` and injects every fault the
 proxy knows, asserting the robustness contract:
 
 * the client sees either a correct result or a clean error — never a
@@ -21,7 +21,7 @@ from repro.core.database import Database
 from repro.errors import ServerOverloadedError, StatementTimeout
 from repro.server import Client, RemoteError, RetryPolicy, ServerThread
 from repro.server.protocol import ProtocolError
-from repro.util.netchaos import FAULTS, ChaosProxy
+from tests.server.netchaos import FAULTS, ChaosProxy
 
 
 def make_db() -> Database:
