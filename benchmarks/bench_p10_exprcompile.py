@@ -1,13 +1,15 @@
-"""P10 — expression compilation: closures vs the recursive interpreter.
+"""P10 — expression compilation: generated code vs the recursive interpreter.
 
 Every bound expression in a hot operator path (Filter predicates,
-Project emit lists, hash-join key extractors, sort keys) is compiled
-once per plan into a nested Python closure; ``compile_mode="off"``
-falls back to the recursive ``Evaluator._eval`` walk on the same plans.
+Project emit lists, hash-join key extractors, sort keys) is lowered
+once per plan to generated Python code — inline in a fused region, or
+one generated function per expression for a row operator;
+``compile_mode="off"`` runs the recursive ``Evaluator._eval`` walk on
+the same plans instead (the value ``closure`` names generated code).
 The filtered-scan workload is predicate-heavy by construction — six
 arithmetic-laden conjuncts that nearly every row satisfies — so per-row
 cost is dominated by expression evaluation rather than scan/emit
-overhead, which is precisely where the closure compiler pays off.
+overhead, which is precisely where compiled expressions pay off.
 
 Perf claims from this iteration:
 
@@ -41,7 +43,7 @@ FILTER_QUERY = (
 )
 
 #: equi-join on salary: key extraction runs once per build row and once
-#: per probe row, so compiled key closures dominate the join's CPU.
+#: per probe row, so compiled key code dominates the join's CPU.
 JOIN_QUERY = (
     "retrieve (E.name, M.name) from E in Employees, M in Employees "
     "where E.salary = M.salary and E.age > 55"

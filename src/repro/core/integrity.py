@@ -52,6 +52,11 @@ __all__ = ["IntegrityManager"]
 class IntegrityManager:
     """Implements creation, deletion, and mutation with EXTRA semantics."""
 
+    #: while a creation runs: the existing objects it claimed, in order,
+    #: so a failure can give them back (class-level default, so old
+    #: snapshots load)
+    _claimed: Optional[list[Oid]] = None
+
     def __init__(self, objects: ObjectTable, catalog: Catalog):
         self._objects = objects
         self._catalog = catalog
@@ -83,28 +88,45 @@ class IntegrityManager:
         built, so inline ``own ref`` components get later OIDs than their
         owner (WAL replay and clients that saw an ``@oid`` rely on that
         numbering).
+
+        A creation that fails part-way leaves nothing but tombstoned
+        OIDs: every existing object it claimed is live and unowned again,
+        and every component it built is gone.
         """
         objects = self._objects
         oid = objects.allocate()
         instance = TupleInstance(schema_type)
+        outermost = self._claimed is None
+        if outermost:
+            self._claimed = []
+        claimed = self._claimed
+        start = len(claimed)
         try:
             for name, raw in (values or {}).items():
                 spec = schema_type.attribute(name)
                 instance._slots[name] = self._build_slot(spec, raw, holder=oid)
         except Exception:
-            # Creation failed part-way: store what was built, then roll
-            # the object and everything it already owns back out, so no
-            # half-object leaks; the OID stays a tombstone.
-            objects.register(instance, owner=owner, owner_name=owner_name, oid=oid)
-            self.delete_object(oid)
-            # components built for the slot that failed were never
-            # stored in it, so the cascade above cannot reach them
+            for existing in claimed[start:]:
+                objects.release(existing)
+            del claimed[start:]
+            # everything allocated since this OID was built for it (an
+            # inline component that failed removed its own); the object
+            # itself was never registered
             for kid in objects.allocated_after(oid):
-                if objects.is_live(kid) and objects.record(kid).owner == oid:
-                    self.delete_object(kid)
+                if objects.is_live(kid):
+                    objects.delete(kid)
             raise
+        finally:
+            if outermost:
+                self._claimed = None
         objects.register(instance, owner=owner, owner_name=owner_name, oid=oid)
         return Ref(oid)
+
+    def _claim(self, oid: Oid, holder: Oid) -> None:
+        """``holder`` claims the existing object ``oid`` (``own ref``)."""
+        self._objects.claim(oid, owner=holder)
+        if self._claimed is not None:
+            self._claimed.append(oid)
 
     def _build_slot(self, spec: ComponentSpec, raw: Any, holder: Oid) -> Any:
         """Convert a raw value into the canonical stored slot form,
@@ -118,7 +140,7 @@ class IntegrityManager:
         if isinstance(raw, Ref):
             self.check_ref_target(spec, raw)
             if spec.semantics is Semantics.OWN_REF:
-                self._objects.claim(raw.oid, owner=holder)
+                self._claim(raw.oid, holder)
             return raw
         if isinstance(raw, dict):
             if spec.semantics is Semantics.REF:
@@ -210,7 +232,7 @@ class IntegrityManager:
             )
         self.check_ref_target(spec, value)
         if spec.semantics is Semantics.OWN_REF and holder is not None:
-            self._objects.claim(value.oid, owner=holder)
+            self._claim(value.oid, holder)
         return value
 
     # -- reference checking ---------------------------------------------------------

@@ -1,47 +1,54 @@
-"""Expression compilation: bound expressions lowered to Python closures.
+"""Expression compilation: bound expressions lowered to generated Python.
 
 The evaluator's :meth:`~repro.excess.evaluator.Evaluator._eval` walks a
 :class:`~repro.excess.binder.BoundExpr` tree per row, paying an
 ``isinstance`` dispatch chain plus operator-kind tests for every node on
-every candidate row. This module removes that per-row interpretation:
-:func:`compile_expr` translates a bound expression **once** into a tree
-of nested Python closures — each node becomes a function ``fn(env, ctx)
--> value`` whose body contains only the work that node actually does,
-with EXCESS null semantics (three-valued comparison and Kleene logic,
-dangling references reading as null) baked in at compile time.
+every candidate row. This module removes that per-row interpretation
+with one code generator, :class:`_ExprLowering`: each node becomes the
+straight-line Python statements of exactly the work it does, with EXCESS
+null semantics (three-valued comparison and Kleene logic, dangling
+references reading as null) and the interpreter's error messages written
+into the source. The generator serves two callers:
 
-Compilation is total: every expression compiles. Node types whose
-evaluation is entangled with per-statement evaluator state —
-:class:`~repro.excess.binder.AdtCall` (registered ADT functions),
-:class:`~repro.excess.binder.ExcessCall` (recursion-depth accounting,
-dynamic dispatch), a correlated :class:`~repro.excess.binder.
-AggregateRef` (per-row memo), :class:`~repro.excess.binder.Membership`
-(memoized semi-join key sets) — compile to a thin callback into the
-existing interpreter, so mixed expressions still run their compilable
-subtrees as closures. A compiled expression therefore never needs a
-plan-level bailout; operators report ``closure`` when the whole tree
-compiled directly and ``fallback`` when any callback remains.
+* a fused region (:func:`fused_pipeline`, :func:`aggregate_sink`) lowers
+  every expression of its operators into the region's one function;
+* :func:`compile_expr` / :func:`compile_all` lower standalone
+  expressions — a row operator's ``compiled_exprs``, a ``WritePlan``
+  payload, an inlined function body — into one ``fn(env, ctx)`` each,
+  with one ``exec`` per list.
 
-Closures are deliberately stateless: they capture only the expression's
-constants and sub-closures, and take the per-execution state (the shared
-environment dict and the :class:`~repro.excess.plan.PlanContext`) as
-arguments — a literal the plan cache lifted into a parameter slot
+Lowering is total. A node whose evaluation is entangled with
+per-statement evaluator state — an :class:`~repro.excess.binder.AdtCall`
+(registered ADT functions), a correlated :class:`~repro.excess.binder.
+AggregateRef` (per-row memo), a :class:`~repro.excess.binder.Membership`
+(memoized semi-join key sets), or a shape no rule covers — becomes an
+inline callback into the interpreter for that node only, and an
+:class:`~repro.excess.binder.ExcessCall` lowers its arguments inline and
+calls one runtime dispatch helper (:class:`_CallSite`). Operators report
+``closure`` when every expression is generated code and ``fallback``
+when any callback or function call remains.
+
+Generated functions are stateless: their namespace holds only the
+expressions' constants and helpers, and each call binds the per-execution
+state (the object store, ``ctx.params``, ``ctx.tables``) it reads. A
+literal the plan cache lifted into a parameter slot
 (:class:`~repro.excess.binder.Param`) is read from ``ctx.params`` on
-every evaluation, never baked. That keeps compiled plans shareable
-across executions exactly like the operator trees that carry them, and
-keeps them out of pickled transaction snapshots (plan nodes drop their
+every call, never baked. That keeps compiled plans shareable across
+executions exactly like the operator trees that carry them, and keeps
+them out of pickled transaction snapshots (plan nodes drop their
 compiled caches on ``__getstate__`` and recompile lazily).
 
 Semantics are pinned against the interpreter by a Hypothesis property
 (``tests/property/test_query_equivalence.py``) and a per-figure parity
 suite (``tests/integration/test_compile_parity.py``): for every query,
-``compile_mode="closure"`` and ``compile_mode="off"`` must produce
-identical rows, messages, and errors.
+``compile_mode="closure"`` and ``compile_mode="off"`` (every expression
+the tree-walker) must produce identical rows, messages, and errors.
 """
 
 from __future__ import annotations
 
-import operator
+import functools
+import re
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro.core.schema import SchemaType
@@ -88,14 +95,17 @@ class CompiledExpr(NamedTuple):
     """One compiled expression and how completely it compiled."""
 
     fn: CompiledFn
-    #: True when the whole tree lowered to direct closures; False when
-    #: any node fell back to an interpreter callback
+    #: True when the whole tree lowered to generated code; False when
+    #: any node calls back into the interpreter or a function call
     full: bool
 
 
 # ---------------------------------------------------------------------------
-# Shared runtime helpers (mirroring the evaluator's semantics exactly)
+# Runtime helpers generated code calls (mirroring the evaluator exactly)
 # ---------------------------------------------------------------------------
+
+#: "no entry" marker for table lookups in generated code
+_MISS = object()
 
 
 def _truth(value: Any) -> Optional[bool]:
@@ -119,378 +129,16 @@ def _object_oid(value: Any) -> Optional[int]:
     )
 
 
-#: value comparators per operator; ``=``/``!=`` use structural equality
-_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
-    "=": value_equal,
-    "!=": lambda left, right: not value_equal(left, right),
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-# ---------------------------------------------------------------------------
-# Node compilers
-# ---------------------------------------------------------------------------
-
-
-def _compile_fallback(node: BoundExpr) -> CompiledExpr:
-    """A thin callback into the interpreter for nodes that need
-    per-statement evaluator state (ADT/EXCESS calls, aggregates,
-    memberships) — and, defensively, any unrecognized shape."""
-
-    def run(env: dict, ctx: Any, _node: BoundExpr = node) -> Any:
-        return ctx.evaluator._eval(_node, env, ctx.tables)
-
-    return CompiledExpr(run, False)
-
-
-def _compile_const(node: Const) -> CompiledExpr:
-    value = node.value
-
-    def run(env: dict, ctx: Any) -> Any:
-        return value
-
-    return CompiledExpr(run, True)
-
-
-def _compile_param(node: Param) -> CompiledExpr:
-    slot = node.slot
-
-    def run(env: dict, ctx: Any) -> Any:
-        return ctx.params[slot]
-
-    return CompiledExpr(run, True)
-
-
-def _compile_var(node: VarRef) -> CompiledExpr:
-    name = node.name
-
-    def run(env: dict, ctx: Any) -> Any:
-        value = env.get(name, NULL)
-        if isinstance(value, Ref) and not ctx.objects.is_live(value.oid):
-            return NULL  # dangling reference reads as null (GEM)
-        return value
-
-    return CompiledExpr(run, True)
-
-
-def _compile_named(node: NamedValue) -> CompiledExpr:
-    name = node.name
-
-    def run(env: dict, ctx: Any) -> Any:
-        value = ctx.db.named(name).value
-        if isinstance(value, Ref) and not ctx.objects.is_live(value.oid):
-            return NULL
-        return value
-
-    return CompiledExpr(run, True)
-
-
-def _compile_attr(node: AttrStep) -> CompiledExpr:
-    base_fn, base_full = _compile(node.base)
-    attribute = node.attribute
-
-    def run(env: dict, ctx: Any) -> Any:
-        base = base_fn(env, ctx)
-        if isinstance(base, Ref):
-            base = ctx.objects.deref(base.oid)
-            if base is None:
-                return NULL
-        elif not isinstance(base, TupleInstance):
-            return NULL  # attribute of null (or a non-object) is null
-        value = base.get(attribute)
-        if isinstance(value, Ref) and not ctx.objects.is_live(value.oid):
-            return NULL
-        return value
-
-    return CompiledExpr(run, base_full)
-
-
-def _compile_index(node: IndexStepB) -> CompiledExpr:
-    base_fn, base_full = _compile(node.base)
-    index_fn, index_full = _compile(node.index)
-
-    def run(env: dict, ctx: Any) -> Any:
-        base = base_fn(env, ctx)
-        index = index_fn(env, ctx)
-        if base is NULL or index is NULL:
-            return NULL
-        if not isinstance(base, ArrayInstance):
-            raise EvaluationError(f"indexing a non-array value {base!r}")
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise EvaluationError("array index must be an integer")
-        if index < 1 or index > len(base):
-            return NULL  # reads beyond the end are null; writes error
-        value = base.get(index)
-        if isinstance(value, Ref) and not ctx.objects.is_live(value.oid):
-            return NULL
-        return value
-
-    return CompiledExpr(run, base_full and index_full)
-
-
-def _compile_bool(node: Binary) -> CompiledExpr:
-    """Kleene three-valued and/or; short-circuits exactly like the
-    interpreter (the right operand is not evaluated when the left side
-    already decides)."""
-    left_fn, left_full = _compile(node.left)
-    right_fn, right_full = _compile(node.right)
-    full = left_full and right_full
-
-    if node.op == "and":
-
-        def run(env: dict, ctx: Any) -> Any:
-            left = _truth(left_fn(env, ctx))
-            if left is False:
-                return False
-            right = _truth(right_fn(env, ctx))
-            if right is False:
-                return False
-            if left is None or right is None:
-                return NULL
-            return True
-
-        return CompiledExpr(run, full)
-
-    if node.op == "or":
-
-        def run(env: dict, ctx: Any) -> Any:
-            left = _truth(left_fn(env, ctx))
-            if left is True:
-                return True
-            right = _truth(right_fn(env, ctx))
-            if right is True:
-                return True
-            if left is None or right is None:
-                return NULL
-            return False
-
-        return CompiledExpr(run, full)
-
-    return _compile_fallback(node)
-
-
-def _compile_object_equality(node: Binary) -> CompiledExpr:
-    left_fn, left_full = _compile(node.left)
-    right_fn, right_full = _compile(node.right)
-    negated = node.op != "is"
-
-    def run(env: dict, ctx: Any) -> Any:
-        left = left_fn(env, ctx)
-        right = right_fn(env, ctx)
-        objects = ctx.objects
-        if isinstance(left, Ref) and not objects.is_live(left.oid):
-            left = NULL
-        if isinstance(right, Ref) and not objects.is_live(right.oid):
-            right = NULL
-        if left is NULL or right is NULL:
-            # `X is null` tests for null-ness; two nulls are the same
-            # (both denote no object), a null and anything else are not.
-            same = left is NULL and right is NULL
-        else:
-            same = _object_oid(left) == _object_oid(right)
-        return not same if negated else same
-
-    return CompiledExpr(run, left_full and right_full)
-
-
-def _compile_compare(node: Binary) -> CompiledExpr:
-    compare = _COMPARATORS.get(node.op)
-    if compare is None:
-        return _compile_fallback(node)
-    left_fn, left_full = _compile(node.left)
-    right_fn, right_full = _compile(node.right)
-    full = left_full and right_full
-
-    if node.enum_labels is not None:
-        # bake the declaration-order ordinals in at compile time
-        labels = node.enum_labels
-        ordinals = {label: position for position, label in enumerate(labels)}
-
-        def run(env: dict, ctx: Any) -> Any:
-            left = left_fn(env, ctx)
-            right = right_fn(env, ctx)
-            if left is NULL or right is NULL:
-                return NULL
-            if isinstance(left, str):
-                try:
-                    left = ordinals[left]
-                except KeyError:
-                    raise EvaluationError(
-                        f"{left!r} is not a label of the enumeration"
-                    ) from None
-            if isinstance(right, str):
-                try:
-                    right = ordinals[right]
-                except KeyError:
-                    raise EvaluationError(
-                        f"{right!r} is not a label of the enumeration"
-                    ) from None
-            try:
-                return compare(left, right)
-            except TypeError as exc:
-                raise EvaluationError(f"incomparable values: {exc}") from exc
-
-        return CompiledExpr(run, full)
-
-    def run(env: dict, ctx: Any) -> Any:
-        left = left_fn(env, ctx)
-        right = right_fn(env, ctx)
-        if left is NULL or right is NULL:
-            return NULL
-        try:
-            return compare(left, right)
-        except TypeError as exc:
-            raise EvaluationError(f"incomparable values: {exc}") from exc
-
-    return CompiledExpr(run, full)
-
-
-def _compile_concat(node: Binary) -> CompiledExpr:
-    left_fn, left_full = _compile(node.left)
-    right_fn, right_full = _compile(node.right)
-
-    def run(env: dict, ctx: Any) -> Any:
-        left = left_fn(env, ctx)
-        right = right_fn(env, ctx)
-        if left is NULL or right is NULL:
-            return NULL
-        return str(left) + str(right)
-
-    return CompiledExpr(run, left_full and right_full)
-
-
-def _compile_arith(node: Binary) -> CompiledExpr:
-    left_fn, left_full = _compile(node.left)
-    right_fn, right_full = _compile(node.right)
-    full = left_full and right_full
-    op = node.op
-
-    if op == "+":
-
-        def run(env: dict, ctx: Any) -> Any:
-            left = left_fn(env, ctx)
-            right = right_fn(env, ctx)
-            if left is NULL or right is NULL:
-                return NULL
-            try:
-                return left + right
-            except TypeError as exc:
-                raise EvaluationError(
-                    f"bad arithmetic operands: {exc}"
-                ) from exc
-
-    elif op == "-":
-
-        def run(env: dict, ctx: Any) -> Any:
-            left = left_fn(env, ctx)
-            right = right_fn(env, ctx)
-            if left is NULL or right is NULL:
-                return NULL
-            try:
-                return left - right
-            except TypeError as exc:
-                raise EvaluationError(
-                    f"bad arithmetic operands: {exc}"
-                ) from exc
-
-    elif op == "*":
-
-        def run(env: dict, ctx: Any) -> Any:
-            left = left_fn(env, ctx)
-            right = right_fn(env, ctx)
-            if left is NULL or right is NULL:
-                return NULL
-            try:
-                return left * right
-            except TypeError as exc:
-                raise EvaluationError(
-                    f"bad arithmetic operands: {exc}"
-                ) from exc
-
-    elif op == "/":
-
-        def run(env: dict, ctx: Any) -> Any:
-            left = left_fn(env, ctx)
-            right = right_fn(env, ctx)
-            if left is NULL or right is NULL:
-                return NULL
-            try:
-                if right == 0:
-                    raise EvaluationError("division by zero")
-                if isinstance(left, int) and isinstance(right, int):
-                    return left // right if left % right == 0 else left / right
-                return left / right
-            except TypeError as exc:
-                raise EvaluationError(
-                    f"bad arithmetic operands: {exc}"
-                ) from exc
-
-    elif op == "%":
-
-        def run(env: dict, ctx: Any) -> Any:
-            left = left_fn(env, ctx)
-            right = right_fn(env, ctx)
-            if left is NULL or right is NULL:
-                return NULL
-            try:
-                if right == 0:
-                    raise EvaluationError("modulo by zero")
-                return left % right
-            except TypeError as exc:
-                raise EvaluationError(
-                    f"bad arithmetic operands: {exc}"
-                ) from exc
-
-    else:
-        return _compile_fallback(node)
-
-    return CompiledExpr(run, full)
-
-
-def _compile_binary(node: Binary) -> CompiledExpr:
-    if node.kind == "bool":
-        return _compile_bool(node)
-    if node.kind == "object":
-        return _compile_object_equality(node)
-    if node.kind == "compare":
-        return _compile_compare(node)
-    if node.kind == "concat":
-        return _compile_concat(node)
-    if node.kind == "arith":
-        return _compile_arith(node)
-    return _compile_fallback(node)
-
-
-def _compile_unary(node: Unary) -> CompiledExpr:
-    operand_fn, operand_full = _compile(node.operand)
-
-    if node.op == "not":
-
-        def run(env: dict, ctx: Any) -> Any:
-            truth = _truth(operand_fn(env, ctx))
-            if truth is None:
-                return NULL
-            return not truth
-
-        return CompiledExpr(run, operand_full)
-
-    if node.op == "-":
-
-        def run(env: dict, ctx: Any) -> Any:
-            value = operand_fn(env, ctx)
-            if value is NULL:
-                return NULL
-            try:
-                return -value
-            except TypeError as exc:
-                raise EvaluationError(f"cannot negate {value!r}") from exc
-
-        return CompiledExpr(run, operand_full)
-
-    return _compile_fallback(node)
+def _aggregate_value(entry: tuple, key: Any = ()) -> Any:
+    """``Evaluator._eval_aggregate_ref`` for a global aggregate, or a
+    partition one's group ``key``, read from its ``ctx.tables`` entry:
+    an empty group yields the function's empty value, a ``None`` result
+    reads as null."""
+    _mode, aggregate, computed = entry
+    value = computed.get(key, _MISS)
+    if value is _MISS:
+        value = aggregate.function.empty_value
+    return NULL if value is None else value
 
 
 def _inline_excess_body(function: Any, evaluator: Any) -> Optional[CompiledFn]:
@@ -519,35 +167,35 @@ def _inline_excess_body(function: Any, evaluator: Any) -> Optional[CompiledFn]:
         or bound.order
     ):
         return None
-    return _compile(bound.targets[0].expression).fn
+    return compile_expr(bound.targets[0].expression).fn
 
 
-def _compile_excess_call(node: ExcessCall) -> CompiledExpr:
-    """EXCESS function calls: compiled dispatch with body inlining.
+class _CallSite:
+    """The runtime half of one lowered EXCESS function call: generated
+    code evaluates the arguments and calls the site with them.
 
-    Argument evaluation, the recursion-depth guard, dynamic dispatch on
-    the first argument's runtime type, arity, and authorization mirror
-    :meth:`Evaluator._eval_excess_call` + :func:`call_function` exactly
-    (identical error messages, identical ordering). When the resolved
-    function's body is a bare scalar expression, the call runs its
-    compiled body directly in the callee environment — no Binder, no
-    plan open, no row materialization per call. Bodies that need real
-    execution fall back to :func:`call_function`.
-
-    Reported ``full=False``: the call still depends on evaluator state
-    (depth accounting, dynamic dispatch), so operators keep the honest
-    ``compiled=fallback`` annotation.
+    The recursion-depth guard, dynamic dispatch on the first argument's
+    runtime type, arity, and authorization mirror :meth:`Evaluator.
+    _eval_excess_call` + :func:`call_function` exactly (identical error
+    messages, identical ordering). When the resolved function's body is
+    a bare scalar expression, the call runs its compiled body directly
+    in the callee environment — no Binder, no plan open, no row
+    materialization per call. Bodies that need real execution go through
+    :func:`call_function`.
     """
-    arg_fns = [_compile(a).fn for a in node.args]
-    name = node.name
-    fixed_function = node.fixed_function
-    #: id(function) -> (function, bound-body-at-compile, body fn | None);
-    #: the identity recheck guards redefinition and snapshot revival
-    inline_cache: dict[int, tuple] = {}
 
-    def run(env: dict, ctx: Any) -> Any:
+    __slots__ = ("name", "fixed_function", "bodies")
+
+    def __init__(self, node: ExcessCall) -> None:
+        self.name = node.name
+        self.fixed_function = node.fixed_function
+        #: id(function) -> (function, bound-body-at-compile, body fn | None);
+        #: the identity recheck guards redefinition and snapshot revival
+        self.bodies: dict[int, tuple] = {}
+
+    def __call__(self, ctx: Any, args: list) -> Any:
         evaluator = ctx.evaluator
-        args = [fn(env, ctx) for fn in arg_fns]
+        name = self.name
         if evaluator._function_depth >= evaluator.MAX_FUNCTION_DEPTH:
             raise EvaluationError(
                 "EXCESS function recursion deeper than "
@@ -558,9 +206,8 @@ def _compile_excess_call(node: ExcessCall) -> CompiledExpr:
             first = args[0] if args else NULL
             if first is NULL:
                 return NULL
-            if fixed_function is not None:
-                function = fixed_function
-            else:
+            function = self.fixed_function
+            if function is None:
                 instance = evaluator._resolve_instance(first)
                 if instance is None:
                     return NULL
@@ -587,20 +234,20 @@ def _compile_excess_call(node: ExcessCall) -> CompiledExpr:
                 evaluator.db.authz.check(
                     evaluator.user, Privilege.EXECUTE, function.name
                 )
-            cached = inline_cache.get(id(function))
+            cached = self.bodies.get(id(function))
             if (
                 cached is None
                 or cached[0] is not function
                 or cached[1] is not function.bound
             ):
                 body = _inline_excess_body(function, evaluator)
-                inline_cache[id(function)] = (function, function.bound, body)
+                self.bodies[id(function)] = (function, function.bound, body)
             else:
                 body = cached[2]
             if body is None:
                 from repro.excess.functions import call_function
 
-                return call_function(evaluator, name, fixed_function, args)
+                return call_function(evaluator, name, self.fixed_function, args)
             callee_env = {
                 f"@{param.name}": value
                 for param, value in zip(function.params, args)
@@ -609,99 +256,114 @@ def _compile_excess_call(node: ExcessCall) -> CompiledExpr:
         finally:
             evaluator._function_depth -= 1
 
-    return CompiledExpr(run, False)
-
-
-def _compile_aggregate_ref(node: AggregateRef) -> CompiledExpr:
-    """Global and partition aggregate references read the table the
-    statement's precompute filled (mirroring ``Evaluator.
-    _eval_aggregate_ref``: an empty group yields the function's empty
-    value, a ``None`` result reads as null); correlated references keep
-    the interpreter callback, which owns their per-row memo."""
-    from repro.excess.evaluator import partition_key
-
-    aggregate_id = node.aggregate_id
-
-    def lookup(computed: dict, key: Any, aggregate: Any) -> Any:
-        if key in computed:
-            value = computed[key]
-            return NULL if value is None else value
-        empty = aggregate.function.empty_value
-        return NULL if empty is None else empty
-
-    if node.mode == "global":
-
-        def run(env: dict, ctx: Any) -> Any:
-            _mode, aggregate, computed = ctx.tables[aggregate_id]
-            return lookup(computed, (), aggregate)
-
-        return CompiledExpr(run, True)
-
-    if node.mode == "partition" and node.outer_key is not None:
-        key_fn, key_full = _compile(node.outer_key)
-
-        def run(env: dict, ctx: Any) -> Any:
-            _mode, aggregate, computed = ctx.tables[aggregate_id]
-            key = partition_key(aggregate.inner_key)(key_fn(env, ctx))
-            return lookup(computed, key, aggregate)
-
-        return CompiledExpr(run, key_full)
-
-    return _compile_fallback(node)
-
-
-#: compile-time dispatch: exact node class → handler (AdtCall,
-#: Membership, and anything unknown go through the fallback)
-_HANDLERS: dict[type, Callable[[Any], CompiledExpr]] = {
-    Const: _compile_const,
-    Param: _compile_param,
-    VarRef: _compile_var,
-    NamedValue: _compile_named,
-    AttrStep: _compile_attr,
-    IndexStepB: _compile_index,
-    Binary: _compile_binary,
-    Unary: _compile_unary,
-    ExcessCall: _compile_excess_call,
-    AggregateRef: _compile_aggregate_ref,
-}
-
-
-def _compile(node: BoundExpr) -> CompiledExpr:
-    handler = _HANDLERS.get(type(node))
-    if handler is None:
-        return _compile_fallback(node)
-    return handler(node)
-
 
 # ---------------------------------------------------------------------------
-# Public interface
+# Generated functions
 # ---------------------------------------------------------------------------
+
+#: what a generated function may bind once per call, in binding order;
+#: each binds only those its code reads (:func:`_bindings`)
+_PER_CALL = (
+    ("_db", "ctx.db"),
+    ("_params", "ctx.params"),
+    # never bound into a cached namespace: the object table's store
+    # changes under checkpoint + reopen
+    ("_store", "ctx.objects.store"),
+    ("_live", "_store.live"),
+    ("_record", "_store.record"),
+    ("_tables", "ctx.tables"),
+    ("_eval", "ctx.evaluator._eval"),
+)
+
+_NAMES = re.compile(r"\b_[a-z]+\b")
+
+
+def _bindings(code: str, indent: str) -> list:
+    """The :data:`_PER_CALL` bindings the generated ``code`` reads."""
+    used = set(_NAMES.findall(code))
+    if "_live" in used or "_record" in used:
+        used.add("_store")
+    return [f"{indent}{name} = {value}" for name, value in _PER_CALL if name in used]
+
+
+def _namespace() -> dict:
+    """The helpers every generated function's namespace starts with."""
+    from repro.excess.evaluator import (
+        NULL_KEY,
+        _SELF_KEYED,
+        canonical_key,
+        partition_key,
+    )
+
+    return {
+        "NULL": NULL,
+        "Ref": Ref,
+        "ArrayInstance": ArrayInstance,
+        "SetInstance": SetInstance,
+        "TupleInstance": TupleInstance,
+        "EvaluationError": EvaluationError,
+        "canonical_key": canonical_key,
+        "_SELF_KEYED": _SELF_KEYED,
+        "_veq": value_equal,
+        "_truth": _truth,
+        "_ooid": _object_oid,
+        "_aggv": _aggregate_value,
+        "_pkey": partition_key,
+        "_MISS": _MISS,
+        "_ONE": (None,),
+        "_NULLKEY": NULL_KEY,
+    }
+
+
+@functools.lru_cache(maxsize=512)
+def _code(source: str, filename: str) -> Any:
+    """The code object of generated ``source``. Every value a plan
+    binds lives in its function's namespace, not in the text, so the
+    plans of one statement shape generate the same source and Python
+    compiles it once."""
+    return compile(source, filename, "exec")
+
+
+def _define(source: str, ns: dict, filename: str) -> None:
+    """``exec`` generated ``source`` into ``ns`` — the one place this
+    module turns source into functions."""
+    exec(_code(source, filename), ns)
 
 
 def compile_expr(node: BoundExpr, compiled: bool = True) -> CompiledExpr:
     """One bound expression as a callable ``fn(env, ctx)`` — the single
-    place the closure-vs-interpreter decision is made.
+    place the generated-code-vs-interpreter decision is made.
 
     With ``compiled`` (the execution's ``compile_mode="closure"``) the
-    tree lowers to closures; uncompilable nodes become interpreter
-    callbacks inside an otherwise-compiled tree (``full=False``).
-    Without it the whole expression *is* the interpreter callback, so
+    tree lowers to generated code; nodes that need evaluator state become
+    interpreter callbacks inside it (``full=False``). Without it the
+    whole expression *is* the interpreter callback, so
     ``compile_mode="off"`` keeps running the reference tree-walker
     (:meth:`Evaluator._eval`) behind the same calling convention.
     """
-    return _compile(node) if compiled else _compile_fallback(node)
+    fns, full = compile_all([node], compiled)
+    return CompiledExpr(fns[0], full)
 
 
 def compile_all(
     nodes: list[BoundExpr], compiled: bool = True
 ) -> tuple[list[CompiledFn], bool]:
-    """:func:`compile_expr` over a list; returns the callables plus
-    whether every tree compiled fully (for the ``compiled=`` plan
-    annotation)."""
-    entries = [compile_expr(node, compiled) for node in nodes]
-    return [entry.fn for entry in entries], all(
-        entry.full for entry in entries
-    )
+    """:func:`compile_expr` over a list, generated and ``exec``'d as one
+    source; returns the callables plus whether every tree compiled fully
+    (for the ``compiled=`` plan annotation)."""
+    if not nodes:
+        return [], True
+    lowering = _ExprLowering(_namespace(), compiled, {}, row="env")
+    sources = []
+    for n, node in enumerate(nodes):
+        body, reg = lowering.lower(node, "    ")
+        code = ["    " + line for line in lowering.take_prologue()] + body
+        code.append(f"    return {reg}")
+        head = [f"def _e{n}(env, ctx):"] + _bindings("\n".join(code), "    ")
+        sources.append("\n".join(head + code))
+    ns = lowering.ns
+    _define("\n\n".join(sources), ns, "<expression>")
+    return [ns.pop(f"_e{n}") for n in range(len(nodes))], lowering.full
 
 
 def compiled_label(full: bool, compiled: bool = True) -> str:
@@ -718,8 +380,10 @@ def compiled_label(full: bool, compiled: bool = True) -> str:
 # ---------------------------------------------------------------------------
 
 
-#: arithmetic operators the fused lowering inlines
+#: arithmetic operators the lowering inlines
 _ARITH = ("+", "-", "*", "/", "%")
+#: comparison operators the lowering inlines
+_COMPARISONS = ("<", "<=", ">", ">=", "=", "!=")
 
 
 def _family(node: BoundExpr) -> Optional[str]:
@@ -768,15 +432,19 @@ def _never_null(node: BoundExpr) -> bool:
 
 
 class _ExprLowering:
-    """Statement-level lowering of simple bound expressions straight into
-    fused-pipeline source, bypassing per-expression closure calls.
+    """The expression code generator: bound expressions lowered to
+    Python statements, for a fused region or a standalone function
+    (:func:`compile_all`).
 
-    Each supported shape is lowered to the same sequence of checks its
-    closure compiler above performs — NULL propagation, liveness checks,
-    3VL truth, and byte-identical error messages — so inline and closure
-    evaluation are observably equivalent. ``lower`` returns
-    ``(None, None)`` for any unsupported shape; the caller falls back to
-    a closure call for that expression.
+    Each node lowers to the checks :meth:`Evaluator._eval` performs —
+    NULL propagation, liveness checks, 3VL truth, and byte-identical
+    error messages — so generated and interpreted evaluation are
+    observably equivalent. Lowering is total: a node it has no rule for
+    (an ADT call, a membership test, a correlated aggregate, an unknown
+    shape) becomes an inline ``_eval`` callback on that node alone, read
+    against the row environment ``row`` (``_row`` in a region, ``env``
+    in a standalone function). Without ``enabled`` (``compile_mode=
+    "off"``) every expression is one such callback.
 
     Every loop of the region binds one variable at a *level*: the member
     lives in ``_m<level>`` and attribute reads off it share one
@@ -794,9 +462,11 @@ class _ExprLowering:
     key of such a value is the value itself (:meth:`table_key`).
     """
 
-    def __init__(self, ns: dict, enabled: bool, aggregates: dict):
+    def __init__(self, ns: dict, enabled: bool, aggregates: dict, row: str = "_row"):
         self.ns = ns
         self.enabled = enabled
+        #: the environment dict an interpreter callback reads
+        self.row = row
         #: loop variable name → its level; grows as the generator opens
         #: nested loops, so an expression only sees enclosing variables
         self.loop_vars: dict[str, int] = {}
@@ -821,6 +491,10 @@ class _ExprLowering:
         #: > 0 while lowering code that runs only on some rows (the right
         #: operand of and/or), whose registers later code must not reuse
         self.cond_depth = 0
+        #: False once any node became a callback or a function call
+        self.full = True
+        #: True once a callback reads ``row``
+        self.calls_back = False
         self.tmp = 0
         self.consts = 0
 
@@ -828,37 +502,42 @@ class _ExprLowering:
         self.tmp += 1
         return f"_t{self.tmp}"
 
+    def constant(self, prefix: str, value: Any) -> str:
+        """A fresh namespace name bound to ``value``."""
+        self.consts += 1
+        name = f"{prefix}{self.consts}"
+        self.ns[name] = value
+        return name
+
+    def take_prologue(self) -> list:
+        """The per-call statements gathered so far, handed over once: a
+        standalone function's own prologue."""
+        prologue = self.prologue
+        self.prologue = []
+        self.params = set()
+        return prologue
+
     def lower(self, node: BoundExpr, indent: str, test: bool = False):
-        """``(statements, result_name)`` or ``(None, None)``; with
-        ``test``, the result is a condition that holds exactly when the
-        expression evaluates to True (a filter's test)."""
-        if not self.enabled:
-            return None, None
-        # an abandoned lowering discards its statements, so it must also
-        # forget the registers and per-call lookups they would have set
-        paths = dict(self.paths)
-        uses_object = set(self.uses_object)
-        uses_member = set(self.uses_member)
-        prologue = len(self.prologue)
-        tables = set(self.tables)
-        params = set(self.params)
-        cond_depth = self.cond_depth
+        """``(statements, result)``; with ``test``, the result is a
+        condition that holds exactly when the expression evaluates to
+        True (a filter's test)."""
         buf: list[str] = []
-        try:
-            if test:
-                reg = self._lower_test(node, buf, indent)
-            else:
-                reg = self._lower(node, buf, indent)
-        except _Unsupported:
-            self.paths = paths
-            self.uses_object = uses_object
-            self.uses_member = uses_member
-            del self.prologue[prologue:]
-            self.tables = tables
-            self.params = params
-            self.cond_depth = cond_depth
-            return None, None
-        return buf, reg
+        if not self.enabled:
+            reg = self._callback(node, buf, indent)
+            return buf, f"{reg} is True" if test else reg
+        if test:
+            return buf, self._lower_test(node, buf, indent)
+        return buf, self._lower(node, buf, indent)
+
+    def _callback(self, node: BoundExpr, buf: list, i: str) -> str:
+        """``node`` evaluated by the interpreter, which owns the state
+        it needs (an ADT registry, a semi-join key set, a per-row memo)."""
+        self.full = False
+        self.calls_back = True
+        out = self.new_tmp()
+        name = self.constant("_node", node)
+        buf.append(f"{i}{out} = _eval({name}, {self.row}, _tables)")
+        return out
 
     def _lower(self, node: BoundExpr, buf: list, i: str) -> str:
         if isinstance(node, Param):
@@ -868,10 +547,7 @@ class _ExprLowering:
                 self.prologue.append(f"{name} = _params[{node.slot}]")
             return name
         if isinstance(node, Const):
-            self.consts += 1
-            name = f"_c{self.consts}"
-            self.ns[name] = node.value
-            return name
+            return self.constant("_c", node.value)
         if isinstance(node, VarRef):
             return self._lower_var(node, buf, i)
         if isinstance(node, NamedValue):
@@ -881,13 +557,17 @@ class _ExprLowering:
             return out
         if isinstance(node, AttrStep):
             return self._lower_attr(node, buf, i)
+        if isinstance(node, IndexStepB):
+            return self._lower_index(node, buf, i)
         if isinstance(node, Binary):
             return self._lower_binary(node, buf, i)
         if isinstance(node, Unary):
             return self._lower_unary(node, buf, i)
         if isinstance(node, AggregateRef):
             return self._lower_aggregate(node, buf, i)
-        raise _Unsupported
+        if isinstance(node, ExcessCall):
+            return self._lower_call(node, buf, i)
+        return self._callback(node, buf, i)
 
     def _live_check(self, out: str, buf: list, i: str) -> None:
         buf.append(f"{i}if isinstance({out}, Ref) and {out}.oid not in _live:")
@@ -1018,12 +698,13 @@ class _ExprLowering:
 
     def _lower_aggregate(self, node: AggregateRef, buf: list, i: str) -> str:
         """Mirror of ``Evaluator._eval_aggregate_ref`` for the global and
-        partition modes (correlated references stay callbacks)."""
+        partition modes (correlated references are callbacks, which own
+        their per-row memo)."""
         aggregate = self.aggregates.get(node.aggregate_id)
         if aggregate is None or (
             aggregate.mode == "partition" and node.outer_key is None
         ):
-            raise _Unsupported
+            return self._lower_table_read(node, buf, i)
         aid = node.aggregate_id
         table, empty, value = f"_agc{aid}", f"_age{aid}", f"_agv{aid}"
         if aid not in self.tables:
@@ -1057,6 +738,22 @@ class _ExprLowering:
         buf.append(f"{i}    {out} = NULL")
         return out
 
+    def _lower_table_read(self, node: AggregateRef, buf: list, i: str) -> str:
+        """A global or partition reference outside the region that fills
+        its table: read ``ctx.tables`` when it evaluates."""
+        if node.mode not in ("global", "partition") or (
+            node.mode == "partition" and node.outer_key is None
+        ):
+            return self._callback(node, buf, i)
+        entry, out = self.new_tmp(), self.new_tmp()
+        buf.append(f"{i}{entry} = _tables[{node.aggregate_id}]")
+        if node.mode == "global":
+            buf.append(f"{i}{out} = _aggv({entry})")
+            return out
+        key = self._lower(node.outer_key, buf, i)
+        buf.append(f"{i}{out} = _aggv({entry}, _pkey({entry}[1].inner_key)({key}))")
+        return out
+
     def _lower_binary(self, node: Binary, buf: list, i: str) -> str:
         if node.kind == "bool" and node.op in ("and", "or"):
             return self._lower_bool(node, buf, i)
@@ -1071,20 +768,29 @@ class _ExprLowering:
                 expr = f"NULL if {tests} else {expr}"
             buf.append(f"{i}{out} = {expr}")
             return out
+        if not (
+            (node.kind == "compare" and node.op in _COMPARISONS)
+            or node.kind == "concat"
+            or (node.kind == "arith" and node.op in _ARITH)
+        ):
+            return self._callback(node, buf, i)
         left = self._lower(node.left, buf, i)
         right = self._lower(node.right, buf, i)
         out = self.new_tmp()
-        if node.kind == "compare" and node.enum_labels is None:
-            if node.op in ("<", "<=", ">", ">="):
-                expr = f"{left} {node.op} {right}"
-            elif node.op in ("=", "!="):
+        buf.append(f"{i}if {left} is NULL or {right} is NULL:")
+        buf.append(f"{i}    {out} = NULL")
+        buf.append(f"{i}else:")
+        if node.kind == "concat":
+            buf.append(f"{i}    {out} = str({left}) + str({right})")
+            return out
+        if node.kind == "compare":
+            if node.enum_labels is not None:
+                left, right = self._enum_ordinals(node.enum_labels, left, right, buf, i + "    ")
+            if node.op in ("=", "!="):
                 negate = "not " if node.op == "!=" else ""
                 expr = f"{negate}_veq({left}, {right})"
             else:
-                raise _Unsupported
-            buf.append(f"{i}if {left} is NULL or {right} is NULL:")
-            buf.append(f"{i}    {out} = NULL")
-            buf.append(f"{i}else:")
+                expr = f"{left} {node.op} {right}"
             buf.append(f"{i}    try:")
             buf.append(f"{i}        {out} = {expr}")
             buf.append(f"{i}    except TypeError as _exc:")
@@ -1093,47 +799,56 @@ class _ExprLowering:
                 f'f"incomparable values: {{_exc}}") from _exc'
             )
             return out
-        if node.kind == "concat":
-            buf.append(f"{i}if {left} is NULL or {right} is NULL:")
-            buf.append(f"{i}    {out} = NULL")
-            buf.append(f"{i}else:")
-            buf.append(f"{i}    {out} = str({left}) + str({right})")
-            return out
-        if node.kind == "arith" and node.op in _ARITH:
-            buf.append(f"{i}if {left} is NULL or {right} is NULL:")
-            buf.append(f"{i}    {out} = NULL")
-            buf.append(f"{i}else:")
-            buf.append(f"{i}    try:")
-            if node.op == "/":
-                buf.append(f"{i}        if {right} == 0:")
-                buf.append(
-                    f'{i}            raise EvaluationError("division by zero")'
-                )
-                buf.append(
-                    f"{i}        if isinstance({left}, int) "
-                    f"and isinstance({right}, int):"
-                )
-                buf.append(
-                    f"{i}            {out} = {left} // {right} "
-                    f"if {left} % {right} == 0 else {left} / {right}"
-                )
-                buf.append(f"{i}        else:")
-                buf.append(f"{i}            {out} = {left} / {right}")
-            elif node.op == "%":
-                buf.append(f"{i}        if {right} == 0:")
-                buf.append(
-                    f'{i}            raise EvaluationError("modulo by zero")'
-                )
-                buf.append(f"{i}        {out} = {left} % {right}")
-            else:
-                buf.append(f"{i}        {out} = {left} {node.op} {right}")
-            buf.append(f"{i}    except TypeError as _exc:")
+        buf.append(f"{i}    try:")
+        if node.op == "/":
+            buf.append(f"{i}        if {right} == 0:")
             buf.append(
-                f'{i}        raise EvaluationError('
-                f'f"bad arithmetic operands: {{_exc}}") from _exc'
+                f'{i}            raise EvaluationError("division by zero")'
             )
-            return out
-        raise _Unsupported
+            buf.append(
+                f"{i}        if isinstance({left}, int) "
+                f"and isinstance({right}, int):"
+            )
+            buf.append(
+                f"{i}            {out} = {left} // {right} "
+                f"if {left} % {right} == 0 else {left} / {right}"
+            )
+            buf.append(f"{i}        else:")
+            buf.append(f"{i}            {out} = {left} / {right}")
+        elif node.op == "%":
+            buf.append(f"{i}        if {right} == 0:")
+            buf.append(
+                f'{i}            raise EvaluationError("modulo by zero")'
+            )
+            buf.append(f"{i}        {out} = {left} % {right}")
+        else:
+            buf.append(f"{i}        {out} = {left} {node.op} {right}")
+        buf.append(f"{i}    except TypeError as _exc:")
+        buf.append(
+            f'{i}        raise EvaluationError('
+            f'f"bad arithmetic operands: {{_exc}}") from _exc'
+        )
+        return out
+
+    def _enum_ordinals(
+        self, labels: tuple, left: str, right: str, buf: list, i: str
+    ) -> tuple:
+        """Registers holding the declaration-order ordinals of the
+        non-null ``left`` and ``right`` (a non-label stays as it is), as
+        ``Evaluator._enum_ordinals`` maps them."""
+        ordinals = self.constant(
+            "_en", {label: position for position, label in enumerate(labels)}
+        )
+        lo, ro = self.new_tmp(), self.new_tmp()
+        buf.append(f"{i}try:")
+        buf.append(f"{i}    {lo} = {ordinals}[{left}] if isinstance({left}, str) else {left}")
+        buf.append(f"{i}    {ro} = {ordinals}[{right}] if isinstance({right}, str) else {right}")
+        buf.append(f"{i}except KeyError as _exc:")
+        buf.append(
+            f"{i}    raise EvaluationError("
+            f'f"{{_exc.args[0]!r}} is not a label of the enumeration") from None'
+        )
+        return lo, ro
 
     def _typed_compare(self, node: BoundExpr, buf: list, i: str) -> Optional[tuple]:
         """``(nullable operand registers, expression)`` of a comparison
@@ -1143,6 +858,7 @@ class _ExprLowering:
         if not (
             isinstance(node, Binary)
             and node.kind == "compare"
+            and node.op in _COMPARISONS
             and node.enum_labels is None
         ):
             return None
@@ -1206,29 +922,55 @@ class _ExprLowering:
         return out
 
     def _lower_unary(self, node: Unary, buf: list, i: str) -> str:
+        if node.op not in ("not", "-"):
+            return self._callback(node, buf, i)
         operand = self._lower(node.operand, buf, i)
         out = self.new_tmp()
         if node.op == "not":
             buf.append(f"{i}{out} = _truth({operand})")
             buf.append(f"{i}{out} = NULL if {out} is None else not {out}")
             return out
-        if node.op == "-":
-            buf.append(f"{i}if {operand} is NULL:")
-            buf.append(f"{i}    {out} = NULL")
-            buf.append(f"{i}else:")
-            buf.append(f"{i}    try:")
-            buf.append(f"{i}        {out} = -{operand}")
-            buf.append(f"{i}    except TypeError as _exc:")
-            buf.append(
-                f'{i}        raise EvaluationError('
-                f'f"cannot negate {{{operand}!r}}") from _exc'
-            )
-            return out
-        raise _Unsupported
+        buf.append(f"{i}if {operand} is NULL:")
+        buf.append(f"{i}    {out} = NULL")
+        buf.append(f"{i}else:")
+        buf.append(f"{i}    try:")
+        buf.append(f"{i}        {out} = -{operand}")
+        buf.append(f"{i}    except TypeError as _exc:")
+        buf.append(
+            f'{i}        raise EvaluationError('
+            f'f"cannot negate {{{operand}!r}}") from _exc'
+        )
+        return out
 
+    def _lower_index(self, node: IndexStepB, buf: list, i: str) -> str:
+        """1-based array read: null for a null operand or an index past
+        either end, an error for a non-array base or a non-integer index."""
+        base = self._lower(node.base, buf, i)
+        index = self._lower(node.index, buf, i)
+        out = self.new_tmp()
+        buf.append(f"{i}if {base} is NULL or {index} is NULL:")
+        buf.append(f"{i}    {out} = NULL")
+        buf.append(f"{i}elif not isinstance({base}, ArrayInstance):")
+        buf.append(
+            f'{i}    raise EvaluationError(f"indexing a non-array value {{{base}!r}}")'
+        )
+        buf.append(f"{i}elif not isinstance({index}, int) or isinstance({index}, bool):")
+        buf.append(f'{i}    raise EvaluationError("array index must be an integer")')
+        buf.append(f"{i}elif {index} < 1 or {index} > len({base}):")
+        buf.append(f"{i}    {out} = NULL  # reads beyond the end are null")
+        buf.append(f"{i}else:")
+        buf.append(f"{i}    {out} = {base}.get({index})")
+        self._live_check(out, buf, i + "    ")
+        return out
 
-class _Unsupported(Exception):
-    """Internal: the expression shape has no inline lowering."""
+    def _lower_call(self, node: ExcessCall, buf: list, i: str) -> str:
+        """The arguments inline, then the call site's dispatch."""
+        args = [self._lower(arg, buf, i) for arg in node.args]
+        self.full = False
+        site = self.constant("_call", _CallSite(node))
+        out = self.new_tmp()
+        buf.append(f"{i}{out} = {site}(ctx, [{', '.join(args)}])")
+        return out
 
 
 def _canonical(reg: str) -> str:
@@ -1287,8 +1029,8 @@ class FusedPipeline(NamedTuple):
     kind: str
     #: number of plan operators folded into the function
     ops: int
-    #: True when every expression in the region compiled to a direct
-    #: closure (no interpreter callbacks)
+    #: True when every expression in the region is generated code (no
+    #: interpreter callbacks or function calls)
     full: bool
     #: True when the region probes a hash join, whose build a
     #: ``memory_budget`` may spill: such a statement runs the operators'
@@ -1313,7 +1055,7 @@ def fused_pipeline(op: Any, compiled: bool) -> Optional[FusedPipeline]:
     the subtree is not a fusable region.
 
     Cached on the plan node keyed by the execution's ``compiled`` flag
-    (``compile_mode`` ablations each get a matching function: closure
+    (``compile_mode`` ablations each get a matching function: generated
     expressions in ``closure`` mode, interpreter callbacks in ``off``
     mode — the fusion ablation stays orthogonal to the expression one).
     """
@@ -1377,33 +1119,16 @@ class _RegionGen:
 
     def __init__(self, ops: list, compiled: bool, sink: Optional[list]) -> None:
         from repro.excess import plan
-        from repro.excess.evaluator import NULL_KEY, _SELF_KEYED, canonical_key
 
         self.plan = plan
         self.ops = ops
-        self.compiled = compiled
         self.sink = sink
         root = ops[0]
         self.project = root if isinstance(root, plan.Project) else None
         self.aggregate = next(
             (o for o in ops if isinstance(o, plan.Aggregate)), None
         )
-        self.ns: dict[str, Any] = {
-            "NULL": NULL,
-            "Ref": Ref,
-            "ArrayInstance": ArrayInstance,
-            "SetInstance": SetInstance,
-            "TupleInstance": TupleInstance,
-            "EvaluationError": EvaluationError,
-            "canonical_key": canonical_key,
-            "_SELF_KEYED": _SELF_KEYED,
-            "_veq": value_equal,
-            "_truth": _truth,
-            "_ooid": _object_oid,
-            "_MISS": _MISS,
-            "_ONE": (None,),
-            "_NULLKEY": NULL_KEY,
-        }
+        self.ns = _namespace()
         aggregates = {}
         if self.aggregate is not None:
             aggregates = {
@@ -1412,12 +1137,7 @@ class _RegionGen:
                 if a.mode != "correlated"
             }
         self.lowering = _ExprLowering(self.ns, compiled, aggregates)
-        self.full = True
-        self.n_closures = 0
         self.n_counters = 0
-        #: env-emitting regions snapshot ``_row``; others need it only
-        #: for a closure call
-        self.uses_row = self.project is None and sink is None
         #: loop level → its variable name
         self.level_vars: list[str] = []
         #: loop level → what its ``for`` yields: "value" (any member,
@@ -1441,26 +1161,18 @@ class _RegionGen:
     def emit(self, indent: str, text: str) -> None:
         self.lines.append(indent + text)
 
-    def closure(self, node: BoundExpr) -> str:
-        """Compile one expression into the namespace; returns its name."""
-        entry = compile_expr(node, self.compiled)
-        self.full = self.full and entry.full
-        name = f"_fn{self.n_closures}"
-        self.n_closures += 1
-        self.ns[name] = entry.fn
-        return name
+    @property
+    def uses_row(self) -> bool:
+        """Env-emitting regions snapshot ``_row``; others need it only
+        for an interpreter callback."""
+        return (self.project is None and self.sink is None) or self.lowering.calls_back
 
     def value(self, node: BoundExpr, indent: str) -> str:
-        """Emit ``node``'s evaluation; returns the name holding its value
-        (a register, or a closure-call result)."""
+        """Emit ``node``'s evaluation; returns the register holding its
+        value."""
         stmts, reg = self.lowering.lower(node, indent)
-        if stmts is not None:
-            self.lines.extend(stmts)
-            return reg
-        self.uses_row = True
-        out = self.lowering.new_tmp()
-        self.emit(indent, f"{out} = {self.closure(node)}(_row, ctx)")
-        return out
+        self.lines.extend(stmts)
+        return reg
 
     def count(self, op: Any, indent: str) -> None:
         name = f"_n{self.n_counters}"
@@ -1579,13 +1291,13 @@ class _RegionGen:
         else:  # IndexScan: an index holds OIDs only, so the level is typed
             kind = "oid"
             self.ns["_descriptor"] = leaf.descriptor
-            emit(indent, f"_key = {self.closure(leaf.key_expr)}(env, ctx)")
-            emit(indent, "if _key is NULL:")
+            key = self.value(leaf.key_expr, indent)
+            emit(indent, f"if {key} is NULL:")
             emit(indent, "    _members = ()")
             emit(indent, "else:")
             emit(indent, "    _index = _descriptor.index")
             if leaf.op == "=":
-                emit(indent, "    _members = _index.search(_key)")
+                emit(indent, f"    _members = _index.search({key})")
             else:
                 emit(indent, '    if not getattr(_index, "supports_range", False):')
                 emit(indent, "        raise EvaluationError(")
@@ -1596,14 +1308,14 @@ class _RegionGen:
                     emit(
                         indent,
                         "    _pairs = _index.range_scan("
-                        f"None, _key, include_high={include})",
+                        f"None, {key}, include_high={include})",
                     )
                 else:
                     include = "True" if leaf.op == ">=" else "False"
                     emit(
                         indent,
                         "    _pairs = _index.range_scan("
-                        f"_key, None, include_low={include})",
+                        f"{key}, None, include_low={include})",
                     )
                 emit(indent, "    _members = [_oid for _k, _oid in _pairs]")
         inner = self.open_loop(leaf.var, "_members", indent, kind)
@@ -1700,13 +1412,8 @@ class _RegionGen:
         for flt in reversed(filters):
             for predicate in flt.predicates:
                 stmts, test = self.lowering.lower(predicate, indent, test=True)
-                if stmts is not None:
-                    self.lines.extend(stmts)
-                    self.emit(indent, f"if not ({test}):")
-                else:
-                    self.uses_row = True
-                    name = self.closure(predicate)
-                    self.emit(indent, f"if {name}(_row, ctx) is not True:")
+                self.lines.extend(stmts)
+                self.emit(indent, f"if not ({test}):")
                 self.emit(indent, "    continue")
             self.count(flt, indent)
         cont(indent)
@@ -1867,13 +1574,6 @@ class _RegionGen:
         for index in range(self.n_counters):
             emit(f"    _n{index} = 0")
         emit("    try:")
-        emit("        _db = ctx.db")
-        emit("        _params = ctx.params")
-        # bound per call, never into the cached namespace: the object
-        # table's store changes under checkpoint + reopen
-        emit("        _store = ctx.objects.store")
-        emit("        _live = _store.live")
-        emit("        _record = _store.record")
         if self.aggregate is not None:
             # the tables must exist before any row is evaluated, exactly
             # as the row-mode Aggregate.open() precomputes them
@@ -1885,18 +1585,18 @@ class _RegionGen:
             # the build subtree runs as its own region (or its memo hits)
             self.ns[f"_hj{n}"] = join
             emit(f"        _tb{n} = _hj{n}._table_for(ctx)")
-        if self.lowering.tables:
-            emit("        _tables = ctx.tables")
-        lines.extend("        " + line for line in self.lowering.prologue)
+        body = ["        " + line for line in self.lowering.prologue]
         if self.project is not None and self.project.unique:
-            emit("        _seen = set()")
+            body.append("        _seen = set()")
         if self.uses_row:
-            emit("        _row = dict(env)")
+            body.append("        _row = dict(env)")
         for line in self.lines:
             if isinstance(line, str):
-                lines.append(line)
+                body.append(line)
             else:
-                lines.extend(self.loop_head(*line))
+                body.extend(self.loop_head(*line))
+        lines.extend(_bindings("\n".join(body), "        "))
+        lines.extend(body)
 
         # --- loop epilogue: cooperative cancellation point ----------------
         # a fused region materializes its whole output in one call, so the
@@ -1933,14 +1633,11 @@ class _RegionGen:
             kind = "sink"
 
         source = "\n".join(lines)
-        exec(compile(source, "<fused pipeline>", "exec"), self.ns)
+        _define(source, self.ns, "<fused pipeline>")
         # taken out of its own globals, so the function and its namespace
         # (which holds the region's operators) form no reference cycle
         fn = self.ns.pop("_fused")
         return FusedPipeline(
-            fn, source, kind, len(ops), self.full, bool(self.joins)
+            fn, source, kind, len(ops), self.lowering.full, bool(self.joins)
         )
 
-
-#: "no entry" marker for aggregate-table lookups in generated code
-_MISS = object()

@@ -64,7 +64,6 @@ from repro.excess.functions import (
 from repro.excess.lexer import Lexer, ShapeIndex
 from repro.excess.optimizer import CostModel, Optimizer
 from repro.excess.parser import OperatorTable, Parser
-from repro.excess.compile import compile_all
 from repro.excess.plan import (
     PlanContext,
     pipeline_sources,
@@ -899,10 +898,14 @@ class Interpreter:
             self.db, user=procedure.definer, flags=flags, session=session
         )
         ctx = PlanContext(evaluator)
-        fns = compile_all(bound_args, ctx.compiled)[0]
         names = [f"@{param.name}" for param in procedure.params]
+        # the arguments are bound afresh per execute and run once per
+        # binding: the tree-walker, not code generated for one use
         bindings = [
-            {name: fn(env, ctx) for name, fn in zip(names, fns)}
+            {
+                name: evaluator._eval(arg, env, ctx.tables)
+                for name, arg in zip(names, bound_args)
+            }
             for env in evaluator.query_envs(query, {}, ctx)
         ]
         return run_procedure(evaluator, procedure, bindings, binder)

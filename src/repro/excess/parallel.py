@@ -66,6 +66,7 @@ from repro.excess.flags import Flags
 from repro.excess.plan import (
     PlanContext,
     PlanOp,
+    ensure_query_plan,
     parallelize_query_block,
     plan_ops,
     reset_stats,
@@ -236,22 +237,25 @@ def run_aggregate_task(
     ctx = PlanContext(evaluator)
     key_of = partition_key(inner_key)
     partitioned = agg_mode == "partition"
-    fns = compile_all(
-        [argument, inner_key] if partitioned else [argument], ctx.compiled
-    )[0]
+    root = ensure_query_plan(inner, db.catalog)
+    # workers cache revived payloads across statements, and with them
+    # these functions: in the plan node's compiled-expression slot,
+    # which pickling drops
+    cache = root.__dict__.setdefault("_compiled", {})
+    slot = ("aggregate task", ctx.compiled)
+    if slot not in cache:
+        exprs = [argument, inner_key] if partitioned else [argument]
+        cache[slot] = compile_all(exprs, ctx.compiled)
+    fns = cache[slot][0]
     groups: dict[Any, list] = {}
-    root = inner.plan
-    if root is not None:
-        # workers cache revived payloads across statements
-        reset_stats(root)
+    reset_stats(root)
     for env in evaluator._query_rows(inner, {}, ctx):
         value = fns[0](env, ctx)
         if value is NULL:
             continue
         key = key_of(fns[1](env, ctx)) if partitioned else ()
         groups.setdefault(key, []).append(value)
-    stats = [_stats_tuple(op.stats) for op in plan_ops(root)] if root else []
-    return groups, stats
+    return groups, [_stats_tuple(op.stats) for op in plan_ops(root)]
 
 
 def _worker_main(  # pragma: no cover — runs only in child processes

@@ -32,15 +32,16 @@ def company() -> Database:
     )
 
 
-def build_small_company() -> Database:
-    """A hand-built tiny company database with exactly known contents.
+def build_small_company(**options) -> Database:
+    """A hand-built tiny company database with exactly known contents
+    (``options`` go to :class:`Database`, e.g. a paged store).
 
     Departments: Toys (floor 2), Shoes (floor 1).
     Employees: Sue (40, 50k, Toys; kids Tim 10, Zoe 7),
                Bob (30, 40k, Shoes),
                Ann (50, 60k, Toys; kid Rex 12).
     """
-    db = Database()
+    db = Database(**options)
     db.execute(
         """
         define type Department as (dname: char(20), floor: int4,
@@ -84,3 +85,20 @@ def build_small_company() -> Database:
 def small_company() -> Database:
     """Fixture form of :func:`build_small_company`."""
     return build_small_company()
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """``(filename, source)`` of every function the expression compiler
+    generates while the test runs (clear it to start counting)."""
+    from repro.excess import compile as compile_module
+
+    sources: list = []
+    define = compile_module._define
+
+    def recording(source, ns, filename):
+        sources.append((filename, source))
+        define(source, ns, filename)
+
+    monkeypatch.setattr(compile_module, "_define", recording)
+    return sources

@@ -52,6 +52,29 @@ class TestDirectCompilation:
         compiled = compile_expr(VarRef(name="X"))
         assert compiled.fn({"X": 3}, _ctx(db)) == 3
 
+    def test_var_holding_a_dangling_ref_reads_null(self, small_company):
+        db = small_company
+        ann = db.execute(
+            'retrieve (E) from E in Employees where E.name = "Ann"'
+        ).rows[0][0]
+        compiled = compile_expr(VarRef(name="X"))
+        assert compiled.fn({"X": ann}, _ctx(db)) == ann
+        db.execute('delete E from E in Employees where E.name = "Ann"')
+        assert compiled.fn({"X": ann}, _ctx(db)) is NULL
+
+    def test_one_exec_per_list_binding_only_what_it_reads(self, db, generated):
+        fns, full = compile_all(
+            [Const(value=1), VarRef(name="X"), Binary(
+                op="+", left=VarRef(name="Y"), right=Const(value=2), kind="arith"
+            )]
+        )
+        assert full and len(generated) == 1
+        assert [fn({"X": 5, "Y": 1}, _ctx(db)) for fn in fns] == [1, 5, 3]
+        first, second, _third = generated[0][1].split("\n\n")
+        assert "ctx." not in first  # a constant reads no per-call state
+        assert "_live = _store.live" in second
+        assert "_record" not in second and "_params" not in second
+
     def test_arith_and_nulls(self, db):
         for op, expect in [("+", 7), ("-", 3), ("*", 10), ("%", 1)]:
             node = Binary(
@@ -220,6 +243,21 @@ class TestDirectCompilation:
         assert full and len(fns) == 2
         _fns, full = compile_all([Const(value=1), Mystery()])
         assert not full
+
+    def test_fused_point_read_calls_no_function(self, small_company):
+        """An indexed point read is one generated function: its key, its
+        filter and its targets are all inline."""
+        db = small_company
+        db.interpreter.parallel_mode = "off"
+        db.execute("create index on Employees (name)")
+        result = db.execute(
+            'retrieve (E.name, E.salary + 1.0) from E in Employees where E.name = "Sue"'
+        )
+        assert result.rows == [("Sue", 50001.0)]
+        source = result.pipeline_source
+        assert "_index.search(" in source
+        assert "_fn" not in source and "_eval(" not in source
+        assert "(_row, ctx)" not in source and "(env, ctx)" not in source
 
     def test_compiled_label(self):
         assert compiled_label(True) == "closure"
@@ -644,8 +682,9 @@ class TestSharedPlanSeam:
 
     @pytest.mark.parametrize("exec_mode", ["fused", "row"])
     def test_off_builds_no_closures(self, small_company, exec_mode, monkeypatch):
-        """``compile_mode="off"`` must not lower a single expression to a
-        closure — not to execute, and not to print ``compiled=off``."""
+        """``compile_mode="off"`` must not lower a single expression to
+        generated code — not to execute, and not to print
+        ``compiled=off``: every expression is one interpreter callback."""
         from repro.excess import compile as compile_module
 
         db = small_company
@@ -655,10 +694,10 @@ class TestSharedPlanSeam:
         interpreter.compile_mode = "off"
         db.execute(FLOORMATES)
 
-        def forbidden(node):
-            raise AssertionError(f"closure built for {node!r} under off")
+        def forbidden(self, node, buf, indent):
+            raise AssertionError(f"{node!r} lowered under off")
 
-        monkeypatch.setattr(compile_module, "_compile", forbidden)
+        monkeypatch.setattr(compile_module._ExprLowering, "_lower", forbidden)
         query = (
             "retrieve (E.name, Floormates(E)) from E in Employees, "
             "D in Departments where E.dept is D and E.age > 35"
@@ -884,10 +923,16 @@ class TestTypedValueCode:
             'retrieve unique (J.grade) from J in Jobs where J.grade > "low"'
         )
         assert sorted(enum.rows) == [("high",), ("mid",)]
-        assert "_fn0(_row, ctx)" in enum.pipeline_source  # the enum compare
+        # the enum compare lowers inline, ordinal table and all
+        assert "is not a label of the enumeration" in enum.pipeline_source
+        assert "_eval(" not in enum.pipeline_source
         assert "_SELF_KEYED" in enum.pipeline_source  # the unique key
         adt = db.execute(
             "retrieve (J.title) from J in Jobs where big(J.n) = true"
         )
         assert adt.rows == [("j2",)]
-        assert "_fn0(_row, ctx)" in adt.pipeline_source
+        # the ADT call alone calls back; its comparison and the target
+        # are generated code
+        source = adt.pipeline_source
+        assert len(re.findall(r"_eval\(_node\d+, _row, _tables\)", source)) == 1
+        assert "_veq(" in source and "_slots['title']" in source

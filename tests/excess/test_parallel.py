@@ -621,6 +621,31 @@ class TestTaskVariants:
         assert len(merged) == (1 if kind == "global" else len(serial.rows))
         assert sum(len(values) for values in merged.values()) == total
 
+    def test_aggregate_task_compiles_once_per_revived_payload(
+        self, parallel_company, generated
+    ):
+        """A worker keeps its revived payload across tasks, and the
+        payload keeps the functions compiled for it: the second task
+        generates no source."""
+        db = parallel_company
+        query = (
+            "retrieve unique (E.dept.dname, p = avg(E.salary over E.dept)) "
+            "from E in Employees"
+        )
+        both_modes(db, query)
+        aggregate = cached_plan(db, query).bound.query.aggregates[0]
+        inner = Evaluator(db)._aggregate_query(aggregate)
+        payload = pickle.loads(
+            pickle.dumps((inner, aggregate.argument, aggregate.inner_key, aggregate.mode))
+        )
+        generated.clear()
+        first, _stats = run_aggregate_task(db, payload, 0, 2, FLAGS)
+        assert [name for name, _ in generated].count("<expression>") == 1
+        generated.clear()
+        second, _stats = run_aggregate_task(db, payload, 0, 2, FLAGS)
+        assert generated == []
+        assert second == first
+
 
 # ---------------------------------------------------------------------------
 # Runner edge paths (fake pools: stale tokens, dead pipes, timeouts)

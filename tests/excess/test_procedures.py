@@ -42,6 +42,30 @@ class TestDefinition:
 
 
 class TestExecution:
+    def test_repeat_execute_generates_no_expression_code(
+        self, db_with_raise, generated
+    ):
+        """Arguments run once per binding through the tree-walker, and
+        the body's payload is compiled once, on its cached plan: a
+        second execute generates no expression code, and one without a
+        from clause no code at all."""
+        db = db_with_raise
+        db.interpreter.parallel_mode = "off"
+        with_from = 'execute Raise (E, 100.0) from E in Employees where E.name = "Sue"'
+        db.execute(with_from)
+        db.execute("execute Raise (StarEmployee, 1.0 + 2.0)")
+        assert "<expression>" in [name for name, _ in generated]
+        generated.clear()
+        db.execute(with_from)
+        # the invocation query is bound afresh per execute: only its
+        # fused region is generated again
+        assert [name for name, _ in generated] == ["<fused pipeline>"]
+        generated.clear()
+        db.execute("execute Raise (StarEmployee, 1.0 + 2.0)")
+        assert generated == []
+        salaries = dict(db.execute("retrieve (E.name, E.salary) from E in Employees").rows)
+        assert salaries["Sue"] == 50200.0 and salaries["Ann"] == 60006.0
+
     def test_all_bindings_invoked(self, db_with_raise):
         # the paper's generalization over IDM: run once per binding
         result = db_with_raise.execute(

@@ -171,3 +171,64 @@ def test_abort_removes_a_parent_and_its_kids(db):
     assert stored_records(db) == records
     assert not db.objects.is_live(parent.oid)
     assert not any(db.objects.is_live(kid) for kid in kids)
+
+
+@pytest.fixture(params=list(STORES))
+def pal_db(request):
+    db = Database(**STORES[request.param])
+    db.interpreter.parallel_mode = "off"
+    db.execute(
+        "define type Person as (name: char(20), age: int4, "
+        "pal: own ref Person, kids: {own ref Person})"
+    )
+    db.execute("create {own ref Person} People")
+    return db
+
+
+def free_person(db, name):
+    """A live object nothing owns."""
+    return db.integrity.create_object(db.type("Person"), {"name": name, "age": 1})
+
+
+def assert_given_back(db, ref):
+    """``ref`` is live and unowned, and a later creation may claim it."""
+    assert db.objects.is_live(ref.oid)
+    assert db.objects.owner_of(ref.oid) == (None, None)
+    claimer = db.insert("People", name="C", age=3, pal=ref)
+    assert db.objects.owner_of(ref.oid) == (claimer.oid, None)
+
+
+def test_failed_creation_gives_back_a_pal_claimed_by_a_built_slot(pal_db):
+    free = free_person(pal_db, "f")
+    with pytest.raises(TypeSystemError):
+        pal_db.insert(
+            "People", name="A", age=1, pal=free,
+            kids=[{"name": "a1", "age": "not a number"}],
+        )
+    assert_given_back(pal_db, free)
+
+
+def test_failed_creation_gives_back_a_kid_claimed_by_the_failing_slot(pal_db):
+    free = free_person(pal_db, "f")
+    with pytest.raises(TypeSystemError):
+        pal_db.insert(
+            "People", name="A", age=1,
+            kids=[free, {"name": "a2", "age": "not a number"}],
+        )
+    assert_given_back(pal_db, free)
+
+
+def test_failed_creation_gives_back_what_an_inline_kid_claimed(pal_db):
+    free = free_person(pal_db, "f")
+    state, records = canonical_state(pal_db), stored_records(pal_db)
+    with pytest.raises(TypeSystemError):
+        pal_db.insert(
+            "People", name="A", age=1,
+            kids=[
+                {"name": "a1", "age": 2, "pal": free},
+                {"name": "a2", "age": "not a number"},
+            ],
+        )
+    assert canonical_state(pal_db) == state
+    assert stored_records(pal_db) == records
+    assert_given_back(pal_db, free)
