@@ -30,7 +30,6 @@ start with a backslash:
 ``\\optimizer on|off``  toggle the query optimizer (for comparisons)
 ``\\compile on|off``    toggle compiled expression closures (ablation)
 ``\\exec MODE``  execution mode: ``fused`` | ``row`` (the row-at-a-time oracle)
-``\\batch N``    rows per batch between operators outside fused regions
 ``\\timeout MS`` statement timeout in milliseconds (0 disables)
 ``\\budget BYTES``      operator memory budget; spill to disk beyond it
 ``\\timing on|off``     print per-statement wall time + plan-cache hit/miss
@@ -351,13 +350,6 @@ class Shell:
                 self._write(f"usage: \\exec {usage} ({exc})")
                 return
             self._write(f"execution mode {args[0]}")
-        elif command == "batch":
-            try:
-                self.db.interpreter.batch_size = _int_arg(args)
-            except ExcessError as exc:
-                self._write(f"usage: \\batch N ({exc})")
-                return
-            self._write(f"batch size {self.db.interpreter.batch_size}")
         elif command == "timeout":
             try:
                 self.db.interpreter.statement_timeout_ms = _int_arg(args)

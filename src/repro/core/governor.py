@@ -8,8 +8,8 @@ is active) and shared by every operator of that statement's plan via
 Statement timeouts
     ``statement_timeout_ms`` converts to an absolute monotonic
     deadline at statement start. Operators call :meth:`check_timeout`
-    at **batch boundaries** (``PlanOp._pull_batches``, the executor's
-    root drain) and fused pipelines call it in their loop epilogue, so
+    once per **pulled row** (``PlanOp._pull``, and the executor's root
+    drain) and fused pipelines call it in their loop epilogue, so
     cancellation is cooperative: the statement unwinds through ordinary
     exception propagation from a consistent point — MVCC workspaces
     park/rewind exactly as for any failing statement, and the plan
@@ -29,7 +29,7 @@ Memory budgets
     trigger point.
 
 Timeout injection points are registered with
-:mod:`repro.util.faultinject` (``timeout.batch``, ``timeout.root``,
+:mod:`repro.util.faultinject` (``timeout.pull``, ``timeout.root``,
 ``timeout.fused``, ``timeout.worker``), so tests can force a
 cancellation at each cooperative check site deterministically instead
 of racing a real clock.
@@ -47,7 +47,7 @@ from repro.util import faultinject
 __all__ = ["ResourceGovernor", "row_footprint", "TIMEOUT_SITES"]
 
 #: every cooperative cancellation site, one faultinject point each
-TIMEOUT_SITES = ("batch", "root", "fused", "worker", "aggregate")
+TIMEOUT_SITES = ("pull", "root", "fused", "worker", "aggregate")
 
 for _site in TIMEOUT_SITES:
     faultinject.register(f"timeout.{_site}")
@@ -110,7 +110,7 @@ class ResourceGovernor:
             return None
         return max(1, int((self.deadline - time.monotonic()) * 1000.0))
 
-    def check_timeout(self, site: str = "batch") -> None:
+    def check_timeout(self, site: str = "pull") -> None:
         """Raise :class:`StatementTimeout` past the deadline (or at an
         armed injection point). Called at every cooperative site."""
         if faultinject.should_fire(f"timeout.{site}"):

@@ -110,7 +110,7 @@ class SessionContext:
         #: cache key so re-declaring a range can never serve stale plans
         self.ranges_epoch = 0
         #: per-session flag overrides (``optimize``, ``compile_mode``,
-        #: ``exec_mode``, ``batch_size``, ...), written through
+        #: ``exec_mode``, ``memory_budget``, ...), written through
         #: :meth:`set_flag`; unset flags inherit the interpreter's
         self._overrides: dict[str, Any] = {}
         #: the resolved flags and the interpreter flag generation they

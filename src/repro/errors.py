@@ -152,7 +152,7 @@ class SerializationError(IntegrityError):
 class StatementTimeout(ExtraError):
     """A statement exceeded its session's ``statement_timeout_ms``.
 
-    Raised cooperatively at batch boundaries (and fused-pipeline
+    Raised cooperatively per pulled row (and at fused-pipeline
     epilogues), so the engine is always at a consistent point when the
     statement unwinds: MVCC workspaces, the version log, and the plan
     cache are untouched by the cancellation itself. The error is

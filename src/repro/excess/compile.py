@@ -81,6 +81,7 @@ __all__ = [
     "compile_expr",
     "compile_all",
     "compiled_label",
+    "lowers_fully",
     "FusedPipeline",
     "fused_pipeline",
     "aggregate_sink",
@@ -364,6 +365,16 @@ def compile_all(
     ns = lowering.ns
     _define("\n\n".join(sources), ns, "<expression>")
     return [ns.pop(f"_e{n}") for n in range(len(nodes))], lowering.full
+
+
+def lowers_fully(nodes: list[BoundExpr]) -> bool:
+    """:func:`compile_all`'s ``full`` for generated code, read off the
+    lowering alone: nothing is generated into a function or ``exec``'d
+    (what the ``compiled=`` plan annotation needs)."""
+    lowering = _ExprLowering(_namespace(), True, {}, row="env")
+    for node in nodes:
+        lowering.lower(node, "    ")
+    return lowering.full
 
 
 def compiled_label(full: bool, compiled: bool = True) -> str:
@@ -1033,8 +1044,8 @@ class FusedPipeline(NamedTuple):
     #: interpreter callbacks or function calls)
     full: bool
     #: True when the region probes a hash join, whose build a
-    #: ``memory_budget`` may spill: such a statement runs the operators'
-    #: own ``run_batches`` instead (``PlanOp.batches``)
+    #: ``memory_budget`` may spill: such a statement runs the row
+    #: operators instead (``plan.runnable_region``)
     hash_join: bool
 
 
@@ -1153,7 +1164,8 @@ class _RegionGen:
         #: loop body's head, resolved once the whole body is known
         self.lines: list = []
         #: the region's hash joins, outermost first: their tables are
-        #: read in this order before any row, as nested run_batches do
+        #: read in this order before any row, as the nested row
+        #: operators do
         self.joins: list = []
 
     # -- helpers ---------------------------------------------------------

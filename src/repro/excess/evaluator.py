@@ -239,7 +239,6 @@ class Evaluator:
         self.flags = flags
         self.compile_mode = flags.compile_mode
         self.exec_mode = flags.exec_mode
-        self.batch_size = flags.batch_size
         #: parent-side worker-pool dispatcher (interpreter-attached when
         #: parallel_mode=process; exchange merges and aggregate
         #: precompute consult it, everything else ignores it)
@@ -659,71 +658,46 @@ class Evaluator:
     # Plan execution
     # ------------------------------------------------------------------
 
-    def _plan_rows(self, root: PlanOp, env: Env, ctx: PlanContext) -> list:
-        """Every row of one operator tree. A root whose fused region
-        this execution runs (:func:`~repro.excess.plan.runnable_region`)
-        is one call of the generated function, inside the same counter
-        reset/absorb, ``rows_out`` count, root timeout check and
-        ``running`` nesting as :meth:`_run_plan`, which drains every
-        other tree (row mode, roots that do not fuse)."""
-        fused = None if ctx.exec_mode == "row" else runnable_region(root, ctx)
-        if fused is None:
-            rows: list = []
-            for batch in self._run_plan(root, env, ctx):
-                rows.extend(batch)
-            return rows
-        nested = root.running > 0
-        if not nested:
-            reset_stats(root)
-        root.running += 1
-        try:
-            rows = fused.fn(ctx, env)
-            if rows and ctx.governor is not None:
-                ctx.governor.check_timeout("root")
-            root.stats.rows_out += len(rows)
-            return rows
-        finally:
-            root.running -= 1
-            if not nested:
-                self._absorb_stats(root)
+    def _plan_rows(
+        self, root: PlanOp, env: Env, ctx: PlanContext, copy: bool = False
+    ) -> list:
+        """Every row of one operator tree — the one drain. A root whose
+        fused region this execution runs (:func:`~repro.excess.plan.
+        runnable_region`) is one call of the generated function; any
+        other root runs its ``_run``, with one timeout check per row,
+        and ``copy`` snapshots its rows (binding-level row operators
+        yield one shared environment).
 
-    def _run_plan(
-        self, root: PlanOp, env: Env, ctx: PlanContext
-    ) -> Iterator[list]:
-        """Drain one operator tree as lists of rows: reset its counters,
-        run it, then absorb the counters into this statement's metrics.
-        Fused execution yields the root's batches (counting its
-        ``rows_out`` per batch, per the batch stats contract); row
-        execution opens/nexts/closes the tree and yields one-row lists.
-
-        Plans are shared (they live on cached bound statements), so a
-        recursive EXCESS function can re-enter a tree that is already
-        running; the nested run skips the reset/absorb — its rows simply
-        accumulate into the outer run's counters.
+        The drain resets the tree's counters, counts the root's
+        ``rows_out`` and absorbs the counters into this statement's
+        metrics. Plans are shared (they live on cached bound
+        statements), so a recursive EXCESS function can re-enter a tree
+        that is already running; the nested run skips the reset/absorb
+        — its rows simply accumulate into the outer run's counters.
         """
+        fused = runnable_region(root, ctx)
         nested = root.running > 0
         if not nested:
             reset_stats(root)
         root.running += 1
         governor = ctx.governor
-        root_stats = root.stats
         try:
-            if ctx.exec_mode != "row":
-                for batch in root.batches(ctx, env, ctx.batch_size):
-                    if governor is not None:
-                        governor.check_timeout("root")
-                    root_stats.rows_out += len(batch)
-                    yield batch
-                return
-            root.open(ctx, env)
-            try:
-                for row in root._iters[-1]:
-                    if governor is not None:
-                        governor.check_timeout("root")
-                    root_stats.rows_out += 1
-                    yield [row]
-            finally:
-                root.close()
+            if fused is not None:
+                rows = fused.fn(ctx, env)
+                if rows and governor is not None:
+                    governor.check_timeout("root")
+            else:
+                rows = []
+                root.open(ctx, env)
+                try:
+                    for row in root._iters[-1]:
+                        if governor is not None:
+                            governor.check_timeout("root")
+                        rows.append(dict(row) if copy else row)
+                finally:
+                    root.close()
+            root.stats.rows_out += len(rows)
+            return rows
         finally:
             root.running -= 1
             if not nested:
@@ -739,22 +713,11 @@ class Evaluator:
                 metrics.hash_builds += op.stats.builds
                 metrics.hash_probes += op.stats.probes
 
-    def _query_rows(
-        self, query: BoundQuery, base_env: Env, ctx: PlanContext
-    ) -> Iterator[Env]:
-        """Stream the environments of a query's binding pipeline (row
-        mode yields one *shared* environment: callers must not retain
-        it — see :meth:`query_envs`)."""
-        plan = ensure_query_plan(query, self.db.catalog)
-        for batch in self._run_plan(plan, dict(base_env), ctx):
-            yield from batch
-
     def query_envs(
         self, query: BoundQuery, base_env: Optional[Env], ctx: PlanContext
     ) -> list[Env]:
         """The shared row-source layer: one private environment per
-        qualifying row of the query's lowered binding pipeline, drained
-        batch by batch.
+        qualifying row of the query's lowered binding pipeline.
 
         Append, delete, replace, set, and procedure invocation all
         consume it, so every strategy decision (access methods, join
@@ -763,14 +726,9 @@ class Evaluator:
         returned envs under the same ``ctx``.
         """
         plan = ensure_query_plan(query, self.db.catalog)
-        env = dict(base_env or {})
-        if ctx.exec_mode != "row":
-            # fused-mode rows are already private per-row snapshots
-            return self._plan_rows(plan, env, ctx)
-        # row mode yields its one shared environment, copied here
-        return [
-            dict(row) for batch in self._run_plan(plan, env, ctx) for row in batch
-        ]
+        # a region's rows are private already; row operators share one
+        # environment, copied here
+        return self._plan_rows(plan, dict(base_env or {}), ctx, copy=True)
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -861,7 +819,7 @@ class Evaluator:
         over the shared inner pipeline (:func:`~repro.excess.compile.
         aggregate_sink`), or None when execution is row-at-a-time or the
         pipeline is not a fusable body. Counters are reset and absorbed
-        exactly as :meth:`_run_plan` does for the drained path."""
+        exactly as :meth:`_plan_rows` does for a drained tree."""
         if self.exec_mode == "row":
             return None
         plan = ensure_query_plan(inner, self.db.catalog)
@@ -887,7 +845,7 @@ class Evaluator:
         argument (and partition key) per row. ``fills`` holds one
         ``(aggregate, argument, key_fn, key_of)`` per aggregate."""
         groups: list[dict] = [{} for _ in fills]
-        for env in self._query_rows(inner, base_env, ctx):
+        for env in self.query_envs(inner, base_env, ctx):
             for (_aggregate, argument, key_fn, key_of), table in zip(fills, groups):
                 value = argument(env, ctx)
                 if value is NULL:
@@ -922,7 +880,7 @@ class Evaluator:
         parts: Optional[list] = None
         reserved = 0
         try:
-            for env in self._query_rows(inner, base_env, ctx):
+            for env in self.query_envs(inner, base_env, ctx):
                 governor.check_timeout("aggregate")
                 for position, (_aggregate, argument, key_fn, key_of) in enumerate(
                     fills
@@ -1001,7 +959,7 @@ class Evaluator:
         values: list = []
         inner = self._aggregate_query(aggregate)
         ctx = PlanContext(self, tables)
-        for inner_env in self._query_rows(inner, env, ctx):
+        for inner_env in self.query_envs(inner, env, ctx):
             value = argument(inner_env, ctx)
             if value is not NULL:
                 values.append(value)

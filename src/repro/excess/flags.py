@@ -25,7 +25,6 @@ FLAG_VALUES: dict[str, Any] = {
     "compile_mode": ("closure", "off"),
     "exec_mode": ("fused", "row"),
     "parallel_mode": ("process", "off"),
-    "batch_size": 1,
     "workers": 1,
     "statement_timeout_ms": 0,
     "memory_budget": 0,
@@ -62,8 +61,8 @@ class Flags(NamedTuple):
     #: paths; "off" forces the recursive interpreter (ablation)
     compile_mode: str = "closure"
     #: "fused" runs generated whole-pipeline functions where plan regions
-    #: allow (exchanging row batches elsewhere); "row" keeps the
-    #: tuple-at-a-time Volcano path (the differential oracle)
+    #: allow (the row operators elsewhere); "row" runs the row operators
+    #: only — the tuple-at-a-time Volcano path, the differential oracle
     exec_mode: str = "fused"
     #: "process" lowers eligible retrieve pipelines with exchange
     #: operators and runs them on a multi-core worker pool; "off" keeps
@@ -72,10 +71,8 @@ class Flags(NamedTuple):
     #: worker-process budget for parallel plans (the chosen degree of
     #: parallelism never exceeds this)
     workers: int = max(1, os.cpu_count() or 1)
-    #: target rows per exchanged batch (fused mode)
-    batch_size: int = 1024
     #: per-statement wall-clock budget in milliseconds, enforced
-    #: cooperatively at batch boundaries (0 = no timeout)
+    #: cooperatively per pulled row and per fused region (0 = no timeout)
     statement_timeout_ms: int = 0
     #: bytes the pipeline-breaking operators (hash builds, sorts,
     #: aggregates) may hold in memory before spilling (0 = unbounded)

@@ -403,7 +403,6 @@ class Interpreter:
     exec_mode = _flag_attribute("exec_mode")
     parallel_mode = _flag_attribute("parallel_mode")
     workers = _flag_attribute("workers")
-    batch_size = _flag_attribute("batch_size")
     statement_timeout_ms = _flag_attribute("statement_timeout_ms")
     memory_budget = _flag_attribute("memory_budget")
 
@@ -1054,14 +1053,12 @@ class Interpreter:
             root = plan.plan_root
             mode = flags.compile_mode
             emode = flags.exec_mode
-            bsize = flags.batch_size
             if plan.kind == "explain":
                 result.plan_tree = render_plan(
                     root,
                     actuals=False,
                     compile_mode=mode,
                     exec_mode=emode,
-                    batch_size=bsize,
                 )
             else:
                 snap = snapshot_stats(plan.ops)
@@ -1071,7 +1068,6 @@ class Interpreter:
                     snapshot=snap,
                     compile_mode=mode,
                     exec_mode=emode,
-                    batch_size=bsize,
                     params=params,
                 )
             if emode == "fused":

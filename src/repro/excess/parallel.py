@@ -133,30 +133,21 @@ def _fold_stats(root: PlanOp, replies: list) -> None:
 
 
 def _worker_evaluator(db: Any, flags: tuple) -> Any:
+    """The evaluator a task runs under: ``flags`` is the statement's
+    :meth:`ParallelRunner._flags` tuple. The parent ships its
+    *remaining* statement time (floored at 1 ms when already expired,
+    so the worker's own first cooperative check raises the timeout) and
+    the memory budget; each worker governs its shard independently. The
+    statement's literal values travel with every task: the cached
+    fragment is one plan shape, executed under many parameter vectors."""
     from repro.excess.evaluator import Evaluator
 
-    # tolerate the shorter tuples of earlier protocols (tests drive the
-    # task functions directly); the runner always ships all seven
-    user, compile_mode, exec_mode, batch_size = flags[:4]
-    remaining_ms = flags[4] if len(flags) > 4 else None
-    budget = flags[5] if len(flags) > 5 else 0
-    # the statement's literal values travel with every task: the cached
-    # fragment is one plan shape, executed under many parameter vectors
-    params = flags[6] if len(flags) > 6 else ()
-    if exec_mode == "row":
-        # workers always run fragments fused; results are mode-
-        # independent (pinned by the exec_mode equivalence suite)
-        exec_mode = "fused"
-    # the parent ships its *remaining* statement time (floored at 1ms
-    # when already expired, so the worker's own first cooperative check
-    # raises the timeout) and the memory budget; each worker governs
-    # its shard independently
+    user, compile_mode, exec_mode, remaining_ms, budget, params = flags
     worker_flags = Flags(
         compile_mode=compile_mode,
         exec_mode=exec_mode,
-        batch_size=batch_size,
         statement_timeout_ms=remaining_ms or 0,
-        memory_budget=budget or 0,
+        memory_budget=budget,
     )
     return Evaluator(db, user=user, flags=worker_flags, params=params)
 
@@ -180,38 +171,32 @@ def run_fragment_task(
     evaluator = _worker_evaluator(db, flags)
     evaluator.exchange = Shard(part, dop)
     ctx = PlanContext(evaluator)
+    if ctx.governor is not None:
+        # a shard that arrives past the deadline is abandoned unrun
+        ctx.governor.check_timeout("worker")
     reset_stats(frag)
-    rows: list = []
     if mode == "range":
-        frag_stats = frag.stats
-        governor = ctx.governor
-        for batch in frag.batches(ctx, {}, ctx.batch_size):
-            if governor is not None:
-                governor.check_timeout("worker")
-            frag_stats.rows_out += len(batch)
-            rows.extend(batch)
+        rows = evaluator._plan_rows(frag, {}, ctx)
     else:
         rows = _run_hash_projection(frag, ctx)
     return rows, [_stats_tuple(op.stats) for op in plan_ops(frag)]
 
 
 def _run_hash_projection(project: Any, ctx: PlanContext) -> list:
-    """Mirror ``Project.run_batches`` (sans ``unique``, which the
-    parallelizer excludes), keeping each input row's ``"#pos"`` tag:
-    returns ``[(pos, row)]`` or ``[(pos, (row, sort_keys))]``."""
+    """Mirror ``Project._run`` (sans ``unique``, which the parallelizer
+    excludes), keeping each input row's ``"#pos"`` tag: returns
+    ``[(pos, row)]`` or ``[(pos, (row, sort_keys))]``."""
     out: list = []
-    size = ctx.batch_size
     project.stats.opens += 1
     target_fns, order_fns = project.target_fns(ctx.compiled)
-    for batch in project._pull_batches(project.children[0], ctx, {}, size):
-        for row_env in batch:
-            pos = row_env.pop("#pos")
-            row = tuple(fn(row_env, ctx) for fn in target_fns)
-            if order_fns:
-                keys = tuple(fn(row_env, ctx) for fn in order_fns)
-                out.append((pos, (row, keys)))
-            else:
-                out.append((pos, row))
+    for row_env in project._pull(project.children[0], ctx, {}):
+        pos = row_env["#pos"]
+        row = tuple(fn(row_env, ctx) for fn in target_fns)
+        if order_fns:
+            keys = tuple(fn(row_env, ctx) for fn in order_fns)
+            out.append((pos, (row, keys)))
+        else:
+            out.append((pos, row))
     project.stats.rows_out += len(out)
     return out
 
@@ -249,7 +234,7 @@ def run_aggregate_task(
     fns = cache[slot][0]
     groups: dict[Any, list] = {}
     reset_stats(root)
-    for env in evaluator._query_rows(inner, {}, ctx):
+    for env in evaluator.query_envs(inner, {}, ctx):
         value = fns[0](env, ctx)
         if value is NULL:
             continue
@@ -519,17 +504,17 @@ class ParallelRunner:
         raise _PoolFailure("unreachable")  # pragma: no cover
 
     @staticmethod
-    def _flags(ctx: PlanContext) -> tuple:
-        evaluator = ctx.evaluator
-        governor = getattr(evaluator, "governor", None)
+    def _flags(evaluator: Any) -> tuple:
+        """What a task's worker evaluator needs of the statement's
+        (:func:`_worker_evaluator`), for both task kinds."""
+        governor = evaluator.governor
         return (
             evaluator.user,
-            getattr(evaluator, "compile_mode", "closure"),
-            getattr(evaluator, "exec_mode", "fused"),
-            ctx.batch_size,
+            evaluator.compile_mode,
+            evaluator.exec_mode,
             governor.remaining_ms() if governor is not None else None,
             governor.memory_budget if governor is not None else 0,
-            ctx.params,
+            evaluator.params,
         )
 
     # -- exchange fragments ----------------------------------------------
@@ -546,7 +531,7 @@ class ParallelRunner:
             try:
                 key, blob = self._blob_for(frag, frag)
                 replies = self._run_parts(
-                    key, blob, "frag", dop, (merge.mode, self._flags(ctx))
+                    key, blob, "frag", dop, (merge.mode, self._flags(ctx.evaluator))
                 )
             except _PoolFailure:
                 self._stop_pool()
@@ -610,16 +595,7 @@ class ParallelRunner:
                 return None
             if dop < 2:
                 return None
-            governor = getattr(evaluator, "governor", None)
-            flags = (
-                evaluator.user,
-                getattr(evaluator, "compile_mode", "closure"),
-                getattr(evaluator, "exec_mode", "fused"),
-                getattr(evaluator, "batch_size", 1024),
-                governor.remaining_ms() if governor is not None else None,
-                governor.memory_budget if governor is not None else 0,
-                getattr(evaluator, "params", ()),
-            )
+            flags = self._flags(evaluator)
             payload = (
                 inner,
                 aggregate.argument,

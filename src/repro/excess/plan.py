@@ -57,9 +57,12 @@ fast as the pre-IR nested-loop interpreter: no per-candidate-row dict
 copies).  Consumers that retain rows must snapshot:
 :meth:`repro.excess.evaluator.Evaluator.query_envs` copies each
 qualifying environment, and the tuple-level operators produce fresh row
-tuples.  Operator statistics accumulate across re-opens within one
-execution and are reset by the executor before each execution, so
-``stats`` always describes the most recent run.
+tuples.  A fused region (``exec_mode="fused"``) is the exception: the
+generated function returns private per-row snapshots, which nobody
+copies again (see :meth:`PlanOp._pull`).  Operator statistics
+accumulate across re-opens within one execution and are reset by the
+executor before each execution, so ``stats`` always describes the most
+recent run.
 """
 
 from __future__ import annotations
@@ -109,6 +112,7 @@ from repro.excess.compile import (
     compile_all,
     compiled_label,
     fused_pipeline,
+    lowers_fully,
 )
 
 __all__ = [
@@ -180,10 +184,12 @@ def _budgeted(ctx: "PlanContext") -> bool:
 
 def runnable_region(op: "PlanOp", ctx: "PlanContext") -> Optional[Any]:
     """The fused region (:func:`~repro.excess.compile.fused_pipeline`)
-    rooted at ``op`` that this fused-mode execution runs, or None: ``op``
-    roots no region, or the region probes a hash join under a
-    ``memory_budget``, whose build may spill (the operators' own
-    ``run_batches`` take that Grace path)."""
+    rooted at ``op`` that this execution runs, or None: row mode (the
+    oracle never builds or calls a region), ``op`` roots no region, or
+    the region probes a hash join under a ``memory_budget``, whose build
+    may spill (the row operators take that Grace path)."""
+    if ctx.exec_mode == "row":
+        return None
     fused = fused_pipeline(op, ctx.compiled)
     if fused is None or (fused.hash_join and _budgeted(ctx)):
         return None
@@ -223,7 +229,6 @@ class PlanContext:
         "objects",
         "compiled",
         "exec_mode",
-        "batch_size",
         "session_stamp",
         "exchange",
         "parallel",
@@ -247,11 +252,9 @@ class PlanContext:
         #: per-node caches are keyed by it)
         self.compiled = evaluator.compile_mode == "closure"
         #: "fused" runs generated whole-pipeline functions where regions
-        #: allow and exchanges row batches between the other operators;
-        #: "row" preserves the tuple-at-a-time Volcano path (the oracle)
+        #: allow (:func:`runnable_region`) and the row operators
+        #: everywhere else; "row" runs the row operators only (the oracle)
         self.exec_mode = evaluator.exec_mode
-        #: target rows per exchanged batch (fused mode)
-        self.batch_size = evaluator.batch_size
         #: worker-side shard descriptor (``.part``/``.dop``) — set only
         #: inside a parallel worker; :class:`ExchangePartition` (and the
         #: fused codegen) read it to restrict the scan to one partition.
@@ -263,7 +266,8 @@ class PlanContext:
         self.parallel = evaluator.parallel
         #: per-statement :class:`~repro.core.governor.ResourceGovernor`
         #: (deadline + memory budget) — None when neither flag is set,
-        #: which keeps the batch hot path a single ``is None`` test
+        #: which keeps the per-row check in :meth:`PlanOp._pull` a
+        #: single ``is None`` test
         self.governor = evaluator.governor
         #: this execution's literal values by slot — what every
         #: :class:`~repro.excess.binder.Param` of the plan evaluates to
@@ -378,76 +382,55 @@ class PlanOp:
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Any]:
         raise NotImplementedError
 
-    # -- batch protocol ---------------------------------------------------
-
-    def batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        """Stream output as non-empty row batches (fused mode).
-
-        When this operator roots a fusable region (:func:`fusable_ops`),
-        the whole region executes as one generated Python function
-        (cached on the node like ``_compiled``, dropped by
-        ``__getstate__``); everything else runs the operator's native
-        :meth:`run_batches` — and so does a region holding a hash join
-        under a ``memory_budget``, whose build may spill (the Grace
-        path).  Rows inside a batch are *private*: binding-level rows
-        are per-row snapshot dicts (never the shared environment), so
-        consumers may retain or mutate them freely.
-        """
-        fused = runnable_region(self, ctx)
-        if fused is not None:
-            rows = fused.fn(ctx, env)
-            for start in range(0, len(rows), size):
-                yield rows[start : start + size]
-            return
-        yield from self.run_batches(ctx, env, size)
-
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        """Native batch execution (implemented by every operator that
-        can be reached outside a fused region — scans always fuse).
-
-        Implementations count their own ``opens`` and pull children
-        through :meth:`_pull_batches`; an operator's ``rows_out`` is
-        counted by its consumer (or the executor, at the root).
-        """
-        raise NotImplementedError
-
-    def _pull_batches(
-        self, child: "PlanOp", ctx: PlanContext, env: Env, size: int
-    ) -> Iterator[list]:
-        """Stream ``child``'s batches, counting its ``rows_out`` and this
-        operator's ``rows_in`` per batch (the batch-mode analogue of
-        :meth:`_pull`, amortized to one increment per batch)."""
-        child_stats = child.stats
-        stats = self.stats
-        governor = ctx.governor
-        for batch in child.batches(ctx, env, size):
-            if governor is not None:
-                governor.check_timeout("batch")
-            n = len(batch)
-            child_stats.rows_out += n
-            stats.rows_in += n
-            yield batch
-
     # -- helpers ---------------------------------------------------------
 
     def _pull(self, child: "PlanOp", ctx: PlanContext, env: Env) -> Iterator[Any]:
-        """Open ``child``, stream its rows (counting ``rows_in``), close.
+        """Stream ``child``'s rows for ``env`` — the one place a child is
+        pulled — counting its ``rows_out`` and, for the primary input
+        (``children[0]``), this operator's ``rows_in``; under a governor,
+        one cooperative timeout check per row.
 
-        Iterates the child's generator directly rather than calling
-        ``child.next()`` per row — same stream (operators never yield
-        None mid-stream), minus a method call on the per-row hot path.
+        A child that roots a region this execution runs
+        (:func:`runnable_region`) is one call of its generated function,
+        whose rows are private snapshots. Any other child runs its
+        :meth:`_run`, iterated directly rather than through ``next()``;
+        its binding-level rows are the one shared environment, so a
+        consumer that keeps them must copy them (as
+        :meth:`~repro.excess.evaluator.Evaluator.query_envs` does).
         """
-        child.open(ctx, env)
-        child_iter = child._iters[-1]
+        fused = runnable_region(child, ctx)
+        if fused is None:
+            child.open(ctx, env)
+            rows = child._iters[-1]
+        else:
+            rows = fused.fn(ctx, env)
         child_stats = child.stats
-        stats = self.stats
+        stats = self.stats if child is self.children[0] else OpStats()
+        governor = ctx.governor
         try:
-            for row in child_iter:
+            for row in rows:
+                if governor is not None:
+                    governor.check_timeout("pull")
                 child_stats.rows_out += 1
                 stats.rows_in += 1
                 yield row
         finally:
-            child.close()
+            if fused is None:
+                child.close()
+
+    def _pull_all(self, child: "PlanOp", ctx: PlanContext, env: Env) -> list:
+        """Every row of ``child`` (:meth:`_pull`), for the operators that
+        materialize their input: a region's rows are its function's own
+        list, with no per-row generator hop and one timeout check."""
+        fused = runnable_region(child, ctx)
+        if fused is None:
+            return list(self._pull(child, ctx, env))
+        rows = fused.fn(ctx, env)
+        if ctx.governor is not None:
+            ctx.governor.check_timeout("pull")
+        child.stats.rows_out += len(rows)
+        self.stats.rows_in += len(rows)
+        return rows
 
     # -- description -----------------------------------------------------
 
@@ -490,10 +473,12 @@ class PlanOp:
     def compiled_note(self, compiled: bool = True) -> Optional[str]:
         """``closure``/``fallback``/``off`` for operators that evaluate
         expressions, None otherwise — the per-operator ``compiled=``
-        annotation of the rendered plan."""
-        if not self.exprs():
+        annotation of the rendered plan, read off the lowering (so
+        rendering generates and ``exec``s no function)."""
+        exprs = self.exprs()
+        if not exprs:
             return None
-        return compiled_label(self.compiled_exprs(compiled)[1], compiled)
+        return compiled_label(compiled and lowers_fully(exprs), compiled)
 
     def exchange_note(self) -> Optional[str]:
         """``[hash(k), dop=N]``-style annotation for exchange operators,
@@ -538,10 +523,6 @@ class Singleton(PlanOp):
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
         yield env
-
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        yield [dict(env)]
 
 
 class _BindingOp(PlanOp):
@@ -738,24 +719,6 @@ class FunctionScan(_BindingOp):
             else:
                 env[self.var] = saved
 
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        fns, _full = self.compiled_exprs(ctx.compiled)
-        args = [fn(env, ctx) for fn in fns]
-        if any(a is NULL for a in args):
-            return
-        var = self.var
-        batch: list = []
-        for value in self.function.impl(*args):
-            row = dict(env)
-            row[var] = value
-            batch.append(row)
-            if len(batch) >= size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
 
 # ---------------------------------------------------------------------------
 # Row transformers
@@ -794,28 +757,6 @@ class Filter(PlanOp):
                 else:
                     yield row
 
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        child = self.children[0]
-        fns, _full = self.compiled_exprs(ctx.compiled)
-        if len(fns) == 1:
-            predicate = fns[0]
-            for batch in self._pull_batches(child, ctx, env, size):
-                kept = [row for row in batch if predicate(row, ctx) is True]
-                if kept:
-                    yield kept
-            return
-        for batch in self._pull_batches(child, ctx, env, size):
-            kept = []
-            for row in batch:
-                for predicate in fns:
-                    if predicate(row, ctx) is not True:
-                        break
-                else:
-                    kept.append(row)
-            if kept:
-                yield kept
-
 
 class SemiJoinProbe(PlanOp):
     """A (possibly negated) membership predicate over a named set,
@@ -843,16 +784,6 @@ class SemiJoinProbe(PlanOp):
             if member_of(row, ctx) is True:
                 yield row
 
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        (member_of,), _full = self.compiled_exprs(ctx.compiled)
-        stats = self.stats
-        for batch in self._pull_batches(self.children[0], ctx, env, size):
-            stats.probes += len(batch)
-            kept = [row for row in batch if member_of(row, ctx) is True]
-            if kept:
-                yield kept
-
     def extra_counters(self) -> str:
         return f" probes={self.stats.probes}"
 
@@ -876,34 +807,9 @@ class NestedLoopJoin(PlanOp):
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
         outer, inner = self.children
-        inner_stats = inner.stats
         for row in self._pull(outer, ctx, env):
-            inner.open(ctx, row)
-            inner_iter = inner._iters[-1]
-            try:
-                for match in inner_iter:
-                    inner_stats.rows_out += 1
-                    yield match
-            finally:
-                inner.close()
-
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        outer, inner = self.children
-        inner_stats = inner.stats
-        pending: list = []
-        for batch in self._pull_batches(outer, ctx, env, size):
-            for row in batch:
-                # the inner subtree sees the outer row as its incoming
-                # environment; its batches already carry private rows
-                for inner_batch in inner.batches(ctx, row, size):
-                    inner_stats.rows_out += len(inner_batch)
-                    pending.extend(inner_batch)
-                    if len(pending) >= size:
-                        yield pending
-                        pending = []
-        if pending:
-            yield pending
+            # the inner subtree sees the outer row as its environment
+            yield from self._pull(inner, ctx, row)
 
 
 class _SpilledBuild:
@@ -1031,35 +937,16 @@ class HashJoin(PlanOp):
     def _build_entries(self, ctx: PlanContext) -> Iterator[tuple]:
         """Stream the build side as ``(key, member)`` pairs, counting
         build stats exactly as the in-memory build always did."""
-        build = self.children[1]
-        build_stats = build.stats
         (build_fn, _probe_fn), _full = self.compiled_exprs(ctx.compiled)
         stats = self.stats
-        if ctx.exec_mode != "row":
-            # batch-at-a-time build: the pipeline breaker consumes the
-            # build subtree's batches (which may themselves run fused)
-            for batch in build.batches(ctx, {}, ctx.batch_size):
-                build_stats.rows_out += len(batch)
-                stats.build_rows += len(batch)
-                for row in batch:
-                    key = join_key(build_fn(row, ctx), self.join_op)
-                    if key is None:
-                        continue
-                    yield key, row[self.var]
-            return
-        env: Env = {}
-        build.open(ctx, env)
-        build_iter = build._iters[-1]
-        try:
-            for _ in build_iter:
-                build_stats.rows_out += 1
-                stats.build_rows += 1
-                key = join_key(build_fn(env, ctx), self.join_op)
-                if key is None:
-                    continue
-                yield key, env[self.var]
-        finally:
-            build.close()
+        var = self.var
+        join_op = self.join_op
+        for row in self._pull(self.children[1], ctx, {}):
+            stats.build_rows += 1
+            key = join_key(build_fn(row, ctx), join_op)
+            if key is None:
+                continue
+            yield key, row[var]
 
     def _build(self, ctx: PlanContext) -> Any:
         self.stats.builds += 1
@@ -1101,12 +988,14 @@ class HashJoin(PlanOp):
         stats.spill_bytes = sum(part.bytes_written for part in parts)
         return _SpilledBuild(parts)
 
-    def _grace_batches(
-        self, spill: _SpilledBuild, ctx: PlanContext, env: Env, size: int
-    ) -> Iterator[list]:
+    def _grace_rows(
+        self, spill: _SpilledBuild, ctx: PlanContext, env: Env
+    ) -> Iterator[Env]:
         """Probe a spilled build: partition the probe input the same way
         (remembering each row's position), join partition by partition,
-        then restore probe order with a stable sort on position."""
+        then restore probe order with a stable sort on position. A probe
+        row is pickled as it is partitioned, so a row of the shared
+        environment needs no copy; every output row is private."""
         stats = self.stats
         var = self.var
         join_op = self.join_op
@@ -1115,15 +1004,12 @@ class HashJoin(PlanOp):
         probes = [SpillFile() for _ in range(dop)]
         try:
             pos = 0
-            for batch in self._pull_batches(self.children[0], ctx, env, size):
-                for row in batch:
-                    stats.probes += 1
-                    key = join_key(probe_fn(row, ctx), join_op)
-                    if key is not None:
-                        probes[partition_hash(key) % dop].append(
-                            (pos, key, row)
-                        )
-                    pos += 1
+            for row in self._pull(self.children[0], ctx, env):
+                stats.probes += 1
+                key = join_key(probe_fn(row, ctx), join_op)
+                if key is not None:
+                    probes[partition_hash(key) % dop].append((pos, key, row))
+                pos += 1
             tagged: list = []
             for part in range(dop):
                 table: dict[Any, list] = {}
@@ -1144,9 +1030,8 @@ class HashJoin(PlanOp):
             # stable: rows of one position keep build insertion order
             tagged.sort(key=lambda entry: entry[0])
             stats.spill_bytes += sum(f.bytes_written for f in probes)
-            pending = [row for _pos, row in tagged]
-            for start in range(0, len(pending), size):
-                yield pending[start : start + size]
+            for _pos, row in tagged:
+                yield row
         finally:
             spill.close()
             for f in probes:
@@ -1155,8 +1040,7 @@ class HashJoin(PlanOp):
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
         table = self._table_for(ctx)
         if isinstance(table, _SpilledBuild):
-            for batch in self._grace_batches(table, ctx, env, ctx.batch_size):
-                yield from batch
+            yield from self._grace_rows(table, ctx, env)
             return
         saved = env.get(self.var, _MISSING)
         (_build_fn, probe_fn), _full = self.compiled_exprs(ctx.compiled)
@@ -1174,41 +1058,6 @@ class HashJoin(PlanOp):
                 env.pop(self.var, None)
             else:
                 env[self.var] = saved
-
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        table = self._table_for(ctx)
-        if isinstance(table, _SpilledBuild):
-            yield from self._grace_batches(table, ctx, env, size)
-            return
-        stats = self.stats
-        var = self.var
-        join_op = self.join_op
-        (_build_fn, probe_fn), _full = self.compiled_exprs(ctx.compiled)
-        pending: list = []
-        for batch in self._pull_batches(self.children[0], ctx, env, size):
-            for row in batch:
-                stats.probes += 1
-                key = join_key(probe_fn(row, ctx), join_op)
-                if key is None:
-                    continue
-                members = table.get(key)
-                if not members:
-                    continue
-                if len(members) == 1:
-                    # rows are private snapshots: bind in place, no copy
-                    row[var] = members[0]
-                    pending.append(row)
-                else:
-                    for member in members:
-                        match = dict(row)
-                        match[var] = member
-                        pending.append(match)
-                if len(pending) >= size:
-                    yield pending
-                    pending = []
-        if pending:
-            yield pending
 
 
 class UniversalCheck(PlanOp):
@@ -1253,17 +1102,6 @@ class UniversalCheck(PlanOp):
         for row in self._pull(self.children[0], ctx, env):
             if self._holds(where, ctx, row, 0):
                 yield row
-
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        # the ∀ check subtrees always iterate row-at-a-time (they bind
-        # into the candidate row and early-exit per combination); only
-        # the input side exchanges batches
-        self.stats.opens += 1
-        (where,), _full = self.compiled_exprs(ctx.compiled)
-        for batch in self._pull_batches(self.children[0], ctx, env, size):
-            kept = [row for row in batch if self._holds(where, ctx, row, 0)]
-            if kept:
-                yield kept
 
     def _holds(self, where: Any, ctx: PlanContext, env: Env, depth: int) -> bool:
         if depth == len(self.checks):
@@ -1330,13 +1168,6 @@ class Aggregate(PlanOp):
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
         yield from self._pull(self.children[0], ctx, env)
-
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        # pipeline breaker: aggregate tables must exist before any
-        # downstream evaluation, exactly as in the row-mode open()
-        self.stats.opens += 1
-        ctx.evaluator._precompute_aggregates(self, env, ctx)
-        yield from self._pull_batches(self.children[0], ctx, env, size)
 
 
 def shared_passes(aggregates: list[BoundAggregate]) -> list[list[BoundAggregate]]:
@@ -1420,34 +1251,6 @@ class Project(PlanOp):
             else:
                 yield row
 
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        from repro.excess.evaluator import canonical_key
-
-        self.stats.opens += 1
-        seen: set = set()
-        unique = self.unique
-        out: list = []
-        target_fns, order_fns = self.target_fns(ctx.compiled)
-        for batch in self._pull_batches(self.children[0], ctx, env, size):
-            for row_env in batch:
-                row = tuple(fn(row_env, ctx) for fn in target_fns)
-                if unique:
-                    key = tuple(canonical_key(v) for v in row)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                if order_fns:
-                    out.append(
-                        (row, tuple(fn(row_env, ctx) for fn in order_fns))
-                    )
-                else:
-                    out.append(row)
-            if len(out) >= size:
-                yield out
-                out = []
-        if out:
-            yield out
-
 
 class Sort(PlanOp):
     """Materialize and stably sort the input rows by their sort keys;
@@ -1470,27 +1273,11 @@ class Sort(PlanOp):
         return _spill_note(self.stats)
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[tuple]:
-        governor = ctx.governor
-        if governor is not None and governor.memory_budget > 0:
-            yield from self._external_sort(ctx, env, ctx.batch_size, governor)
+        if _budgeted(ctx):
+            yield from self._external_sort(ctx, env, ctx.governor)
             return
-        pairs = list(self._pull(self.children[0], ctx, env))
+        pairs = self._pull_all(self.children[0], ctx, env)
         yield from sort_rows(pairs, self.order)
-
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        # pipeline breaker: materialize every input batch, sort once,
-        # re-emit in batch-sized slices
-        self.stats.opens += 1
-        governor = ctx.governor
-        if governor is not None and governor.memory_budget > 0:
-            rows = self._external_sort(ctx, env, size, governor)
-        else:
-            pairs: list = []
-            for batch in self._pull_batches(self.children[0], ctx, env, size):
-                pairs.extend(batch)
-            rows = sort_rows(pairs, self.order)
-        for start in range(0, len(rows), size):
-            yield rows[start : start + size]
 
     def _flush_run(self, pending: list, order: list) -> SpillFile:
         """Sort one in-memory run and spill it as ``(seq, keys, row)``."""
@@ -1499,9 +1286,7 @@ class Sort(PlanOp):
             run.append((seq, keys, row))
         return run
 
-    def _external_sort(
-        self, ctx: PlanContext, env: Env, size: int, governor: Any
-    ) -> list:
+    def _external_sort(self, ctx: PlanContext, env: Env, governor: Any) -> list:
         """Budget-accounted sort: accumulate ``(row, keys)`` pairs until
         a reservation is refused, spill the sorted run, and merge all
         runs under :class:`_OrderKey` — which reproduces the in-memory
@@ -1516,23 +1301,22 @@ class Sort(PlanOp):
         reserved = 0
         seq = 0
         try:
-            for batch in self._pull_batches(self.children[0], ctx, env, size):
-                for row, keys in batch:
-                    cost = row_footprint(row) + row_footprint(keys)
-                    if not governor.reserve(cost):
-                        if pending:
-                            runs.append(self._flush_run(pending, order))
-                            pending = []
-                            governor.release(reserved)
-                            reserved = 0
-                            governor.spilled()
-                        if governor.reserve(cost):
-                            reserved += cost
-                        # else: a single row over budget — hold it anyway
-                    else:
+            for row, keys in self._pull(self.children[0], ctx, env):
+                cost = row_footprint(row) + row_footprint(keys)
+                if not governor.reserve(cost):
+                    if pending:
+                        runs.append(self._flush_run(pending, order))
+                        pending = []
+                        governor.release(reserved)
+                        reserved = 0
+                        governor.spilled()
+                    if governor.reserve(cost):
                         reserved += cost
-                    pending.append(((row, seq), keys))
-                    seq += 1
+                    # else: a single row over budget — hold it anyway
+                else:
+                    reserved += cost
+                pending.append(((row, seq), keys))
+                seq += 1
             if not runs:  # everything fit: identical to the serial path
                 return [entry[0][0] for entry in sort_pairs(pending, order)]
             tail = [
@@ -1583,18 +1367,9 @@ class StoreInto(PlanOp):
         return f"StoreInto {self.bound.into}"
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[tuple]:
-        rows = list(self._pull(self.children[0], ctx, env))
+        rows = self._pull_all(self.children[0], ctx, env)
         self.message = ctx.evaluator._store_rows(self.bound, rows)
         yield from rows
-
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        rows: list = []
-        for batch in self._pull_batches(self.children[0], ctx, env, size):
-            rows.extend(batch)
-        self.message = ctx.evaluator._store_rows(self.bound, rows)
-        for start in range(0, len(rows), size):
-            yield rows[start : start + size]
 
 
 # ---------------------------------------------------------------------------
@@ -1636,10 +1411,10 @@ class ExchangePartition(PlanOp):
     passthrough — the same plan object executes serially and in
     parallel workers without rewriting.
 
-    ``mode="range"`` takes a contiguous slice of the child's output (for
-    a SeqScan child the member list is sliced *before* row dicts are
-    built), so concatenating the parts in part order reproduces the
-    serial stream exactly.  ``mode="hash"`` routes each row by
+    ``mode="range"`` partitions a :class:`SeqScan` (the only child the
+    parallelizer gives it) into contiguous slices of its member list,
+    sliced *before* row dicts are built, so concatenating the parts in
+    part order reproduces the serial stream exactly.  ``mode="hash"`` routes each row by
     ``partition_hash(join_key(key))`` so all rows of one key value land
     in one partition; ``tag_pos=True`` additionally stamps the row's
     global input position into ``"#pos"`` so the merge can restore
@@ -1681,91 +1456,47 @@ class ExchangePartition(PlanOp):
     def _slice(self, n: int, shard: Any) -> tuple[int, int]:
         return (shard.part * n) // shard.dop, ((shard.part + 1) * n) // shard.dop
 
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
+    def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
         shard = ctx.exchange
-        if shard is None:
-            yield from self._pull_batches(self.children[0], ctx, env, size)
-            return
-        if self.mode == "range":
-            yield from self._range_batches(ctx, env, size, shard)
-        else:
-            yield from self._hash_batches(ctx, env, size, shard)
-
-    def _range_batches(
-        self, ctx: PlanContext, env: Env, size: int, shard: Any
-    ) -> Iterator[list]:
         child = self.children[0]
-        child_stats = child.stats
-        stats = self.stats
-        if isinstance(child, SeqScan) and not env:
-            # slice the member list before building row dicts: the whole
-            # point of range partitioning is that each worker pays only
-            # for its 1/dop share of the scan
-            child_stats.opens += 1
+        if shard is None:
+            yield from self._pull(child, ctx, env)
+        elif self.mode == "range":
+            # slice the scan's member list before building row dicts:
+            # the whole point of range partitioning is that each worker
+            # pays only for its 1/dop share of the scan
+            child.stats.opens += 1
             members = _scan_members(ctx, child.set_name)
             lo, hi = self._slice(len(members), shard)
+            child.stats.rows_out += hi - lo
+            self.stats.rows_in += hi - lo
             var = child.var
-            batch: list = []
             for member in members[lo:hi]:
-                batch.append({var: member})
-                if len(batch) >= size:
-                    child_stats.rows_out += len(batch)
-                    stats.rows_in += len(batch)
-                    yield batch
-                    batch = []
-            if batch:
-                child_stats.rows_out += len(batch)
-                stats.rows_in += len(batch)
-                yield batch
-            return
-        rows: list = []
-        for chunk in self._pull_batches(child, ctx, env, size):
-            rows.extend(chunk)
-        lo, hi = self._slice(len(rows), shard)
-        for start in range(lo, hi, size):
-            yield rows[start : min(start + size, hi)]
+                yield {**env, var: member}
+        else:
+            yield from self._hash_rows(ctx, env, shard)
 
-    def _hash_batches(
-        self, ctx: PlanContext, env: Env, size: int, shard: Any
-    ) -> Iterator[list]:
+    def _hash_rows(self, ctx: PlanContext, env: Env, shard: Any) -> Iterator[Env]:
         part, dop = shard.part, shard.dop
         (key_fn,), _full = self.compiled_exprs(ctx.compiled)
         key_op = self.key_op
         tag = self.tag_pos
         pos = -1
-        out: list = []
-        for chunk in self._pull_batches(self.children[0], ctx, env, size):
-            for row in chunk:
-                pos += 1
-                try:
-                    key = join_key(key_fn(row, ctx), key_op)
-                except EvaluationError:
-                    # a partition-key failure is a placement decision,
-                    # not an error: keep the row locally so the operator
-                    # that evaluates this expression for real raises (or
-                    # a filter in between drops the row, as serially)
-                    key = None
-                bucket = (partition_hash(key) if key is not None else pos) % dop
-                if bucket != part:
-                    continue
-                if tag:
-                    row["#pos"] = pos
-                out.append(row)
-                if len(out) >= size:
-                    yield out
-                    out = []
-        if out:
-            yield out
-
-    def _run(self, ctx: PlanContext, env: Env) -> Iterator[Env]:
-        if ctx.exchange is None:
-            yield from self._pull(self.children[0], ctx, env)
-            return
-        # workers always execute fragments batch-at-a-time; the row-mode
-        # path only ever runs serially (passthrough above)
-        for batch in self.run_batches(ctx, env, ctx.batch_size):
-            yield from batch
+        for row in self._pull(self.children[0], ctx, env):
+            pos += 1
+            try:
+                key = join_key(key_fn(row, ctx), key_op)
+            except EvaluationError:
+                # a partition-key failure is a placement decision, not
+                # an error: keep the row locally so the operator that
+                # evaluates this expression for real raises (or a filter
+                # in between drops the row, as serially)
+                key = None
+            if (partition_hash(key) if key is not None else pos) % dop != part:
+                continue
+            if tag:
+                row["#pos"] = pos
+            yield row
 
 
 class ExchangeMerge(PlanOp):
@@ -1807,15 +1538,6 @@ class ExchangeMerge(PlanOp):
             self.stats.rows_in += len(rows)
         return rows
 
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        rows = self._gather(ctx, env)
-        if rows is not None:
-            for start in range(0, len(rows), size):
-                yield rows[start : start + size]
-            return
-        yield from self._pull_batches(self.children[0], ctx, env, size)
-
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Any]:
         rows = self._gather(ctx, env)
         if rows is not None:
@@ -1845,10 +1567,6 @@ class ExchangeBroadcast(PlanOp):
 
     def exchange_note(self) -> Optional[str]:
         return f"[broadcast, dop={self.dop}]"
-
-    def run_batches(self, ctx: PlanContext, env: Env, size: int) -> Iterator[list]:
-        self.stats.opens += 1
-        yield from self._pull_batches(self.children[0], ctx, env, size)
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[Any]:
         yield from self._pull(self.children[0], ctx, env)
@@ -2585,11 +2303,11 @@ def fused_regions(root: PlanOp) -> list[list[PlanOp]]:
     """Every fusable region of the tree (each a chain, root first),
     exactly as ``exec_mode="fused"`` would execute them.
 
-    Mirrors the batch executor's dispatch: a region fires wherever
-    ``batches()`` is invoked — at the tree root, at every child pull, at
-    nested-loop inner and hash-join build boundaries (a fused hash join's
-    build subtree is visited too).  UniversalCheck's ∀ subtrees always
-    run row-at-a-time and are never fused.
+    Mirrors the executor's dispatch: a region fires at the tree root and
+    wherever :meth:`PlanOp._pull` pulls a child — every input, including
+    nested-loop inner and hash-join build sides (a fused hash join's
+    build subtree is visited too).  UniversalCheck's ∀ subtrees are
+    re-opened per check by the operator itself and are never fused.
     """
     regions: list[list[PlanOp]] = []
 
@@ -2612,32 +2330,6 @@ def fused_regions(root: PlanOp) -> list[list[PlanOp]]:
     # the cell frees it without the cyclic collector
     del visit
     return regions
-
-
-def _row_mode_ids(root: PlanOp) -> set[int]:
-    """ids of operators that run row-at-a-time even in fused mode (the
-    ∀ check subtrees of UniversalCheck operators)."""
-    ids: set[int] = set()
-
-    def mark(op: PlanOp) -> None:
-        ids.add(id(op))
-        for _role, child in op.child_roles():
-            mark(child)
-
-    def visit(op: PlanOp) -> None:
-        if isinstance(op, UniversalCheck):
-            visit(op.children[0])
-            for _binding, subtree in op.checks:
-                mark(subtree)
-            return
-        for _role, child in op.child_roles():
-            visit(child)
-
-    visit(root)
-    # the recursive closures refer to themselves through their cells;
-    # emptying the cells frees them without the cyclic collector
-    del mark, visit
-    return ids
 
 
 def pipeline_sources(
@@ -2775,7 +2467,6 @@ def render_plan(
     snapshot: Optional[list] = None,
     compile_mode: Optional[str] = None,
     exec_mode: Optional[str] = None,
-    batch_size: Optional[int] = None,
     params: tuple = (),
 ) -> str:
     """Pretty-print the operator tree, one operator per line, with the
@@ -2792,10 +2483,9 @@ def render_plan(
 
     With ``exec_mode`` given, every operator carries an ``exec=``
     annotation: ``fused`` (the operator's work is folded into a
-    generated whole-pipeline function), ``batch`` (an operator outside
-    every fused region, exchanging row batches of ``batch_size``), or
-    ``row`` (tuple-at-a-time — the whole tree in ``row`` mode, and
-    always the ∀ check subtrees of UniversalCheck).
+    generated whole-pipeline function) or ``row`` (the operator runs
+    itself — the whole tree in ``row`` mode, and every operator outside
+    the fused regions in ``fused`` mode).
     """
     lines: list[str] = []
     frozen = (
@@ -2803,18 +2493,9 @@ def render_plan(
         else {id(op): counts for op, counts in zip(plan_ops(root), snapshot)}
     )
     fused_ids: set[int] = set()
-    row_ids: set[int] = set()
     if exec_mode == "fused":
         for region in fused_regions(root):
             fused_ids.update(id(op) for op in region)
-        row_ids = _row_mode_ids(root)
-
-    def exec_label(op: PlanOp) -> str:
-        if exec_mode == "row" or id(op) in row_ids:
-            return "row"
-        if id(op) in fused_ids:
-            return "fused"
-        return "batch"
 
     def emit(op: PlanOp, depth: int, role: str) -> None:
         prefix = "  " * depth
@@ -2835,10 +2516,7 @@ def render_plan(
             if note is not None:
                 counters += f", compiled={note}"
         if exec_mode is not None:
-            label = exec_label(op)
-            counters += f", exec={label}"
-            if label != "row" and batch_size is not None:
-                counters += f", batch_size={batch_size}"
+            counters += f", exec={'fused' if id(op) in fused_ids else 'row'}"
         counters += ")"
         lines.append(f"{prefix}{tag}{op.describe(params)} {counters}")
         for child_role, child in op.child_roles():

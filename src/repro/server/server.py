@@ -68,7 +68,6 @@ _SESSION_FLAGS = (
     "optimize",
     "compile_mode",
     "exec_mode",
-    "batch_size",
     "statement_timeout_ms",
     "memory_budget",
 )
@@ -150,9 +149,13 @@ def _error_payload(exc: Exception) -> dict:
     }
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: splits length-prefixed frames out of the
-    byte stream and answers each on the loop thread, in arrival order."""
+    byte stream and answers each on the loop thread, in arrival order.
+
+    Reads land in one buffer per connection: a plain ``Protocol`` gets a
+    fresh 256 KiB ``bytes`` per read from asyncio, and freeing it can
+    make the C allocator shrink and regrow its heap on every request."""
 
     def __init__(self, server: "ExcessServer"):
         self.server = server
@@ -160,6 +163,7 @@ class _Connection(asyncio.Protocol):
         self.session: Any = None
         #: received bytes not yet consumed as complete frames
         self.buffer = bytearray()
+        self.received = memoryview(bytearray(1 << 16))
 
     def connection_made(self, transport: Any) -> None:
         self.transport = transport
@@ -179,8 +183,11 @@ class _Connection(asyncio.Protocol):
             return
         server.connections.add(self)
 
-    def data_received(self, data: bytes) -> None:
-        self.buffer += data
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.received
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.buffer += self.received[:nbytes]
         self.serve()
 
     def serve(self) -> None:

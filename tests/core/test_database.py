@@ -276,10 +276,10 @@ class TestCloseFreesByReferenceCounting:
     def test_closed_database_stays_usable(self):
         db = self._company("memory")
         db.execute("range of X is Employees")
-        db.default_session.set_flag("batch_size", 7)
+        db.default_session.set_flag("exec_mode", "row")
         db.close()
         assert db.interpreter.parallel_mode == "off"
-        assert db.default_session.resolved_flags().batch_size == 7
+        assert db.default_session.resolved_flags().exec_mode == "row"
         rows = db.execute("retrieve (X.name) where X.age > 30").rows
         assert rows == db.execute(
             "retrieve (E.name) from E in Employees where E.age > 30"

@@ -1,15 +1,16 @@
-"""Fused execution: batch boundaries, ablation plumbing, and the
+"""Fused execution: spill boundaries, ablation plumbing, and the
 generated-pipeline machinery.
 
 The equivalence of the two ``exec_mode`` settings over the paper corpus
 is pinned by tests/integration/test_compile_parity.py; this module covers
-what parity sweeps can't: batch-boundary edge cases at the operators that
-still exchange batches under ``fused`` (sorts, and hash joins under a
-``memory_budget`` — empty inputs, batch size 1, result sets not
-divisible by the batch size), mid-batch errors, the plan-cache key,
+what parity sweeps can't: edge cases at the row operators that run
+between fused regions (sorts, and hash joins under a ``memory_budget`` —
+empty inputs, spilled runs of one row, budgets that spill some
+partitions or all of them), mid-stream errors, the plan-cache key,
 EXPLAIN annotations, pipeline-region identification (including the
 aggregate, nested-path and hash-join-probe regions; an unbudgeted hash
-join's probe is fused, its build subtree a region of its own), and the
+join's probe is fused, its build subtree a region of its own), the
+counter parity of both modes over shapes that do not fuse, and the
 never-pickle-generated-code contract.
 """
 
@@ -22,7 +23,7 @@ import pytest
 
 from repro import Database
 from repro.errors import EvaluationError
-from repro.excess.compile import FusedPipeline, fused_pipeline
+from repro.excess.compile import FusedPipeline, _RegionGen, fused_pipeline
 from repro.excess.plan import (
     Filter,
     HashJoin,
@@ -38,53 +39,59 @@ from tests.conftest import build_small_company
 
 MODES = ("fused", "row")
 
+#: memory budgets (bytes) for the spill boundaries: 0 is unbounded, 1
+#: spills every row of a sort into a run of its own and every build
+#: member of a hash join, and the others spill part of the input
+BUDGETS = (0, 1, 200, 400, 1 << 20)
 
-def run_in_mode(db: Database, query: str, mode: str, batch_size=None):
-    """Execute ``query`` under one exec_mode (and optional batch size),
+
+def run_in_mode(db: Database, query: str, mode: str, budget: int = 0):
+    """Execute ``query`` under one exec_mode (and memory budget),
     restoring the session flags afterwards."""
     interpreter = db.interpreter
     saved_mode = interpreter.exec_mode
-    saved_size = interpreter.batch_size
+    saved_budget = interpreter.memory_budget
     interpreter.exec_mode = mode
-    if batch_size is not None:
-        interpreter.batch_size = batch_size
+    interpreter.memory_budget = budget
     try:
         return db.execute(query)
     finally:
         interpreter.exec_mode = saved_mode
-        interpreter.batch_size = saved_size
+        interpreter.memory_budget = saved_budget
 
 
-def outcome_in_mode(db: Database, query: str, mode: str, batch_size=None):
+def outcome_in_mode(db: Database, query: str, mode: str, budget: int = 0):
     """(rows, error-message) — exactly one of the two is None."""
     try:
-        return run_in_mode(db, query, mode, batch_size).rows, None
+        return run_in_mode(db, query, mode, budget).rows, None
     except EvaluationError as exc:
         return None, str(exc)
 
 
-class TestBatchBoundaries:
-    def test_empty_set_every_mode_and_size(self, db):
+class TestSpillBoundaries:
+    def test_empty_set_every_mode_and_budget(self, db):
         db.execute("define type Thing as (tag: int4)")
         db.execute("create {own Thing} Things")
         for mode in MODES:
-            for size in (1, 2, 1024):
+            for budget in BUDGETS:
                 result = run_in_mode(
-                    db, "retrieve (T.tag) from T in Things", mode, size
+                    db, "retrieve (T.tag) from T in Things sort by T.tag",
+                    mode, budget,
                 )
                 assert result.rows == []
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 1024])
-    def test_result_not_divisible_by_batch_size(self, small_company, size):
-        """3 employees against batch sizes 1/2/3/4/1024: final partial
-        batches and exactly-full batches must both flush (the Sort pulls
-        its fused input region in batches)."""
-        query = "retrieve (E.name) from E in Employees sort by E.name"
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_sort_across_budgets(self, small_company, budget):
+        """3 employees against budgets that spill every row, some rows
+        or none: runs of one row, a run plus an in-memory tail, and no
+        run at all must merge to the unbudgeted row-mode order."""
+        query = "retrieve (E.name) from E in Employees sort by E.name desc"
         expected = run_in_mode(small_company, query, "row").rows
-        assert run_in_mode(small_company, query, "fused", size).rows == expected
+        for mode in MODES:
+            assert run_in_mode(small_company, query, mode, budget).rows == expected
 
-    @pytest.mark.parametrize("size", [1, 2, 1024])
-    def test_join_and_aggregate_across_sizes(self, small_company, size):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_join_and_aggregate_across_budgets(self, small_company, budget):
         queries = [
             "retrieve (E.name, D.dname) from E in Employees, "
             "D in Departments where E.dept is D",
@@ -93,9 +100,10 @@ class TestBatchBoundaries:
             "retrieve (E.name, c = count(E.kids)) from E in Employees",
         ]
         for query in queries:
-            expected = sorted(run_in_mode(small_company, query, "row").rows)
-            got = run_in_mode(small_company, query, "fused", size).rows
-            assert sorted(got) == expected
+            expected = run_in_mode(small_company, query, "row").rows
+            for mode in MODES:
+                got = run_in_mode(small_company, query, mode, budget).rows
+                assert got == expected
 
     def test_updates_identical_across_modes(self):
         """A full update cycle must leave identical databases whichever
@@ -104,7 +112,6 @@ class TestBatchBoundaries:
         for mode in MODES:
             db = build_small_company()
             db.interpreter.exec_mode = mode
-            db.interpreter.batch_size = 2
             db.execute(
                 "replace E (salary = E.salary * 1.1) from E in Employees "
                 "where E.dept.floor = 2"
@@ -125,6 +132,44 @@ class TestBatchBoundaries:
         assert snapshots[0] == snapshots[1]
 
 
+class TestRowOracle:
+    """``exec_mode="row"`` never builds or calls a generated region, not
+    even where a budget makes the sort and the hash join spill."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "retrieve (E.name, E.age) from E in Employees sort by E.name desc",
+            "retrieve (E.name, M.name) from E in Employees, M in Employees "
+            "where E.age = M.age and E.salary > 40000.0",
+        ],
+        ids=["budgeted-sort", "spilled-hash-join"],
+    )
+    def test_spilling_row_run_generates_no_region(self, query, monkeypatch):
+        db = build_small_company()
+        interpreter = db.interpreter
+        interpreter.parallel_mode = "off"
+        interpreter.exec_mode = "row"
+        expected = db.execute(query).rows
+        built = []
+        original = _RegionGen.build
+
+        def spy(self):
+            built.append(self.ops[0])
+            return original(self)
+
+        monkeypatch.setattr(_RegionGen, "build", spy)
+        interpreter.memory_budget = 1
+        result = db.execute(query)
+        assert "spill=[partitions=" in result.plan_tree
+        assert result.rows == expected
+        assert built == []
+        root = interpreter.plan_cache.get(
+            interpreter._cache_key(query, "dba", db.default_session)
+        ).plan_root
+        assert all(not op.__dict__.get("_fused") for op in plan_ops(root))
+
+
 class TestMidBatchErrors:
     #: queries whose error fires mid-stream (after some rows succeeded)
     ERROR_QUERIES = [
@@ -140,7 +185,7 @@ class TestMidBatchErrors:
     @pytest.mark.parametrize("query", ERROR_QUERIES)
     def test_error_messages_byte_identical(self, small_company, query):
         outcomes = {
-            mode: outcome_in_mode(small_company, query, mode, 1)
+            mode: outcome_in_mode(small_company, query, mode)
             for mode in MODES
         }
         rows, message = outcomes["row"]
@@ -185,10 +230,9 @@ class TestExecModePlumbing:
             for mode in MODES
         }
         assert "exec=fused" in trees["fused"]
-        assert "batch_size=1024" in trees["fused"]
-        assert "exec=batch" not in trees["fused"]
+        assert "exec=row" not in trees["fused"]
         assert "exec=row" in trees["row"]
-        assert "batch_size" not in trees["row"]
+        assert "exec=fused" not in trees["row"]
         # and the rows agree whichever mode served the (distinct) plans
         rows = {
             mode: sorted(run_in_mode(small_company, query, mode).rows)
@@ -196,11 +240,12 @@ class TestExecModePlumbing:
         }
         assert rows["fused"] == rows["row"]
 
-    def test_non_fusable_operators_keep_batch_annotation(self, small_company):
+    def test_non_fusable_operators_are_labelled_row(self, small_company):
         query = "retrieve (E.name) from E in Employees sort by E.name"
         tree = run_in_mode(small_company, query, "fused").plan_tree
         sort_line = next(line for line in tree.splitlines() if "Sort" in line)
-        assert "exec=batch" in sort_line
+        assert "exec=row" in sort_line
+        assert "batch" not in tree
 
     def test_explain_message_names_exec_mode(self, small_company):
         message = small_company.execute(
@@ -351,7 +396,7 @@ class TestPipelineRegions:
         assert "def _fused(ctx, env):" in regenerated.source
         assert pipeline_sources(revived) == pipeline_sources(root)
         assert "exec=fused" in render_plan(
-            revived, actuals=False, exec_mode="fused", batch_size=1024
+            revived, actuals=False, exec_mode="fused"
         )
 
     def test_transaction_snapshot_with_fused_plans(self, small_company):
@@ -509,11 +554,72 @@ class TestFusedHashJoin:
         assert "is_live" not in source and "deref" not in source
         assert "_live_members" not in source
 
-    @pytest.mark.parametrize("query", [IS_JOIN, VALUE_JOIN])
-    def test_counters_match_row_mode(self, small_company, query):
-        results = {mode: run_in_mode(small_company, query, mode) for mode in MODES}
+    #: ``(id, query, memory budget)``: the two fused joins, then shapes
+    #: that run row operators in fused mode too — a budget of 1 << 20
+    #: holds the whole build (no partition spills), a budget of 1 spills
+    #: every partition
+    PARITY = [
+        ("is-join", IS_JOIN, 0),
+        ("value-join", VALUE_JOIN, 0),
+        (
+            "forall",
+            "retrieve (D.dname) from D in Departments, E in every Employees "
+            "where E.dept isnot D or E.salary > 45000.0",
+            0,
+        ),
+        (
+            "in",
+            "retrieve (E.name) from E in Employees where E.dept in Departments",
+            0,
+        ),
+        (
+            "nested-loop",
+            "retrieve (E.name, D.dname) from E in Employees, D in Departments "
+            "where E.salary > D.budget / 2.0",
+            0,
+        ),
+        (
+            "iterator",
+            "retrieve (E.name, I) from E in Employees, I in Interval(1, 2) "
+            "where E.age > 35",
+            0,
+        ),
+        ("sort-over-hash-join", VALUE_JOIN + " sort by E.name, M.name", 0),
+        (
+            "into",
+            "retrieve into Pairs (E.name, D.dname) from E in Employees, "
+            "D in Departments where E.dept is D",
+            0,
+        ),
+        ("budgeted-join-in-memory", VALUE_JOIN, 1 << 20),
+        ("budgeted-join-spilled", VALUE_JOIN, 1),
+        (
+            "nested-loop-error",
+            "retrieve (E.name, D.dname) from E in Employees, D in Departments "
+            "where E.salary / (E.age - 30) > D.budget",
+            0,
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "query,budget",
+        [(query, budget) for _id, query, budget in PARITY],
+        ids=[shape for shape, _query, _budget in PARITY],
+    )
+    def test_counters_match_row_mode(self, query, budget):
+        results = {}
+        for mode in MODES:
+            db = build_small_company()
+            db.interpreter.parallel_mode = "off"
+            try:
+                results[mode] = run_in_mode(db, query, mode, budget)
+            except EvaluationError as exc:
+                results[mode] = str(exc)
         fused, row = results["fused"], results["row"]
-        assert sorted(fused.rows) == sorted(row.rows)
+        if isinstance(row, str):
+            assert fused == row  # the same error, byte for byte
+            return
+        assert fused.rows == row.rows
         assert fused.rows
         for key in ("rows_scanned", "hash_builds", "hash_probes"):
             assert fused.metrics[key] == row.metrics[key]
@@ -522,16 +628,22 @@ class TestFusedHashJoin:
             return re.findall(r"(?:rows|builds|probes)=\d+", tree)
 
         assert counters(fused.plan_tree) == counters(row.plan_tree)
+        if budget == 1:
+            assert "spill=[partitions=" in fused.plan_tree
+        elif budget:
+            assert "spill=" not in fused.plan_tree
 
-    def test_budgeted_statement_keeps_the_batch_path(self, small_company, monkeypatch):
+    def test_budgeted_statement_runs_the_row_operators(
+        self, small_company, monkeypatch
+    ):
         calls = []
-        original = HashJoin.run_batches
+        original = HashJoin._run
 
-        def spy(self, ctx, env, size):
+        def spy(self, ctx, env):
             calls.append(self)
-            return original(self, ctx, env, size)
+            return original(self, ctx, env)
 
-        monkeypatch.setattr(HashJoin, "run_batches", spy)
+        monkeypatch.setattr(HashJoin, "_run", spy)
         interpreter = small_company.interpreter
         expected = small_company.execute(self.VALUE_JOIN).rows
         assert calls == []

@@ -561,17 +561,22 @@ class TestFlagValidation:
         out = io.StringIO()
         shell = Shell(out=out)
         shell.meta("\\compile maybe")
-        shell.meta("\\batch many")
-        shell.meta("\\batch 0")
+        shell.meta("\\timeout many")
+        shell.meta("\\timeout -1")
+        shell.meta("\\batch 64")
         assert shell.db.interpreter.compile_mode == "closure"
-        assert shell.db.interpreter.batch_size == 1024
+        assert shell.db.interpreter.statement_timeout_ms == 0
         text = out.getvalue()
         assert "usage: \\compile on|off" in text
         assert "compile_mode must be one of ['closure', 'off'], got 'maybe'" in text
-        assert "batch_size must be a positive integer, got 'many'" in text
-        assert "batch_size must be a positive integer, got 0" in text
-        shell.meta("\\batch 64")
-        assert shell.db.interpreter.batch_size == 64
+        assert (
+            "statement_timeout_ms must be a non-negative integer, got 'many'"
+            in text
+        )
+        assert "statement_timeout_ms must be a non-negative integer, got -1" in text
+        assert "unknown meta command \\batch" in text
+        shell.meta("\\timeout 64")
+        assert shell.db.interpreter.statement_timeout_ms == 64
 
 
 FLOORMATES = (

@@ -33,7 +33,6 @@ CHANGED = {
     "exec_mode": "row",
     "parallel_mode": "off",
     "workers": Flags().workers + 1,
-    "batch_size": 7,
     "statement_timeout_ms": 60_000,
     "memory_budget": 1 << 20,
 }
@@ -43,7 +42,6 @@ SESSION_FLAGS = (
     "optimize",
     "compile_mode",
     "exec_mode",
-    "batch_size",
     "statement_timeout_ms",
     "memory_budget",
 )
@@ -141,9 +139,9 @@ class TestSessionOverride:
         session = db.connect()
         session.set_flag("exec_mode", "row")
         db.interpreter.exec_mode = "fused"
-        db.interpreter.batch_size = 64
+        db.interpreter.memory_budget = 64
         _cache, flags = _run(session.execute, 20, evaluators)
-        assert flags.exec_mode == "row" and flags.batch_size == 64
+        assert flags.exec_mode == "row" and flags.memory_budget == 64
 
     def test_overrides_are_read_only(self, small_company):
         session = small_company.connect()
@@ -154,8 +152,8 @@ class TestSessionOverride:
 
     def test_set_flag_validates(self, small_company):
         session = small_company.connect()
-        with pytest.raises(ExcessError, match="batch_size must be a positive"):
-            session.set_flag("batch_size", 0)
+        with pytest.raises(ExcessError, match="workers must be a positive"):
+            session.set_flag("workers", 0)
         with pytest.raises(ExcessError, match="unknown flag"):
             session.set_flag("turbo", True)
         assert session.overrides == {}

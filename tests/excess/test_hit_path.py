@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import AuthorizationError, StatementTimeout
 from repro.authz.grants import Privilege
-from repro.excess.evaluator import Evaluator
+from repro.excess.plan import PlanOp
 from repro.util import faultinject
 from repro.util.workload import CompanyWorkload, build_company_database
 
@@ -65,16 +65,18 @@ def actuals(tree: str) -> str:
 
 
 @pytest.fixture
-def run_plan_calls(monkeypatch):
-    """How often statements drained a tree through ``_run_plan``."""
+def row_roots(monkeypatch):
+    """The roots that statements drained through their row operators
+    (a root whose fused region runs is never opened)."""
     calls = []
-    original = Evaluator._run_plan
+    original = PlanOp.open
 
-    def counted(self, root, env, ctx):
-        calls.append(type(root).__name__)
-        return original(self, root, env, ctx)
+    def counted(self, ctx, env):
+        if self.running:  # only a drained root is running
+            calls.append(type(self).__name__)
+        return original(self, ctx, env)
 
-    monkeypatch.setattr(Evaluator, "_run_plan", counted)
+    monkeypatch.setattr(PlanOp, "open", counted)
     return calls
 
 
@@ -153,21 +155,21 @@ class TestChecksRunOnEveryHit:
 
 
 class TestPathsThatNeverFuse:
-    def test_a_fused_root_runs_without_the_generator_path(self, db, run_plan_calls):
+    def test_a_fused_root_runs_without_the_generator_path(self, db, row_roots):
         db.execute(POINT.format(quoted(SMALL.name_of(1))))
         hit = db.execute(POINT.format(quoted(SMALL.name_of(2))))
         assert hit.metrics["cache"] == "hit"
-        assert run_plan_calls == []
+        assert row_roots == []
 
-    def test_row_mode_and_sort_drain_batches(self, db, run_plan_calls):
+    def test_row_mode_and_sort_run_their_row_operators(self, db, row_roots):
         db.execute(SORTED.format(30))
         assert db.execute(SORTED.format(40)).metrics["cache"] == "hit"
-        assert run_plan_calls == ["Sort", "Sort"]
-        run_plan_calls.clear()
+        assert row_roots == ["Sort", "Sort"]
+        row_roots.clear()
         db.interpreter.exec_mode = "row"
         db.execute(POINT.format(quoted(SMALL.name_of(1))))
         assert db.execute(POINT.format(quoted(SMALL.name_of(2)))).rows
-        assert run_plan_calls == ["Project", "Project"]
+        assert row_roots == ["Project", "Project"]
 
     def test_explain_hit_keeps_its_rows_and_tree(self, db):
         miss = db.execute("explain " + JOIN.format(1))
@@ -177,29 +179,29 @@ class TestPathsThatNeverFuse:
         assert hit.rows == miss.rows and hit.plan_tree == miss.plan_tree
         assert "rows=" not in hit.plan_tree
 
-    def test_retrieve_into_stores_through_its_root(self, db, run_plan_calls):
+    def test_retrieve_into_stores_through_its_root(self, db, row_roots):
         text = "retrieve into Seniors (E.name) from E in Employees where E.age > {}"
         result = db.execute(text.format(40))
-        assert run_plan_calls == ["StoreInto"]
+        assert row_roots == ["StoreInto"]
         assert result.message.startswith("stored ")
         stored = db.execute("retrieve (S.name) from S in Seniors").rows
         assert sorted(stored) == sorted(
             db.execute("retrieve (E.name) from E in Employees where E.age > 40").rows
         )
 
-    def test_budgeted_hash_join_takes_the_spilling_path(self, db, run_plan_calls):
+    def test_budgeted_hash_join_takes_the_spilling_path(self, db, row_roots):
         free = db.execute(JOIN.format(2)).rows
         db.interpreter.memory_budget = 64
         try:
             db.execute(JOIN.format(1))
-            run_plan_calls.clear()
+            row_roots.clear()
             db.data_version += 1  # build afresh, under the budget
             hit = db.execute(JOIN.format(2))
         finally:
             db.interpreter.memory_budget = 0
         assert hit.metrics["cache"] == "hit"
         assert hit.rows == free
-        assert run_plan_calls == ["Project"]
+        assert row_roots == ["Project"]
         assert "spill=[partitions=" in hit.plan_tree
 
 

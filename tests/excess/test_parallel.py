@@ -18,6 +18,7 @@ import pytest
 
 from repro.errors import EvaluationError, ExcessError
 from repro.excess.evaluator import Evaluator
+from repro.excess.flags import Flags
 from repro.excess.parallel import (
     ParallelRunner,
     Shard,
@@ -93,9 +94,15 @@ def cached_root(db, query):
     return cached_plan(db, query).plan_root
 
 
-FLAGS = ("dba", "closure", "fused", 1024)
+def task_flags(db, params=(), **flags):
+    """The flags tuple a runner ships with a task of a statement run
+    under ``flags`` and literal values ``params``."""
+    evaluator = Evaluator(db, flags=Flags(**flags), params=params)
+    return ParallelRunner._flags(evaluator)
+
+
 #: RANGE_QUERY's one literal travels with each task (slot 0 = 100)
-RANGE_FLAGS = FLAGS + (None, 0, (100,))
+RANGE_PARAMS = (100,)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +167,7 @@ class TestFragments:
         gathered = []
         for part in range(root.dop):
             rows, stats = run_fragment_task(
-                db, frag, part, root.dop, "range", RANGE_FLAGS
+                db, frag, part, root.dop, "range", task_flags(db, RANGE_PARAMS)
             )
             assert stats  # per-operator counters came back
             gathered.extend(rows)
@@ -172,7 +179,7 @@ class TestFragments:
         root = cached_root(db, RANGE_QUERY)
         parts = [
             run_fragment_task(
-                db, root.children[0], part, root.dop, "range", RANGE_FLAGS
+                db, root.children[0], part, root.dop, "range", task_flags(db, RANGE_PARAMS)
             )[0]
             for part in range(root.dop)
         ]
@@ -197,7 +204,7 @@ class TestFragments:
         tagged = []
         for part in range(root.dop):
             rows, _stats = run_fragment_task(
-                db, pickle.loads(blob), part, root.dop, "hash", FLAGS
+                db, pickle.loads(blob), part, root.dop, "hash", task_flags(db)
             )
             tagged.append(rows)
         # every input position appears exactly once across all parts …
@@ -219,12 +226,7 @@ class TestFragments:
         evaluator = Evaluator(db, params=(100,))
         ctx = PlanContext(evaluator)
         assert ctx.parallel is None and ctx.exchange is None
-        rows = [
-            row
-            for batch in root.batches(ctx, {}, 256)
-            for row in batch
-        ]
-        assert rows == serial.rows
+        assert evaluator._plan_rows(root, {}, ctx) == serial.rows
 
 
 # ---------------------------------------------------------------------------
@@ -526,20 +528,29 @@ SORTED_HASH_QUERY = HASH_QUERY + " sort by E.salary desc"
 
 
 class TestTaskVariants:
-    def test_row_exec_mode_coerced_to_fused(self, parallel_company):
-        # workers always run fused; a "row"-mode parent still
-        # gets the serial stream back
+    @pytest.mark.parametrize("query,mode", [(RANGE_QUERY, "range"), (HASH_QUERY, "hash")])
+    def test_row_exec_mode_runs_row_operators_in_workers(
+        self, parallel_company, query, mode
+    ):
+        # a "row"-mode statement's shards run the row operators (the
+        # exchanges' own partitioning included) and generate no region,
+        # and their rows still merge to the serial stream
         db = parallel_company
-        serial, _parallel = both_modes(db, RANGE_QUERY)
-        root = cached_root(db, RANGE_QUERY)
-        frag = pickle.loads(pickle.dumps(root.children[0]))
+        serial, _parallel = both_modes(db, query)
+        root = cached_root(db, query)
+        blob = pickle.dumps(root.children[0])
+        params = RANGE_PARAMS if mode == "range" else ()
         gathered = []
         for part in range(root.dop):
+            frag = pickle.loads(blob)
             rows, _stats = run_fragment_task(
-                db, frag, part, root.dop, "range",
-                ("dba", "closure", "row", 512) + RANGE_FLAGS[4:],
+                db, frag, part, root.dop, mode,
+                task_flags(db, params, exec_mode="row"),
             )
+            assert all(not op.__dict__.get("_fused") for op in walk_plan(frag))
             gathered.extend(rows)
+        if mode == "hash":
+            gathered = [row for _pos, row in sorted(gathered, key=lambda e: e[0])]
         assert gathered == serial.rows
 
     @pytest.mark.parametrize("compile_mode", ["closure", "off"])
@@ -555,7 +566,7 @@ class TestTaskVariants:
             op for op in walk_plan(root) if isinstance(op, ExchangeMerge)
         )
         blob = pickle.dumps(merge.children[0])
-        flags = ("dba", compile_mode, "fused", 1024)
+        flags = task_flags(db, compile_mode=compile_mode)
         tagged = []
         for part in range(merge.dop):
             rows, _stats = run_fragment_task(
@@ -576,7 +587,7 @@ class TestTaskVariants:
         serial, _parallel = both_modes(db, HASH_QUERY)
         root = cached_root(db, HASH_QUERY)
         blob = pickle.dumps(root.children[0])
-        flags = ("dba", compile_mode, "fused", 1024)
+        flags = task_flags(db, compile_mode=compile_mode)
         tagged = []
         for part in range(root.dop):
             rows, _stats = run_fragment_task(
@@ -610,7 +621,7 @@ class TestTaskVariants:
         blob = pickle.dumps(payload)
         merged: dict = {}
         for part in range(2):
-            groups, stats = run_aggregate_task(db, pickle.loads(blob), part, 2, FLAGS)
+            groups, stats = run_aggregate_task(db, pickle.loads(blob), part, 2, task_flags(db))
             assert stats
             for group_key, values in groups.items():
                 merged.setdefault(group_key, []).extend(values)
@@ -639,10 +650,10 @@ class TestTaskVariants:
             pickle.dumps((inner, aggregate.argument, aggregate.inner_key, aggregate.mode))
         )
         generated.clear()
-        first, _stats = run_aggregate_task(db, payload, 0, 2, FLAGS)
+        first, _stats = run_aggregate_task(db, payload, 0, 2, task_flags(db))
         assert [name for name, _ in generated].count("<expression>") == 1
         generated.clear()
-        second, _stats = run_aggregate_task(db, payload, 0, 2, FLAGS)
+        second, _stats = run_aggregate_task(db, payload, 0, 2, task_flags(db))
         assert generated == []
         assert second == first
 
@@ -736,7 +747,7 @@ class TestRunnerEdgePaths:
         fresh = _FakePool([_FakeConn(replies=[OK_REPLY]), _FakeConn(replies=[OK_REPLY])])
         pools = [stale, fresh]
         runner._ensure_pool = lambda dop: pools.pop(0)
-        replies = runner._run_parts(9, b"blob", "frag", 2, ("range", FLAGS))
+        replies = runner._run_parts(9, b"blob", "frag", 2, ("range", task_flags(parallel_company)))
         assert [reply[0] for reply in replies] == ["ok", "ok"]
         # the fragment was re-shipped to the fresh pool
         assert all(message[3] == b"blob" for _p, conn in fresh.workers for message in conn.sent)
@@ -749,7 +760,7 @@ class TestRunnerEdgePaths:
         ]
         runner._ensure_pool = lambda dop: pools.pop(0)
         with pytest.raises(_PoolFailure, match="stale"):
-            runner._run_parts(9, b"blob", "frag", 2, ("range", FLAGS))
+            runner._run_parts(9, b"blob", "frag", 2, ("range", task_flags(parallel_company)))
 
     def test_run_exchange_declines_inside_transaction(self, parallel_company):
         db = parallel_company

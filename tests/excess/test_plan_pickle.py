@@ -112,12 +112,7 @@ class TestGetstateAudit:
             revived = pickle.loads(pickle.dumps(root))
             evaluator = Evaluator(db, params=params)
             ctx = PlanContext(evaluator)
-            replayed = [
-                row
-                for batch in revived.batches(ctx, {}, evaluator.batch_size)
-                for row in batch
-            ]
-            assert replayed == rows, query
+            assert evaluator._plan_rows(revived, {}, ctx) == rows, query
 
     def test_revived_plans_repickle(self, warmed):
         """Second-generation pickling: a revived, re-executed tree must
@@ -128,13 +123,8 @@ class TestGetstateAudit:
         revived = pickle.loads(pickle.dumps(root))
         evaluator = Evaluator(db, params=params)
         ctx = PlanContext(evaluator)
-        for _batch in revived.batches(ctx, {}, 16):
-            pass
+        evaluator._plan_rows(revived, {}, ctx)
         second = pickle.loads(pickle.dumps(revived))
         evaluator = Evaluator(db, params=params)
-        replayed = [
-            row
-            for batch in second.batches(PlanContext(evaluator), {}, 16)
-            for row in batch
-        ]
+        replayed = evaluator._plan_rows(second, {}, PlanContext(evaluator))
         assert replayed == rows, query

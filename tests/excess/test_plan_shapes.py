@@ -17,7 +17,7 @@ from repro.errors import BindError, EvaluationError
 from repro.excess.binder import Param
 from repro.excess.evaluator import Evaluator
 from repro.excess.flags import Flags
-from repro.excess.parallel import run_fragment_task
+from repro.excess.parallel import ParallelRunner, run_fragment_task
 from repro.excess.plan import HashJoin, PlanContext, plan_ops
 from repro.util.workload import CompanyWorkload, build_company_database
 
@@ -376,8 +376,7 @@ class TestNoStaleConstants:
                     db, flags=Flags(compile_mode=mode), params=params
                 )
                 ctx = PlanContext(evaluator)
-                rows = [r for batch in revived.batches(ctx, {}, 16) for r in batch]
-                assert rows == want
+                assert evaluator._plan_rows(revived, {}, ctx) == want
 
     def test_parallel_fragments_take_their_values_per_task(self):
         db = build_company_database(
@@ -396,7 +395,7 @@ class TestNoStaleConstants:
             interpreter.parallel_mode = "off"
             for bound in (100, 60000):
                 serial = db.execute(text.format(bound)).rows
-                flags = ("dba", "closure", "fused", 1024, None, 0, (bound,))
+                flags = ParallelRunner._flags(Evaluator(db, params=(bound,)))
                 gathered = []
                 for part in range(merge.dop):
                     rows, _stats = run_fragment_task(

@@ -135,15 +135,15 @@ class TestPlanCacheIdentity:
         assert a.resolved_flags().optimize is True
 
 
-class TestBatchSizeValidation:
+class TestWorkersValidation:
     @pytest.mark.parametrize("bad", [0, -3, True, "many", 2.5, None])
-    def test_invalid_batch_size_rejected(self, db, bad):
+    def test_invalid_workers_rejected(self, db, bad):
         with pytest.raises(ExcessError, match="positive integer"):
-            db.interpreter.batch_size = bad
+            db.interpreter.workers = bad
 
-    def test_valid_batch_size_accepted(self, db):
-        db.interpreter.batch_size = 7
-        assert db.interpreter.batch_size == 7
+    def test_valid_workers_accepted(self, db):
+        db.interpreter.workers = 7
+        assert db.interpreter.workers == 7
 
 
 class TestConcurrentMemoizedBuilds:

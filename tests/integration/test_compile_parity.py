@@ -387,3 +387,38 @@ def test_update_statements_parity():
         ).rows
         snapshots.append((rows, depts))
     assert snapshots[0] == snapshots[1]
+
+
+def test_explain_generates_no_function(monkeypatch):
+    """EXPLAIN reads each operator's ``compiled=`` label off the
+    lowering: rendering the corpus's plans in every mode generates and
+    ``exec``s no function."""
+    from repro.excess import compile as compile_module
+    from tests.conftest import build_small_company
+
+    db = extend_corpus(build_small_company())
+    db.interpreter.parallel_mode = "off"
+    defined = []
+    original = compile_module._define
+
+    def spy(source, ns, filename):
+        defined.append(filename)
+        original(source, ns, filename)
+
+    monkeypatch.setattr(compile_module, "_define", spy)
+    interpreter = db.interpreter
+    corpus = [query for _figure, query in PAPER_QUERIES]
+    corpus += NULL_EDGE_QUERIES + LOWERED_KIND_QUERIES
+    rendered = 0
+    try:
+        for exec_mode, compile_mode in MODE_MATRIX:
+            interpreter.exec_mode = exec_mode
+            interpreter.compile_mode = compile_mode
+            for query in corpus:
+                tree = db.execute("explain " + query).plan_tree
+                rendered += tree is not None and "compiled=" in tree
+    finally:
+        interpreter.exec_mode = "fused"
+        interpreter.compile_mode = "closure"
+    assert rendered
+    assert defined == []

@@ -135,8 +135,10 @@ SERIAL_SITES = [
     ("root", "fused", SCAN_SORT),
     ("root", "row", SCAN_SORT),
     ("fused", "fused", SCAN_SORT),
-    # a Sort pulls its input (here a fused hash join) in batches
-    ("batch", "fused", JOIN + " sort by E.name, M.name"),
+    # a Sort pulls its input: here a fused hash join region...
+    ("pull", "fused", JOIN + " sort by E.name, M.name"),
+    # ...or, row-at-a-time, the row operators
+    ("pull", "row", JOIN + " sort by E.name, M.name"),
     ("aggregate", "fused", AGGREGATE),
     ("aggregate", "row", AGGREGATE),
 ]
@@ -206,6 +208,24 @@ class TestTimeoutMatrix:
             db.interpreter.statement_timeout_ms = 0
         assert_quiesced(db)
 
+    @pytest.mark.parametrize("mode", ["fused", "row"])
+    def test_real_deadline_cancels_a_nested_loop_that_cannot_fuse(self, mode):
+        """600 × 600 employees under a predicate no hash join or fused
+        region takes: the cooperative check per pulled row cancels the
+        statement whether or not its scans run as regions."""
+        db = build_company_database(
+            CompanyWorkload(departments=4, employees=600, seed=9)
+        )
+        db.interpreter.parallel_mode = "off"
+        db.interpreter.exec_mode = mode
+        db.interpreter.statement_timeout_ms = 20
+        with pytest.raises(StatementTimeout):
+            db.execute(
+                "retrieve (E.name, M.name) from E in Employees, "
+                "M in Employees where E.age + M.age < 0"
+            )
+        assert_quiesced(db)
+
     def test_zero_timeout_means_no_governor(self, company):
         db = company
         assert db.interpreter.statement_timeout_ms == 0
@@ -267,25 +287,23 @@ class TestTimeoutMatrix:
 
 class TestWorkerTimeout:
     def test_worker_evaluator_carries_deadline_and_budget(self, company):
-        from repro.excess.parallel import _worker_evaluator
+        from repro.excess.evaluator import Evaluator
+        from repro.excess.flags import Flags
+        from repro.excess.parallel import ParallelRunner, _worker_evaluator
 
-        evaluator = _worker_evaluator(
-            company, ("dba", "closure", "fused", 1024, 1, 512)
+        parent = Evaluator(
+            company, flags=Flags(statement_timeout_ms=1, memory_budget=512)
         )
+        time.sleep(0.01)  # the parent's deadline has passed
+        evaluator = _worker_evaluator(company, ParallelRunner._flags(parent))
         governor = evaluator.governor
         assert governor is not None
         assert governor.memory_budget == 512
+        # an expired parent still ships 1 ms, so the worker's own check
+        # is the one that cancels
         time.sleep(0.01)
         with pytest.raises(StatementTimeout):
             governor.check_timeout("worker")
-
-    def test_legacy_four_tuple_flags_mean_no_governor(self, company):
-        from repro.excess.parallel import _worker_evaluator
-
-        evaluator = _worker_evaluator(
-            company, ("dba", "closure", "fused", 1024)
-        )
-        assert evaluator.governor is None
 
 
 # -- spill equivalence -------------------------------------------------------

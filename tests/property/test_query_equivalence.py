@@ -199,33 +199,34 @@ class TestEquivalences:
             interpreter.compile_mode = "closure"
         assert sorted(compiled) == sorted(interpreted)
 
-    @given(predicate=predicates(), batch_size=st.sampled_from([1, 3, 1024]))
+    @given(predicate=predicates(), budget=st.sampled_from([0, 1, 4096]))
     @settings(max_examples=40, deadline=None)
-    def test_exec_modes_equivalent(self, company_pair, predicate, batch_size):
+    def test_exec_modes_equivalent(self, company_pair, predicate, budget):
         """fused / row execution must return identical rows for random
-        single-variable predicates at awkward batch sizes."""
+        single-variable predicates, sorted under memory budgets that
+        spill every row, some rows or none."""
         memory, _paged = company_pair
         interpreter = memory.interpreter
         query = (
             f"retrieve (E.name, E.salary) from E in Employees "
-            f"where {predicate}"
+            f"where {predicate} sort by E.salary desc"
         )
         rows = {}
         try:
-            interpreter.batch_size = batch_size
+            interpreter.memory_budget = budget
             for mode in ("fused", "row"):
                 interpreter.exec_mode = mode
-                rows[mode] = sorted(memory.execute(query).rows)
+                rows[mode] = memory.execute(query).rows
         finally:
             interpreter.exec_mode = "fused"
-            interpreter.batch_size = 1024
+            interpreter.memory_budget = 0
         assert rows["fused"] == rows["row"]
 
     @given(query=equi_join_queries())
     @settings(max_examples=30, deadline=None)
     def test_exec_mode_joins_equivalent(self, analyzed_company, query):
-        """Batch-at-a-time hash-join build/probe (and fused scan regions
-        feeding the join) must not change any join's result multiset."""
+        """The fused hash-join probe (and fused scan regions feeding the
+        join) must not change any join's result multiset."""
         db = analyzed_company
         interpreter = db.interpreter
         fused = db.execute(query).rows

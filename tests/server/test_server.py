@@ -243,11 +243,13 @@ class TestSessionOps:
             client.set_flag("turbo", True)
         with pytest.raises(RemoteError, match="must be one of"):
             client.set_flag("exec_mode", "warp")
-        with pytest.raises(RemoteError, match="positive integer"):
-            client.set_flag("batch_size", 0)
-        with pytest.raises(RemoteError, match="positive integer"):
-            client.set_flag("batch_size", True)
-        client.set_flag("batch_size", 64)
+        with pytest.raises(RemoteError, match="unknown session flag"):
+            client.set_flag("batch_size", 64)
+        with pytest.raises(RemoteError, match="non-negative integer"):
+            client.set_flag("memory_budget", -1)
+        with pytest.raises(RemoteError, match="non-negative integer"):
+            client.set_flag("memory_budget", True)
+        client.set_flag("memory_budget", 0)
 
     def test_set_flag_shares_the_interpreter_table(self, server, client):
         """The wire rejects a typo with the very error the Python API

@@ -318,8 +318,8 @@ class TestLiveMapping:
         generated = fused_pipeline(root, True)
 
         def run():
-            ctx = PlanContext(Evaluator(db))
-            return [row for batch in root.batches(ctx, {}, 1024) for row in batch]
+            evaluator = Evaluator(db)
+            return evaluator._plan_rows(root, {}, PlanContext(evaluator))
 
         assert run() == [("Sue", "Toys", "Toys")]
         db.execute("begin")
