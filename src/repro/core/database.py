@@ -534,7 +534,10 @@ class Database:
     def execute(self, text: str, user: Optional[str] = None) -> Any:
         """Parse and run one or more EXCESS statements; returns the result
         of the last statement (a :class:`repro.excess.interpreter.Result`)."""
-        return self.interpreter.execute(text, user=user or self.authz.directory.dba)
+        interpreter = self._interpreter
+        if interpreter is None or interpreter.db is None:
+            interpreter = self.interpreter
+        return interpreter.execute(text, user or self.authz.directory.dba)
 
     def session(self, user: str) -> "Session":
         """A session bound to ``user`` for authorization-checked work."""

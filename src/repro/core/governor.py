@@ -9,7 +9,8 @@ Statement timeouts
     ``statement_timeout_ms`` converts to an absolute monotonic
     deadline at statement start. Operators call :meth:`check_timeout`
     once per **pulled row** (``PlanOp._pull``, and the executor's root
-    drain) and fused pipelines call it in their loop epilogue, so
+    drain) while the governor is :attr:`~ResourceGovernor.watching`
+    and fused pipelines call it in their loop epilogue, so
     cancellation is cooperative: the statement unwinds through ordinary
     exception propagation from a consistent point — MVCC workspaces
     park/rewind exactly as for any failing statement, and the plan
@@ -30,9 +31,11 @@ Memory budgets
 
 Timeout injection points are registered with
 :mod:`repro.util.faultinject` (``timeout.pull``, ``timeout.root``,
-``timeout.fused``, ``timeout.worker``), so tests can force a
-cancellation at each cooperative check site deterministically instead
-of racing a real clock.
+``timeout.fused``, ``timeout.worker``, ``timeout.aggregate``), so tests
+can force a cancellation at each cooperative check site
+deterministically instead of racing a real clock. A statement consults
+them (and counts their hits) only when one of them was armed when it
+started.
 """
 
 from __future__ import annotations
@@ -49,8 +52,11 @@ __all__ = ["ResourceGovernor", "row_footprint", "TIMEOUT_SITES"]
 #: every cooperative cancellation site, one faultinject point each
 TIMEOUT_SITES = ("pull", "root", "fused", "worker", "aggregate")
 
-for _site in TIMEOUT_SITES:
-    faultinject.register(f"timeout.{_site}")
+#: the faultinject point of each site, named once
+_POINTS = {site: f"timeout.{site}" for site in TIMEOUT_SITES}
+
+for _point in _POINTS.values():
+    faultinject.register(_point)
 
 #: charged per row on top of the payload estimate (dict/list overhead)
 _ROW_OVERHEAD = 64
@@ -77,7 +83,7 @@ class ResourceGovernor:
     """Deadline + memory-budget state for one statement execution."""
 
     __slots__ = ("timeout_ms", "deadline", "memory_budget", "reserved",
-                 "spills")
+                 "spills", "injecting", "watching")
 
     def __init__(self, statement_timeout_ms: int = 0,
                  memory_budget: int = 0,
@@ -96,6 +102,14 @@ class ResourceGovernor:
         self.reserved = 0
         #: spill events this statement triggered (diagnostics)
         self.spills = 0
+        #: True when a timeout injection point was armed at statement
+        #: start: :meth:`check_timeout` then consults the points
+        self.injecting = any(faultinject.armed(p) for p in _POINTS.values())
+        #: True when :meth:`check_timeout` can raise (a deadline, or an
+        #: armed injection point). Per-row callers test this one flag
+        #: and call only when it is set; a budget-only governor is never
+        #: called per row
+        self.watching = self.deadline is not None or self.injecting
 
     # -- timeouts ----------------------------------------------------------
 
@@ -113,7 +127,7 @@ class ResourceGovernor:
     def check_timeout(self, site: str = "pull") -> None:
         """Raise :class:`StatementTimeout` past the deadline (or at an
         armed injection point). Called at every cooperative site."""
-        if faultinject.should_fire(f"timeout.{site}"):
+        if self.injecting and faultinject.should_fire(_POINTS[site]):
             raise StatementTimeout(
                 f"statement timeout injected at {site!r}"
             )

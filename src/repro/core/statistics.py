@@ -82,6 +82,15 @@ def _is_numeric(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def reads_value(value: Any) -> bool:
+    """True when an estimate for a predicate against literal ``value``
+    can depend on the value itself: only numbers are compared with an
+    attribute's bounds and histogram. Any other literal's estimate is
+    fixed by the set's statistics alone, which move only with the
+    catalog epoch (``analyze``, staleness)."""
+    return _is_numeric(value)
+
+
 @dataclass
 class AttributeStats:
     """Statistics for one attribute of one named set."""

@@ -5,9 +5,11 @@ Executes bound (and optimized) statements against a
 :mod:`repro.excess.plan`: the bound query is lowered to a Volcano-style
 operator pipeline (scans, index probes, path expansions, filters,
 nested-loop/hash joins, semi-join probes, universal checks, aggregate
-table building) and this module merely opens/next/closes that tree,
-evaluates expressions for the operators, and aggregates per-operator
-counters into :class:`ExecMetrics`. What remains here:
+table building) and this module merely drains that tree, evaluates
+expressions for the operators, and folds per-operator counters into the
+statement's metrics. An :class:`Evaluator` is one statement's execution
+context: it is the :class:`~repro.excess.plan.PlanContext` its
+top-level plan runs under. What remains here:
 
 * **expression evaluation** — comparison and boolean logic follow
   QUEL-style three-valued semantics: any comparison with null is
@@ -26,7 +28,6 @@ counters into :class:`ExecMetrics`. What remains here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 from repro.core.database import Database
@@ -86,16 +87,15 @@ from repro.excess.compile import aggregate_sink
 from repro.excess.flags import Flags
 from repro.excess.plan import (
     Aggregate,
-    HashJoin,
     PlanContext,
     PlanOp,
-    SCAN_OPS,
     SPILL_PARTITIONS,
     ensure_query_plan,
     ensure_retrieve_plan,
     ensure_write_plan,
     partition_hash,
-    plan_ops,
+    plan_counters,
+    reset_counters,
     reset_stats,
     runnable_region,
     shared_passes,
@@ -103,47 +103,9 @@ from repro.excess.plan import (
 from repro.storage.spill import SpillFile
 from repro.excess.result import Result
 
-__all__ = ["Evaluator", "ExecMetrics", "canonical_key"]
+__all__ = ["Evaluator", "canonical_key"]
 
 Env = dict
-
-
-@dataclass
-class ExecMetrics:
-    """Per-statement execution counters surfaced by EXPLAIN and ``--time``."""
-
-    #: candidate members enumerated from binding sources (all loops)
-    rows_scanned: int = 0
-    #: hash tables built for hash-join build sides
-    hash_builds: int = 0
-    #: probe-side lookups into hash-join tables
-    hash_probes: int = 0
-    #: member-key sets materialized for semi-join memberships
-    semi_builds: int = 0
-    #: plan-cache outcome ("hit" | "miss" | "" when caching not involved)
-    cache: str = ""
-    #: True when the hit re-used a plan prepared for other literal
-    #: values (same statement shape, different constants)
-    shape_hit: bool = False
-    #: end-to-end statement wall time (filled in by the interpreter)
-    wall_ms: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "rows_scanned": self.rows_scanned,
-            "hash_builds": self.hash_builds,
-            "hash_probes": self.hash_probes,
-            "semi_builds": self.semi_builds,
-            "cache": self.cache,
-            "shape_hit": self.shape_hit,
-            "wall_ms": round(self.wall_ms, 3),
-        }
-
-    def describe(self) -> str:
-        return (
-            f"rows_scanned={self.rows_scanned} hash_builds={self.hash_builds} "
-            f"hash_probes={self.hash_probes} semi_builds={self.semi_builds}"
-        )
 
 
 #: scalar types that are their own canonical key
@@ -201,10 +163,27 @@ def partition_key(key: Optional[BoundExpr]) -> Callable[[Any], Any]:
     return _oid_key if oid_keyed(key) else canonical_key
 
 
-class Evaluator:
-    """Executes bound statements against one database."""
+class Evaluator(PlanContext):
+    """Executes bound statements against one database: one statement's
+    per-execution state, and the plan context its top-level plan runs
+    under (nested runs — function bodies, procedure statements,
+    correlated aggregates — run under a :class:`~repro.excess.plan.
+    PlanContext` view of it with tables of their own)."""
 
     MAX_FUNCTION_DEPTH = 32
+
+    __slots__ = (
+        "user",
+        "session",
+        "flags",
+        "compile_mode",
+        "_function_depth",
+        "_semi_sets",
+        "rows_scanned",
+        "hash_builds",
+        "hash_probes",
+        "semi_builds",
+    )
 
     def __init__(
         self,
@@ -215,6 +194,7 @@ class Evaluator:
         params: tuple = (),
     ):
         self.db = database
+        self.objects = database.objects
         self.user = user
         self.session = session
         #: this execution's literal values by slot (what the statement's
@@ -225,35 +205,44 @@ class Evaluator:
         #: (snapshot timestamp, transaction id) so a table built against
         #: one snapshot is never served to a different one (the data
         #: version alone does not move when versions rewind)
-        if session is not None and session.txn is not None:
-            txn = session.txn
-            self.session_stamp = (txn.snapshot_ts, txn.txn_id)
-        else:
-            self.session_stamp = (None, None)
+        txn = None if session is None else session.txn
+        self.session_stamp = (
+            (None, None) if txn is None else (txn.snapshot_ts, txn.txn_id)
+        )
         self._function_depth = 0
-        self.metrics = ExecMetrics()
+        #: the statement's counters (``Result.metrics``): the plan
+        #: counters folded in by every drain, plus semi-join key sets
+        self.rows_scanned = self.hash_builds = self.hash_probes = 0
+        self.semi_builds = 0
         #: id(membership node) → materialized member-key set (semi-join)
         self._semi_sets: dict[int, set] = {}
-        #: the execution flags (see :class:`~repro.excess.flags.Flags`);
-        #: the three the plan context reads are copied out
+        #: the execution flags (see :class:`~repro.excess.flags.Flags`)
         self.flags = flags
         self.compile_mode = flags.compile_mode
+        self.compiled = flags.compile_mode == "closure"
         self.exec_mode = flags.exec_mode
+        #: the aggregate tables of the top-level plan
+        self.tables = {}
         #: parent-side worker-pool dispatcher (interpreter-attached when
         #: parallel_mode=process; exchange merges and aggregate
         #: precompute consult it, everything else ignores it)
-        self.parallel: Any = None
+        self.parallel = None
         #: worker-side shard descriptor (set only inside pool workers:
         #: restricts ExchangePartition — and fused scans — to one part)
-        self.exchange: Any = None
+        self.exchange = None
         #: per-statement resource governor (deadline + memory budget);
         #: None when neither flag is active, so ungoverned execution
-        #: pays nothing — operators read it through PlanContext
+        #: pays nothing
         self.governor: Optional[ResourceGovernor] = (
             ResourceGovernor(flags.statement_timeout_ms, flags.memory_budget)
             if flags.statement_timeout_ms or flags.memory_budget
             else None
         )
+
+    @property
+    def evaluator(self) -> "Evaluator":
+        """The evaluator of this context: itself."""
+        return self
 
     def _invalidate_exec_caches(self) -> None:
         """Invalidate memoized execution state before data mutates.
@@ -275,12 +264,13 @@ class Evaluator:
     def run_retrieve(
         self, bound: BoundRetrieve, base_env: Optional[Env] = None
     ) -> Result:
-        """Execute a retrieve by draining its lowered operator pipeline
-        (``StoreInto?(Sort?(Project(row source)))``)."""
+        """Execute a retrieve nested in another statement (a function
+        body, a procedure statement) by draining its lowered pipeline
+        (``StoreInto?(Sort?(Project(row source)))``) with tables of its
+        own."""
         pipeline = ensure_retrieve_plan(bound, self.db.catalog)
         rows = self._plan_rows(pipeline, dict(base_env or {}), PlanContext(self))
-        columns = [t.label for t in bound.targets]
-        result = Result(kind="retrieve", columns=columns, rows=rows)
+        result = Result("retrieve", [t.label for t in bound.targets], rows)
         if bound.into:
             # the pipeline root is the StoreInto operator
             result.message = pipeline.message
@@ -336,13 +326,22 @@ class Evaluator:
     # Updates
     # ------------------------------------------------------------------
 
-    def run_append(
-        self, bound: BoundAppend, base_env: Optional[Env] = None
+    def run_write(
+        self, kind: str, bound: Any, base_env: Optional[Env] = None
     ) -> Result:
-        """Execute an append statement."""
+        """Execute an ``append``, ``delete``, ``replace`` or ``set``
+        nested in another statement (a procedure body) with tables of
+        its own: the qualifying environments of its query, then
+        :data:`WRITES`' apply step of ``kind``."""
         ctx = PlanContext(self)
-        fns = ensure_write_plan(bound, self.db.catalog).fns(ctx.compiled)
         envs = self.query_envs(bound.query, base_env, ctx)
+        return WRITES[kind](self, bound, envs, ctx)
+
+    def _append_envs(
+        self, bound: BoundAppend, envs: list[Env], ctx: PlanContext
+    ) -> Result:
+        """Append one element per qualifying environment."""
+        fns = ensure_write_plan(bound, self.db.catalog).fns(ctx.compiled)
         pending: list[tuple[Env, Any]] = []
         if bound.assignments:
             attributes = [attribute for attribute, _expr in bound.assignments]
@@ -361,7 +360,7 @@ class Evaluator:
         for env, payload in pending:
             if self._append_one(bound.target, payload, env, ctx.tables):
                 count += 1
-        return Result(kind="append", count=count, message=f"appended {count}")
+        return Result("append", count=count, message=f"appended {count}")
 
     def _append_one(
         self, target: CollectionTarget, payload: Any, env: Env, tables: dict
@@ -460,16 +459,16 @@ class Evaluator:
             return owner, current
         return None, None
 
-    def run_delete(
-        self, bound: BoundDelete, base_env: Optional[Env] = None
+    def _delete_envs(
+        self, bound: BoundDelete, envs: list[Env], ctx: PlanContext
     ) -> Result:
-        """Execute a delete statement."""
+        """Delete the member each qualifying environment binds."""
         binding = next(
             b for b in bound.query.bindings if b.name == bound.variable
         )
         victims: list[tuple[Any, Optional[SetInstance], Optional[str]]] = []
         seen: set = set()
-        for env in self.query_envs(bound.query, base_env, PlanContext(self)):
+        for env in envs:
             member = env[bound.variable]
             key = canonical_key(member)
             if key in seen:
@@ -492,7 +491,7 @@ class Evaluator:
                         undo.save_set(collection)
                     collection.remove(member)
                 deleted += 1
-        return Result(kind="delete", count=deleted, message=f"deleted {deleted}")
+        return Result("delete", count=deleted, message=f"deleted {deleted}")
 
     def _binding_collection(
         self, binding: RangeBinding, env: Env
@@ -517,16 +516,16 @@ class Evaluator:
                 return current, None
         return None, None
 
-    def run_replace(
-        self, bound: BoundReplace, base_env: Optional[Env] = None
+    def _replace_envs(
+        self, bound: BoundReplace, envs: list[Env], ctx: PlanContext
     ) -> Result:
-        """Execute a replace statement."""
-        ctx = PlanContext(self)
+        """Replace attributes of the target each qualifying environment
+        names."""
         write = ensure_write_plan(bound, self.db.catalog)
         target_fn, *fns = write.fns(ctx.compiled)
         attributes = [attribute for attribute, _expr in bound.assignments]
         pending: list[tuple[Any, dict[str, Any]]] = []
-        for env in self.query_envs(bound.query, base_env, ctx):
+        for env in envs:
             target_value = target_fn(env, ctx)
             if target_value is NULL:
                 continue
@@ -541,7 +540,7 @@ class Evaluator:
             elif isinstance(target_value, TupleInstance):
                 self.db.apply_changes(target_value, changes)
                 count += 1
-        return Result(kind="replace", count=count, message=f"replaced {count}")
+        return Result("replace", count=count, message=f"replaced {count}")
 
     def _apply_indexed_changes(
         self, reference: Ref, changes: dict, upkeep: tuple
@@ -569,10 +568,10 @@ class Evaluator:
         new_row = {name: instance.get(name) for name in changes}
         db.note_member_update(reference, new_row)
 
-    def run_set(
-        self, bound: BoundSetStatement, base_env: Optional[Env] = None
+    def _set_envs(
+        self, bound: BoundSetStatement, envs: list[Env], ctx: PlanContext
     ) -> Result:
-        """Execute a set (slot assignment) statement.
+        """Assign the set statement's slot for each qualifying environment.
 
         Every qualifying binding's value *and* target are resolved
         before anything changes. Two bindings that assign one target —
@@ -585,7 +584,6 @@ class Evaluator:
         the last row winning, and replay applies it that way (no
         statement logged under the rule assigns any target twice).
         """
-        ctx = PlanContext(self)
         write = ensure_write_plan(bound, self.db.catalog)
         # the value, then the location's base (and index) expressions
         value_fn, *location_fns = write.fns(ctx.compiled)
@@ -594,7 +592,7 @@ class Evaluator:
         #: array's (base, index); None for a named singleton
         pending: list[tuple[Any, Any]] = []
         assigned: set = set()
-        for env in self.query_envs(bound.query, base_env, ctx):
+        for env in envs:
             value = value_fn(env, ctx)
             if kind == "named":
                 target: Any = None
@@ -652,7 +650,7 @@ class Evaluator:
                     undo.save_array(base)
                 base.set(index, value)
             count += 1
-        return Result(kind="set", count=count, message=f"set {count}")
+        return Result("set", count=count, message=f"set {count}")
 
     # ------------------------------------------------------------------
     # Plan execution
@@ -661,37 +659,48 @@ class Evaluator:
     def _plan_rows(
         self, root: PlanOp, env: Env, ctx: PlanContext, copy: bool = False
     ) -> list:
-        """Every row of one operator tree — the one drain. A root whose
-        fused region this execution runs (:func:`~repro.excess.plan.
-        runnable_region`) is one call of the generated function; any
-        other root runs its ``_run``, with one timeout check per row,
-        and ``copy`` snapshots its rows (binding-level row operators
-        yield one shared environment).
+        """Every row of one operator tree: :meth:`drain` with the fused
+        region (:func:`~repro.excess.plan.runnable_region`) this
+        execution runs at ``root``."""
+        return self.drain(root, runnable_region(root, ctx), env, ctx, copy)
+
+    def drain(
+        self, root: PlanOp, fused: Any, env: Env, ctx: PlanContext,
+        copy: bool = False,
+    ) -> list:
+        """Every row of one operator tree — the one drain. With
+        ``fused`` (the region this execution runs at ``root``; a
+        prepared plan resolved it once) the drain is one call of the
+        generated function; otherwise the root runs its ``_run``, with
+        one timeout check per row, and ``copy`` snapshots its rows
+        (binding-level row operators yield one shared environment).
 
         The drain resets the tree's counters, counts the root's
-        ``rows_out`` and absorbs the counters into this statement's
-        metrics. Plans are shared (they live on cached bound
-        statements), so a recursive EXCESS function can re-enter a tree
-        that is already running; the nested run skips the reset/absorb
-        — its rows simply accumulate into the outer run's counters.
+        ``rows_out`` and folds the scans' and hash joins' counters into
+        this statement's metrics. Plans are shared (they live on cached
+        bound statements), so a recursive EXCESS function can re-enter a
+        tree that is already running; the nested run skips the
+        reset/absorb — its rows simply accumulate into the outer run's
+        counters.
         """
-        fused = runnable_region(root, ctx)
+        every, scans, joins = plan_counters(root)
         nested = root.running > 0
         if not nested:
-            reset_stats(root)
+            reset_counters(every)
         root.running += 1
         governor = ctx.governor
+        watching = governor is not None and governor.watching
         try:
             if fused is not None:
                 rows = fused.fn(ctx, env)
-                if rows and governor is not None:
+                if rows and watching:
                     governor.check_timeout("root")
             else:
                 rows = []
                 root.open(ctx, env)
                 try:
                     for row in root._iters[-1]:
-                        if governor is not None:
+                        if watching:
                             governor.check_timeout("root")
                         rows.append(dict(row) if copy else row)
                 finally:
@@ -701,17 +710,17 @@ class Evaluator:
         finally:
             root.running -= 1
             if not nested:
-                self._absorb_stats(root)
+                self._absorb_stats(scans, joins)
 
-    def _absorb_stats(self, root: PlanOp) -> None:
-        """Fold per-operator counters into the statement metrics."""
-        metrics = self.metrics
-        for op in plan_ops(root):
-            if isinstance(op, SCAN_OPS):
-                metrics.rows_scanned += op.stats.rows_out
-            elif isinstance(op, HashJoin):
-                metrics.hash_builds += op.stats.builds
-                metrics.hash_probes += op.stats.probes
+    def _absorb_stats(self, scans: tuple, joins: tuple) -> None:
+        """Fold a tree's scan and hash-join counters (its
+        :func:`~repro.excess.plan.plan_counters`) into the statement
+        metrics."""
+        for stats in scans:
+            self.rows_scanned += stats.rows_out
+        for stats in joins:
+            self.hash_builds += stats.builds
+            self.hash_probes += stats.probes
 
     def query_envs(
         self, query: BoundQuery, base_env: Optional[Env], ctx: PlanContext
@@ -835,7 +844,7 @@ class Evaluator:
         finally:
             plan.running -= 1
             if not nested:
-                self._absorb_stats(plan)
+                self._absorb_stats(*plan_counters(plan)[1:])
 
     def _drained_groups(
         self, fills: list, inner: BoundQuery, base_env: Env, ctx: PlanContext
@@ -880,8 +889,10 @@ class Evaluator:
         parts: Optional[list] = None
         reserved = 0
         try:
+            watching = governor.watching
             for env in self.query_envs(inner, base_env, ctx):
-                governor.check_timeout("aggregate")
+                if watching:
+                    governor.check_timeout("aggregate")
                 for position, (_aggregate, argument, key_fn, key_of) in enumerate(
                     fills
                 ):
@@ -1250,7 +1261,7 @@ class Evaluator:
         value = self.db.named(node.collection.name).value
         if not isinstance(value, SetInstance):
             return None
-        self.metrics.semi_builds += 1
+        self.semi_builds += 1
         keys = {canonical_key(member) for member in value}
         self._semi_sets[id(node)] = keys
         return keys
@@ -1283,3 +1294,13 @@ class Evaluator:
                     return True
             return False
         return False
+
+
+#: the apply step of each write kind: ``fn(evaluator, bound, envs, ctx)``
+#: over the qualifying environments of the statement's query
+WRITES = {
+    "append": Evaluator._append_envs,
+    "delete": Evaluator._delete_envs,
+    "replace": Evaluator._replace_envs,
+    "set": Evaluator._set_envs,
+}

@@ -54,7 +54,7 @@ from repro.excess.binder import (
     ParamSlots,
     Scope,
 )
-from repro.excess.evaluator import Evaluator
+from repro.excess.evaluator import WRITES, Evaluator
 from repro.excess.flags import FLAG_VALUES, Flags, validate_flag
 from repro.excess.functions import (
     ExcessFunction,
@@ -66,9 +66,10 @@ from repro.excess.optimizer import CostModel, Optimizer
 from repro.excess.parser import OperatorTable, Parser
 from repro.excess.plan import (
     PlanContext,
-    pipeline_sources,
+    plan_counters,
     plan_ops,
     render_plan,
+    runnable_region,
     snapshot_stats,
 )
 from repro.excess.procedures import Procedure, bind_procedure_body, run_procedure
@@ -118,9 +119,25 @@ class _PreparedPlan:
     slots: ParamSlots = field(default_factory=ParamSlots)
     #: ``len(slots.pinned)`` when the cache last keyed this plan
     pins_keyed: int = 0
-    #: the plan tree's operators (:func:`~repro.excess.plan.plan_ops`),
-    #: whose counters every execution snapshots
+    #: ``(shape key, subkey)`` the cache files this plan under
+    filed: tuple = ()
+    #: the plan tree's operators (:func:`~repro.excess.plan.plan_ops`)
     ops: list = field(default_factory=list)
+    #: their counters (:func:`~repro.excess.plan.plan_counters`), which
+    #: every execution resets and snapshots for its rendered tree
+    stats: tuple = ()
+    #: the fused region the plan's flags run at ``plan_root``
+    #: (:func:`~repro.excess.plan.runnable_region`), or None
+    region: Any = None
+    #: the result's column labels (retrieve)
+    columns: tuple = ()
+    #: the apply step of a write (:data:`~repro.excess.evaluator.WRITES`)
+    apply: Any = None
+    #: worker-pool size of a parallel retrieve (0: serial)
+    workers: int = 0
+    #: the statement's snapshot window: "read" or "write" (see
+    #: :meth:`~repro.core.session.TransactionManager.run`)
+    window: str = "read"
     #: the named sets the statement reads: SELECT is checked on each one
     #: at every execution
     reads: tuple = ()
@@ -138,8 +155,9 @@ class _Shape:
         #: ``(slot, set, attribute, op)`` of the free slots the cost
         #: model estimated; keyed by the estimate's order of magnitude
         self.sensitive = sensitive
-        #: live cache entries of this shape
-        self.plans = 0
+        #: live cache entries of this shape, by subkey
+        #: (:meth:`PlanCache._subkey`)
+        self.plans: dict[tuple, _PreparedPlan] = {}
 
 
 class PlanCache:
@@ -177,7 +195,10 @@ class PlanCache:
         #: :meth:`~repro.excess.optimizer.CostModel.literal_magnitude`)
         self._magnitude = magnitude
         self._shapes: dict[tuple, _Shape] = {}
-        self._entries: "OrderedDict[tuple, _PreparedPlan]" = OrderedDict()
+        #: every live entry, least recently used first, by ``id(plan)``
+        #: (a hit moves an int, not the whole key; the plan records
+        #: where it is filed as :attr:`_PreparedPlan.filed`)
+        self._entries: "OrderedDict[int, _PreparedPlan]" = OrderedDict()
         #: the lexer shapes of the live shape keys
         self.templates = ShapeIndex()
 
@@ -199,8 +220,9 @@ class PlanCache:
         shape = self._shapes.get(shape_key)
         if shape is None:
             return None
-        entry = (shape_key, self._subkey(shape, params))
-        plan = self._entries.get(entry)
+        plan = shape.plans.get(
+            self._subkey(shape, params) if shape.pinned or shape.sensitive else ()
+        )
         if plan is None:
             return None
         if len(plan.slots.pinned) != plan.pins_keyed:
@@ -209,7 +231,7 @@ class PlanCache:
             # re-key the shape and plan this statement afresh
             self._rekey(shape_key, plan.slots)
             return None
-        self._entries.move_to_end(entry)
+        self._entries.move_to_end(id(plan))
         self.hits += 1
         return plan
 
@@ -220,14 +242,16 @@ class PlanCache:
         shape_key, params = key
         shape = self._rekey(shape_key, plan.slots, len(params))
         plan.pins_keyed = len(plan.slots.pinned)
-        entry = (shape_key, self._subkey(shape, params))
-        if entry not in self._entries:
-            shape.plans += 1
-        self._entries[entry] = plan
-        self._entries.move_to_end(entry)
+        subkey = self._subkey(shape, params)
+        replaced = shape.plans.get(subkey)
+        if replaced is not None:
+            del self._entries[id(replaced)]
+        shape.plans[subkey] = plan
+        plan.filed = (shape_key, subkey)
+        self._entries[id(plan)] = plan
         while len(self._entries) > self.capacity:
-            (old_shape, _subkey), _plan = self._entries.popitem(last=False)
-            self._release(old_shape)
+            _id, evicted = self._entries.popitem(last=False)
+            self._release(*evicted.filed)
 
     def _rekey(
         self, shape_key: tuple, slots: ParamSlots, n_slots: int = 0
@@ -248,17 +272,17 @@ class PlanCache:
         if known is not None:
             if (known.pinned, known.sensitive) == (shape.pinned, shape.sensitive):
                 return known
-            for entry in [e for e in self._entries if e[0] == shape_key]:
-                del self._entries[entry]
+            for dropped in known.plans.values():
+                del self._entries[id(dropped)]
         else:
             self.templates.add(shape_key[0])
         self._shapes[shape_key] = shape
         return shape
 
-    def _release(self, shape_key: tuple) -> None:
+    def _release(self, shape_key: tuple, subkey: tuple) -> None:
         shape = self._shapes[shape_key]
-        shape.plans -= 1
-        if shape.plans <= 0:
+        del shape.plans[subkey]
+        if not shape.plans:
             del self._shapes[shape_key]
             self.templates.discard(shape_key[0])
 
@@ -334,9 +358,6 @@ class Interpreter:
         ast.Replace,
         ast.SetStatement,
     )
-
-    #: prepared-plan kinds that mutate (the fast path's analogue)
-    _DURABLE_KINDS = frozenset({"append", "delete", "replace", "set"})
 
     def __init__(self, database: Database, optimize: bool = True):
         self.db = database
@@ -481,10 +502,14 @@ class Interpreter:
         return model.literal_magnitude(set_name, attribute, op, value)
 
     def _cache_key(self, text: str, user: str, session: Any) -> tuple:
-        """``(shape key, literal values)`` — see :class:`PlanCache`. A
-        text of a cached shape is matched against its template; any
-        other is scanned."""
-        symbols = self._lexer_symbols()
+        """``(shape key, literal values)`` — see :class:`PlanCache`; the
+        session's resolved :class:`Flags` are the shape key's fourth
+        item. A text of a cached shape is matched against its template;
+        any other is scanned."""
+        adts = self.db.catalog.adts
+        registry, version, _table, symbols = self._operators
+        if registry is not adts or version != adts.operators_version:
+            symbols = self._lexer_symbols()
         found = self.plan_cache.templates.match(text)
         shape, params = found or Lexer(text, symbols).shape()
         return (
@@ -520,90 +545,85 @@ class Interpreter:
         through the plan cache, keyed by statement *shape*: on a hit the
         parser/binder/optimizer are skipped entirely and the prepared
         plan is re-executed under this text's literal values
-        (authorization is still checked per execution).
+        (authorization is still checked per execution). A miss prepares
+        the plan, caches it, and runs it exactly as a hit does.
         """
+        db = self.db
         if session is None:
-            session = self.db.default_session
+            session = db.default_session
         previous = self._current_session
         self._current_session = session
         try:
-            return self._execute_in_session(text, user, session)
-        finally:
-            self._current_session = previous
-
-    def _execute_in_session(self, text: str, user: str, session: Any) -> Result:
-        transactions = self.db.transactions
-        txn = session.txn
-        if txn is not None and txn.doomed is not None:
-            # a doomed transaction may only abort: its parked workspace
-            # is stale against newer commits and must never resume
-            statements, _literals = self._parse(text)
-            if not statements or not all(
-                isinstance(s, ast.AbortTransaction) for s in statements
+            txn = session.txn
+            if txn is not None and txn.doomed is not None:
+                return self._execute_doomed(text, user, session)
+            key = self._cache_key(text, user, session)
+            shape_key, params = key
+            flags = shape_key[3]
+            cache = self.plan_cache
+            plan = cache.get(key)
+            if plan is not None:
+                return db.transactions.run(
+                    session, plan.window, self._run_plan,
+                    plan, text, user, flags, "hit", params, session,
+                )
+            statements, literals = self._parse(text)
+            if not statements:
+                return Result(kind="empty", message="no statements")
+            # the parser numbered the slots, the shape scan lifted the
+            # values: a statement they disagree on runs uncached, as
+            # scripts do
+            if (
+                len(statements) == 1
+                and isinstance(statements[0], self._CACHEABLE)
+                and literals == params
             ):
-                raise SerializationError(
-                    f"transaction {txn.txn_id} aborted: {txn.doomed} "
-                    "(run 'abort' to continue)"
+                return db.transactions.run(
+                    session, self._statement_kind(statements[0]),
+                    self._prepare_and_run, statements[0], key, text, user,
+                    session,
                 )
             result = Result(kind="empty")
             for statement in statements:
-                result = transactions.run(
-                    session, "control", self.execute_statement, statement, user
+                result = db.transactions.run(
+                    session, self._statement_kind(statement),
+                    self.execute_statement, statement, user,
                 )
             return result
-        key = self._cache_key(text, user, session)
-        params = key[1]
-        flags = session.resolved_flags()
-        plan = self.plan_cache.get(key)
-        if plan is not None:
-            kind = "read" if plan.kind in ("retrieve", "explain") else "write"
-            return transactions.run(
-                session, kind, self._run_prepared,
-                plan, text, user, flags, "hit", params,
-            )
-        statements, literals = self._parse(text)
-        if not statements:
-            return Result(kind="empty", message="no statements")
-        # the parser numbered the slots, the shape scan lifted the values:
-        # a statement they disagree on runs uncached, as scripts do
-        if (
-            len(statements) == 1
-            and isinstance(statements[0], self._CACHEABLE)
-            and literals == params
+        finally:
+            self._current_session = previous
+
+    def _execute_doomed(self, text: str, user: str, session: Any) -> Result:
+        """A doomed transaction may only abort: its parked workspace is
+        stale against newer commits and must never resume."""
+        statements, _literals = self._parse(text)
+        if not statements or not all(
+            isinstance(s, ast.AbortTransaction) for s in statements
         ):
-            statement = statements[0]
-            return transactions.run(
-                session, self._statement_kind(statement), self._prepare_and_run,
-                statement, key, text, user, flags,
+            raise SerializationError(
+                f"transaction {session.txn.txn_id} aborted: "
+                f"{session.txn.doomed} (run 'abort' to continue)"
             )
         result = Result(kind="empty")
         for statement in statements:
-            result = transactions.run(
-                session, self._statement_kind(statement),
-                self.execute_statement, statement, user,
+            result = self.db.transactions.run(
+                session, "control", self.execute_statement, statement, user
             )
         return result
 
     def _prepare_and_run(
         self, statement: ast.Statement, key: tuple, text: str, user: str,
-        flags: Flags,
+        session: Any,
     ) -> Result:
-        """A plan-cache miss: prepare, cache, and run the statement."""
-        params = key[1]
+        """A plan-cache miss: prepare and cache the plan, then run it as
+        a hit would."""
+        shape_key, params = key
+        flags = shape_key[3]
         plan = self._prepare(statement, flags, params)
-        self.plan_cache.put(key, plan)
-        cache = "miss" if self.plan_cache.enabled else "off"
-        return self._run_prepared(plan, text, user, flags, cache, params)
-
-    def _run_prepared(
-        self, plan: "_PreparedPlan", text: str, user: str, flags: Flags,
-        cache: str, params: tuple,
-    ) -> Result:
-        """Run a prepared plan, then log it when it mutates."""
-        result = self._execute_prepared(plan, user, flags, cache, params)
-        if plan.kind in self._DURABLE_KINDS:
-            self._log_durable(text, user)
-        return result
+        cache = self.plan_cache
+        cache.put(key, plan)
+        outcome = "miss" if cache.enabled else "off"
+        return self._run_plan(plan, text, user, flags, outcome, params, session)
 
     def execute_statement(self, statement: ast.Statement, user: str) -> Result:
         """Dispatch one parsed statement."""
@@ -968,6 +988,10 @@ class Interpreter:
         # lower to the physical operator tree now, so cache hits re-execute
         # the prepared tree without re-lowering
         root = optimizer.lower(bound, report)
+        retrieve = kind == "retrieve"
+        parallel = (
+            retrieve and flags.parallel_mode == "process" and flags.workers >= 2
+        )
         return _PreparedPlan(
             kind=kind,
             bound=bound,
@@ -975,119 +999,117 @@ class Interpreter:
             plan_root=root,
             params=params or (),
             slots=slots,
-            ops=plan_ops(root) if root is not None else [],
+            ops=plan_ops(root),
+            stats=plan_counters(root)[0],
+            # an evaluator under the plan's flags is the context that
+            # decides which region runs (and generates its function now)
+            region=runnable_region(root, Evaluator(self.db, flags=flags)),
+            columns=tuple(t.label for t in bound.targets) if retrieve else (),
+            apply=None if retrieve else WRITES[kind],
+            workers=flags.workers if parallel else 0,
+            window="read" if retrieve else "write",
             reads=tuple(sorted(self._read_names(bound.query))),
         )
 
-    def _execute_prepared(
-        self,
-        plan: _PreparedPlan,
-        user: str,
-        flags: Flags,
-        cache: str = "",
-        params: Optional[tuple] = None,
+    def _run_plan(
+        self, plan: _PreparedPlan, text: Optional[str], user: str,
+        flags: Flags, cache: str, params: tuple, session: Any,
     ) -> Result:
-        """Run a prepared plan under ``flags`` and ``params`` (default:
-        the values it was prepared with): authorization checks (every
-        execution, never cached) then evaluation, collecting execution
-        metrics."""
+        """Run a prepared plan under ``flags`` and ``params`` — what a
+        plan-cache hit executes, and a miss after preparing: the
+        authorization checks (every execution, never cached), one
+        evaluator, one drain of the plan root, one :class:`Result`.
+        A write with ``text`` is logged to a durable database's WAL."""
         start = time.perf_counter()
-        if params is None:
-            params = plan.params
-        evaluator = Evaluator(
-            self.db, user=user, flags=flags, session=self._session(),
-            params=params,
-        )
-        metrics = evaluator.metrics
-        metrics.cache = cache
-        metrics.shape_hit = cache == "hit" and params != plan.params
-        if (
-            plan.kind == "retrieve"
-            and flags.parallel_mode == "process"
-            and flags.workers >= 2
-        ):
-            evaluator.parallel = self._parallel(flags.workers)
-        bound = plan.bound
-        if plan.kind == "explain":
+        db = self.db
+        kind = plan.kind
+        if db.authz.enabled:
+            self._authorize(plan, user)
+        evaluator = Evaluator(db, user, flags, session, params)
+        root = plan.plan_root
+        if kind == "explain":
             message = plan.report.describe()
             if cache:
                 message += f"; cache={cache}"
             result = Result(
-                kind="explain",
-                columns=["step", "variable", "source", "access", "quantifier",
-                         "residual_predicates", "join"],
-                rows=list(plan.explain_rows),
+                "explain",
+                ["step", "variable", "source", "access", "quantifier",
+                 "residual_predicates", "join"],
+                list(plan.explain_rows),
                 message=message,
             )
-        elif plan.kind == "retrieve":
-            self._check_reads(user, plan.reads)
-            result = evaluator.run_retrieve(bound)
-        elif plan.kind == "append":
-            self._check_reads(user, plan.reads)
-            self._check_collection_write(user, Privilege.APPEND, bound.target)
-            result = evaluator.run_append(bound)
-        elif plan.kind == "delete":
-            self._check_reads(user, plan.reads)
-            self._check_binding_write(
-                user, Privilege.DELETE, bound.query, bound.variable
-            )
-            result = evaluator.run_delete(bound)
-        elif plan.kind == "replace":
-            self._check_reads(user, plan.reads)
-            self._check_replace_write(user, bound)
-            result = evaluator.run_replace(bound)
-        elif plan.kind == "set":
-            self._check_reads(user, plan.reads)
-            if bound.location[0] == "named":
-                self._check(user, Privilege.REPLACE, bound.location[1])
-            result = evaluator.run_set(bound)
-        else:  # pragma: no cover
-            raise ExcessError(f"unknown prepared plan kind {plan.kind!r}")
-        result.plan = plan.report
-        if plan.plan_root is not None:
-            # EXPLAIN shows estimates only (nothing ran); executed
-            # statements render the tree with actual per-operator counts.
-            # Rendering is deferred to first plan_tree access — only the
-            # counter snapshot is taken here, since a cached plan's live
-            # counters are reset by its next execution.
-            root = plan.plan_root
-            mode = flags.compile_mode
-            emode = flags.exec_mode
-            if plan.kind == "explain":
+            if root is not None:
+                # EXPLAIN shows estimates only (nothing ran)
                 result.plan_tree = render_plan(
                     root,
                     actuals=False,
-                    compile_mode=mode,
-                    exec_mode=emode,
+                    compile_mode=flags.compile_mode,
+                    exec_mode=flags.exec_mode,
                 )
+        else:
+            if plan.workers:
+                evaluator.parallel = self._parallel(plan.workers)
+            rows = evaluator.drain(
+                root, plan.region, {}, evaluator, kind != "retrieve"
+            )
+            if plan.apply is None:
+                result = Result("retrieve", list(plan.columns), rows)
+                if plan.bound.into:
+                    # the pipeline root is the StoreInto operator
+                    result.message = root.message
             else:
-                snap = snapshot_stats(plan.ops)
-                result._plan_tree_thunk = lambda: render_plan(
-                    root,
-                    actuals=True,
-                    snapshot=snap,
-                    compile_mode=mode,
-                    exec_mode=emode,
-                    params=params,
-                )
-            if emode == "fused":
-                # debug hook: the generated source of every fused region
-                # (rendered lazily, like the tree)
-                fused_compiled = mode == "closure"
-                result._pipeline_source_thunk = lambda: pipeline_sources(
-                    root, fused_compiled, params
-                )
-        metrics.wall_ms = (time.perf_counter() - start) * 1000.0
-        result._exec_metrics = metrics
+                result = plan.apply(evaluator, plan.bound, rows, evaluator)
+        result.plan = plan.report
+        if root is not None:
+            # the tree renders on first plan_tree access, with the actual
+            # per-operator counts of this execution: a cached plan's live
+            # counters are reset by its next execution, so they are
+            # frozen here
+            result._render = (
+                root,
+                None if kind == "explain" else snapshot_stats(plan.stats),
+                flags,
+                params,
+            )
+        result._exec_metrics = (
+            evaluator.rows_scanned,
+            evaluator.hash_builds,
+            evaluator.hash_probes,
+            evaluator.semi_builds,
+            cache,
+            cache == "hit" and params != plan.params,
+            round((time.perf_counter() - start) * 1000.0, 3),
+        )
+        if plan.apply is not None and text is not None and db.durability is not None:
+            self._log_durable(text, user)
         return result
+
+    def _authorize(self, plan: _PreparedPlan, user: str) -> None:
+        """The privileges a prepared statement needs, checked at every
+        execution: SELECT on every set it reads, and its write's."""
+        kind = plan.kind
+        if kind == "explain":
+            return
+        self._check_reads(user, plan.reads)
+        bound = plan.bound
+        if kind == "append":
+            self._check_collection_write(user, Privilege.APPEND, bound.target)
+        elif kind == "delete":
+            self._check_binding_write(
+                user, Privilege.DELETE, bound.query, bound.variable
+            )
+        elif kind == "replace":
+            self._check_replace_write(user, bound)
+        elif kind == "set" and bound.location[0] == "named":
+            self._check(user, Privilege.REPLACE, bound.location[1])
 
     def _run_query_statement(
         self, statement: ast.Statement, user: str
     ) -> Result:
-        flags = self._session().resolved_flags()
-        return self._execute_prepared(
-            self._prepare(statement, flags), user, flags
-        )
+        session = self._session()
+        flags = session.resolved_flags()
+        plan = self._prepare(statement, flags)
+        return self._run_plan(plan, None, user, flags, "", plan.params, session)
 
     def _do_alter_type(self, statement: ast.AlterType, user: str) -> Result:
         from repro.core.evolution import alter_type
@@ -1274,10 +1296,10 @@ class Interpreter:
 
     def _do_explain(self, statement: ast.Explain, user: str) -> Result:
         """Bind and optimize the inner statement; report the plan."""
-        flags = self._session().resolved_flags()
-        return self._execute_prepared(
-            self._prepare_explain(statement, flags), user, flags
-        )
+        session = self._session()
+        flags = session.resolved_flags()
+        plan = self._prepare_explain(statement, flags)
+        return self._run_plan(plan, None, user, flags, "", (), session)
 
     # -- authorization helpers ----------------------------------------------------------------------
 

@@ -44,6 +44,7 @@ from repro.core.statistics import (
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_NEQ_SELECTIVITY,
     DEFAULT_RANGE_SELECTIVITY,
+    reads_value,
 )
 from repro.core.types import TupleType
 from repro.excess.binder import (
@@ -255,9 +256,11 @@ class CostModel:
     ) -> float:
         """Selectivity of ``binding.attribute <op> key`` — the one place
         the cost model consults a literal's value.  A :class:`Param`
-        key is read without pinning its slot and recorded as
-        value-sensitive instead: the plan cache re-estimates the slot's
-        new value on every shape hit (:meth:`literal_magnitude`)."""
+        key is read without pinning its slot; when the estimate can move
+        with its value (:func:`~repro.core.statistics.reads_value`) the
+        slot is recorded as value-sensitive instead: the plan cache
+        re-estimates the slot's new value on every shape hit
+        (:meth:`literal_magnitude`)."""
         if (
             self.statistics is not None
             and isinstance(key, Const)
@@ -265,8 +268,9 @@ class CostModel:
         ):
             set_name = binding.source.set_name
             if isinstance(key, Param):
-                key.slots.sensitive.add((key.slot, set_name, attribute, op))
                 value = key.first
+                if reads_value(value):
+                    key.slots.sensitive.add((key.slot, set_name, attribute, op))
             else:
                 value = key.value
             return self._literal_selectivity(set_name, attribute, op, value)

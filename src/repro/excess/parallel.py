@@ -68,8 +68,9 @@ from repro.excess.plan import (
     PlanOp,
     ensure_query_plan,
     parallelize_query_block,
-    plan_ops,
+    plan_counters,
     reset_stats,
+    snapshot_stats,
 )
 from repro.util import faultinject
 
@@ -102,26 +103,12 @@ class Shard:
         self.dop = dop
 
 
-def _stats_tuple(stats: Any) -> tuple:
-    return (
-        stats.opens,
-        stats.rows_in,
-        stats.rows_out,
-        stats.builds,
-        stats.build_rows,
-        stats.probes,
-        stats.spill_partitions,
-        stats.spill_bytes,
-    )
-
-
 def _fold_stats(root: PlanOp, replies: list) -> None:
     """Accumulate worker-side per-operator counters onto the parent's
     plan tree (same pickled structure ⇒ same pre-order)."""
-    ops = plan_ops(root)
+    every = plan_counters(root)[0]
     for reply_stats in replies:
-        for op, tup in zip(ops, reply_stats):
-            stats = op.stats
+        for stats, tup in zip(every, reply_stats):
             stats.opens += tup[0]
             stats.rows_in += tup[1]
             stats.rows_out += tup[2]
@@ -179,7 +166,7 @@ def run_fragment_task(
         rows = evaluator._plan_rows(frag, {}, ctx)
     else:
         rows = _run_hash_projection(frag, ctx)
-    return rows, [_stats_tuple(op.stats) for op in plan_ops(frag)]
+    return rows, snapshot_stats(plan_counters(frag)[0])
 
 
 def _run_hash_projection(project: Any, ctx: PlanContext) -> list:
@@ -240,7 +227,7 @@ def run_aggregate_task(
             continue
         key = key_of(fns[1](env, ctx)) if partitioned else ()
         groups.setdefault(key, []).append(value)
-    return groups, [_stats_tuple(op.stats) for op in plan_ops(root)]
+    return groups, snapshot_stats(plan_counters(root)[0])
 
 
 def _worker_main(  # pragma: no cover — runs only in child processes
@@ -618,7 +605,7 @@ class ParallelRunner:
             if root is not None:
                 reset_stats(root)
                 _fold_stats(root, [reply[2] for reply in replies])
-                evaluator._absorb_stats(root)
+                evaluator._absorb_stats(*plan_counters(root)[1:])
             groups: dict[Any, list] = {}
             for reply in replies:
                 for group_key, values in reply[1].items():

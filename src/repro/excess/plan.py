@@ -6,9 +6,8 @@ table-driven optimizer emitting plans over pluggable access methods,
 reproduced at small scale.  Each operator follows the classic
 open/next/close lifecycle and keeps its own counters (rows in/out, opens,
 hash builds/probes), so EXPLAIN can print the operator tree with
-estimated and actual row counts and :class:`~repro.excess.evaluator.
-ExecMetrics` aggregates from operator counters instead of ad-hoc
-increments.
+estimated and actual row counts and a statement's metrics aggregate from
+operator counters (:func:`plan_counters`) instead of ad-hoc increments.
 
 Operator inventory
 ------------------
@@ -71,6 +70,7 @@ import heapq
 import zlib
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Iterator, Optional
 
 from repro.core.governor import row_footprint
@@ -155,10 +155,12 @@ __all__ = [
     "plan_ops",
     "walk_plan",
     "reset_stats",
+    "reset_counters",
     "runnable_region",
     "fusable_ops",
     "fused_regions",
     "pipeline_sources",
+    "plan_counters",
 ]
 
 Env = dict
@@ -167,7 +169,7 @@ Env = dict
 _MISSING = object()
 
 #: operator classes whose output rows count as "rows scanned" (candidate
-#: members enumerated from binding sources) in ExecMetrics
+#: members enumerated from binding sources) in a statement's metrics
 SCAN_OPS: tuple = ()  # filled in below, after the classes exist
 
 #: fan-out of Grace hash-join and aggregate spills (number of on-disk
@@ -219,7 +221,10 @@ class PlanContext:
     database) and the aggregate tables filled by :class:`Aggregate` at
     open.  Plans themselves are immutable and shareable (they live in the
     plan cache); everything execution-scoped lives here or in operator
-    stats.
+    stats.  A statement's :class:`~repro.excess.evaluator.Evaluator` is
+    the context its top-level plan runs under; ``PlanContext(evaluator,
+    tables)`` is a view of it with other tables, for the runs nested in
+    that statement.
     """
 
     __slots__ = (
@@ -239,18 +244,18 @@ class PlanContext:
     def __init__(self, evaluator: Any, tables: Optional[dict] = None):
         self.evaluator = evaluator
         self.tables = {} if tables is None else tables
-        # hot-path attributes (compiled closures read these per row)
+        # hot-path attributes (generated code reads these per call)
         self.db = evaluator.db
-        self.objects = evaluator.db.objects
+        self.objects = evaluator.objects
         #: (snapshot_ts, txn_id) of the executing session's transaction
         #: (None, None outside one) — part of the hash-build memo stamp
         self.session_stamp = evaluator.session_stamp
-        #: True when this execution's expressions lower to closures,
-        #: False when they run the interpreter — never tested by an
+        #: True when this execution's expressions lower to generated
+        #: code, False when they run the interpreter — never tested by an
         #: operator, only handed to :meth:`PlanOp.compiled_exprs` /
         #: ``fused_pipeline`` (plans are shared across modes, so the
         #: per-node caches are keyed by it)
-        self.compiled = evaluator.compile_mode == "closure"
+        self.compiled = evaluator.compiled
         #: "fused" runs generated whole-pipeline functions where regions
         #: allow (:func:`runnable_region`) and the row operators
         #: everywhere else; "row" runs the row operators only (the oracle)
@@ -295,16 +300,6 @@ class OpStats:
     spill_partitions: int = 0
     #: bytes written to spill files (build + probe / runs / partitions)
     spill_bytes: int = 0
-
-    def reset(self) -> None:
-        self.opens = 0
-        self.rows_in = 0
-        self.rows_out = 0
-        self.builds = 0
-        self.build_rows = 0
-        self.probes = 0
-        self.spill_partitions = 0
-        self.spill_bytes = 0
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +367,7 @@ class PlanOp:
         state.pop("_compiled", None)
         state.pop("_fused", None)
         state.pop("_plan_ops", None)
+        state.pop("_counters", None)
         state.pop("_fragment_key", None)
         if "_memo" in state:
             # memoized hash-build tables hold live object references and
@@ -387,8 +383,9 @@ class PlanOp:
     def _pull(self, child: "PlanOp", ctx: PlanContext, env: Env) -> Iterator[Any]:
         """Stream ``child``'s rows for ``env`` — the one place a child is
         pulled — counting its ``rows_out`` and, for the primary input
-        (``children[0]``), this operator's ``rows_in``; under a governor,
-        one cooperative timeout check per row.
+        (``children[0]``), this operator's ``rows_in``; under a
+        governor that is watching (a deadline, an armed injection
+        point), one cooperative timeout check per row.
 
         A child that roots a region this execution runs
         (:func:`runnable_region`) is one call of its generated function,
@@ -407,9 +404,10 @@ class PlanOp:
         child_stats = child.stats
         stats = self.stats if child is self.children[0] else OpStats()
         governor = ctx.governor
+        watching = governor is not None and governor.watching
         try:
             for row in rows:
-                if governor is not None:
+                if watching:
                     governor.check_timeout("pull")
                 child_stats.rows_out += 1
                 stats.rows_in += 1
@@ -444,8 +442,9 @@ class PlanOp:
         """Children annotated with their role (for tree rendering)."""
         return [("", child) for child in self.children]
 
-    def extra_counters(self) -> str:
-        """Operator-specific counters appended to the actuals display."""
+    def extra_counters(self, stats: "OpStats") -> str:
+        """Operator-specific counters appended to the actuals display,
+        read from ``stats`` (live or a snapshot of this operator's)."""
         return ""
 
     # -- expressions -----------------------------------------------------
@@ -784,8 +783,8 @@ class SemiJoinProbe(PlanOp):
             if member_of(row, ctx) is True:
                 yield row
 
-    def extra_counters(self) -> str:
-        return f" probes={self.stats.probes}"
+    def extra_counters(self, stats: OpStats) -> str:
+        return f" probes={stats.probes}"
 
 
 class NestedLoopJoin(PlanOp):
@@ -890,11 +889,8 @@ class HashJoin(PlanOp):
     def child_roles(self) -> list[tuple[str, PlanOp]]:
         return [("outer", self.children[0]), ("build", self.children[1])]
 
-    def extra_counters(self) -> str:
-        return (
-            f" builds={self.stats.builds} probes={self.stats.probes}"
-            f"{_spill_note(self.stats)}"
-        )
+    def extra_counters(self, stats: OpStats) -> str:
+        return f" builds={stats.builds} probes={stats.probes}{_spill_note(stats)}"
 
     def invalidate(self) -> None:
         """Drop the memoized build table (tests / explicit flushes)."""
@@ -1157,8 +1153,8 @@ class Aggregate(PlanOp):
                 exprs.append(aggregate.inner_key)
         return exprs
 
-    def extra_counters(self) -> str:
-        return _spill_note(self.stats)
+    def extra_counters(self, stats: OpStats) -> str:
+        return _spill_note(stats)
 
     def open(self, ctx: PlanContext, env: Env) -> None:
         # tables must be filled before any downstream next() — eagerly,
@@ -1269,8 +1265,8 @@ class Sort(PlanOp):
         )
         return f"Sort [{keys}]"
 
-    def extra_counters(self) -> str:
-        return _spill_note(self.stats)
+    def extra_counters(self, stats: OpStats) -> str:
+        return _spill_note(stats)
 
     def _run(self, ctx: PlanContext, env: Env) -> Iterator[tuple]:
         if _budgeted(ctx):
@@ -2218,10 +2214,34 @@ def plan_ops(root: PlanOp) -> list[PlanOp]:
     return [root, *below]
 
 
+def plan_counters(root: PlanOp) -> tuple[tuple, tuple, tuple]:
+    """``(every operator's stats, the scans', the hash joins')`` of the
+    tree — what a drain resets before it runs and folds into the
+    statement's ``rows_scanned`` / ``hash_builds`` / ``hash_probes``
+    after — memoized on the root (``OpStats`` objects live as long as
+    their operators; generated regions hold them too)."""
+    counters = root.__dict__.get("_counters")
+    if counters is None:
+        ops = plan_ops(root)
+        counters = root.__dict__["_counters"] = (
+            tuple(op.stats for op in ops),
+            tuple(op.stats for op in ops if isinstance(op, SCAN_OPS)),
+            tuple(op.stats for op in ops if isinstance(op, HashJoin)),
+        )
+    return counters
+
+
 def reset_stats(root: PlanOp) -> None:
     """Zero every operator's counters (called before each execution)."""
-    for op in plan_ops(root):
-        op.stats.reset()
+    reset_counters(plan_counters(root)[0])
+
+
+def reset_counters(every: tuple) -> None:
+    """Zero each ``OpStats`` of ``every``."""
+    for stats in every:
+        stats.opens = stats.rows_in = stats.rows_out = stats.builds = 0
+        stats.build_rows = stats.probes = 0
+        stats.spill_partitions = stats.spill_bytes = 0
 
 
 def fusable_ops(op: PlanOp) -> Optional[list[PlanOp]]:
@@ -2449,16 +2469,20 @@ def _param_slots(nodes: list) -> Optional[tuple[int, ...]]:
     return tuple(sorted(slots))
 
 
-def snapshot_stats(ops: list[PlanOp]) -> list[tuple[int, str]]:
-    """Capture per-operator actuals for deferred rendering: one
-    ``(rows_out, extra counters)`` per operator of ``ops`` (a tree's
-    :func:`plan_ops`), in that order.
+def snapshot_stats(stats: tuple) -> list[tuple]:
+    """Every counter of each ``OpStats`` in ``stats`` (a tree's
+    :func:`plan_counters`), in ``OpStats`` field order — for deferred
+    rendering, and for shipping a worker's counters to its parent.
 
     The live counters are reset by the next execution of a cached plan,
     so a :class:`Result` that renders its tree lazily must freeze them
     at execution time.
     """
-    return [(op.stats.rows_out, op.extra_counters()) for op in ops]
+    return list(map(_COUNTS, stats))
+
+
+#: every counter of one ``OpStats``, as a tuple in field order
+_COUNTS = attrgetter(*OpStats.__dataclass_fields__)
 
 
 def render_plan(
@@ -2471,8 +2495,8 @@ def render_plan(
 ) -> str:
     """Pretty-print the operator tree, one operator per line, with the
     estimated and (when ``actuals``) last-execution row counts — from
-    ``snapshot`` (:func:`snapshot_stats` of the tree's :func:`plan_ops`)
-    when given, else live.
+    ``snapshot`` (:func:`snapshot_stats` of the tree's counters) when
+    given, else live.
     Parameter slots print the literals of ``params`` (the execution
     being rendered; a cached plan has run under many).
 
@@ -2490,7 +2514,7 @@ def render_plan(
     lines: list[str] = []
     frozen = (
         None if snapshot is None
-        else {id(op): counts for op, counts in zip(plan_ops(root), snapshot)}
+        else {id(op): OpStats(*counts) for op, counts in zip(plan_ops(root), snapshot)}
     )
     fused_ids: set[int] = set()
     if exec_mode == "fused":
@@ -2503,11 +2527,8 @@ def render_plan(
         est = "?" if op.est_rows is None else str(op.est_rows)
         counters = f"(est={est}"
         if actuals:
-            if frozen is not None:
-                rows_out, extra = frozen[id(op)]
-            else:
-                rows_out, extra = op.stats.rows_out, op.extra_counters()
-            counters += f", rows={rows_out}{extra}"
+            stats = op.stats if frozen is None else frozen[id(op)]
+            counters += f", rows={stats.rows_out}{op.extra_counters(stats)}"
         exchange = op.exchange_note()
         if exchange is not None:
             counters += f", exchange={exchange}"

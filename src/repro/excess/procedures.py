@@ -115,18 +115,12 @@ def run_procedure(
     rows: list[tuple] = []
     columns: list[str] = []
     for env in bindings:
-        if kind == "replace":
-            result = evaluator.run_replace(bound, base_env=env)
-        elif kind == "append":
-            result = evaluator.run_append(bound, base_env=env)
-        elif kind == "delete":
-            result = evaluator.run_delete(bound, base_env=env)
-        elif kind == "set":
-            result = evaluator.run_set(bound, base_env=env)
-        else:
+        if kind == "retrieve":
             result = evaluator.run_retrieve(bound, base_env=env)
             columns = result.columns
             rows.extend(result.rows)
+        else:
+            result = evaluator.run_write(kind, bound, base_env=env)
         total += result.count if kind != "retrieve" else len(result.rows)
     return Result(
         kind="execute",

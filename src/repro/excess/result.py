@@ -20,7 +20,7 @@ from repro.core.values import (
     TupleInstance,
 )
 
-__all__ = ["Result", "render_value"]
+__all__ = ["METRIC_KEYS", "Result", "render_value"]
 
 
 def render_value(value: Any) -> str:
@@ -49,7 +49,15 @@ def render_value(value: Any) -> str:
     return str(value)
 
 
-@dataclass
+#: the keys of :attr:`Result.metrics`, in the order of the statement's
+#: metrics tuple
+METRIC_KEYS = (
+    "rows_scanned", "hash_builds", "hash_probes", "semi_builds",
+    "cache", "shape_hit", "wall_ms",
+)
+
+
+@dataclass(slots=True)
 class Result:
     """The outcome of one EXCESS statement."""
 
@@ -66,29 +74,29 @@ class Result:
     plan: Optional[Any] = None
     #: backing store for the lazy :attr:`metrics` property
     _metrics: Optional[dict] = field(default=None, repr=False)
-    #: the statement's :class:`~repro.excess.evaluator.ExecMetrics`,
+    #: the statement's metrics as a tuple of :data:`METRIC_KEYS`' values,
     #: turned into the :attr:`metrics` dict on first access
-    _exec_metrics: Optional[Any] = field(default=None, repr=False)
+    _exec_metrics: Optional[tuple] = field(default=None, repr=False)
     #: rendered physical operator tree (estimated rows for EXPLAIN,
     #: estimated + actual per-operator counts for executed queries) —
     #: backing store for the lazy :attr:`plan_tree` property
     _plan_tree: Optional[str] = field(default=None, repr=False)
-    #: zero-argument callable rendering the tree on first access, so the
-    #: per-statement hot path pays only a counter snapshot, not string
-    #: formatting
-    _plan_tree_thunk: Optional[Any] = field(default=None, repr=False)
     #: generated Python source of the plan's fused pipeline regions
     #: (fused exec mode only) — backing store for the lazy
     #: :attr:`pipeline_source` debug hook
     _pipeline_source: Optional[str] = field(default=None, repr=False)
-    _pipeline_source_thunk: Optional[Any] = field(default=None, repr=False)
+    #: what the executed plan is rendered from on first access — ``(plan
+    #: root, counter snapshot, flags, literal values)`` — so the
+    #: per-statement hot path pays only the counter snapshot, not
+    #: string formatting
+    _render: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def metrics(self) -> Optional[dict]:
         """Execution counters (rows scanned, hash builds/probes,
         plan-cache hit/miss, wall time) when a query statement ran."""
         if self._metrics is None and self._exec_metrics is not None:
-            self._metrics = self._exec_metrics.as_dict()
+            self._metrics = dict(zip(METRIC_KEYS, self._exec_metrics))
             self._exec_metrics = None
         return self._metrics
 
@@ -99,30 +107,45 @@ class Result:
 
     @property
     def plan_tree(self) -> Optional[str]:
-        if self._plan_tree is None and self._plan_tree_thunk is not None:
-            self._plan_tree = self._plan_tree_thunk()
-            self._plan_tree_thunk = None
+        if self._plan_tree is None and self._render is not None:
+            from repro.excess.plan import render_plan
+
+            root, snapshot, flags, params = self._render
+            self._plan_tree = render_plan(
+                root,
+                snapshot=snapshot,
+                compile_mode=flags.compile_mode,
+                exec_mode=flags.exec_mode,
+                params=params,
+            )
         return self._plan_tree
 
     @plan_tree.setter
     def plan_tree(self, value: Optional[str]) -> None:
         self._plan_tree = value
-        self._plan_tree_thunk = None
 
     @property
     def pipeline_source(self) -> Optional[str]:
         """The generated source of every fused pipeline region the
         statement's plan contains (None outside fused exec mode, ``""``
         when the plan has no fusable region)."""
-        if self._pipeline_source is None and self._pipeline_source_thunk is not None:
-            self._pipeline_source = self._pipeline_source_thunk()
-            self._pipeline_source_thunk = None
+        render = self._render
+        if (
+            self._pipeline_source is None
+            and render is not None
+            and render[2].exec_mode == "fused"
+        ):
+            from repro.excess.plan import pipeline_sources
+
+            root, _snapshot, flags, params = render
+            self._pipeline_source = pipeline_sources(
+                root, flags.compile_mode == "closure", params
+            )
         return self._pipeline_source
 
     @pipeline_source.setter
     def pipeline_source(self, value: Optional[str]) -> None:
         self._pipeline_source = value
-        self._pipeline_source_thunk = None
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)

@@ -47,6 +47,7 @@ __all__ = [
     "arm",
     "reset",
     "hits",
+    "armed",
     "should_fire",
 ]
 
@@ -112,6 +113,12 @@ def should_fire(name: str) -> bool:
         return False
     point.hits += 1
     return point.trigger is not None and point.hits == point.trigger
+
+
+def armed(name: str) -> bool:
+    """True while ``name`` is armed (no hit is counted)."""
+    point = _points.get(name)
+    return point is not None and point.trigger is not None
 
 
 def torn_cut(name: str, size: int) -> Optional[int]:
