@@ -42,9 +42,13 @@ class StoredObject:
     Slotted, with ``__weakref__`` because the paged store keeps records
     in a weak-value map. It pickles as the attribute dict older pages and
     snapshots hold, and :meth:`__setstate__` reads that dict.
+    ``referenced`` is the paged store's cache bookkeeping (set on a hit,
+    cleared on admission), never pickled.
     """
 
-    __slots__ = ("oid", "value", "owner", "owner_name", "__weakref__")
+    __slots__ = (
+        "oid", "value", "owner", "owner_name", "referenced", "__weakref__"
+    )
 
     def __init__(
         self,

@@ -15,16 +15,19 @@ entries with the catalog and a faulted-in record's ``value.type`` *is*
 the catalog's type object. Records written by older engines (a full
 pickle of the :class:`~repro.core.identity.StoredObject`) still read.
 
-The cache is *bounded* when ``cache_capacity`` is set: least-recently
-used objects are evicted, dirty ones re-serialized through the heap file
-first (write-back), so cold objects leave RAM entirely and ``fetch``
-transparently faults them back through the buffer pool. Pin counts keep
-objects referenced by in-transaction undo entries and parked MVCC
-workspaces resident; a weak-value map guarantees that as long as *any*
-live reference to an object exists, ``fetch`` returns that same instance
-(eviction can never fork object identity). With ``cache_capacity=None``
-(the default, and the ablation baseline) the cache is unbounded and the
-hot path skips all LRU bookkeeping.
+The cache is *bounded* when ``cache_capacity`` is set: objects are
+evicted in second-chance (CLOCK) order, dirty ones re-serialized through
+the heap file first (write-back), so cold objects leave RAM entirely and
+``fetch`` transparently faults them back through the buffer pool. A hit
+only sets its record's ``referenced`` bit — the same one store in a
+bounded and an unbounded cache; eviction takes the oldest admitted
+record whose bit is clear, and gives one with the bit set another round
+at the young end instead. Pin counts keep objects referenced by
+in-transaction undo entries and parked MVCC workspaces resident; a
+weak-value map guarantees that as long as *any* live reference to an
+object exists, ``fetch`` returns that same instance (eviction can never
+fork object identity). With ``cache_capacity=None`` (the default, and
+the ablation baseline) the cache is unbounded and nothing is evicted.
 
 ``fetch_cold`` bypasses the cache entirely, deserializing from pages
 through the buffer pool — the storage benchmarks use it to measure real
@@ -316,8 +319,7 @@ class PagedObjectStore:
         record = self._live.get(oid)
         if record is not None:
             self.cache_stats.hits += 1
-            if self.cache_capacity is not None:
-                self._live.move_to_end(oid)
+            record.referenced = True
             return record
         if oid not in self._directory:
             raise KeyError(oid)
@@ -371,6 +373,7 @@ class PagedObjectStore:
     # -- cache admission and eviction ---------------------------------------------
 
     def _admit(self, oid: Oid, record: StoredObject, dirty: bool) -> None:
+        record.referenced = False  # admission is its own recency
         self._live[oid] = record
         self._weak[oid] = record
         if dirty:
@@ -382,7 +385,9 @@ class PagedObjectStore:
             self.cache_stats.peak_live = len(self._live)
 
     def _evict_excess(self, keep: Optional[Oid] = None) -> None:
-        """Evict least-recently-used unpinned objects down to capacity.
+        """Evict unpinned objects down to capacity, oldest first; one
+        referenced since it was admitted or last passed over loses its
+        bit and moves to the young end instead (second chance).
 
         ``keep`` — the object being admitted — is never the victim: its
         caller is about to use the instance, and evicting a clean record
@@ -398,6 +403,11 @@ class PagedObjectStore:
                 # every cached object is pinned: overflow rather than
                 # fail — pins are short-lived (txn/iterator scoped)
                 return
+            record = self._live[victim]
+            if record.referenced:
+                record.referenced = False
+                self._live.move_to_end(victim)
+                continue
             if victim in self._dirty:
                 self._writeback(victim, self._live[victim])
             del self._live[victim]

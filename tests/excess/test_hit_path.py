@@ -3,15 +3,16 @@
 A hit skips the front end and, on a fused root, calls the generated
 region once instead of draining batch generators. These tests pin that
 nothing else changes: the authorization check, the statement deadline,
-the counters and rendered plan a miss reports for the same literals,
-the paths that never fuse (``explain``, ``retrieve ... into``, row mode,
-a hash join under a memory budget), recursive re-entry of a running
-plan, and the transaction window writes take. They also pin the shape
-templates the hit path matches texts against: one per shape, dropped
-with it.
+the counters, rendered plan and written data a miss reports for the
+same literals, the paths that never fuse (``explain``, ``retrieve ...
+into``, row mode, a hash join under a memory budget), recursive re-entry
+of a running plan, and the transaction window writes take. They also
+pin the shape templates the hit path matches texts against: one per
+shape, dropped with it; and the number of Python calls a hit makes.
 """
 
 import re
+import sys
 
 import pytest
 
@@ -35,6 +36,17 @@ AGGREGATE = (
 SORTED = "retrieve (E.name) from E in Employees where E.age > {} sort by E.name"
 REPLACE = "replace E (salary = {}) from E in Employees where E.name = {}"
 COUNTERS = ("rows_scanned", "hash_builds", "hash_probes", "semi_builds")
+
+#: ``(template, first literals, second literals, check)``: a write shape
+#: run twice, and what its second run must have done to the data
+RAISE = "replace E (salary = {}) from E in Employees where E.age > {}"
+HIRE = (
+    "append to Employees (name = {}, age = 30, salary = 1000.0, dept = D) "
+    "from D in Departments where D.floor >= {}"
+)
+FIRE = "delete E from E in Employees where E.age > {}"
+STAFF = "retrieve (E.name, E.age, E.salary, E.dept.dname) from E in Employees"
+KIDS = "retrieve (E.name, K.name) from E in Employees, K in E.kids"
 
 
 @pytest.fixture
@@ -108,6 +120,76 @@ class TestHitEqualsMiss:
             assert hit.metrics[counter] == miss.metrics[counter], counter
         assert actuals(hit.plan_tree) == actuals(miss.plan_tree)
         assert hit.pipeline_source == miss.pipeline_source
+
+    @pytest.mark.parametrize(
+        "template,first,second",
+        [
+            (RAISE, ("1000.0", "50"), ("2000.0", "40")),
+            (HIRE, ('"Newa"', "1"), ('"Newb"', "2")),
+            (FIRE, ("60",), ("50",)),
+        ],
+        ids=["replace", "append", "delete"],
+    )
+    @pytest.mark.parametrize("exec_mode", ["fused", "row"])
+    def test_writes_count_data_and_counters(
+        self, db, template, first, second, exec_mode
+    ):
+        twin = build_company_database(SMALL)  # the same data, run uncached
+        twin.interpreter.parallel_mode = "off"
+        for each in (db, twin):
+            each.interpreter.exec_mode = exec_mode
+        before = db.execute(STAFF).rows
+        assert db.execute(template.format(*first)).metrics["cache"] == "miss"
+        hit = db.execute(template.format(*second))
+        assert hit.metrics["cache"] == "hit" and hit.metrics["shape_hit"]
+        uncached(twin, template.format(*first))
+        miss = uncached(twin, template.format(*second))
+        assert hit.count == miss.count and hit.count > 1
+        for counter in COUNTERS:
+            assert hit.metrics[counter] == miss.metrics[counter], counter
+        for text in (STAFF, KIDS):
+            assert sorted(db.execute(text).rows) == sorted(twin.execute(text).rows)
+        # what the second literals ask for, read off the data itself
+        staff = db.execute(STAFF).rows
+        if template is RAISE:
+            raised = [row for row in staff if row[1] > 40]
+            assert len(raised) == hit.count
+            assert {row[2] for row in raised} == {2000.0}
+        elif template is HIRE:
+            floors = db.execute("retrieve (D.floor) from D in Departments").rows
+            assert hit.count == sum(1 for (floor,) in floors if floor >= 2)
+            assert sum(1 for row in staff if row[0] == "Newb") == hit.count
+        else:
+            assert all(row[1] <= 50 for row in staff)
+            assert hit.count == sum(1 for row in before if 50 < row[1] <= 60)
+
+    def test_a_hit_keeps_its_own_metrics_tree_and_source(self, db):
+        """One cached plan run under two literals: the first result
+        still reports its own execution after the second ran."""
+        db.execute(SORTED.format(20))
+        first = db.execute(SORTED.format(30))
+        second = db.execute(SORTED.format(60))
+        assert first.metrics["cache"] == second.metrics["cache"] == "hit"
+        assert len(first.rows) != len(second.rows)
+        db.data_version += 1
+        own = uncached(db, SORTED.format(30))
+        for counter in COUNTERS:
+            assert first.metrics[counter] == own.metrics[counter], counter
+        assert actuals(first.plan_tree) == actuals(own.plan_tree)
+        assert actuals(first.plan_tree) != actuals(second.plan_tree)
+        assert first.pipeline_source == own.pipeline_source
+        assert first.pipeline_source != second.pipeline_source
+
+    def test_a_hits_columns_are_its_own(self, db):
+        text = POINT.format(quoted(SMALL.name_of(1)))
+        db.execute(text)
+        hit = db.execute(text)
+        labels = list(hit.columns)
+        hit.columns.append("mine")
+        hit.columns[0] = "changed"
+        again = db.execute(POINT.format(quoted(SMALL.name_of(2))))
+        assert again.metrics["cache"] == "hit"
+        assert again.columns == labels
 
     def test_same_literals_hit_is_not_a_shape_hit(self, db):
         text = POINT.format(quoted(SMALL.name_of(3)))
@@ -337,3 +419,43 @@ class TestShapeTemplates:
         db.catalog.adts.register_operator("@", "Complex", "Add", precedence=50)
         rescanned = interpreter._cache_key(text, "dba", db.default_session)[0][0]
         assert rescanned == ("i", "retrieve (c = ", ') @-- "x"')
+
+
+class TestCallBudget:
+    """The Python calls one cached statement makes, from
+    ``Database.execute`` down, generated code included. A change that
+    grows the hit path fails here, with no timing involved. Comprehension
+    frames are left out: CPython 3.12 inlines them."""
+
+    POINT_CALLS = 26
+    REPLACE_CALLS = 50
+
+    @staticmethod
+    def calls(db, text: str) -> int:
+        inlined = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+        count = 0
+
+        def profile(frame, event, _arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_name not in inlined:
+                count += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            db.execute(text)
+        finally:
+            sys.setprofile(previous)
+        return count
+
+    def test_cached_point_read(self, db):
+        db.execute(POINT.format(quoted(SMALL.name_of(1))))
+        text = POINT.format(quoted(SMALL.name_of(2)))
+        assert self.calls(db, text) == self.POINT_CALLS
+        assert db.execute(text).metrics["cache"] == "hit"
+
+    def test_cached_replace(self, db):
+        db.execute(REPLACE.format("1000.0", quoted(SMALL.name_of(1))))
+        text = REPLACE.format("2000.0", quoted(SMALL.name_of(2)))
+        assert self.calls(db, text) == self.REPLACE_CALLS
+        assert db.execute(text).metrics["cache"] == "hit"
