@@ -172,18 +172,9 @@ class Evaluator(PlanContext):
 
     MAX_FUNCTION_DEPTH = 32
 
-    __slots__ = (
-        "user",
-        "session",
-        "flags",
-        "compile_mode",
-        "_function_depth",
-        "_semi_sets",
-        "rows_scanned",
-        "hash_builds",
-        "hash_probes",
-        "semi_builds",
-    )
+    __slots__ = ("user", "session", "flags", "compile_mode", "_function_depth",
+                 "_semi_sets", "rows_scanned", "hash_builds", "hash_probes",
+                 "semi_builds")
 
     def __init__(
         self,
@@ -205,10 +196,11 @@ class Evaluator(PlanContext):
         #: (snapshot timestamp, transaction id) so a table built against
         #: one snapshot is never served to a different one (the data
         #: version alone does not move when versions rewind)
-        txn = None if session is None else session.txn
-        self.session_stamp = (
-            (None, None) if txn is None else (txn.snapshot_ts, txn.txn_id)
-        )
+        if session is not None and session.txn is not None:
+            txn = session.txn
+            self.session_stamp = (txn.snapshot_ts, txn.txn_id)
+        else:
+            self.session_stamp = (None, None)
         self._function_depth = 0
         #: the statement's counters (``Result.metrics``): the plan
         #: counters folded in by every drain, plus semi-join key sets
@@ -219,17 +211,25 @@ class Evaluator(PlanContext):
         #: the execution flags (see :class:`~repro.excess.flags.Flags`)
         self.flags = flags
         self.compile_mode = flags.compile_mode
+        #: True when expressions lower to generated code, False when
+        #: they run the interpreter — never tested by an operator, only
+        #: handed to :meth:`~repro.excess.plan.PlanOp.compiled_exprs` /
+        #: ``fused_pipeline`` (plans are shared across modes, so the
+        #: per-node caches are keyed by it)
         self.compiled = flags.compile_mode == "closure"
+        #: "fused" runs generated whole-pipeline functions where regions
+        #: allow (:func:`~repro.excess.plan.runnable_region`) and the row
+        #: operators everywhere else; "row" runs the row operators only
         self.exec_mode = flags.exec_mode
         #: the aggregate tables of the top-level plan
         self.tables = {}
         #: parent-side worker-pool dispatcher (interpreter-attached when
         #: parallel_mode=process; exchange merges and aggregate
         #: precompute consult it, everything else ignores it)
-        self.parallel = None
+        self.parallel: Any = None
         #: worker-side shard descriptor (set only inside pool workers:
         #: restricts ExchangePartition — and fused scans — to one part)
-        self.exchange = None
+        self.exchange: Any = None
         #: per-statement resource governor (deadline + memory budget);
         #: None when neither flag is active, so ungoverned execution
         #: pays nothing

@@ -47,12 +47,14 @@ from repro.errors import (
 )
 from repro.excess import ast_nodes as ast
 from repro.excess.binder import (
+    AttrStep,
     Binder,
     BoundQuery,
     NamedSetSource,
     NamedValue,
     ParamSlots,
     Scope,
+    VarRef,
 )
 from repro.excess.evaluator import WRITES, Evaluator
 from repro.excess.flags import FLAG_VALUES, Flags, validate_flag
@@ -135,9 +137,6 @@ class _PreparedPlan:
     apply: Any = None
     #: worker-pool size of a parallel retrieve (0: serial)
     workers: int = 0
-    #: the statement's snapshot window: "read" or "write" (see
-    #: :meth:`~repro.core.session.TransactionManager.run`)
-    window: str = "read"
     #: the named sets the statement reads: SELECT is checked on each one
     #: at every execution
     reads: tuple = ()
@@ -563,8 +562,9 @@ class Interpreter:
             cache = self.plan_cache
             plan = cache.get(key)
             if plan is not None:
+                window = "read" if plan.apply is None else "write"
                 return db.transactions.run(
-                    session, plan.window, self._run_plan,
+                    session, window, self._run_plan,
                     plan, text, user, flags, "hit", params, session,
                 )
             statements, literals = self._parse(text)
@@ -1007,7 +1007,6 @@ class Interpreter:
             columns=tuple(t.label for t in bound.targets) if retrieve else (),
             apply=None if retrieve else WRITES[kind],
             workers=flags.workers if parallel else 0,
-            window="read" if retrieve else "write",
             reads=tuple(sorted(self._read_names(bound.query))),
         )
 
@@ -1086,22 +1085,43 @@ class Interpreter:
 
     def _authorize(self, plan: _PreparedPlan, user: str) -> None:
         """The privileges a prepared statement needs, checked at every
-        execution: SELECT on every set it reads, and its write's."""
+        execution while authorization is enabled: SELECT on every set it
+        reads, and its write's privilege on the set or object it
+        changes."""
         kind = plan.kind
         if kind == "explain":
             return
-        self._check_reads(user, plan.reads)
+        check = self.db.authz.check
+        for name in plan.reads:
+            check(user, Privilege.SELECT, name)
         bound = plan.bound
+        if kind == "retrieve":
+            return
         if kind == "append":
-            self._check_collection_write(user, Privilege.APPEND, bound.target)
-        elif kind == "delete":
-            self._check_binding_write(
-                user, Privilege.DELETE, bound.query, bound.variable
-            )
-        elif kind == "replace":
-            self._check_replace_write(user, bound)
-        elif kind == "set" and bound.location[0] == "named":
-            self._check(user, Privilege.REPLACE, bound.location[1])
+            if bound.target.kind == "named":
+                check(user, Privilege.APPEND, bound.target.name)
+            return
+        if kind == "set":
+            if bound.location[0] == "named":
+                check(user, Privilege.REPLACE, bound.location[1])
+            return
+        if kind == "delete":
+            privilege, variable = Privilege.DELETE, bound.variable
+        else:  # replace: the variable (or named object) its target starts at
+            privilege, probe = Privilege.REPLACE, bound.target
+            while isinstance(probe, AttrStep):
+                probe = probe.base
+            if isinstance(probe, NamedValue):
+                check(user, privilege, probe.name)
+                return
+            if not isinstance(probe, VarRef):
+                return
+            variable = probe.name
+        for binding in bound.query.bindings:
+            if binding.name == variable and isinstance(
+                binding.source, NamedSetSource
+            ):
+                check(user, privilege, binding.source.set_name)
 
     def _run_query_statement(
         self, statement: ast.Statement, user: str
@@ -1307,12 +1327,6 @@ class Interpreter:
         if self.db.authz.enabled:
             self.db.authz.check(user, privilege, object_name)
 
-    def _check_reads(self, user: str, names: tuple) -> None:
-        authz = self.db.authz
-        if authz.enabled:
-            for name in names:
-                authz.check(user, Privilege.SELECT, name)
-
     def _read_names(self, query: BoundQuery) -> set[str]:
         names: set[str] = set()
         for binding in query.bindings:
@@ -1323,38 +1337,6 @@ class Interpreter:
                 if isinstance(binding.source, NamedSetSource):
                     names.add(binding.source.set_name)
         return names
-
-    def _check_collection_write(self, user: str, privilege: Privilege, target) -> None:
-        if not self.db.authz.enabled:
-            return
-        if target.kind == "named":
-            self.db.authz.check(user, privilege, target.name)
-
-    def _check_binding_write(
-        self, user: str, privilege: Privilege, query: BoundQuery, variable: str
-    ) -> None:
-        if not self.db.authz.enabled:
-            return
-        for binding in query.bindings:
-            if binding.name == variable and isinstance(
-                binding.source, NamedSetSource
-            ):
-                self.db.authz.check(user, privilege, binding.source.set_name)
-
-    def _check_replace_write(self, user: str, bound) -> None:
-        if not self.db.authz.enabled:
-            return
-        from repro.excess.binder import AttrStep, VarRef
-
-        probe = bound.target
-        while isinstance(probe, AttrStep):
-            probe = probe.base
-        if isinstance(probe, VarRef):
-            self._check_binding_write(
-                user, Privilege.REPLACE, bound.query, probe.name
-            )
-        elif isinstance(probe, NamedValue):
-            self._check(user, Privilege.REPLACE, probe.name)
 
     # -- dispatch table --------------------------------------------------------------------------------
 

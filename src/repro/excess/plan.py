@@ -244,40 +244,17 @@ class PlanContext:
     def __init__(self, evaluator: Any, tables: Optional[dict] = None):
         self.evaluator = evaluator
         self.tables = {} if tables is None else tables
-        # hot-path attributes (generated code reads these per call)
+        # the evaluator's per-execution state (documented there), copied:
+        # operators and generated code read it per row or per call
         self.db = evaluator.db
         self.objects = evaluator.objects
-        #: (snapshot_ts, txn_id) of the executing session's transaction
-        #: (None, None outside one) — part of the hash-build memo stamp
         self.session_stamp = evaluator.session_stamp
-        #: True when this execution's expressions lower to generated
-        #: code, False when they run the interpreter — never tested by an
-        #: operator, only handed to :meth:`PlanOp.compiled_exprs` /
-        #: ``fused_pipeline`` (plans are shared across modes, so the
-        #: per-node caches are keyed by it)
         self.compiled = evaluator.compiled
-        #: "fused" runs generated whole-pipeline functions where regions
-        #: allow (:func:`runnable_region`) and the row operators
-        #: everywhere else; "row" runs the row operators only (the oracle)
         self.exec_mode = evaluator.exec_mode
-        #: worker-side shard descriptor (``.part``/``.dop``) — set only
-        #: inside a parallel worker; :class:`ExchangePartition` (and the
-        #: fused codegen) read it to restrict the scan to one partition.
-        #: None in the parent process, where partitions pass through.
         self.exchange = evaluator.exchange
-        #: parent-side parallel runner (``repro.excess.parallel``) — set
-        #: when parallel execution is enabled; :class:`ExchangeMerge`
-        #: dispatches its fragment through it. None ⇒ serial fallback.
         self.parallel = evaluator.parallel
-        #: per-statement :class:`~repro.core.governor.ResourceGovernor`
-        #: (deadline + memory budget) — None when neither flag is set,
-        #: which keeps the per-row check in :meth:`PlanOp._pull` a
-        #: single ``is None`` test
         self.governor = evaluator.governor
-        #: this execution's literal values by slot — what every
-        #: :class:`~repro.excess.binder.Param` of the plan evaluates to
-        #: (empty when the statement was prepared outside the plan cache)
-        self.params: tuple = evaluator.params
+        self.params = evaluator.params
 
 
 @dataclass
@@ -2514,7 +2491,10 @@ def render_plan(
     lines: list[str] = []
     frozen = (
         None if snapshot is None
-        else {id(op): OpStats(*counts) for op, counts in zip(plan_ops(root), snapshot)}
+        else {
+            id(op): OpStats(*counts)
+            for op, counts in zip(plan_ops(root), snapshot)
+        }
     )
     fused_ids: set[int] = set()
     if exec_mode == "fused":
