@@ -69,7 +69,6 @@ from repro.excess.parser import OperatorTable, Parser
 from repro.excess.plan import (
     PlanContext,
     plan_counters,
-    plan_ops,
     render_plan,
     runnable_region,
     snapshot_stats,
@@ -123,10 +122,9 @@ class _PreparedPlan:
     pins_keyed: int = 0
     #: ``(shape key, subkey)`` the cache files this plan under
     filed: tuple = ()
-    #: the plan tree's operators (:func:`~repro.excess.plan.plan_ops`)
-    ops: list = field(default_factory=list)
-    #: their counters (:func:`~repro.excess.plan.plan_counters`), which
-    #: every execution resets and snapshots for its rendered tree
+    #: the plan tree's counters (:func:`~repro.excess.plan.
+    #: plan_counters`), which every execution resets and snapshots for
+    #: its rendered tree
     stats: tuple = ()
     #: the fused region the plan's flags run at ``plan_root``
     #: (:func:`~repro.excess.plan.runnable_region`), or None
@@ -999,7 +997,6 @@ class Interpreter:
             plan_root=root,
             params=params or (),
             slots=slots,
-            ops=plan_ops(root),
             stats=plan_counters(root)[0],
             # an evaluator under the plan's flags is the context that
             # decides which region runs (and generates its function now)

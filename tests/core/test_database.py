@@ -18,6 +18,7 @@ from repro.core.types import (
 )
 from repro.core.values import NULL, ArrayInstance, Ref
 from repro.errors import CatalogError, IntegrityError, TypeSystemError
+from repro.excess.plan import plan_ops
 
 
 @pytest.fixture
@@ -259,7 +260,7 @@ class TestCloseFreesByReferenceCounting:
             plans = [
                 weakref.ref(op)
                 for entry in db.interpreter.plan_cache._entries.values()
-                for op in entry.ops
+                for op in plan_ops(entry.plan_root)
             ]
             db.interpreter.shutdown_parallel()
             db.close()

@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import AuthorizationError, StatementTimeout
 from repro.authz.grants import Privilege
-from repro.excess.plan import PlanOp
+from repro.excess.plan import PlanOp, plan_ops
 from repro.util import faultinject
 from repro.util.workload import CompanyWorkload, build_company_database
 
@@ -380,7 +380,7 @@ class TestShapeTemplates:
         cache.capacity = 1
         db.execute(JOIN.format(1))  # a fused hash join, its build memoized
         (entry,) = cache._entries.values()
-        ops = [weakref.ref(op) for op in entry.ops]
+        ops = [weakref.ref(op) for op in plan_ops(entry.plan_root)]
         assert any(type(op()).__name__ == "HashJoin" for op in ops)
         del entry
         gc.disable()

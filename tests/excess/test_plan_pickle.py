@@ -21,7 +21,7 @@ from repro.excess.plan import PlanContext, walk_plan
 from repro.util.workload import CompanyWorkload, build_company_database
 
 #: caches that must never survive pickling (unpicklable or stale-on-revival)
-BANNED_STATE = ("_compiled", "_fused", "_plan_ops", "_fragment_key")
+BANNED_STATE = ("_compiled", "_fused", "_plan_ops", "_counters", "_fragment_key")
 
 #: a battery chosen to lower every operator family: seq/index scans,
 #: filters, projections (plain / unique / sorted), nested-loop and hash
@@ -96,6 +96,7 @@ class TestGetstateAudit:
                 seen.update(k for k in op.__dict__ if k.startswith("_"))
         assert "_compiled" in seen
         assert "_plan_ops" in seen
+        assert "_counters" in seen
         assert "_memo" in seen
 
     def test_every_plan_root_roundtrips_pickle(self, warmed):
